@@ -13,7 +13,12 @@ The protocol, per session of N slots:
 3. Per-subset key shares are allocated by a max-min LP over feasibility
    constraints: the total share of any collection of subsets is capped by the
    dimension those subsets' exclusive subspaces add beyond the eavesdropper's
-   view (solve_allocation_lp).
+   view (solve_allocation_lp).  Constraints are cap tables {selection: cap}.
+   On planned dimensions the cap of a selection S is
+   min(sum_S excl_J, n_a - n_e), a polymatroid rank (Edmonds 1970), so the
+   singleton caps plus the full-collection budget imply every other cap and
+   planning works for any m (DimensionPlan.caps).  Actual subspaces need every
+   selection, so their table is exhaustive and limited to 7 subsets (m <= 3).
 4. Slots are glued by direct sums; floor(N * share) basis vectors per subset
    are extracted so that everything is mutually independent
    (extract_secure_subspaces); coefficients published over the public channel
@@ -128,73 +133,62 @@ class FeasibilityResult:
         return self.ok
 
 
-def _selections(masks: list[int], rng: np.random.Generator | None = None, sample: int = 4096):
-    """Nonempty collections of distinct subsets: exhaustive up to 7 subsets
-    (every selection at m <= 3), seeded sampling plus all singletons and the
-    full collection beyond that."""
-    masks = sorted(masks)
-    if len(masks) <= 7:
-        for k in range(1, len(masks) + 1):
-            yield from itertools.combinations(masks, k)
-        return
-    for mask in masks:
-        yield (mask,)
-    yield tuple(masks)
-    sampler = rng if rng is not None else np.random.default_rng(0)
-    for _ in range(sample):
-        k = int(sampler.integers(2, len(masks)))
-        pick = sampler.choice(len(masks), size=k, replace=False)
-        yield tuple(masks[i] for i in sorted(pick))
+def _as_allocation(alloc, m: int) -> SubsetAllocation:
+    """Accept a SubsetAllocation or a plain mask -> number mapping."""
+    return alloc if isinstance(alloc, SubsetAllocation) else SubsetAllocation(m, alloc)
 
 
-def _check_against(shares, rhs_fn, selections) -> FeasibilityResult:
-    for sel in selections:
-        lhs = sum((shares(mask) for mask in sel), Fraction(0))
-        rhs = Fraction(rhs_fn(sel))
-        if lhs > rhs:
-            return FeasibilityResult(False, tuple(sel), lhs, rhs)
+def _actual_caps(family: SubspaceFamily, base: Subspace | None = None) -> dict[tuple[int, ...], int]:
+    """Cap table of the actual subspaces: for every nonempty selection of the
+    family's subsets (by size, then lexicographically), the dimension its
+    members add to ``base`` (to nothing when ``base`` is None).
+
+    Raises:
+        ValueError: for more than 7 subsets (m > 3), where the 2^k - 1
+            selections are too many to enumerate.
+    """
+    masks = family.masks()
+    if len(masks) > 7:
+        raise ValueError(
+            f"actual-subspace constraints are enumerated only up to 7 subsets (m <= 3), "
+            f"got {len(masks)}"
+        )
+    base_dim = 0 if base is None else base.dim
+    sums: dict[tuple[int, ...], Subspace | None] = {(): base}
+    caps: dict[tuple[int, ...], int] = {}
+    for k in range(1, len(masks) + 1):
+        for sel in itertools.combinations(masks, k):
+            prev, last = sums[sel[:-1]], family[sel[-1]]
+            sums[sel] = total = last if prev is None else prev + last
+            caps[sel] = total.dim - base_dim
+    return caps
+
+
+def _check_against(shares, caps: dict[tuple[int, ...], int]) -> FeasibilityResult:
+    """First selection, in table order, whose shares (indexed by mask) exceed its cap."""
+    for sel, cap in caps.items():
+        lhs = sum((shares[mask] for mask in sel), Fraction(0))
+        if lhs > cap:
+            return FeasibilityResult(False, sel, lhs, Fraction(cap))
     return FeasibilityResult(True)
 
 
-def check_allocation_feasible(
-    alloc,
-    family: SubspaceFamily,
-    eve: Subspace,
-    rng: np.random.Generator | None = None,
-) -> FeasibilityResult:
+def check_allocation_feasible(alloc, family: SubspaceFamily, eve: Subspace) -> FeasibilityResult:
     """Verify every selection constraint against the actual subspaces:
     sum of shares over a selection <= dim(sum of its exclusive subspaces
     + eavesdropper subspace) - dim(eavesdropper subspace).
 
     ``alloc`` may be a SubsetAllocation or a plain mask -> number mapping.
     """
-    shares = _share_getter(alloc)
+    alloc = _as_allocation(alloc, family.m)
     _check_shares_covered(alloc, family)
-    e_dim = eve.dim
-
-    def rhs(sel):
-        total = eve
-        for mask in sel:
-            total = total + family[mask]
-        return total.dim - e_dim
-
-    return _check_against(shares, rhs, _selections(family.masks(), rng))
+    return _check_against(alloc, _actual_caps(family, eve))
 
 
-def _share_getter(alloc):
-    if isinstance(alloc, SubsetAllocation):
-        return lambda mask: alloc[mask]
-    table = {int(k): Fraction(v) for k, v in dict(alloc).items()}
-    return lambda mask: table.get(mask, Fraction(0))
-
-
-def _check_shares_covered(alloc, family: SubspaceFamily):
+def _check_shares_covered(alloc: SubsetAllocation, family: SubspaceFamily):
     """A positive share on a subset the family does not carry would escape
     every constraint; refuse it outright."""
-    if isinstance(alloc, SubsetAllocation):
-        positive = {mask for mask, v in alloc.shares.items() if v > 0}
-    else:
-        positive = {int(k) for k, v in dict(alloc).items() if Fraction(v) > 0}
+    positive = {mask for mask, v in alloc.shares.items() if v > 0}
     missing = positive - set(family.masks())
     if missing:
         raise ValueError(f"shares assigned to subsets absent from the family: {sorted(missing)}")
@@ -225,6 +219,16 @@ class DimensionPlan:
         total = sum(self.exclusive_dims[mask] for mask in selection)
         return min(total + self.eve_dim, self.n_a) - self.eve_dim
 
+    @property
+    def caps(self) -> dict[tuple[int, ...], int]:
+        """Cap table in polymatroid form: rhs(S) = min(sum_S excl_J, n_a - eve_dim),
+        so the singleton caps plus the full-collection budget imply the cap of
+        every other selection (shares are nonnegative)."""
+        masks = tuple(subset_masks(self.m))
+        caps = {(mask,): self.rhs((mask,)) for mask in masks}
+        caps[masks] = self.rhs(masks)
+        return caps
+
 
 def plan_from_dims(n_a: int, dims, eve_dim: int) -> DimensionPlan:
     """Iterated generic-position arithmetic on raw subspace dimensions."""
@@ -249,8 +253,9 @@ def plan_dimensions(params: ChannelParams) -> DimensionPlan:
 
 
 def check_allocation_feasible_planned(alloc, plan: DimensionPlan) -> FeasibilityResult:
-    shares = _share_getter(alloc)
-    return _check_against(shares, plan.rhs, _selections(subset_masks(plan.m)))
+    """Exact check against the planned dimensions; a violated constraint's
+    witness is a singleton or the full collection."""
+    return _check_against(_as_allocation(alloc, plan.m), plan.caps)
 
 
 def build_exclusive_subspaces(
@@ -279,17 +284,7 @@ def build_exclusive_subspaces(
     return SubspaceFamily(m, out)
 
 
-def _lp_rhs_actual(family: SubspaceFamily, eve: Subspace) -> dict[tuple[int, ...], int]:
-    rhs: dict[tuple[int, ...], int] = {}
-    for sel in _selections(family.masks()):
-        total = eve
-        for mask in sel:
-            total = total + family[mask]
-        rhs[sel] = total.dim - eve.dim
-    return rhs
-
-
-def _solve_maxmin(m: int, rhs_map: dict[tuple[int, ...], int]) -> tuple[SubsetAllocation, Fraction]:
+def _solve_maxmin(m: int, caps: dict[tuple[int, ...], int]) -> tuple[SubsetAllocation, Fraction]:
     """Epigraph form: maximize t subject to t <= per-terminal share totals and
     the selection caps; exact rational optimum."""
     masks = subset_masks(m)
@@ -307,7 +302,7 @@ def _solve_maxmin(m: int, rhs_map: dict[tuple[int, ...], int]) -> tuple[SubsetAl
                 row[col[mask]] = Fraction(-1)
         rows.append(row)
         b.append(Fraction(0))
-    for sel, cap in sorted(rhs_map.items()):
+    for sel, cap in sorted(caps.items()):
         row = [Fraction(0)] * nvar
         for mask in sel:
             row[col[mask]] = Fraction(1)
@@ -315,11 +310,11 @@ def _solve_maxmin(m: int, rhs_map: dict[tuple[int, ...], int]) -> tuple[SubsetAl
         b.append(Fraction(cap))
     res = maximize(c, rows, b)
     # Exact optimality certificate: dual feasibility plus strong duality.
-    assert all(y >= 0 for y in res.dual)
-    assert all(
+    dual_feasible = all(y >= 0 for y in res.dual) and all(
         sum(rows[i][j] * res.dual[i] for i in range(len(rows))) >= c[j] for j in range(nvar)
     )
-    assert sum(bi * yi for bi, yi in zip(b, res.dual)) == res.value
+    if not dual_feasible or sum(bi * yi for bi, yi in zip(b, res.dual)) != res.value:
+        raise RuntimeError("allocation LP solution failed its optimality certificate")
     alloc = SubsetAllocation(m, {mask: res.x[col[mask]] for mask in masks})
     return alloc, res.value
 
@@ -327,17 +322,12 @@ def _solve_maxmin(m: int, rhs_map: dict[tuple[int, ...], int]) -> tuple[SubsetAl
 def solve_allocation_lp(family: SubspaceFamily, eve: Subspace) -> tuple[SubsetAllocation, Fraction]:
     """Optimal subset allocation for actual subspaces; m <= 3 (constraint count
     is 2^(2^m - 1) - 1).  Returns (allocation, min-terminal value)."""
-    if family.m > 3:
-        raise ValueError(f"exact LP solve is limited to m <= 3, got m={family.m}")
-    return _solve_maxmin(family.m, _lp_rhs_actual(family, eve))
+    return _solve_maxmin(family.m, _actual_caps(family, eve))
 
 
 def solve_allocation_lp_planned(plan: DimensionPlan) -> tuple[SubsetAllocation, Fraction]:
-    """Optimal allocation against generic-position planned dimensions."""
-    if plan.m > 3:
-        raise ValueError(f"exact LP solve is limited to m <= 3, got m={plan.m}")
-    rhs = {sel: plan.rhs(sel) for sel in _selections(subset_masks(plan.m))}
-    return _solve_maxmin(plan.m, rhs)
+    """Optimal allocation against generic-position planned dimensions, any m."""
+    return _solve_maxmin(plan.m, plan.caps)
 
 
 class InfeasibleAllocationError(ValueError):
@@ -382,24 +372,15 @@ def extract_secure_subspaces(
         InfeasibleAllocationError: if the requested counts violate the
             verifiable feasibility constraints (with a witness selection).
         RuntimeError: if no valid pick is found within max_tries.
+        ValueError: for a family of more than 7 subsets (see _actual_caps).
     """
-    _check_shares_covered(counts, family)
-    counts = {mask: int(counts.get(mask, 0)) for mask in family.masks()}
-    if any(v < 0 for v in counts.values()):
-        raise ValueError("extraction counts must be nonnegative")
+    alloc = _as_allocation(counts, family.m)
+    _check_shares_covered(alloc, family)
+    counts = {mask: int(alloc[mask]) for mask in family.masks()}
     exact = isinstance(eve, Subspace)
-    if exact:
-        feas = check_allocation_feasible(counts, family, eve)
-    else:
-        # Source-side check: shares within any selection cannot exceed the
-        # dimension of the selection's joint span.
-        def rhs(sel):
-            total = None
-            for mask in sel:
-                total = family[mask] if total is None else total + family[mask]
-            return total.dim
-
-        feas = _check_against(_share_getter(counts), rhs, _selections(family.masks()))
+    # Without the eavesdropper's subspace, the source-side check caps each
+    # selection by the dimension of its joint span.
+    feas = _check_against(counts, _actual_caps(family, eve if exact else None))
     if not feas.ok:
         raise InfeasibleAllocationError(feas)
 

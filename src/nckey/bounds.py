@@ -48,14 +48,17 @@ class RateExpression:
         return self.coefficient / (params.ell - params.n_a)
 
 
+def _cut(params: ChannelParams, n_i: int) -> tuple[int, int]:
+    """(cut, coefficient) of one terminal's cut: cut = min[n_a, n_i+n_e] and
+    coefficient (cut - n_e)^+ (ell - cut)."""
+    cut = min(params.n_a, n_i + params.n_e)
+    return cut, _pos(cut - params.n_e) * (params.ell - cut)
+
+
 def upper_bound(params: ChannelParams) -> RateExpression:
     """min over terminals i of (min[n_a, n_i+n_e] - n_e)(ell - min[n_a, n_i+n_e]);
     zero when the eavesdropper matches the source (n_e >= n_a)."""
-    terms = []
-    for n_i in params.n:
-        cut = min(params.n_a, n_i + params.n_e)
-        terms.append(_pos(cut - params.n_e) * (params.ell - cut))
-    return RateExpression(Fraction(min(terms)), ABSOLUTE)
+    return RateExpression(Fraction(min(_cut(params, n_i)[1] for n_i in params.n)), ABSOLUTE)
 
 
 def two_terminal_rate(params: ChannelParams) -> RateExpression:
@@ -64,10 +67,7 @@ def two_terminal_rate(params: ChannelParams) -> RateExpression:
     so this is the m=1 capacity."""
     if params.m != 1:
         raise ValueError(f"two_terminal_rate needs exactly one terminal, got m={params.m}")
-    n_b = params.n[0]
-    reduced = min(params.n_a, n_b + params.n_e)
-    coeff = _pos(reduced - params.n_e) * (params.ell - reduced)
-    return RateExpression(Fraction(coeff), ABSOLUTE)
+    return upper_bound(params)
 
 
 def no_feedback_two_terminal_rate(params: ChannelParams) -> RateExpression:
@@ -123,9 +123,7 @@ def generic_dims(dims, ambient: int) -> tuple[int, int]:
 def asymptotic_cmi_coefficient(params: ChannelParams, receiver: int = 0) -> int:
     """Large-field coefficient of max_P I(source; receiver | eavesdropper):
     (min[n_a, n_i+n_e] - n_e)(ell - min[n_a, n_i+n_e])."""
-    n_i = params.n[receiver]
-    cut = min(params.n_a, n_i + params.n_e)
-    return _pos(cut - params.n_e) * (params.ell - cut)
+    return _cut(params, params.n[receiver])[1]
 
 
 class OracleSizeError(ValueError):

@@ -25,6 +25,7 @@ from .agreement import (
 )
 from .bounds import (
     OracleSizeError,
+    _cut,
     exact_cmi_oracle,
     asymptotic_cmi_coefficient,
     three_terminal_rate,
@@ -168,9 +169,7 @@ def cmd_bounds(cfg: dict, parser) -> dict:
         upper = upper_bound(params)
         lower_abs, method = _lower_bound(params)
         dof = params.ell - params.n_a
-        cuts = [min(params.n_a, n_i + params.n_e) for n_i in params.n]
-        terms = [max(c - params.n_e, 0) * (params.ell - c) for c in cuts]
-        binding_cut = cuts[terms.index(min(terms))]
+        binding_cut, _ = min((_cut(params, n_i) for n_i in params.n), key=lambda c: c[1])
         mismatch = binding_cut != params.n_a
         common = {
             "sweep_var": var or "none",

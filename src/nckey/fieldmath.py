@@ -268,7 +268,7 @@ def solve_in_rowspan(target: MatrixFq, basis: MatrixFq) -> MatrixFq | None:
             np.mod(resid, q, out=resid)
     if np.any(resid):
         return None
-    return MatrixFq(np.mod(coeff_over_red @ transform, q), target.ctx)
+    return mat_mul(MatrixFq(coeff_over_red, target.ctx), MatrixFq(transform, target.ctx))
 
 
 def right_kernel(m: MatrixFq) -> MatrixFq:

@@ -183,8 +183,10 @@ def gaussian_binomial(n: int, k: int, ctx: FieldCtx) -> int:
     for i in range(k):
         num *= q**n - q**i
         den *= q**k - q**i
-    assert num % den == 0
-    return num // den
+    quotient, remainder = divmod(num, den)
+    if remainder:
+        raise ArithmeticError(f"Gaussian binomial [{n} choose {k}]_{q} is not integral")
+    return quotient
 
 
 def iter_subspaces(ambient_dim: int, dim: int, ctx: FieldCtx):

@@ -1,12 +1,16 @@
+import itertools
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from nckey import agreement, simplex
 from nckey.agreement import (
     InfeasibleAllocationError,
     SubsetAllocation,
+    _solve_maxmin,
     build_exclusive_subspaces,
     certify_zero_leakage,
     check_allocation_feasible,
@@ -148,15 +152,17 @@ def test_feasibility_zero_and_tight():
         assert res.witness == (mask,)
 
 
-def test_feasibility_sampled_selections_beyond_m3():
-    # at m=4 the selection family is sampled rather than enumerated
+def test_feasibility_refuses_more_than_seven_subsets():
+    # actual-subspace constraints are enumerated exactly, never sampled; at
+    # m=4 (15 subsets) the enumeration is refused
     rng = np.random.default_rng(71)
     pis = [random_subspace(6, 3, F101, rng) for _ in range(4)]
     eve = random_subspace(6, 2, F101, rng)
     fam = build_exclusive_subspaces(pis, eve, rng)
-    assert check_allocation_feasible(SubsetAllocation(4, {}), fam, eve, rng).ok
-    over = SubsetAllocation(4, {1: 7})
-    assert not check_allocation_feasible(over, fam, eve, rng).ok
+    with pytest.raises(ValueError, match="7 subsets"):
+        check_allocation_feasible(SubsetAllocation(4, {}), fam, eve)
+    with pytest.raises(ValueError, match="7 subsets"):
+        extract_secure_subspaces(fam, {}, None, rng)
 
 
 def test_feasibility_rejects_shares_outside_family():
@@ -214,6 +220,75 @@ def test_lp_matches_symmetric_closed_form_on_planned_grid():
                 alloc, value = solve_allocation_lp_planned(plan)
                 assert value == three_terminal_rate(p).coefficient, (n_a, n_b, n_e)
                 assert check_allocation_feasible_planned(alloc, plan).ok
+
+
+def _enumerated_planned_lp(plan):
+    masks = subset_masks(plan.m)
+    caps = {
+        sel: plan.rhs(sel)
+        for k in range(1, len(masks) + 1)
+        for sel in itertools.combinations(masks, k)
+    }
+    return _solve_maxmin(plan.m, caps)
+
+
+def test_planned_lp_matches_enumerated_constraints():
+    # singleton caps plus the budget give the same optimum as all
+    # 2^(2^m - 1) - 1 selection constraints, and the same vertex except where
+    # the enumerated LP's redundant rows steer a degenerate tie elsewhere
+    other_vertex = {(4, (2, 3, 2), 1)}
+    shapes = [(n_a, (d,), e) for n_a in range(1, 6) for d in range(n_a + 1) for e in range(n_a + 1)]
+    shapes += [
+        (n_a, (d1, d2), e)
+        for n_a in range(1, 5)
+        for d1 in range(n_a + 1)
+        for d2 in range(n_a + 1)
+        for e in range(n_a + 1)
+    ]
+    shapes += [(60, (45, 45), 15), (12, (6, 8, 9), 3), (4, (2, 3, 4), 1), (9, (5, 6, 7), 2)]
+    shapes += sorted(other_vertex)
+    for shape in shapes:
+        plan = plan_from_dims(*shape)
+        alloc, value = solve_allocation_lp_planned(plan)
+        ref_alloc, ref_value = _enumerated_planned_lp(plan)
+        assert value == ref_value, shape
+        if shape in other_vertex:
+            assert alloc.items() != ref_alloc.items()
+            assert alloc.min_terminal_total() == value
+            assert check_allocation_feasible_planned(alloc, plan).ok
+        else:
+            assert alloc.items() == ref_alloc.items(), shape
+
+
+def test_planned_lp_four_terminals_meets_every_selection():
+    for shape in [(60, (10, 15, 20, 25), 5), (12, (8, 9, 10, 11), 2)]:
+        plan = plan_from_dims(*shape)
+        alloc, value = solve_allocation_lp_planned(plan)
+        assert value > 0 and value == alloc.min_terminal_total()
+        masks = subset_masks(4)
+        for k in range(1, len(masks) + 1):
+            for sel in itertools.combinations(masks, k):
+                assert sum(alloc[mask] for mask in sel) <= plan.rhs(sel), (shape, sel)
+        assert check_allocation_feasible_planned(alloc, plan).ok
+
+
+def test_planned_infeasibility_witness_is_singleton_or_budget():
+    plan = plan_from_dims(10, (6, 6, 6), 2)
+    over_one = SubsetAllocation(3, {1: plan.exclusive_dims[1] + 1})
+    assert check_allocation_feasible_planned(over_one, plan).witness == (1,)
+    # every subset at its exclusive dimension (2 each) overruns the budget
+    over_budget = SubsetAllocation(3, plan.exclusive_dims)
+    res = check_allocation_feasible_planned(over_budget, plan)
+    assert res.witness == tuple(subset_masks(3)) and res.rhs == 10 - 2
+
+
+def test_lp_certificate_failure_raises(monkeypatch):
+    def bad_dual(c, rows, b):
+        return replace(simplex.maximize(c, rows, b), dual=(Fraction(0),) * len(rows))
+
+    monkeypatch.setattr(agreement, "maximize", bad_dual)
+    with pytest.raises(RuntimeError, match="certificate"):
+        solve_allocation_lp_planned(plan_dimensions(P(101, 10, 6, [4, 4], 2)))
 
 
 def test_lp_solution_feasible_and_unimprovable():

@@ -72,6 +72,24 @@ def test_bounds_three_terminals_uses_lp(tmp_path):
     assert Fraction(absolute[idx["lower_coeff"]]) == Fraction(8, 3) * 3
 
 
+def test_bounds_four_terminals_uses_lp(tmp_path):
+    out = run_cli(
+        ["bounds", "--q", "101", "--ell", "70", "--na", "60", "--n", "10", "15", "20", "25",
+         "--ne", "5"],
+        tmp_path,
+        "m4.csv",
+    ).decode()
+    lines = out.splitlines()
+    idx = {c: i for i, c in enumerate(lines[1].split(","))}
+    rows = [l.split(",") for l in lines[2:] if l]
+    assert len(rows) == 2
+    assert all(r[idx["lower_method"]] == "allocation_lp" for r in rows)
+    absolute = next(r for r in rows if r[idx["normalization"]] == "absolute")
+    # terminal 0 holds only its own 10 exclusive dimensions, at ell - n_a = 10
+    assert Fraction(absolute[idx["lower_coeff"]]) == 100
+    assert Fraction(absolute[idx["upper_coeff"]]) == 550
+
+
 def test_bounds_json_format(tmp_path):
     raw = run_cli(
         ["bounds", "--q", "101", "--ell", "10", "--na", "5", "--n", "3",

@@ -221,6 +221,18 @@ def test_solve_in_rowspan_membership_and_witness():
     assert solve_in_rowspan(target, basis) is None
 
 
+def test_solve_in_rowspan_large_modulus_no_overflow():
+    # q close to 2**31: recombining over three or more pivots overflows int64
+    # unless the product goes through the chunked mat_mul
+    ctx = FieldCtx(2147483647)
+    rng = np.random.default_rng(3)
+    basis = random_matrix(6, 10, ctx, rng)
+    coeff = random_matrix(4, 6, ctx, rng)
+    assert rank(basis) == 6
+    c = solve_in_rowspan(mat_mul(coeff, basis), basis)
+    assert c == coeff
+
+
 def test_right_kernel():
     rng = np.random.default_rng(6)
     for q in (2, 7):
