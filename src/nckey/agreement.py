@@ -18,10 +18,12 @@ The protocol, per session of N slots:
    min(sum_S excl_J, n_a - n_e), a polymatroid rank (Edmonds 1970), so the
    singleton caps plus the full-collection budget imply every other cap and
    planning works for any m (DimensionPlan.caps).  Actual subspaces need every
-   selection, so their table is exhaustive and limited to 7 subsets (m <= 3).
+   selection, so their table is limited to 7 subsets (m <= 3); so is the
+   session audit, which sums one table per slot, and hence run_session.
 4. Slots are glued by direct sums; floor(N * share) basis vectors per subset
    are extracted so that everything is mutually independent
-   (extract_secure_subspaces); coefficients published over the public channel
+   (extract_secure_subspaces: the picks' joint rank is their own feasibility
+   certificate, for any m); coefficients published over the public channel
    let each member terminal reconstruct its subset keys exactly.
 5. A final common key is delivered to all terminals by one-time-padding a
    linear combination code over the subset key blocks (the multicast step).
@@ -53,13 +55,10 @@ from .fieldmath import (
     vstack,
 )
 from .simplex import maximize
-from .subspaces import (
-    Subspace,
-    SubspaceFamily,
-    direct_sum,
-    span_of,
-    zero_subspace,
-)
+from .subspaces import Subspace, SubspaceFamily, direct_sum, random_inside, span_of
+
+# Largest family whose 2^k - 1 selections are enumerated for actual subspaces.
+MAX_ENUMERATED_SUBSETS = 7
 
 
 def _pos(x: int) -> int:
@@ -148,10 +147,10 @@ def _actual_caps(family: SubspaceFamily, base: Subspace | None = None) -> dict[t
             selections are too many to enumerate.
     """
     masks = family.masks()
-    if len(masks) > 7:
+    if len(masks) > MAX_ENUMERATED_SUBSETS:
         raise ValueError(
-            f"actual-subspace constraints are enumerated only up to 7 subsets (m <= 3), "
-            f"got {len(masks)}"
+            f"actual-subspace constraints are enumerated only up to "
+            f"{MAX_ENUMERATED_SUBSETS} subsets (m <= 3), got {len(masks)}"
         )
     base_dim = 0 if base is None else base.dim
     sums: dict[tuple[int, ...], Subspace | None] = {(): base}
@@ -286,8 +285,9 @@ def build_exclusive_subspaces(
 
 def _solve_maxmin(m: int, caps: dict[tuple[int, ...], int]) -> tuple[SubsetAllocation, Fraction]:
     """Epigraph form: maximize t subject to t <= per-terminal share totals and
-    the selection caps; exact rational optimum."""
-    masks = subset_masks(m)
+    the selection caps; exact rational optimum.  Only subsets that appear in
+    some selection get a share variable; the others get zero."""
+    masks = sorted({mask for sel in caps for mask in sel})
     nvar = len(masks) + 1  # shares then t
     col = {mask: j for j, mask in enumerate(masks)}
     c = [Fraction(0)] * nvar
@@ -339,18 +339,6 @@ class InfeasibleAllocationError(ValueError):
         )
 
 
-def _uniform_inside(sub: Subspace, dim: int, rng: np.random.Generator) -> Subspace:
-    """Uniformly random dim-dimensional subspace of ``sub``."""
-    if dim > sub.dim:
-        raise ValueError(f"cannot pick dim {dim} inside a dim-{sub.dim} subspace")
-    if dim == 0:
-        return zero_subspace(sub.ambient_dim, sub.ctx)
-    while True:
-        coeff = random_matrix(dim, sub.dim, sub.ctx, rng)
-        if rank(coeff) == dim:
-            return span_of(mat_mul(coeff, sub.basis))
-
-
 def extract_secure_subspaces(
     family: SubspaceFamily,
     counts: dict[int, int],
@@ -362,42 +350,46 @@ def extract_secure_subspaces(
     picks are mutually independent.
 
     With ``eve`` a Subspace (test mode) the picks are additionally certified
-    independent of the eavesdropper's subspace, exactly.  With ``eve`` None or
-    an int (the realistic mode: only the eavesdropper's dimension is known)
-    only mutual independence is certified here; independence from the
-    eavesdropper then holds with probability 1 - O(1/q) and is checked by the
-    session audit.
+    independent of the eavesdropper's subspace, exactly.  With ``eve`` None
+    (the realistic mode: only the eavesdropper's dimension is known) only
+    mutual independence is certified here; independence from the eavesdropper
+    then holds with probability 1 - O(1/q) and is checked by the session audit.
+
+    Independent picks certify every selection constraint at once, and
+    feasible counts always admit them (Rado's theorem, matroid union), so the
+    cap table (_actual_caps) is consulted only after an impossible or failed
+    pick, to tell bad luck from infeasible counts.
 
     Raises:
         InfeasibleAllocationError: if the requested counts violate the
             verifiable feasibility constraints (with a witness selection).
         RuntimeError: if no valid pick is found within max_tries.
-        ValueError: for a family of more than 7 subsets (see _actual_caps).
     """
     alloc = _as_allocation(counts, family.m)
     _check_shares_covered(alloc, family)
-    counts = {mask: int(alloc[mask]) for mask in family.masks()}
-    exact = isinstance(eve, Subspace)
-    # Without the eavesdropper's subspace, the source-side check caps each
-    # selection by the dimension of its joint span.
-    feas = _check_against(counts, _actual_caps(family, eve if exact else None))
-    if not feas.ok:
-        raise InfeasibleAllocationError(feas)
+    masks = family.masks()
+    counts = {mask: int(alloc[mask]) for mask in masks}
+    base = eve if isinstance(eve, Subspace) else None
+    if any(counts[mask] > family[mask].dim for mask in masks):
+        # An impossible pick violates its singleton cap, and singletons lead
+        # the table order, so the first violated singleton is the witness.
+        singletons = {}
+        for mask in masks:
+            singletons.update(_actual_caps(SubspaceFamily(family.m, {mask: family[mask]}), base))
+        raise InfeasibleAllocationError(_check_against(counts, singletons))
 
-    want = sum(counts.values())
-    for _ in range(max_tries):
-        picks = {mask: _uniform_inside(family[mask], counts[mask], rng) for mask in family.masks()}
-        bases = [picks[mask].basis for mask in family.masks() if counts[mask] > 0]
-        if bases:
-            stacked = vstack(bases)
-            if exact:
-                ok = rank(vstack([eve.basis, stacked])) == eve.dim + want
-            else:
-                ok = rank(stacked) == want
-        else:
-            ok = True
-        if ok:
+    want = sum(counts.values()) + (0 if base is None else base.dim)
+    for attempt in range(max_tries):
+        picks = {mask: random_inside(family[mask], counts[mask], rng) for mask in masks}
+        bases = [picks[mask].basis for mask in masks if counts[mask] > 0]
+        if base is not None:
+            bases.append(base.basis)
+        if not bases or rank(vstack(bases)) == want:
             return picks
+        if attempt == 0 and len(masks) <= MAX_ENUMERATED_SUBSETS:
+            feas = _check_against(counts, _actual_caps(family, base))
+            if not feas.ok:
+                raise InfeasibleAllocationError(feas)
     raise RuntimeError(f"no valid extraction found in {max_tries} tries")
 
 
@@ -518,15 +510,6 @@ class SessionResult:
         return _session_from_json(doc)
 
 
-def _mpart_sum(packet_rows: MatrixFq, n_slots: int, ell: int, n_a: int) -> MatrixFq:
-    """Sum the per-slot message-part column blocks of session packet rows."""
-    q = packet_rows.ctx.q
-    out = np.zeros((packet_rows.rows, ell - n_a), dtype=np.int64)
-    for t in range(n_slots):
-        out = np.mod(out + packet_rows.arr[:, t * ell + n_a : (t + 1) * ell], q)
-    return MatrixFq(out, packet_rows.ctx)
-
-
 def _vandermonde(rows: int, cols: int, ctx: FieldCtx) -> MatrixFq:
     """rows x cols matrix with row j = (j^0, ..., j^(cols-1)); any ``cols``
     rows are linearly independent when all row indices are distinct (requires
@@ -560,9 +543,17 @@ def run_session(
     Returns a SessionResult whose audit flags degenerate sessions (a
     generic-position dimension event failed, probability O(1/q)); degenerate
     sessions carry an empty KeyShare.
+
+    Raises:
+        ValueError: for m > 3, before any draw (the audit's cap tables).
     """
     if alloc.m != params.m:
         raise ValueError(f"allocation is for m={alloc.m}, channel has m={params.m}")
+    if 2**params.m - 1 > MAX_ENUMERATED_SUBSETS:
+        raise ValueError(
+            f"sessions are audited only up to {MAX_ENUMERATED_SUBSETS} subsets (m <= 3), "
+            f"got m={params.m}"
+        )
     if n_slots < 0:
         raise ValueError("slot count must be nonnegative")
     if messages is not None and len(messages) != n_slots:
@@ -601,7 +592,6 @@ def run_session(
     # published transfer matrices ([I | M] has full rank, so the coefficient
     # map is faithful); actual packets are never published.
     reasons: list[str] = []
-    per_slot_received: list[list[Subspace]] = []
     per_slot_common: list[dict[int, Subspace]] = []
     for t, rec in enumerate(slots):
         received = [span_of(f) for f in rec.obs.transfers]
@@ -616,7 +606,6 @@ def run_session(
                 reasons.append(
                     f"slot {t}: subset {mask} common dim {sub.dim} != planned {plan.inter_dims[mask]}"
                 )
-        per_slot_received.append(received)
         per_slot_common.append(common)
     if reasons:
         return _bail(tuple(reasons))
@@ -625,20 +614,14 @@ def run_session(
     per_slot_exclusive: list[dict[int, Subspace]] = []
     for t in range(n_slots):
         picks = {
-            mask: _uniform_inside(per_slot_common[t][mask], plan.exclusive_dims[mask], proto_rng)
+            mask: random_inside(per_slot_common[t][mask], plan.exclusive_dims[mask], proto_rng)
             for mask in masks
         }
         per_slot_exclusive.append(picks)
 
     # Glue slots with direct sums (session coordinate space of dim N * n_a).
-    def _chain(parts: list[Subspace]) -> Subspace:
-        out = parts[0]
-        for p in parts[1:]:
-            out = direct_sum(out, p)
-        return out
-
     session_exclusive = SubspaceFamily(
-        m, {mask: _chain([per_slot_exclusive[t][mask] for t in range(n_slots)]) for mask in masks}
+        m, {mask: direct_sum(*(ex[mask] for ex in per_slot_exclusive)) for mask in masks}
     )
     counts = alloc.floor_scaled(n_slots)
     try:
@@ -662,15 +645,19 @@ def run_session(
             disclosures[(mask, r)] = w
 
     # Key symbols: one (ell - n_a)-symbol block per extracted basis vector.
+    # Terminal r's copy is sum_t w_t F_{r,t} M_t: its disclosure times the
+    # stacked message columns of its received packets.
     m_stack = vstack([rec.message for rec in slots])
     subset_keys = {
         mask: mat_mul(picks[mask].basis, m_stack) for mask in masks if counts[mask] > 0
     }
-    x_r_stacks = [block_diag([rec.obs.received[r] for rec in slots]) for r in range(m)]
-    terminal_subset_keys: dict[tuple[int, int], MatrixFq] = {}
-    for (mask, r), w in disclosures.items():
-        packets = mat_mul(w, x_r_stacks[r])
-        terminal_subset_keys[(mask, r)] = _mpart_sum(packets, n_slots, ell, n_a)
+    m_parts = [
+        vstack([MatrixFq(rec.obs.received[r].arr[:, n_a:], ctx) for rec in slots])
+        for r in range(m)
+    ]
+    terminal_subset_keys = {
+        (mask, r): mat_mul(w, m_parts[r]) for (mask, r), w in disclosures.items()
+    }
 
     # Multicast step: one-time-pad a linear combination code over the subset
     # key blocks so every terminal decodes a common key of
@@ -737,15 +724,15 @@ def run_session(
         terminal_final[r] == final for r in range(m)
     )
 
-    eve_received = [span_of(rec.obs.eve_transfer) for rec in slots]
-    slotwise = all(
-        check_allocation_feasible(
-            alloc, SubspaceFamily(m, per_slot_exclusive[t]), eve_received[t]
-        ).ok
-        for t in range(n_slots)
-    )
-    session_eve = _chain(eve_received)
-    scaled_ok = check_allocation_feasible(counts, session_exclusive, session_eve).ok
+    # One cap table per slot; the session's table is their sum, because the
+    # session family and the eavesdropper's session view are direct sums.
+    tables = [
+        _actual_caps(SubspaceFamily(m, ex), span_of(rec.obs.eve_transfer))
+        for ex, rec in zip(per_slot_exclusive, slots)
+    ]
+    slotwise = all(_check_against(alloc, caps).ok for caps in tables)
+    session_caps = {sel: sum(caps[sel] for caps in tables) for sel in tables[0]}
+    scaled_ok = _check_against(counts, session_caps).ok
 
     if total_rows > 0:
         coeff_all = vstack([picks[mask].basis for mask in order])
@@ -757,7 +744,6 @@ def run_session(
         cert = True
 
     if not cert:
-        transcript = SessionTranscript(params, n_slots, tuple(slots), disclosures, code, ciphers)
         audit = AuditReport(
             True,
             ("leakage certificate failed, keys withheld",),

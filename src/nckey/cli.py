@@ -208,8 +208,6 @@ def cmd_simulate(cfg: dict, parser) -> dict:
         params = make_params(cfg, {})
     except ValueError as exc:
         parser.error(f"invalid parameters: {exc}")
-    if params.m > 3:
-        parser.error(f"simulate is limited to m <= 3 terminals, got m={params.m}")
     plan = plan_dimensions(params)
     if cfg["allocation"] is not None:
         alloc = SubsetAllocation(
@@ -227,6 +225,8 @@ def cmd_simulate(cfg: dict, parser) -> dict:
             result = run_session(params, int(cfg["slots"]), alloc, streams[i])
         except InfeasibleAllocationError as exc:
             parser.error(f"allocation refused: {exc}")
+        except ValueError as exc:
+            parser.error(str(exc))
         audit = result.audit
         rows.append(
             {

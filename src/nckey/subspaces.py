@@ -14,6 +14,7 @@ import numpy as np
 from .fieldmath import (
     FieldCtx,
     MatrixFq,
+    block_diag,
     mat_mul,
     random_matrix,
     rank,
@@ -46,10 +47,6 @@ class Subspace:
             return True
         return rank(vstack([self.basis, other.basis])) == self.dim
 
-    def contains_vector(self, vec) -> bool:
-        v = MatrixFq(np.atleast_2d(np.asarray(vec, dtype=np.int64)), self.ctx)
-        return rank(vstack([self.basis, v])) == self.dim
-
     def __add__(self, other: "Subspace") -> "Subspace":
         _check_compatible(self, other)
         return span_of(vstack([self.basis, other.basis]))
@@ -78,23 +75,19 @@ class Subspace:
         """
         inter = self.intersect(other)
         k = self.dim - inter.dim
+        if rng is not None:
+            return random_inside(self, k, rng, avoid=inter)
         if k == 0:
             return zero_subspace(self.ambient_dim, self.ctx)
-        if inter.dim == 0 and rng is None:
+        if inter.dim == 0:
             return self
-        if rng is None:
-            # Pivots of a contained subspace's RREF are always a subset of the
-            # container's pivots, so the completion below is well defined.
-            _, _, piv_self = rref(self.basis)
-            _, _, piv_inter = rref(inter.basis)
-            keep = [i for i, p in enumerate(piv_self) if p not in set(piv_inter)]
-            sel = MatrixFq(self.basis.arr[keep], self.ctx)
-            return Subspace(sel, self.ambient_dim)
-        while True:
-            coeff = random_matrix(k, self.dim, self.ctx, rng)
-            cand = mat_mul(coeff, self.basis)
-            if rank(vstack([cand, inter.basis])) == k + inter.dim:
-                return span_of(cand)
+        # Pivots of a contained subspace's RREF are always a subset of the
+        # container's pivots, so the completion below is well defined.
+        _, _, piv_self = rref(self.basis)
+        _, _, piv_inter = rref(inter.basis)
+        keep = [i for i, p in enumerate(piv_self) if p not in set(piv_inter)]
+        sel = MatrixFq(self.basis.arr[keep], self.ctx)
+        return Subspace(sel, self.ambient_dim)
 
     def __eq__(self, other):
         return (
@@ -131,33 +124,51 @@ def full_space(ambient_dim: int, ctx: FieldCtx) -> Subspace:
     return Subspace(MatrixFq(np.eye(ambient_dim, dtype=np.int64), ctx), ambient_dim)
 
 
-def random_subspace(ambient_dim: int, dim: int, ctx: FieldCtx, rng: np.random.Generator) -> Subspace:
-    """Uniformly random dim-dimensional subspace of F_q^ambient_dim.
+# Rejection draws per pick.  One draw succeeds with probability above
+# prod_{i>=1} (1 - 2^-i) > 0.28 for every q, so 1000 draws all fail with
+# probability below 1e-140: reaching the bound means a broken rank.
+MAX_DRAWS = 1000
 
-    Draws dim x ambient matrices until full rank, then canonicalizes; this is
-    uniform because every subspace has the same number of full-rank spanning
-    matrices (see spanning_matrix_count).
+
+def random_inside(
+    sub: Subspace, dim: int, rng: np.random.Generator, avoid: Subspace | None = None
+) -> Subspace:
+    """Uniformly random dim-dimensional subspace of ``sub`` meeting ``avoid``
+    (a subspace of ``sub``, or None) only in zero.
+
+    Draws coefficient matrices over ``sub``'s basis until the combination has
+    full rank (with ``avoid``); this is uniform because every valid subspace
+    has the same number of spanning matrices (see spanning_matrix_count).
+    Raises RuntimeError if MAX_DRAWS draws all fail.
     """
+    free = sub.dim - (0 if avoid is None else avoid.dim)
+    if not 0 <= dim <= free:
+        raise ValueError(f"cannot pick dim {dim} inside a dim-{free} subspace")
+    if dim == 0:
+        return zero_subspace(sub.ambient_dim, sub.ctx)
+    for _ in range(MAX_DRAWS):
+        coeff = random_matrix(dim, sub.dim, sub.ctx, rng)
+        if avoid is None:
+            if rank(coeff) == dim:
+                return span_of(mat_mul(coeff, sub.basis))
+        else:
+            cand = mat_mul(coeff, sub.basis)
+            if rank(vstack([cand, avoid.basis])) == dim + avoid.dim:
+                return span_of(cand)
+    raise RuntimeError(f"no full-rank draw in {MAX_DRAWS} tries")
+
+
+def random_subspace(ambient_dim: int, dim: int, ctx: FieldCtx, rng: np.random.Generator) -> Subspace:
+    """Uniformly random dim-dimensional subspace of F_q^ambient_dim."""
     if not 0 <= dim <= ambient_dim:
         raise ValueError(f"dim must lie in [0, {ambient_dim}], got {dim}")
-    if dim == 0:
-        return zero_subspace(ambient_dim, ctx)
-    while True:
-        m = random_matrix(dim, ambient_dim, ctx, rng)
-        if rank(m) == dim:
-            return span_of(m)
+    return random_inside(full_space(ambient_dim, ctx), dim, rng)
 
 
-def direct_sum(a: Subspace, b: Subspace) -> Subspace:
-    """External direct sum: block-diagonal bases in ambient dim a.ambient + b.ambient."""
-    if a.ctx != b.ctx:
-        raise ValueError(f"field mismatch: {a.ctx} vs {b.ctx}")
-    amb = a.ambient_dim + b.ambient_dim
-    out = np.zeros((a.dim + b.dim, amb), dtype=np.int64)
-    out[: a.dim, : a.ambient_dim] = a.basis.arr
-    out[a.dim :, a.ambient_dim :] = b.basis.arr
+def direct_sum(*parts: Subspace) -> Subspace:
+    """External direct sum: block-diagonal bases in the summed ambient dimension."""
     # Block-diagonal stacking of RREF bases is already in RREF.
-    return Subspace(MatrixFq(out, a.ctx), amb)
+    return Subspace(block_diag([p.basis for p in parts]), sum(p.ambient_dim for p in parts))
 
 
 def spanning_matrix_count(n: int, d: int, ctx: FieldCtx) -> int:

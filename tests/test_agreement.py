@@ -29,6 +29,7 @@ from nckey.channel import ChannelParams
 from nckey.fieldmath import FieldCtx, MatrixFq, vstack, zeros
 from nckey.subspaces import (
     SubspaceFamily,
+    direct_sum,
     random_subspace,
     span_of,
     zero_subspace,
@@ -154,15 +155,20 @@ def test_feasibility_zero_and_tight():
 
 def test_feasibility_refuses_more_than_seven_subsets():
     # actual-subspace constraints are enumerated exactly, never sampled; at
-    # m=4 (15 subsets) the enumeration is refused
+    # m=4 (15 subsets) the enumeration is refused.  Extraction needs no table:
+    # jointly independent picks certify the counts for any m.
     rng = np.random.default_rng(71)
     pis = [random_subspace(6, 3, F101, rng) for _ in range(4)]
     eve = random_subspace(6, 2, F101, rng)
     fam = build_exclusive_subspaces(pis, eve, rng)
     with pytest.raises(ValueError, match="7 subsets"):
         check_allocation_feasible(SubsetAllocation(4, {}), fam, eve)
-    with pytest.raises(ValueError, match="7 subsets"):
-        extract_secure_subspaces(fam, {}, None, rng)
+    counts = {1: 1, 2: 1, 4: 1, 8: 1}
+    picks = extract_secure_subspaces(fam, counts, eve, rng)
+    for mask, u in picks.items():
+        assert fam[mask].contains(u) and u.dim == counts.get(mask, 0)
+    joint = span_of(vstack([eve.basis] + [picks[mask].basis for mask in counts]))
+    assert joint.dim == eve.dim + sum(counts.values())
 
 
 def test_feasibility_rejects_shares_outside_family():
@@ -323,6 +329,22 @@ def test_lp_matches_actual_subspaces_whp():
     assert hits / trials >= 0.95
 
 
+def test_lp_partial_family_gives_absent_subsets_zero():
+    # only subsets the family carries get a share variable; the LP of
+    # {1: U, 2: V} is max t s.t. t <= x1 <= c1, t <= x2 <= c2, x1 + x2 <= c12
+    rng = np.random.default_rng(37)
+    for _ in range(10):
+        u, v = (random_subspace(6, int(rng.integers(0, 5)), F101, rng) for _ in range(2))
+        eve = random_subspace(6, int(rng.integers(0, 4)), F101, rng)
+        fam = SubspaceFamily(2, {1: u, 2: v})
+        alloc, value = solve_allocation_lp(fam, eve)
+        c1, c2 = ((x + eve).dim - eve.dim for x in (u, v))
+        c12 = (u + v + eve).dim - eve.dim
+        assert value == min(c1, c2, Fraction(c12, 2))
+        assert alloc[3] == 0
+        assert check_allocation_feasible(alloc, fam, eve).ok
+
+
 def test_lp_rejects_large_m():
     fam = SubspaceFamily(4, {m: zero_subspace(4, F2) for m in subset_masks(4)})
     with pytest.raises(ValueError):
@@ -455,6 +477,88 @@ def test_session_refuses_infeasible_allocation():
     too_much = SubsetAllocation(1, {1: plan.rhs((1,)) + 1})
     with pytest.raises(InfeasibleAllocationError):
         run_session(p, 2, too_much, np.random.default_rng(0))
+
+
+def test_session_refuses_m4_before_any_draw():
+    for n in ((3, 3, 3, 3), (4, 4, 4, 4)):
+        p = P(101, 10, 6, n, 1)
+        alloc, _ = solve_allocation_lp_planned(plan_dimensions(p))
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="7 subsets"):
+            run_session(p, 2, alloc, rng)
+        assert rng.bit_generator.state == state
+        assert rng.bit_generator.seed_seq.n_children_spawned == 0
+
+
+def _record_cap_tables(monkeypatch):
+    """Spy on every _actual_caps call: (family, base, table)."""
+    calls = []
+    real = agreement._actual_caps
+
+    def spy(family, base=None):
+        table = real(family, base)
+        calls.append((family, base, table))
+        return table
+
+    monkeypatch.setattr(agreement, "_actual_caps", spy)
+    return calls
+
+
+SLOT_SHAPES = [
+    (P(101, 10, 6, [4, 4], 2), 3, range(3)),
+    (P(101, 9, 6, [4, 4, 4], 2), 2, range(2)),
+    (P(3, 6, 4, [3, 3], 1), 3, range(12)),
+]
+
+
+def test_session_audit_tables_are_per_slot(monkeypatch):
+    # on the success path run_session builds no session-sized cap table:
+    # one table per slot, each on an n_a-dimensional family
+    calls = _record_cap_tables(monkeypatch)
+    successes = 0
+    for p, slots, seeds in SLOT_SHAPES:
+        alloc, _ = solve_allocation_lp_planned(plan_dimensions(p))
+        for seed in seeds:
+            calls.clear()
+            res = run_session(p, slots, alloc, np.random.default_rng(seed))
+            if res.audit.degenerate:
+                continue
+            successes += 1
+            assert len(calls) == slots
+            for family, base, _ in calls:
+                assert {family[mask].ambient_dim for mask in family} == {p.n_a}
+                assert base.ambient_dim == p.n_a
+    assert successes >= 6
+
+
+def test_session_cap_table_is_sum_of_slot_tables(monkeypatch):
+    # a direct sum's dimension is the sum of its parts': the summed per-slot
+    # tables equal the dense table of the session family over the session
+    # eavesdropper, which the audit once built
+    calls = _record_cap_tables(monkeypatch)
+    checked = 0
+    for p, slots, seeds in SLOT_SHAPES:
+        alloc, _ = solve_allocation_lp_planned(plan_dimensions(p))
+        for seed in seeds:
+            calls.clear()
+            res = run_session(p, slots, alloc, np.random.default_rng(seed))
+            if res.audit.scaled_feasible is None:
+                continue
+            # the audit's tables (a failed extraction pick may add one without a base)
+            audit = [call for call in calls if call[1] is not None]
+            assert len(audit) == slots
+            summed = {sel: sum(table[sel] for _, _, table in audit) for sel in audit[0][2]}
+            session_family = SubspaceFamily(
+                p.m, {mask: direct_sum(*(f[mask] for f, _, _ in audit)) for mask in audit[0][0]}
+            )
+            session_eve = direct_sum(*(base for _, base, _ in audit))
+            assert agreement._actual_caps(session_family, session_eve) == summed
+            counts = alloc.floor_scaled(slots)
+            dense = check_allocation_feasible(counts, session_family, session_eve).ok
+            assert res.audit.scaled_feasible == dense
+            checked += 1
+    assert checked >= 8
 
 
 def test_sessions_agree_and_certify():

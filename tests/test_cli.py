@@ -174,10 +174,14 @@ def test_simulate_zero_trials(tmp_path):
     assert doc["summary"]["degeneracy_rate"] is None
 
 
-def test_simulate_rejects_m4():
-    with pytest.raises(SystemExit):
-        main(["simulate", "--q", "101", "--ell", "8", "--na", "4",
-              "--n", "2", "2", "2", "2", "--trials", "1"])
+def test_simulate_rejects_m4(capsys):
+    # run_session refuses m > 3 before any draw; simulate reports it as a usage error
+    for na, n in (("4", ["2"] * 4), ("6", ["3"] * 4)):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--q", "101", "--ell", "10", "--na", na, "--n", *n,
+                  "--ne", "1", "--trials", "2"])
+        assert exc.value.code == 2
+        assert "7 subsets" in capsys.readouterr().err
 
 
 def test_oracle_report(tmp_path):

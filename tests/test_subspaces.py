@@ -198,6 +198,21 @@ def test_random_subspace_uniform():
         assert abs(c - n * p) <= 5 * sigma
 
 
+def test_rejection_draws_are_bounded(monkeypatch):
+    # a rank that never reports full rank must end every rejection loop
+    from nckey import subspaces
+
+    rng = np.random.default_rng(4)
+    a = random_subspace(4, 2, F5, rng)
+    monkeypatch.setattr(subspaces, "rank", lambda m: -1)
+    with pytest.raises(RuntimeError, match="tries"):
+        random_subspace(4, 2, F5, rng)
+    with pytest.raises(RuntimeError, match="tries"):
+        subspaces.random_inside(a, 1, rng)
+    with pytest.raises(RuntimeError, match="tries"):
+        full_space(4, F5).complement(a, rng)
+
+
 def test_direct_sum():
     z = direct_sum(zero_subspace(2, F2), zero_subspace(3, F2))
     assert z.dim == 0 and z.ambient_dim == 5
@@ -205,6 +220,9 @@ def test_direct_sum():
     d = direct_sum(e1, e1)
     assert d.ambient_dim == 4
     assert d.basis.tolist() == [[1, 0, 0, 0], [0, 0, 1, 0]]
+    assert direct_sum(e1, e1, e1).basis.tolist() == [
+        [1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 1, 0]
+    ]
     rng = np.random.default_rng(12)
     for _ in range(100):
         a = random_subspace(4, int(rng.integers(0, 5)), F5, rng)
