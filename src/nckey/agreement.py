@@ -24,7 +24,10 @@ The protocol, per session of N slots:
    are extracted so that everything is mutually independent
    (extract_secure_subspaces: the picks' joint rank is their own feasibility
    certificate, for any m); coefficients published over the public channel
-   let each member terminal reconstruct its subset keys exactly.
+   let each member terminal reconstruct its subset keys exactly.  The
+   disclosures are solved one slot block at a time, and the audit's
+   zero-leakage certificate runs in coefficient space (width N * n_a, not
+   N * ell).
 5. A final common key is delivered to all terminals by one-time-padding a
    linear combination code over the subset key blocks (the multicast step).
 
@@ -48,11 +51,13 @@ from .fieldmath import (
     FieldCtx,
     MatrixFq,
     block_diag,
+    hstack,
     mat_mul,
     random_matrix,
     rank,
     solve_in_rowspan,
     vstack,
+    zeros,
 )
 from .simplex import maximize
 from .subspaces import Subspace, SubspaceFamily, direct_sum, random_inside, span_of
@@ -523,6 +528,43 @@ def _vandermonde(rows: int, cols: int, ctx: FieldCtx) -> MatrixFq:
     return MatrixFq(out, ctx)
 
 
+def _disclose(target: MatrixFq, transfers: list[MatrixFq], dims: list[int]) -> MatrixFq | None:
+    """C with C @ block_diag(transfers) == target, solved one slot block at a
+    time (None when some block is not representable).
+
+    C @ block_diag(F_t) = B exactly when C_t @ F_t is B's slot-t block.  If
+    some F_t has dependent rows C is not unique; the dense elimination over
+    the whole block-diagonal matrix reaches slot t's rows behind the rows that
+    earlier slots left without a pivot (zero in the basis columns), so solving
+    behind that many zero rows and dropping their coefficients reproduces its
+    choice exactly.  ``dims[t]`` is dim span F_t.
+    """
+    ctx = target.ctx
+    width = transfers[0].cols
+    blocks = []
+    lead = 0
+    for t, (f, dim) in enumerate(zip(transfers, dims)):
+        part = MatrixFq(target.arr[:, t * width : (t + 1) * width], ctx)
+        w = solve_in_rowspan(part, vstack([zeros(lead, width, ctx), f]))
+        if w is None:
+            return None
+        blocks.append(MatrixFq(w.arr[:, lead:], ctx))
+        lead += f.rows - dim
+    return hstack(blocks)
+
+
+def _terminal_subset_keys(
+    params: ChannelParams, slots, disclosures: dict[tuple[int, int], MatrixFq]
+) -> dict[tuple[int, int], MatrixFq]:
+    """Terminal r's copy of a subset key is sum_t w_t F_{r,t} M_t: its
+    disclosure times the stacked message columns of its received packets."""
+    m_parts = {
+        r: vstack([MatrixFq(rec.obs.received[r].arr[:, params.n_a :], params.ctx) for rec in slots])
+        for r in sorted({r for _, r in disclosures})
+    }
+    return {(mask, r): mat_mul(w, m_parts[r]) for (mask, r), w in disclosures.items()}
+
+
 def run_session(
     params: ChannelParams,
     n_slots: int,
@@ -630,34 +672,27 @@ def run_session(
         return _bail((f"extraction failed: {exc}",))
 
     # Public disclosures: coefficients expressing each subset's extracted
-    # basis over every member terminal's received rows.
-    f_stacks = [
-        block_diag([rec.obs.transfers[r] for rec in slots]) for r in range(m)
-    ]
+    # basis over every member terminal's received rows, slot by slot.
     disclosures: dict[tuple[int, int], MatrixFq] = {}
     for mask in masks:
         if counts[mask] == 0:
             continue
         for r in mask_members(mask):
-            w = solve_in_rowspan(picks[mask].basis, f_stacks[r])
+            w = _disclose(
+                picks[mask].basis,
+                [rec.obs.transfers[r] for rec in slots],
+                [common[1 << r].dim for common in per_slot_common],
+            )
             if w is None:
                 return _bail((f"subset {mask} basis not in terminal {r} span",))
             disclosures[(mask, r)] = w
 
     # Key symbols: one (ell - n_a)-symbol block per extracted basis vector.
-    # Terminal r's copy is sum_t w_t F_{r,t} M_t: its disclosure times the
-    # stacked message columns of its received packets.
     m_stack = vstack([rec.message for rec in slots])
     subset_keys = {
         mask: mat_mul(picks[mask].basis, m_stack) for mask in masks if counts[mask] > 0
     }
-    m_parts = [
-        vstack([MatrixFq(rec.obs.received[r].arr[:, n_a:], ctx) for rec in slots])
-        for r in range(m)
-    ]
-    terminal_subset_keys = {
-        (mask, r): mat_mul(w, m_parts[r]) for (mask, r), w in disclosures.items()
-    }
+    terminal_subset_keys = _terminal_subset_keys(params, slots, disclosures)
 
     # Multicast step: one-time-pad a linear combination code over the subset
     # key blocks so every terminal decodes a common key of
@@ -734,12 +769,12 @@ def run_session(
     session_caps = {sel: sum(caps[sel] for caps in tables) for sel in tables[0]}
     scaled_ok = _check_against(counts, session_caps).ok
 
+    # Certified in coefficient space: the packets are these coefficients times
+    # block_diag([I | M_t]), which has full row rank and so keeps every rank.
     if total_rows > 0:
         coeff_all = vstack([picks[mask].basis for mask in order])
-        x_a_stack = block_diag([rec.source for rec in slots])
-        key_packets = mat_mul(coeff_all, x_a_stack)
-        eve_packets = block_diag([rec.obs.eve_received for rec in slots])
-        cert = certify_zero_leakage(key_packets, eve_packets)
+        eve_coeffs = block_diag([rec.obs.eve_transfer for rec in slots])
+        cert = certify_zero_leakage(coeff_all, eve_coeffs)
     else:
         cert = True
 
@@ -866,13 +901,13 @@ def _session_from_json(doc: dict) -> SessionResult:
         _unmat(pub["ciphers"], ctx),
     )
     kd = doc["keys"]
+    ad = doc["audit"]
     keys = KeyShare(
         {int(mask): _unmat(k, ctx) for mask, k in kd["subset_keys"].items()},
-        {},
+        {} if ad["degenerate"] else _terminal_subset_keys(params, slots, disclosures),
         _unmat(kd["final_key"], ctx),
         tuple(_unmat(k, ctx) for k in kd["terminal_final"]),
     )
-    ad = doc["audit"]
     audit = AuditReport(
         ad["degenerate"],
         tuple(ad["reasons"]),

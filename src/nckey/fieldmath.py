@@ -1,8 +1,10 @@
 """Exact dense linear algebra over prime fields F_q.
 
 All matrices at play are small and dense (packet counts and packet lengths at
-desk scale), so everything is plain Gauss-Jordan elimination on int64 numpy
-arrays with multiply-then-reduce arithmetic.  q < 2**31 keeps every product of
+desk scale).  ``rref`` and ``solve_in_rowspan`` use plain Gauss-Jordan
+elimination; ``rank`` uses a forward-only elimination that updates only the
+trailing submatrix and reduces it lazily.  Everything runs on int64 numpy
+arrays with multiply-then-reduce arithmetic: q < 2**31 keeps every product of
 two reduced scalars inside int64.  All randomness flows through caller-supplied
 ``numpy.random.Generator`` instances; nothing touches global RNG state.
 """
@@ -229,9 +231,39 @@ def rref(m: MatrixFq) -> tuple[MatrixFq, int, list[int]]:
 
 
 def rank(m: MatrixFq) -> int:
-    """Rank of ``m`` over F_q."""
+    """Rank of ``m`` over F_q.
+
+    Forward-only elimination: each pivot updates only the trailing submatrix
+    below and to the right of it, since rank needs no back-substitution.
+    Trailing entries are reduced lazily: an update subtracts products of two
+    reduced scalars, each at most (q-1)^2, so ``room`` updates fit in int64
+    between full reductions; the pivot column and row are reduced before use.
+    """
+    q = m.ctx.q
+    room = (2**63 - 1) // ((q - 1) * (q - 1))
     a = m.arr.copy()
-    return len(_eliminate(a, m.ctx.q))
+    r = pending = 0
+    while a.shape[0] and a.shape[1]:
+        col = np.mod(a[:, 0], q)
+        nz = np.flatnonzero(col)
+        if nz.size == 0:
+            a = a[:, 1:]
+            continue
+        p = int(nz[0])
+        if p:
+            a[[0, p]] = a[[p, 0]]
+            col[[0, p]] = col[[p, 0]]
+        if nz.size > 1:
+            if pending == room:
+                np.mod(a, q, out=a)
+                pending = 0
+            pivot_row = np.mod(np.mod(a[0, 1:], q) * pow(int(col[0]), -1, q), q)
+            trailing = a[1:, 1:]
+            trailing -= np.outer(col[1:], pivot_row)
+            pending += 1
+        a = a[1:, 1:]
+        r += 1
+    return r
 
 
 def solve_in_rowspan(target: MatrixFq, basis: MatrixFq) -> MatrixFq | None:

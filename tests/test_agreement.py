@@ -26,7 +26,7 @@ from nckey.agreement import (
 )
 from nckey.bounds import symmetric_pair_dims, three_terminal_rate
 from nckey.channel import ChannelParams
-from nckey.fieldmath import FieldCtx, MatrixFq, vstack, zeros
+from nckey.fieldmath import FieldCtx, MatrixFq, block_diag, solve_in_rowspan, vstack, zeros
 from nckey.subspaces import (
     SubspaceFamily,
     direct_sum,
@@ -561,6 +561,62 @@ def test_session_cap_table_is_sum_of_slot_tables(monkeypatch):
     assert checked >= 8
 
 
+# (params, slots, seeds): n_r <= n_a, where each disclosure is unique, and
+# n_r > n_a, where it is not and the dense elimination's choice is the one kept
+DISCLOSURE_SHAPES = [
+    (P(101, 10, 6, [4, 4], 2), 3, range(4)),
+    (P(2, 6, 4, [3, 3], 1), 2, range(24)),
+    (P(3, 8, 4, [6, 5], 1), 2, range(32)),
+]
+
+
+def _disclosed_sessions():
+    """Sessions that reached the disclosures, each with its extracted bases
+    rebuilt from them: basis = C @ block_diag(F_r,t) for any member r."""
+    for p, slots, seeds in DISCLOSURE_SHAPES:
+        alloc, _ = solve_allocation_lp_planned(plan_dimensions(p))
+        for seed in seeds:
+            res = run_session(p, slots, alloc, np.random.default_rng(seed))
+            tr = res.transcript
+            if not tr.disclosures:
+                continue
+            f_stacks = [block_diag([rec.obs.transfers[r] for rec in tr.slots]) for r in range(p.m)]
+            bases = {mask: w @ f_stacks[r] for (mask, r), w in sorted(tr.disclosures.items())}
+            yield p, res, f_stacks, bases
+
+
+def test_disclosures_equal_dense_block_diagonal_solve():
+    # solving slot by slot gives exactly the coefficients that the dense solve
+    # over the whole N-slot block-diagonal matrix picks, also when they are
+    # not unique (n_r > n_a)
+    checked = {}
+    for p, res, f_stacks, bases in _disclosed_sessions():
+        for (mask, r), w in res.transcript.disclosures.items():
+            assert solve_in_rowspan(bases[mask], f_stacks[r]) == w
+        tall = max(p.n) > p.n_a
+        checked[tall] = checked.get(tall, 0) + 1
+    assert checked[False] >= 4 and checked[True] >= 10
+
+
+def test_coefficient_certificate_equals_packet_certificate():
+    # block_diag([I | M_t]) has full row rank, so the certificate on
+    # coefficients agrees with the one on the packets, passing or failing
+    outcomes = []
+    for p, res, _, bases in _disclosed_sessions():
+        coeffs = vstack([bases[mask] for mask in sorted(bases)])
+        slots = res.transcript.slots
+        sources = block_diag([rec.source for rec in slots])
+        packets = certify_zero_leakage(
+            coeffs @ sources, block_diag([rec.obs.eve_received for rec in slots])
+        )
+        in_coeffs = certify_zero_leakage(
+            coeffs, block_diag([rec.obs.eve_transfer for rec in slots])
+        )
+        assert packets == in_coeffs == res.audit.leakage_certificate
+        outcomes.append((p.ctx.q, packets))
+    assert {(2, False), (3, False), (2, True), (3, True), (101, True)} <= set(outcomes)
+
+
 def test_sessions_agree_and_certify():
     # seeded sessions: every non-degenerate run agrees bit-exactly, passes the
     # leakage certificate, and slot-wise feasibility carries to the session
@@ -720,8 +776,17 @@ def test_session_transcript_roundtrip(tmp_path):
         assert s1.obs.transfers == s2.obs.transfers
         assert s1.obs.eve_received == s2.obs.eve_received
     assert back.transcript.disclosures == res.transcript.disclosures
-    assert back.keys.final_key == res.keys.final_key
+    assert res.keys.terminal_subset_keys and back.keys == res.keys
     assert back.audit == res.audit
     path = tmp_path / "session.json"
     save_session(res, path)
     assert load_session(path).audit == res.audit
+    # degenerate sessions withhold every key, also those whose disclosures
+    # were published before the leakage certificate failed
+    q2 = P(2, 6, 4, [3, 3], 1)
+    alloc, _ = solve_allocation_lp_planned(plan_dimensions(q2))
+    for seed, reason in ((1, "common dim"), (15, "leakage certificate")):
+        res = run_session(q2, 2, alloc, np.random.default_rng(seed))
+        assert reason in res.audit.reasons[0]
+        back = type(res).from_json_dict(json.loads(json.dumps(res.to_json_dict())))
+        assert back.keys == res.keys and not back.keys.terminal_subset_keys

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nckey.fieldmath import (
     FieldCtx,
@@ -121,6 +123,37 @@ def test_rank_against_minor_oracle():
         scale = int(rng.integers(0, 101))
         m = MatrixFq(np.vstack([row.arr, (scale * row.arr) % 101]), ctx)
         assert rank(m) == minor_rank_oracle(m)
+
+
+@st.composite
+def low_rank_matrices(draw):
+    """Products of thin random factors at the field-size extremes, from 0-row
+    and 0-column shapes through tall, wide and rank-deficient ones."""
+    ctx = FieldCtx(draw(st.sampled_from([2, 3, 101, 2**31 - 1])))
+    rows, cols = draw(st.integers(0, 14)), draw(st.integers(0, 14))
+    inner = draw(st.integers(0, 14))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_matrix(rows, inner, ctx, rng) @ random_matrix(inner, cols, ctx, rng)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(low_rank_matrices())
+def test_rank_forward_only_equals_rref_rank(m):
+    assert rank(m) == rref(m)[1]
+    assert rank(m.transpose()) == rank(m)
+
+
+def test_rank_at_large_modulus_reduces_before_int64_overflows():
+    # at q = 2^31 - 1 only two lazy trailing updates fit in int64 between full
+    # reductions, so a 40 x 40 elimination reduces the trailing block often;
+    # rref reduces after every update and is the reference
+    ctx = FieldCtx(2**31 - 1)
+    rng = np.random.default_rng(17)
+    m = random_matrix(40, 40, ctx, rng)
+    assert rank(m) == rref(m)[1] == 40
+    assert rank(vstack([m, m])) == 40
+    low = random_matrix(40, 25, ctx, rng) @ random_matrix(25, 40, ctx, rng)
+    assert rank(low) == rref(low)[1] == 25
 
 
 def test_rank_subadditive_with_equality_iff_trivial_intersection():

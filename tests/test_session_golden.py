@@ -4,8 +4,9 @@ For the same parameters, allocation and seed, a session's transcript, keys
 and audit must stay byte-identical.  Each digest is a sha256 over the
 session's ``to_json_dict()`` plus every terminal's reconstructed subset keys.
 The cases cover the README shape, an m=3 shape, a large prime, a shape with
-more key rows than field elements, and q=2, 3 and 7 shapes whose seeds hit
-every reason a session bails out for.
+more key rows than field elements, a shape with more received packets than
+source packets (n_r > n_a, where disclosures are not unique), and q=2, 3 and
+7 shapes whose seeds hit every reason a session bails out for.
 
 Regenerate (only for an intended, documented output change) with
 ``PYTHONPATH=src python tests/test_session_golden.py > tests/data/session_digests.json``.
@@ -34,6 +35,8 @@ CASES = {
     # 120 extracted rows > q: the multicast step draws a random combination code
     "wide": (101, 70, 60, (15, 15), 20, 4, range(2)),
     "bigq": (2**31 - 1, 10, 6, (4, 4), 2, 3, range(3)),
+    # n_r > n_a: disclosures are not unique, so they pin which solution is chosen
+    "tall": (3, 8, 4, (6, 5), 1, 2, range(32)),
 }
 
 BAIL_KINDS = ("common dim", "extraction failed", "leakage certificate")
