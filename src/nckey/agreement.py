@@ -533,11 +533,12 @@ def _disclose(target: MatrixFq, transfers: list[MatrixFq], dims: list[int]) -> M
     time (None when some block is not representable).
 
     C @ block_diag(F_t) = B exactly when C_t @ F_t is B's slot-t block.  If
-    some F_t has dependent rows C is not unique; the dense elimination over
-    the whole block-diagonal matrix reaches slot t's rows behind the rows that
-    earlier slots left without a pivot (zero in the basis columns), so solving
-    behind that many zero rows and dropping their coefficients reproduces its
-    choice exactly.  ``dims[t]`` is dim span F_t.
+    some F_t has dependent rows C is not unique; ``solve_in_rowspan`` returns
+    the C supported on the basis rows its pivot policy makes pivots.  Over the
+    whole block-diagonal matrix that policy reaches slot t's rows behind the
+    rows that earlier slots left without a pivot (zero in the basis columns),
+    so solving behind that many zero rows and dropping their coefficients
+    reproduces its choice exactly.  ``dims[t]`` is dim span F_t.
     """
     ctx = target.ctx
     width = transfers[0].cols

@@ -1,12 +1,13 @@
 """Exact dense linear algebra over prime fields F_q.
 
 All matrices at play are small and dense (packet counts and packet lengths at
-desk scale).  ``rref`` and ``solve_in_rowspan`` use plain Gauss-Jordan
-elimination; ``rank`` uses a forward-only elimination that updates only the
-trailing submatrix and reduces it lazily.  Everything runs on int64 numpy
-arrays with multiply-then-reduce arithmetic: q < 2**31 keeps every product of
-two reduced scalars inside int64.  All randomness flows through caller-supplied
-``numpy.random.Generator`` instances; nothing touches global RNG state.
+desk scale).  One forward elimination, ``_echelon``, serves them all: ``rank``
+counts its pivots, ``rref`` adds a back-substitution pass, ``solve_in_rowspan``
+reads a transform off ``[basis | I]`` and ``right_kernel`` reads the RREF.
+Everything runs on int64 numpy arrays with multiply-then-reduce arithmetic:
+q < 2**31 keeps every product of two reduced scalars inside int64.  All
+randomness flows through caller-supplied ``numpy.random.Generator``
+instances; nothing touches global RNG state.
 """
 
 from __future__ import annotations
@@ -186,34 +187,43 @@ def random_matrix(rows: int, cols: int, ctx: FieldCtx, rng: np.random.Generator)
     return MatrixFq(rng.integers(0, ctx.q, size=(rows, cols), dtype=np.int64), ctx)
 
 
-def _eliminate(arr: np.ndarray, q: int, pivot_col_limit: int | None = None):
-    """In-place Gauss-Jordan reduction; returns pivot column list.
+def _echelon(a: np.ndarray, q: int, limit: int | None = None) -> list[int]:
+    """In-place forward elimination to normalized row echelon form; returns
+    the pivot columns in order.
 
-    Pivot search can be limited to the first ``pivot_col_limit`` columns while
-    row operations still apply to the full width (for augmented systems).
+    Pivots are searched in the first ``limit`` columns (all by default) while
+    row operations span the full width, for augmented systems ``[basis | I]``.
+    The pivot of each column is the first nonzero entry at or below the current
+    row, swapped into place; each pivot row is scaled to a leading 1 and
+    cleared from the rows below it only.  Those rows are reduced lazily: an
+    update subtracts products of two reduced scalars, each at most (q-1)^2, so
+    ``room`` updates fit in int64 between full reductions.  The pivot column
+    and row are reduced before use, and the whole array on return.
     """
-    rows, cols = arr.shape
-    limit = cols if pivot_col_limit is None else pivot_col_limit
+    room = (2**63 - 1) // ((q - 1) * (q - 1))
     pivots: list[int] = []
-    r = 0
-    for c in range(limit):
-        if r == rows:
+    r = pending = 0
+    for c in range(a.shape[1] if limit is None else limit):
+        if r == a.shape[0]:
             break
-        nz = np.nonzero(arr[r:, c])[0]
+        col = np.mod(a[r:, c], q)
+        nz = np.flatnonzero(col)
         if nz.size == 0:
             continue
         p = r + int(nz[0])
         if p != r:
-            arr[[r, p]] = arr[[p, r]]
-        inv = pow(int(arr[r, c]), -1, q)
-        arr[r] = np.mod(arr[r] * inv, q)
-        col = arr[:, c].copy()
-        col[r] = 0
-        if np.any(col):
-            arr -= np.outer(col, arr[r])
-            np.mod(arr, q, out=arr)
+            a[[r, p]] = a[[p, r]]
+            col[[0, p - r]] = col[[p - r, 0]]
+        a[r] = np.mod(np.mod(a[r], q) * pow(int(col[0]), -1, q), q)
+        if nz.size > 1:
+            if pending == room:
+                np.mod(a[r + 1 :], q, out=a[r + 1 :])
+                pending = 0
+            a[r + 1 :, c:] -= np.outer(col[1:], a[r, c:])
+            pending += 1
         pivots.append(c)
         r += 1
+    np.mod(a, q, out=a)
     return pivots
 
 
@@ -225,45 +235,22 @@ def rref(m: MatrixFq) -> tuple[MatrixFq, int, list[int]]:
         span as ``m``, rank is the number of nonzero rows of R, and
         pivot_cols lists the pivot column indices in order.
     """
+    q = m.ctx.q
     a = m.arr.copy()
-    pivots = _eliminate(a, m.ctx.q)
+    pivots = _echelon(a, q)
+    # Back-substitution, last pivot first: row i is already clear of every
+    # later pivot column when it clears its own column from the rows above.
+    for i in reversed(range(len(pivots))):
+        c = pivots[i]
+        if np.any(a[:i, c]):
+            a[:i, c:] -= np.outer(a[:i, c], a[i, c:])
+            np.mod(a[:i, c:], q, out=a[:i, c:])
     return MatrixFq(a, m.ctx), len(pivots), pivots
 
 
 def rank(m: MatrixFq) -> int:
-    """Rank of ``m`` over F_q.
-
-    Forward-only elimination: each pivot updates only the trailing submatrix
-    below and to the right of it, since rank needs no back-substitution.
-    Trailing entries are reduced lazily: an update subtracts products of two
-    reduced scalars, each at most (q-1)^2, so ``room`` updates fit in int64
-    between full reductions; the pivot column and row are reduced before use.
-    """
-    q = m.ctx.q
-    room = (2**63 - 1) // ((q - 1) * (q - 1))
-    a = m.arr.copy()
-    r = pending = 0
-    while a.shape[0] and a.shape[1]:
-        col = np.mod(a[:, 0], q)
-        nz = np.flatnonzero(col)
-        if nz.size == 0:
-            a = a[:, 1:]
-            continue
-        p = int(nz[0])
-        if p:
-            a[[0, p]] = a[[p, 0]]
-            col[[0, p]] = col[[p, 0]]
-        if nz.size > 1:
-            if pending == room:
-                np.mod(a, q, out=a)
-                pending = 0
-            pivot_row = np.mod(np.mod(a[0, 1:], q) * pow(int(col[0]), -1, q), q)
-            trailing = a[1:, 1:]
-            trailing -= np.outer(col[1:], pivot_row)
-            pending += 1
-        a = a[1:, 1:]
-        r += 1
-    return r
+    """Rank of ``m`` over F_q: the pivot count of a forward elimination."""
+    return len(_echelon(m.arr.copy(), m.ctx.q))
 
 
 def solve_in_rowspan(target: MatrixFq, basis: MatrixFq) -> MatrixFq | None:
@@ -272,6 +259,13 @@ def solve_in_rowspan(target: MatrixFq, basis: MatrixFq) -> MatrixFq | None:
     Returns C with C @ basis == target when all target rows lie in the row
     span of ``basis``, otherwise None (not-representable is a normal result,
     not an error).
+
+    When the basis rows are dependent C is not unique.  The pivot policy of
+    the elimination (the first nonzero entry at or below the current row,
+    swapped into place) fixes which basis rows become pivots; those rows are
+    independent and span the basis, and the returned C is the unique one
+    supported on them.  Gauss-Jordan elimination with the same policy picks
+    the same rows, hence the same C.
     """
     _check_same_ctx(target, basis)
     if target.cols != basis.cols:
@@ -282,25 +276,26 @@ def solve_in_rowspan(target: MatrixFq, basis: MatrixFq) -> MatrixFq | None:
         return zeros(0, b, target.ctx)
     if b == 0:
         return None if np.any(target.arr) else zeros(target.rows, 0, target.ctx)
-    # Row-reduce [basis | I] with pivots restricted to the basis columns, so
-    # the right block records the transform T with R = T @ basis.
+    # Eliminate [basis | I] with pivots restricted to the basis columns, so
+    # the right block records the transform T with E = T @ basis.
     aug = np.hstack([basis.arr, np.eye(b, dtype=np.int64)])
-    pivots = _eliminate(aug, q, pivot_col_limit=basis.cols)
+    pivots = _echelon(aug, q, limit=basis.cols)
     r = len(pivots)
-    red = aug[:r, : basis.cols]
+    ech = aug[:r, : basis.cols]
     transform = aug[:r, basis.cols :]
-    # Reduce target rows against R, recording the combination used.
+    # Reduce target rows against E in pivot order, recording the combination
+    # used; E's rows are zero below each pivot, so a cleared column stays clear.
     resid = target.arr.copy()
-    coeff_over_red = np.zeros((target.rows, r), dtype=np.int64)
+    coeff_over_ech = np.zeros((target.rows, r), dtype=np.int64)
     for i, pc in enumerate(pivots):
         c = resid[:, pc].copy()
-        coeff_over_red[:, i] = c
+        coeff_over_ech[:, i] = c
         if np.any(c):
-            resid -= np.outer(c, red[i])
+            resid -= np.outer(c, ech[i])
             np.mod(resid, q, out=resid)
     if np.any(resid):
         return None
-    return mat_mul(MatrixFq(coeff_over_red, target.ctx), MatrixFq(transform, target.ctx))
+    return mat_mul(MatrixFq(coeff_over_ech, target.ctx), MatrixFq(transform, target.ctx))
 
 
 def right_kernel(m: MatrixFq) -> MatrixFq:
@@ -308,9 +303,6 @@ def right_kernel(m: MatrixFq) -> MatrixFq:
     red, r, pivots = rref(m)
     free = [c for c in range(m.cols) if c not in pivots]
     out = np.zeros((len(free), m.cols), dtype=np.int64)
-    q = m.ctx.q
-    for row, f in enumerate(free):
-        out[row, f] = 1
-        for i, pc in enumerate(pivots):
-            out[row, pc] = (-int(red.arr[i, f])) % q
+    out[np.arange(len(free)), free] = 1
+    out[:, pivots] = np.mod(-red.arr[:r, free].T, m.ctx.q)
     return MatrixFq(out, m.ctx)

@@ -81,12 +81,12 @@ class Subspace:
             return zero_subspace(self.ambient_dim, self.ctx)
         if inter.dim == 0:
             return self
-        # Pivots of a contained subspace's RREF are always a subset of the
-        # container's pivots, so the completion below is well defined.
-        _, _, piv_self = rref(self.basis)
-        _, _, piv_inter = rref(inter.basis)
-        keep = [i for i, p in enumerate(piv_self) if p not in set(piv_inter)]
-        sel = MatrixFq(self.basis.arr[keep], self.ctx)
+        # Canonical bases are RREF, so a row's pivot is its first nonzero
+        # entry.  Pivots of a contained subspace's RREF are always a subset of
+        # the container's pivots, so the completion below is well defined.
+        piv_self = np.argmax(self.basis.arr != 0, axis=1)
+        piv_inter = np.argmax(inter.basis.arr != 0, axis=1)
+        sel = MatrixFq(self.basis.arr[~np.isin(piv_self, piv_inter)], self.ctx)
         return Subspace(sel, self.ambient_dim)
 
     def __eq__(self, other):
@@ -150,7 +150,9 @@ def random_inside(
         coeff = random_matrix(dim, sub.dim, sub.ctx, rng)
         if avoid is None:
             if rank(coeff) == dim:
-                return span_of(mat_mul(coeff, sub.basis))
+                # rref(coeff) @ basis is already in RREF: in the basis's pivot
+                # columns it equals rref(coeff), and each row leads there.
+                return Subspace(mat_mul(rref(coeff)[0], sub.basis), sub.ambient_dim)
         else:
             cand = mat_mul(coeff, sub.basis)
             if rank(vstack([cand, avoid.basis])) == dim + avoid.dim:

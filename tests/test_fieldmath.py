@@ -48,6 +48,65 @@ def minor_rank_oracle(m: MatrixFq) -> int:
     return 0
 
 
+def reference_eliminate(arr: np.ndarray, q: int, pivot_col_limit: int | None = None):
+    """In-place Gauss-Jordan reduction; returns pivot column list.
+
+    The reference for the forward-only kernel: each pivot clears its column
+    in every other row and the whole array is reduced after every update.
+    Pivot search can be limited to the first ``pivot_col_limit`` columns while
+    row operations still apply to the full width (for augmented systems).
+    """
+    rows, cols = arr.shape
+    limit = cols if pivot_col_limit is None else pivot_col_limit
+    pivots: list[int] = []
+    r = 0
+    for c in range(limit):
+        if r == rows:
+            break
+        nz = np.nonzero(arr[r:, c])[0]
+        if nz.size == 0:
+            continue
+        p = r + int(nz[0])
+        if p != r:
+            arr[[r, p]] = arr[[p, r]]
+        inv = pow(int(arr[r, c]), -1, q)
+        arr[r] = np.mod(arr[r] * inv, q)
+        col = arr[:, c].copy()
+        col[r] = 0
+        if np.any(col):
+            arr -= np.outer(col, arr[r])
+            np.mod(arr, q, out=arr)
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def reference_rref(m: MatrixFq):
+    a = m.arr.copy()
+    pivots = reference_eliminate(a, m.ctx.q)
+    return MatrixFq(a, m.ctx), len(pivots), pivots
+
+
+def reference_solve(target: MatrixFq, basis: MatrixFq):
+    """C from the Gauss-Jordan transform T of [basis | I] (R = T @ basis):
+    target's coordinates over R times T, or None outside the row span."""
+    q, ctx = target.ctx.q, target.ctx
+    if basis.rows == 0:
+        return None if np.any(target.arr) else zeros(target.rows, 0, ctx)
+    aug = np.hstack([basis.arr, np.eye(basis.rows, dtype=np.int64)])
+    pivots = reference_eliminate(aug, q, pivot_col_limit=basis.cols)
+    red = aug[: len(pivots), : basis.cols]
+    transform = aug[: len(pivots), basis.cols :]
+    resid = target.arr.copy()
+    coeff_over_red = np.zeros((target.rows, len(pivots)), dtype=np.int64)
+    for i, pc in enumerate(pivots):
+        coeff_over_red[:, i] = resid[:, pc]
+        resid = np.mod(resid - np.outer(coeff_over_red[:, i], red[i]), q)
+    if np.any(resid):
+        return None
+    return mat_mul(MatrixFq(coeff_over_red, ctx), MatrixFq(transform, ctx))
+
+
 def test_is_prime_small():
     primes = [2, 3, 5, 7, 11, 101, 1009]
     composites = [1, 4, 6, 9, 100, 1001]
@@ -139,21 +198,54 @@ def low_rank_matrices(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(low_rank_matrices())
 def test_rank_forward_only_equals_rref_rank(m):
-    assert rank(m) == rref(m)[1]
+    assert rank(m) == reference_rref(m)[1]
     assert rank(m.transpose()) == rank(m)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(low_rank_matrices())
+def test_rref_and_right_kernel_match_gauss_jordan(m):
+    assert rref(m) == reference_rref(m)
+    k = right_kernel(m)
+    assert k.shape == (m.cols - rank(m), m.cols)
+    assert rank(k) == k.rows
+    assert not np.any(mat_mul(m, k.transpose()).arr)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    low_rank_matrices(),
+    st.integers(0, 3),
+    st.integers(0, 4),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_solve_in_rowspan_returns_the_gauss_jordan_witness(m, lead, k, stray, seed):
+    # m's rows are often dependent, so C is not unique: the witness must be
+    # the Gauss-Jordan one, also behind a zero-row prefix as _disclose builds
+    # its per-slot bases; a stray random target row is usually outside the span
+    basis = vstack([zeros(lead, m.cols, m.ctx), m])
+    rng = np.random.default_rng(seed)
+    target = random_matrix(k, basis.rows, m.ctx, rng) @ basis
+    if stray:
+        target = vstack([target, random_matrix(1, m.cols, m.ctx, rng)])
+    got = solve_in_rowspan(target, basis)
+    assert got == reference_solve(target, basis)
+    assert got is None or got @ basis == target
 
 
 def test_rank_at_large_modulus_reduces_before_int64_overflows():
     # at q = 2^31 - 1 only two lazy trailing updates fit in int64 between full
     # reductions, so a 40 x 40 elimination reduces the trailing block often;
-    # rref reduces after every update and is the reference
+    # the Gauss-Jordan reference reduces after every update
     ctx = FieldCtx(2**31 - 1)
     rng = np.random.default_rng(17)
     m = random_matrix(40, 40, ctx, rng)
-    assert rank(m) == rref(m)[1] == 40
+    assert rank(m) == reference_rref(m)[1] == 40
     assert rank(vstack([m, m])) == 40
     low = random_matrix(40, 25, ctx, rng) @ random_matrix(25, 40, ctx, rng)
-    assert rank(low) == rref(low)[1] == 25
+    assert rank(low) == reference_rref(low)[1] == 25
+    assert rref(low) == reference_rref(low)
 
 
 def test_rank_subadditive_with_equality_iff_trivial_intersection():
