@@ -50,6 +50,7 @@ from .channel import ChannelParams, SlotObservation, broadcast_slot, make_source
 from .fieldmath import (
     FieldCtx,
     MatrixFq,
+    _solve_unique,
     block_diag,
     hstack,
     mat_mul,
@@ -673,20 +674,34 @@ def run_session(
         return _bail((f"extraction failed: {exc}",))
 
     # Public disclosures: coefficients expressing each subset's extracted
-    # basis over every member terminal's received rows, slot by slot.
-    disclosures: dict[tuple[int, int], MatrixFq] = {}
-    for mask in masks:
-        if counts[mask] == 0:
+    # basis over every member terminal's received rows, slot by slot.  All of
+    # a terminal's subsets share its slot bases, so their bases are solved
+    # stacked, one elimination per slot, and split by rows (each row of C
+    # depends on its own target row alone).  On failure the first failing
+    # (subset, member) is reported, in the order subsets then members.
+    active = [mask for mask in masks if counts[mask] > 0]
+    solved: dict[tuple[int, int], MatrixFq] = {}
+    failed: list[tuple[int, int]] = []
+    for r in range(m):
+        mine = [mask for mask in active if mask >> r & 1]
+        if not mine:
             continue
-        for r in mask_members(mask):
-            w = _disclose(
-                picks[mask].basis,
-                [rec.obs.transfers[r] for rec in slots],
-                [common[1 << r].dim for common in per_slot_common],
-            )
-            if w is None:
-                return _bail((f"subset {mask} basis not in terminal {r} span",))
-            disclosures[(mask, r)] = w
+        views = (
+            [rec.obs.transfers[r] for rec in slots],
+            [common[1 << r].dim for common in per_slot_common],
+        )
+        w = _disclose(vstack([picks[mask].basis for mask in mine]), *views)
+        if w is None:
+            failed += [(mask, r) for mask in mine if _disclose(picks[mask].basis, *views) is None]
+            continue
+        row = 0
+        for mask in mine:
+            solved[(mask, r)] = MatrixFq(w.arr[row : row + picks[mask].dim], ctx)
+            row += picks[mask].dim
+    if failed:
+        mask, r = min(failed)
+        return _bail((f"subset {mask} basis not in terminal {r} span",))
+    disclosures = {(mask, r): solved[(mask, r)] for mask in active for r in mask_members(mask)}
 
     # Key symbols: one (ell - n_a)-symbol block per extracted basis vector.
     m_stack = vstack([rec.message for rec in slots])
@@ -740,11 +755,12 @@ def run_session(
             pads_r = vstack([terminal_subset_keys[(mask, r)] for mask in order if mask >> r & 1])
             cipher_r = MatrixFq(ciphers.arr[idx], ctx)
             rhs_r = MatrixFq(np.mod(cipher_r.arr - pads_r.arr, ctx.q), ctx)
-            sub_code = MatrixFq(code.arr[idx], ctx)
-            sol = solve_in_rowspan(rhs_r.transpose(), sub_code.transpose())
+            # sub_code has full column rank (Vandermonde rows or a
+            # rank-checked search), so the decoded key is unique.
+            sol = _solve_unique(MatrixFq(code.arr[idx], ctx), rhs_r)
             if sol is None:
                 return _bail((f"terminal {r} could not decode the combination code",))
-            terminal_final[r] = sol.transpose()
+            terminal_final[r] = sol
 
     transcript = SessionTranscript(
         params, n_slots, tuple(slots), disclosures, code, ciphers

@@ -4,10 +4,24 @@ All matrices at play are small and dense (packet counts and packet lengths at
 desk scale).  One forward elimination, ``_echelon``, serves them all: ``rank``
 counts its pivots, ``rref`` adds a back-substitution pass, ``solve_in_rowspan``
 reads a transform off ``[basis | I]`` and ``right_kernel`` reads the RREF.
-Everything runs on int64 numpy arrays with multiply-then-reduce arithmetic:
-q < 2**31 keeps every product of two reduced scalars inside int64.  All
-randomness flows through caller-supplied ``numpy.random.Generator``
-instances; nothing touches global RNG state.
+Matrices are int64 numpy arrays with entries in [0, q), q < 2**31, so every
+product of two reduced scalars fits int64.  Arithmetic is exact integer
+arithmetic reduced mod q, in one of two number formats chosen from q and the
+shape alone:
+
+* float64, whose integers are exact below 2**53, while every accumulation
+  stays below that: ``mat_mul`` is one BLAS product when k (q-1)**2 < 2**53
+  for its k-term dot products, and ``_echelon`` eliminates in float64
+  column panels, with one BLAS product per panel, when
+  ``_PANEL`` (q-1)**2 + q <= 2**53 (q up to about 1.2e7) and the matrix is
+  more than two panels wide, reducing before pending updates reach the bound;
+* int64 otherwise (q near 2**31, or narrow matrices): ``_echelon`` makes one
+  rank-1 update per pivot, and ``mat_mul`` splits one factor into 16-bit
+  limbs so every dot product stays below 2**63.
+
+Both formats give the same pivots and the same bytes.  All randomness flows
+through caller-supplied ``numpy.random.Generator`` instances; nothing touches
+global RNG state.
 """
 
 from __future__ import annotations
@@ -172,19 +186,33 @@ def mat_mul(a: MatrixFq, b: MatrixFq) -> MatrixFq:
     k = a.cols
     if k == 0:
         return zeros(a.rows, b.cols, a.ctx)
-    # Accumulated dot products must stay inside int64.
-    if k * (q - 1) * (q - 1) < 2**63:
-        return MatrixFq(np.mod(a.arr @ b.arr, q), a.ctx)
-    chunk = max(1, (2**62) // ((q - 1) * (q - 1)))
+    # Every accumulated dot product is an exact integer: in float64 (BLAS)
+    # below 2^53, else in int64 over 16-bit limbs of a, each limb product
+    # staying below 2^16 * 2^31 per term and so below 2^63 over 2^16 - 1 terms.
+    if k * (q - 1) * (q - 1) < 2**53:
+        return MatrixFq(np.mod(a.arr.astype(np.float64) @ b.arr.astype(np.float64), q), a.ctx)
     acc = np.zeros((a.rows, b.cols), dtype=np.int64)
-    for j in range(0, k, chunk):
-        acc = np.mod(acc + a.arr[:, j : j + chunk] @ b.arr[j : j + chunk, :], q)
+    for j in range(0, k, 2**16 - 1):
+        part, rhs = a.arr[:, j : j + 2**16 - 1], b.arr[j : j + 2**16 - 1]
+        high = np.mod((part >> 16) @ rhs, q)
+        low = np.mod((part & 0xFFFF) @ rhs, q)
+        acc = np.mod(acc + (high << 16) + low, q)
     return MatrixFq(acc, a.ctx)
 
 
 def random_matrix(rows: int, cols: int, ctx: FieldCtx, rng: np.random.Generator) -> MatrixFq:
     """Matrix with i.i.d. entries uniform on [0, q), drawn from the given rng."""
     return MatrixFq(rng.integers(0, ctx.q, size=(rows, cols), dtype=np.int64), ctx)
+
+
+# Column-panel width of the float64 elimination in _echelon.
+_PANEL = 64
+
+
+def _residue(x: np.ndarray, q: int) -> np.ndarray:
+    """x mod q in int64; exact on _echelon's float64 working copies, whose
+    entries are integers below 2^53 in size (and faster than float mod)."""
+    return np.mod(x.astype(np.int64, copy=False), q)
 
 
 def _echelon(a: np.ndarray, q: int, limit: int | None = None) -> list[int]:
@@ -195,34 +223,91 @@ def _echelon(a: np.ndarray, q: int, limit: int | None = None) -> list[int]:
     row operations span the full width, for augmented systems ``[basis | I]``.
     The pivot of each column is the first nonzero entry at or below the current
     row, swapped into place; each pivot row is scaled to a leading 1 and
-    cleared from the rows below it only.  Those rows are reduced lazily: an
-    update subtracts products of two reduced scalars, each at most (q-1)^2, so
-    ``room`` updates fit in int64 between full reductions.  The pivot column
-    and row are reduced before use, and the whole array on return.
+    cleared from the rows below it only.
+
+    The search columns are taken in panels.  Inside a panel the pivot loop
+    touches only the panel's columns plus one tracking column per pivot,
+    which record the panel's row operations in terms of its k pivot rows as
+    they stood when it began (A12 right of the panel).  At its end the pivot
+    rows carry the k x k transform M, new pivot rows = M @ A12, and each row
+    below carries -L21 @ M, L21 being its multipliers.  The columns right of
+    the panel then take the whole panel in one matrix product,
+    [M ; -L21 @ M] @ A12: its top rows are the pivot rows' T = M @ A12, and
+    the rest is added to A22, that is A22 -= L21 @ T.
+    Panels are ``_PANEL`` columns wide and the working copy is float64 (BLAS
+    products) when ``_PANEL`` updates of size (q-1)^2 fit below 2^53,
+    float64's exact integer range, and the matrix is more than two panels
+    wide.  Otherwise one panel spans the whole width, so there is no trailing
+    product, and the loop works on the int64 array itself.
+
+    Updates are reduced lazily: a rank-1 update adds products of two reduced
+    scalars, at most (q-1)^2 in size, and a panel's product adds k of them, so
+    ``room`` updates fit between reductions.  A panel with trailing columns
+    starts with room for all of its updates, which those columns take at its
+    end; otherwise the loop reduces the rows below when room runs out.  Pivot
+    columns and rows are reduced before use, and the whole array on return.
+    The arithmetic is exact on either path, so the pivots and the result do
+    not depend on it.
     """
-    room = (2**63 - 1) // ((q - 1) * (q - 1))
+    rows, width = a.shape
+    limit = width if limit is None else limit
+    unit = (q - 1) * (q - 1)
+    room = (2**53 - q) // unit
+    if width > 2 * _PANEL and room >= _PANEL:
+        # The float64 working copy takes over a's buffer (same item size).
+        work, panel = a.view(np.float64), _PANEL
+        work[...] = a.astype(np.float64)
+    else:
+        work, panel, room = a, max(width, 1), (2**63 - q) // unit
     pivots: list[int] = []
     r = pending = 0
-    for c in range(a.shape[1] if limit is None else limit):
-        if r == a.shape[0]:
+    for c0 in range(0, limit, panel):
+        if r == rows:
             break
-        col = np.mod(a[r:, c], q)
-        nz = np.flatnonzero(col)
-        if nz.size == 0:
-            continue
-        p = r + int(nz[0])
-        if p != r:
-            a[[r, p]] = a[[p, r]]
-            col[[0, p - r]] = col[[p - r, 0]]
-        a[r] = np.mod(np.mod(a[r], q) * pow(int(col[0]), -1, q), q)
-        if nz.size > 1:
-            if pending == room:
-                np.mod(a[r + 1 :], q, out=a[r + 1 :])
-                pending = 0
-            a[r + 1 :, c:] -= np.outer(col[1:], a[r, c:])
-            pending += 1
-        pivots.append(c)
-        r += 1
+        c1 = min(c0 + panel, width)
+        r0, w = r, c1 - c0
+        # One tracking column per possible pivot, when columns trail the panel.
+        depth = min(min(c1, limit) - c0, rows - r0) if c1 < width else 0
+        if pending + depth > room:
+            work[r0:, c0:] = _residue(work[r0:, c0:], q)
+            pending = 0
+        blk = np.zeros((rows - r0, w + depth), dtype=work.dtype)
+        blk[:, :w] = work[r0:, c0:c1]
+        for c in range(c0, min(c1, limit)):
+            if r == rows:
+                break
+            i, j = r - r0, c - c0
+            col = _residue(blk[i:, j], q)
+            nz = np.flatnonzero(col)
+            if nz.size == 0:
+                continue
+            p = i + int(nz[0])
+            if p != i:
+                blk[[i, p]] = blk[[p, i]]
+                work[[r, r0 + p], c1:] = work[[r0 + p, r], c1:]
+                col[[0, p - i]] = col[[p - i, 0]]
+            if depth:
+                blk[i, w + i] = 1
+            blk[i] = np.mod(_residue(blk[i], q) * pow(int(col[0]), -1, q), q)
+            if nz.size > 1:
+                if pending == room:
+                    blk[i + 1 :] = _residue(blk[i + 1 :], q)
+                    pending = 0
+                # Tracking columns past w + i are still zero in every row.
+                end = w + i + 1 if depth else w
+                blk[i + 1 :, j:end] -= np.outer(col[1:], blk[i, j:end])
+                pending += 1
+            pivots.append(c)
+            r += 1
+        work[r0:, c0:c1] = blk[:, :w]
+        k = r - r0
+        if depth and k:
+            track = _residue(blk[:, w : w + k], q).astype(work.dtype)
+            prod = track @ _residue(work[r0:r, c1:], q).astype(work.dtype)
+            work[r0:r, c1:] = _residue(prod[:k], q)
+            work[r:, c1:] += prod[k:]
+    if work is not a:
+        a[...] = work.astype(np.int64)
     np.mod(a, q, out=a)
     return pivots
 
@@ -296,6 +381,27 @@ def solve_in_rowspan(target: MatrixFq, basis: MatrixFq) -> MatrixFq | None:
     if np.any(resid):
         return None
     return mat_mul(MatrixFq(coeff_over_ech, target.ctx), MatrixFq(transform, target.ctx))
+
+
+def _solve_unique(a: MatrixFq, b: MatrixFq) -> MatrixFq | None:
+    """The X with a @ X == b when ``a`` has full column rank, else None (also
+    when the system is inconsistent).
+
+    One forward elimination of ``[a | b]`` with pivots in a's columns leaves
+    a unit upper triangular block over the right-hand side; back-substitution
+    then runs over b's columns only.
+    """
+    _check_same_ctx(a, b)
+    if a.rows != b.rows:
+        raise ValueError(f"row mismatch: a has {a.rows}, b has {b.rows}")
+    q, n = a.ctx.q, a.cols
+    aug = np.hstack([a.arr, b.arr])
+    if len(_echelon(aug, q, limit=n)) < n or np.any(aug[n:, n:]):
+        return None
+    upper, x = aug[:n, :n], aug[:n, n:]
+    for i in reversed(range(1, n)):
+        x[:i] = np.mod(x[:i] - np.outer(upper[:i, i], x[i]), q)
+    return MatrixFq(x, a.ctx)
 
 
 def right_kernel(m: MatrixFq) -> MatrixFq:

@@ -149,10 +149,11 @@ def random_inside(
     for _ in range(MAX_DRAWS):
         coeff = random_matrix(dim, sub.dim, sub.ctx, rng)
         if avoid is None:
-            if rank(coeff) == dim:
-                # rref(coeff) @ basis is already in RREF: in the basis's pivot
-                # columns it equals rref(coeff), and each row leads there.
-                return Subspace(mat_mul(rref(coeff)[0], sub.basis), sub.ambient_dim)
+            red, r, _ = rref(coeff)
+            if r == dim:
+                # red @ basis is already in RREF: in the basis's pivot
+                # columns it equals red, and each row leads there.
+                return Subspace(mat_mul(red, sub.basis), sub.ambient_dim)
         else:
             cand = mat_mul(coeff, sub.basis)
             if rank(vstack([cand, avoid.basis])) == dim + avoid.dim:

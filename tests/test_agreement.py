@@ -598,6 +598,36 @@ def test_disclosures_equal_dense_block_diagonal_solve():
     assert checked[False] >= 4 and checked[True] >= 10
 
 
+@pytest.mark.parametrize(
+    "failing, reported",
+    [({(3, 1)}, (3, 1)), ({(2, 1), (3, 1)}, (2, 1)), ({(3, 0), (2, 1)}, (2, 1))],
+)
+def test_disclosure_bail_names_the_first_failing_pair(monkeypatch, failing, reported):
+    # a terminal's subsets are solved together, terminal by terminal, yet the
+    # reason names the first failing (subset, member) in subset-major order
+    p = P(101, 10, 6, [4, 4], 2)
+    alloc, _ = solve_allocation_lp_planned(plan_dimensions(p))
+    res = run_session(p, 3, alloc, np.random.default_rng(0))
+    assert len(res.transcript.disclosures) == 4
+    transfers = [[rec.obs.transfers[r] for rec in res.transcript.slots] for r in range(p.m)]
+    bases = {mask: w @ block_diag(transfers[r]) for (mask, r), w in res.transcript.disclosures.items()}
+    original = agreement._disclose
+
+    def failing_disclose(target, trans, dims):
+        r = next(r for r in range(p.m) if trans == transfers[r])
+        for mask, fail_r in failing:
+            b = bases[mask].arr
+            if fail_r == r and any(
+                np.array_equal(target.arr[i : i + len(b)], b) for i in range(target.rows - len(b) + 1)
+            ):
+                return None
+        return original(target, trans, dims)
+
+    monkeypatch.setattr(agreement, "_disclose", failing_disclose)
+    again = run_session(p, 3, alloc, np.random.default_rng(0))
+    assert again.audit.reasons == (f"subset {reported[0]} basis not in terminal {reported[1]} span",)
+
+
 def test_coefficient_certificate_equals_packet_certificate():
     # block_diag([I | M_t]) has full row rank, so the certificate on
     # coefficients agrees with the one on the packets, passing or failing

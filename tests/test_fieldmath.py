@@ -1,13 +1,17 @@
+import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nckey import fieldmath
 from nckey.fieldmath import (
     FieldCtx,
     MatrixFq,
+    _solve_unique,
     hstack,
     identity,
     is_prime,
@@ -184,11 +188,35 @@ def test_rank_against_minor_oracle():
         assert rank(m) == minor_rank_oracle(m)
 
 
+def reference_kernel(m: MatrixFq) -> MatrixFq:
+    """Null-space basis read off the Gauss-Jordan RREF: one row per free
+    column, 1 there and minus the RREF's free column at the pivots."""
+    red, r, pivots = reference_rref(m)
+    free = [c for c in range(m.cols) if c not in pivots]
+    out = np.zeros((len(free), m.cols), dtype=np.int64)
+    for i, f in enumerate(free):
+        out[i, f] = 1
+        for row, c in enumerate(pivots):
+            out[i, c] = -red.arr[row, f]
+    return MatrixFq(out, m.ctx)
+
+
+@functools.cache
+def largest_float_q(panel: int) -> int:
+    """The largest prime whose wide eliminations run in float64 panels of
+    this width: ``panel`` lazy updates of size (q-1)^2 on top of an entry
+    below q stay within 2^53."""
+    q = math.isqrt(2**53 // panel) + 1
+    while (2**53 - q) // (q - 1) ** 2 < panel or not is_prime(q):
+        q -= 1
+    return q
+
+
 @st.composite
-def low_rank_matrices(draw):
+def low_rank_matrices(draw, qs=(2, 3, 101, 2**31 - 1)):
     """Products of thin random factors at the field-size extremes, from 0-row
     and 0-column shapes through tall, wide and rank-deficient ones."""
-    ctx = FieldCtx(draw(st.sampled_from([2, 3, 101, 2**31 - 1])))
+    ctx = FieldCtx(draw(st.sampled_from(qs)))
     rows, cols = draw(st.integers(0, 14)), draw(st.integers(0, 14))
     inner = draw(st.integers(0, 14))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -232,6 +260,101 @@ def test_solve_in_rowspan_returns_the_gauss_jordan_witness(m, lead, k, stray, se
     got = solve_in_rowspan(target, basis)
     assert got == reference_solve(target, basis)
     assert got is None or got @ basis == target
+
+
+@st.composite
+def panelled_matrices(draw):
+    """A panel width of 1-3 columns, so that small matrices span several
+    panels, and a matrix with zero columns and 0-2 leading zero rows (which
+    force row swaps), over fields on both sides of the float64 bound."""
+    panel = draw(st.sampled_from([1, 2, 3]))
+    m = draw(low_rank_matrices(qs=(2, 3, 101, largest_float_q(panel), 2**31 - 1)))
+    arr = np.insert(m.arr, draw(st.lists(st.integers(0, m.cols), max_size=3)), 0, axis=1)
+    arr = np.vstack([np.zeros((draw(st.integers(0, 2)), arr.shape[1]), dtype=np.int64), arr])
+    return panel, MatrixFq(arr, m.ctx)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(panelled_matrices(), st.integers(0, 2**32 - 1))
+def test_panelled_elimination_matches_gauss_jordan(case, seed):
+    # solve_in_rowspan eliminates [m | I] with pivots limited to m's columns,
+    # so its limit often ends inside a panel; its targets are two rows in the
+    # span and one random row, usually outside it
+    panel, m = case
+    rng = np.random.default_rng(seed)
+    target = vstack([random_matrix(2, m.rows, m.ctx, rng) @ m, random_matrix(1, m.cols, m.ctx, rng)])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fieldmath, "_PANEL", panel)
+        got = rank(m), rref(m), solve_in_rowspan(target, m), right_kernel(m)
+    want = reference_rref(m)
+    assert got[0] == want[1]
+    assert got[1] == want
+    assert got[2] == reference_solve(target, m)
+    assert got[3] == reference_kernel(m)
+
+
+def test_default_panels_match_gauss_jordan():
+    # at the default panel width: leading zero rows (swaps), zero columns
+    # inside the second panel and a dependent row, at q = 101
+    rng = np.random.default_rng(31)
+    ctx = FieldCtx(101)
+    arr = random_matrix(300, 480, ctx, rng).arr.copy()
+    arr[:5] = 0
+    arr[:, 70:76] = 0
+    arr[150] = (arr[20] + arr[30]) % 101
+    m = MatrixFq(arr, ctx)
+    target = random_matrix(4, 300, ctx, rng) @ m
+    assert rank(m) == 294
+    assert rref(m) == reference_rref(m)
+    assert solve_in_rowspan(target, m) == reference_solve(target, m)
+
+
+def test_float_panels_at_the_largest_float_modulus():
+    # an all-(q-1) matrix, a random one, and L @ U built so that every panel
+    # product adds the full panel * (q-1)^2 to the rows below: L is 1 on the
+    # diagonal and below each diagonal panel block, U is 1 on the diagonal
+    # and q-1 right of each pivot's panel, so each panel's transform is the
+    # identity and its tracking columns are all q-1; without a reduction the
+    # second panel would carry the trailing entries past 2^53
+    w = fieldmath._PANEL
+    ctx = FieldCtx(largest_float_q(w))
+    top = MatrixFq(np.full((40, 3 * w), ctx.q - 1), ctx)
+    assert rref(top) == reference_rref(top)
+    assert rank(top) == 1
+    rng = np.random.default_rng(37)
+    m = random_matrix(300, 480, ctx, rng)
+    assert rref(m) == reference_rref(m)
+    rows, cols = np.arange(3 * w + 8)[:, None], np.arange(5 * w)[None, :]
+    lower = np.where(rows // w > rows.T // w, 1, 0) + np.eye(3 * w + 8, dtype=np.int64)
+    upper = np.where(cols // w > rows // w, ctx.q - 1, 0) + np.eye(3 * w + 8, 5 * w, dtype=np.int64)
+    m = MatrixFq(lower, ctx) @ MatrixFq(upper, ctx)
+    assert rref(m) == reference_rref(m)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    low_rank_matrices(),
+    st.sampled_from([1, 2, 3, 64]),
+    st.integers(0, 4),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_solve_unique_matches_solve_in_rowspan(a, panel, width, stray, seed):
+    # a @ X == b has the unique solution solve_in_rowspan finds for the
+    # transposed system when a has full column rank, and none otherwise
+    rng = np.random.default_rng(seed)
+    b = a @ random_matrix(a.cols, width, a.ctx, rng)
+    if stray and a.rows:
+        b = MatrixFq(b.arr + rng.integers(0, a.ctx.q, size=b.shape), a.ctx)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fieldmath, "_PANEL", panel)
+        got = _solve_unique(a, b)
+    witness = solve_in_rowspan(b.transpose(), a.transpose())
+    if rank(a) < a.cols or witness is None:
+        assert got is None
+    else:
+        assert got == witness.transpose()
+        assert a @ got == b
 
 
 def test_rank_at_large_modulus_reduces_before_int64_overflows():
@@ -292,7 +415,7 @@ def test_mat_mul_associative_distributive():
 
 
 def test_mat_mul_large_modulus_no_overflow():
-    # q close to 2**31: the accumulation path must chunk
+    # q close to 2**31: dot products go through 16-bit limbs
     ctx = FieldCtx(2147483647)
     rng = np.random.default_rng(1)
     a = random_matrix(3, 40, ctx, rng)
@@ -300,6 +423,18 @@ def test_mat_mul_large_modulus_no_overflow():
     got = mat_mul(a, b)
     want = (a.arr.astype(object) @ b.arr.astype(object)) % ctx.q
     assert got.tolist() == [[int(x) for x in row] for row in want]
+
+
+@pytest.mark.parametrize("k", [1, 2, 2**16 - 1])
+def test_mat_mul_limbs_match_python_integers(k):
+    # at q = 2^31 - 1 every k >= 3 overflows a plain int64 product; the
+    # all-(q-1) row and column give the largest dot product there is
+    ctx = FieldCtx(2**31 - 1)
+    rng = np.random.default_rng(k)
+    a = vstack([random_matrix(2, k, ctx, rng), MatrixFq(np.full((1, k), ctx.q - 1), ctx)])
+    b = hstack([random_matrix(k, 2, ctx, rng), MatrixFq(np.full((k, 1), ctx.q - 1), ctx)])
+    want = (a.arr.astype(object) @ b.arr.astype(object)) % ctx.q
+    assert mat_mul(a, b).tolist() == want.tolist()
 
 
 def test_random_matrix_empty_and_deterministic():
@@ -348,7 +483,7 @@ def test_solve_in_rowspan_membership_and_witness():
 
 def test_solve_in_rowspan_large_modulus_no_overflow():
     # q close to 2**31: recombining over three or more pivots overflows int64
-    # unless the product goes through the chunked mat_mul
+    # unless the product goes through mat_mul's limbs
     ctx = FieldCtx(2147483647)
     rng = np.random.default_rng(3)
     basis = random_matrix(6, 10, ctx, rng)

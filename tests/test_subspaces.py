@@ -200,11 +200,13 @@ def test_random_subspace_uniform():
 
 def test_rejection_draws_are_bounded(monkeypatch):
     # a rank that never reports full rank must end every rejection loop
+    # (draws without avoid read the rank off rref, draws with avoid call rank)
     from nckey import subspaces
 
     rng = np.random.default_rng(4)
     a = random_subspace(4, 2, F5, rng)
     monkeypatch.setattr(subspaces, "rank", lambda m: -1)
+    monkeypatch.setattr(subspaces, "rref", lambda m: (m, -1, []))
     with pytest.raises(RuntimeError, match="tries"):
         random_subspace(4, 2, F5, rng)
     with pytest.raises(RuntimeError, match="tries"):
