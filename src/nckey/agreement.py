@@ -1,47 +1,51 @@
 """Multi-terminal secret-key agreement over the non-coherent broadcast channel.
 
-The protocol, per session of N slots:
+The protocol, per session of N slots; run_session calls one stage per step:
 
-1. The source broadcasts [I | M[t]] with M[t] uniform; every legitimate
-   terminal publishes its transfer matrix, so the source learns each
-   terminal's received subspace in source coordinates (dimension n_a).
-2. For each nonempty subset J of terminals the source picks, uniformly inside
-   the subset's common subspace, an "exclusive" subspace whose dimension is
-   planned from generic-position arithmetic (plan_dimensions); only test
-   oracles that can see the eavesdropper's subspace build it by explicit
-   complement subtraction (build_exclusive_subspaces).
-3. Per-subset key shares are allocated by a max-min LP over feasibility
-   constraints: the total share of any collection of subsets is capped by the
-   dimension those subsets' exclusive subspaces add beyond the eavesdropper's
-   view (solve_allocation_lp).  Constraints are cap tables {selection: cap}.
-   On planned dimensions the cap of a selection S is
+1. _broadcast: the source broadcasts [I | M[t]] with M[t] uniform; every
+   legitimate terminal publishes its transfer matrix, so the source learns
+   each terminal's received subspace in source coordinates (dimension n_a).
+2. _exclusive_picks: each subset's common subspace must have its
+   generic-position dimension (plan_dimensions); then for each nonempty
+   subset J the source picks, uniformly inside the common subspace, an
+   "exclusive" subspace of the planned dimension.  Only test oracles that can
+   see the eavesdropper's subspace build it by explicit complement
+   subtraction (build_exclusive_subspaces).
+3. Per-subset key shares are allocated, before the session, by a max-min LP
+   over feasibility constraints: the total share of any collection of subsets
+   is capped by the dimension those subsets' exclusive subspaces add beyond
+   the eavesdropper's view (solve_allocation_lp).  Constraints are cap tables
+   {selection: cap}.  On planned dimensions the cap of a selection S is
    min(sum_S excl_J, n_a - n_e), a polymatroid rank (Edmonds 1970), so the
    singleton caps plus the full-collection budget imply every other cap and
    planning works for any m (DimensionPlan.caps).  Actual subspaces need every
    selection, so their table is limited to 7 subsets (m <= 3); so is the
    session audit, which sums one table per slot, and hence run_session.
-4. Slots are glued by direct sums; floor(N * share) basis vectors per subset
-   are extracted so that everything is mutually independent
+4. _extract: slots are glued by direct sums; floor(N * share) basis vectors
+   per subset are extracted so that everything is mutually independent
    (extract_secure_subspaces: the picks' joint rank is their own feasibility
-   certificate, for any m); coefficients published over the public channel
-   let each member terminal reconstruct its subset keys exactly.  The
-   disclosures are solved one slot block at a time, and the audit's
-   zero-leakage certificate runs in coefficient space (width N * n_a, not
-   N * ell).
-5. A final common key is delivered to all terminals by one-time-padding a
-   linear combination code over the subset key blocks (the multicast step).
+   certificate, for any m).  _disclosures: coefficients published over the
+   public channel, solved one slot block at a time, let each member terminal
+   reconstruct its subset keys exactly (_keys).
+5. _multicast: a final common key is delivered to all terminals by
+   one-time-padding a linear combination code over the subset key blocks.
+6. _audit: agreement, feasibility inheritance, and the zero-leakage
+   certificate against the eavesdropper's complete view, in coefficient
+   space (width N * n_a, not N * ell).
 
-Sessions whose generic-position dimension plan fails (probability O(1/q)) are
-flagged degenerate and their keys withheld; the audit also re-verifies the
-zero-leakage rank certificate against the eavesdropper's complete view.
+A degenerate session (a generic-position event failed, probability O(1/q),
+or a step found no solution) has its keys withheld: the stage raises
+_Degenerate with its reasons, and run_session catches it in one place.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, field, fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -143,6 +147,13 @@ def _as_allocation(alloc, m: int) -> SubsetAllocation:
     return alloc if isinstance(alloc, SubsetAllocation) else SubsetAllocation(m, alloc)
 
 
+def _cap(subs, base: Subspace | None) -> int:
+    """Dimension the subspaces ``subs`` add to ``base`` (to nothing when
+    ``base`` is None): one forward-only rank of their stacked bases."""
+    bases = [s.basis for s in subs] + ([] if base is None else [base.basis])
+    return rank(vstack(bases)) - (0 if base is None else base.dim)
+
+
 def _actual_caps(family: SubspaceFamily, base: Subspace | None = None) -> dict[tuple[int, ...], int]:
     """Cap table of the actual subspaces: for every nonempty selection of the
     family's subsets (by size, then lexicographically), the dimension its
@@ -158,15 +169,11 @@ def _actual_caps(family: SubspaceFamily, base: Subspace | None = None) -> dict[t
             f"actual-subspace constraints are enumerated only up to "
             f"{MAX_ENUMERATED_SUBSETS} subsets (m <= 3), got {len(masks)}"
         )
-    base_dim = 0 if base is None else base.dim
-    sums: dict[tuple[int, ...], Subspace | None] = {(): base}
-    caps: dict[tuple[int, ...], int] = {}
-    for k in range(1, len(masks) + 1):
-        for sel in itertools.combinations(masks, k):
-            prev, last = sums[sel[:-1]], family[sel[-1]]
-            sums[sel] = total = last if prev is None else prev + last
-            caps[sel] = total.dim - base_dim
-    return caps
+    return {
+        sel: _cap([family[mask] for mask in sel], base)
+        for k in range(1, len(masks) + 1)
+        for sel in itertools.combinations(masks, k)
+    }
 
 
 def _check_against(shares, caps: dict[tuple[int, ...], int]) -> FeasibilityResult:
@@ -277,16 +284,19 @@ def build_exclusive_subspaces(
     m = len(received)
     out: dict[int, Subspace] = {}
     for mask in subset_masks(m):
-        members = mask_members(mask)
-        common = received[members[0]]
-        for i in members[1:]:
-            common = common.intersect(received[i])
+        common = _common_subspace(received, mask)
         shared = eve.intersect(common)
         for i in range(m):
-            if i not in members:
+            if not mask >> i & 1:
                 shared = shared + received[i].intersect(common)
         out[mask] = common.complement(shared, rng)
     return SubspaceFamily(m, out)
+
+
+def _common_subspace(received, mask: int) -> Subspace:
+    """A subset's common subspace: its members' received subspaces intersected
+    in member order."""
+    return functools.reduce(Subspace.intersect, (received[i] for i in mask_members(mask)))
 
 
 def _solve_maxmin(m: int, caps: dict[tuple[int, ...], int]) -> tuple[SubsetAllocation, Fraction]:
@@ -379,9 +389,7 @@ def extract_secure_subspaces(
     if any(counts[mask] > family[mask].dim for mask in masks):
         # An impossible pick violates its singleton cap, and singletons lead
         # the table order, so the first violated singleton is the witness.
-        singletons = {}
-        for mask in masks:
-            singletons.update(_actual_caps(SubspaceFamily(family.m, {mask: family[mask]}), base))
+        singletons = {(mask,): _cap([family[mask]], base) for mask in masks}
         raise InfeasibleAllocationError(_check_against(counts, singletons))
 
     want = sum(counts.values()) + (0 if base is None else base.dim)
@@ -434,21 +442,17 @@ def exhaustive_leakage_check(
     if total > 2**16:
         raise OverflowError(f"message space {ctx.q}^{n_cells} too large to enumerate")
 
-    counts: dict[tuple[bytes, bytes], int] = {}
-    y_counts: dict[bytes, int] = {}
-    e_counts: dict[bytes, int] = {}
+    counts, y_counts, e_counts = Counter(), Counter(), Counter()
     for values in itertools.product(range(ctx.q), repeat=n_cells):
         m_block = MatrixFq(np.array(values, dtype=np.int64).reshape(n_a, ell - n_a), ctx)
         x_a = np.hstack([np.eye(n_a, dtype=np.int64), m_block.arr])
         y = np.mod(key_coeffs.arr @ x_a, ctx.q).tobytes()
         e = np.mod(eve_coeffs.arr @ x_a, ctx.q).tobytes()
-        counts[(y, e)] = counts.get((y, e), 0) + 1
-        y_counts[y] = y_counts.get(y, 0) + 1
-        e_counts[e] = e_counts.get(e, 0) + 1
+        counts[(y, e)] += 1
+        y_counts[y] += 1
+        e_counts[e] += 1
 
-    independent = all(
-        c * total == y_counts[y] * e_counts[e] for (y, e), c in counts.items()
-    )
+    independent = all(c * total == y_counts[y] * e_counts[e] for (y, e), c in counts.items())
     mi = 0.0
     for (y, e), c in counts.items():
         mi += (c / total) * math.log2((c * total) / (y_counts[y] * e_counts[e]))
@@ -520,16 +524,13 @@ def _vandermonde(rows: int, cols: int, ctx: FieldCtx) -> MatrixFq:
     """rows x cols matrix with row j = (j^0, ..., j^(cols-1)); any ``cols``
     rows are linearly independent when all row indices are distinct (requires
     rows <= q)."""
-    out = np.zeros((rows, cols), dtype=np.int64)
-    for j in range(rows):
-        v = 1
-        for i in range(cols):
-            out[j, i] = v
-            v = (v * j) % ctx.q
+    out, j = np.ones((rows, cols), dtype=np.int64), np.arange(rows)
+    for i in range(1, cols):
+        out[:, i] = out[:, i - 1] * j % ctx.q
     return MatrixFq(out, ctx)
 
 
-def _disclose(target: MatrixFq, transfers: list[MatrixFq], dims: list[int]) -> MatrixFq | None:
+def _disclose(target: MatrixFq, transfers: list[MatrixFq], dim: int) -> MatrixFq | None:
     """C with C @ block_diag(transfers) == target, solved one slot block at a
     time (None when some block is not representable).
 
@@ -539,19 +540,17 @@ def _disclose(target: MatrixFq, transfers: list[MatrixFq], dims: list[int]) -> M
     whole block-diagonal matrix that policy reaches slot t's rows behind the
     rows that earlier slots left without a pivot (zero in the basis columns),
     so solving behind that many zero rows and dropping their coefficients
-    reproduces its choice exactly.  ``dims[t]`` is dim span F_t.
+    reproduces its choice exactly.  ``dim`` is dim span F_t, in every slot.
     """
-    ctx = target.ctx
-    width = transfers[0].cols
+    ctx, width = target.ctx, transfers[0].cols
     blocks = []
-    lead = 0
-    for t, (f, dim) in enumerate(zip(transfers, dims)):
+    for t, f in enumerate(transfers):
+        lead = t * (f.rows - dim)
         part = MatrixFq(target.arr[:, t * width : (t + 1) * width], ctx)
         w = solve_in_rowspan(part, vstack([zeros(lead, width, ctx), f]))
         if w is None:
             return None
         blocks.append(MatrixFq(w.arr[:, lead:], ctx))
-        lead += f.rows - dim
     return hstack(blocks)
 
 
@@ -565,6 +564,182 @@ def _terminal_subset_keys(
         for r in sorted({r for _, r in disclosures})
     }
     return {(mask, r): mat_mul(w, m_parts[r]) for (mask, r), w in disclosures.items()}
+
+
+def _unaudited(reasons: tuple[str, ...] = ()) -> AuditReport:
+    """Report of a session that ended before its audit: an empty session, or
+    a degenerate one with its reasons."""
+    return AuditReport(bool(reasons), reasons, None, None, None, None, None, Fraction(0), 0)
+
+
+class _Degenerate(Exception):
+    """Raised by a session stage to end the session degenerate and without
+    keys; ``audit`` is its report (by default one holding only the reasons)."""
+
+    def __init__(self, reasons: tuple[str, ...], audit: AuditReport | None = None):
+        super().__init__(*reasons)
+        self.audit = audit or _unaudited(reasons)
+
+
+def _check_replay(name: str, value: MatrixFq, shape: tuple[int, int], ctx: FieldCtx):
+    if value.ctx != ctx or value.shape != shape:
+        raise ValueError(f"{name} must be {shape} over {ctx}, got {value.shape} over {value.ctx}")
+
+
+def _broadcast(params: ChannelParams, messages, rng) -> tuple[SlotRecord, ...]:
+    """Step 1: the source broadcasts [I | M_t] in every slot t."""
+    sources = [make_source_matrix(m_block, params) for m_block in messages]
+    return tuple(SlotRecord(b, x, broadcast_slot(x, params, rng)) for b, x in zip(messages, sources))
+
+
+def _exclusive_picks(slots, plan: DimensionPlan, rng) -> list[dict[int, Subspace]]:
+    """Step 2: per slot, a uniform pick of each subset's planned exclusive
+    dimension inside its common subspace.
+
+    Source-side view: received subspaces in source coordinates come from the
+    published transfer matrices ([I | M] has full rank, so the coefficient
+    map is faithful); actual packets are never published.  Every common
+    subspace off its planned dimension is reported before any pick is drawn.
+    """
+    masks = subset_masks(plan.m)
+    commons, reasons = [], []
+    for t, rec in enumerate(slots):
+        received = [span_of(f) for f in rec.obs.transfers]
+        common = {mask: _common_subspace(received, mask) for mask in masks}
+        reasons += [
+            f"slot {t}: subset {mask} common dim {sub.dim} != planned {plan.inter_dims[mask]}"
+            for mask, sub in common.items()
+            if sub.dim != plan.inter_dims[mask]
+        ]
+        commons.append(common)
+    if reasons:
+        raise _Degenerate(tuple(reasons))
+    return [
+        {mask: random_inside(common[mask], plan.exclusive_dims[mask], rng) for mask in masks}
+        for common in commons
+    ]
+
+
+def _extract(exclusive, counts: dict[int, int], m: int, rng) -> dict[int, Subspace]:
+    """Step 4: glue the slots by direct sums (session coordinate space of dim
+    N * n_a) and extract counts[J] mutually independent dimensions per
+    subset; returns the nonempty picks in mask order."""
+    glued = {mask: direct_sum(*(ex[mask] for ex in exclusive)) for mask in exclusive[0]}
+    try:
+        picks = extract_secure_subspaces(SubspaceFamily(m, glued), counts, None, rng)
+    except (InfeasibleAllocationError, RuntimeError) as exc:
+        raise _Degenerate((f"extraction failed: {exc}",)) from exc
+    return {mask: pick for mask, pick in picks.items() if pick.dim}
+
+
+def _disclosures(
+    slots, picks: dict[int, Subspace], plan: DimensionPlan
+) -> dict[tuple[int, int], MatrixFq]:
+    """Step 4, public part: coefficients expressing each subset's extracted
+    basis over every member terminal's received rows, slot by slot.
+
+    All of a terminal's subsets share its slot bases, so their bases are
+    solved stacked, one elimination per slot, and split by rows (each row of
+    C depends on its own target row alone).  On failure the first failing
+    (subset, member) is reported, in the order subsets then members.
+    """
+    solved, failed = {}, []
+    for r in range(plan.m):
+        mine = [mask for mask in picks if mask >> r & 1]
+        if not mine:
+            continue
+        # Past the common-dim check every F_r,t spans the planned dimension.
+        views = ([rec.obs.transfers[r] for rec in slots], plan.inter_dims[1 << r])
+        w = _disclose(vstack([picks[mask].basis for mask in mine]), *views)
+        if w is None:
+            failed += [(mask, r) for mask in mine if _disclose(picks[mask].basis, *views) is None]
+            continue
+        parts = np.split(w.arr, np.cumsum([picks[mask].dim for mask in mine])[:-1])
+        solved.update({(mask, r): MatrixFq(part, w.ctx) for mask, part in zip(mine, parts)})
+    if failed:
+        mask, r = min(failed)
+        raise _Degenerate((f"subset {mask} basis not in terminal {r} span",))
+    return {(mask, r): solved[(mask, r)] for mask in picks for r in mask_members(mask)}
+
+
+def _keys(params: ChannelParams, slots, picks: dict[int, Subspace], disclosures) -> KeyShare:
+    """Key symbols, one (ell - n_a)-symbol block per extracted basis vector,
+    and each member terminal's copy; no final key yet."""
+    m_stack = vstack([rec.message for rec in slots])
+    subset_keys = {mask: mat_mul(pick.basis, m_stack) for mask, pick in picks.items()}
+    return KeyShare(subset_keys, _terminal_subset_keys(params, slots, disclosures))
+
+
+def _multicast(picks: dict[int, Subspace], keys: KeyShare, final: MatrixFq | None, m: int, rng):
+    """Step 5: one-time-pad a linear combination code over the subset key
+    blocks so every terminal decodes ``final``, of min_r sum_{J containing r}
+    counts[J] blocks (None when that is zero).  Returns the code, the ciphers
+    and ``keys`` with the final key and each terminal's decoding.
+    """
+    if final is None:
+        return None, None, replace(keys, terminal_final=(None,) * m)
+    ctx, key_blocks = final.ctx, final.rows
+    # Pad row i is a key block of subset labels[i] (subset keys in mask order).
+    labels = [mask for mask, pick in picks.items() for _ in range(pick.dim)]
+    rows_for = [[i for i, mask in enumerate(labels) if mask >> r & 1] for r in range(m)]
+    if len(labels) <= ctx.q:
+        code = _vandermonde(len(labels), key_blocks, ctx)
+    else:
+        for _ in range(200):
+            code = random_matrix(len(labels), key_blocks, ctx, rng)
+            if all(rank(MatrixFq(code.arr[rows], ctx)) == key_blocks for rows in rows_for):
+                break
+        else:
+            raise _Degenerate(("no decodable combination code found",))
+    pads = vstack(list(keys.subset_keys.values()))
+    ciphers = MatrixFq(np.mod(mat_mul(code, final).arr + pads.arr, ctx.q), ctx)
+    decoded = []
+    for r, rows in enumerate(rows_for):
+        pads_r = vstack([keys.terminal_subset_keys[(mask, r)] for mask in picks if mask >> r & 1])
+        rhs_r = MatrixFq(np.mod(ciphers.arr[rows] - pads_r.arr, ctx.q), ctx)
+        # sub_code has full column rank (Vandermonde rows or a
+        # rank-checked search), so the decoded key is unique.
+        sol = _solve_unique(MatrixFq(code.arr[rows], ctx), rhs_r)
+        if sol is None:
+            raise _Degenerate((f"terminal {r} could not decode the combination code",))
+        decoded.append(sol)
+    return code, ciphers, replace(keys, final_key=final, terminal_final=tuple(decoded))
+
+
+def _audit(alloc: SubsetAllocation, counts, slots, exclusive, picks, keys: KeyShare) -> AuditReport:
+    """Audit (harness-side omniscience): agreement, feasibility inheritance,
+    and the zero-leakage certificate against the eavesdropper's full view.
+    A failed certificate withholds the keys: its report is raised."""
+    # One cap table per slot; the session's table is their sum, because the
+    # session family and the eavesdropper's session view are direct sums.
+    tables = [
+        _actual_caps(SubspaceFamily(alloc.m, ex), span_of(rec.obs.eve_transfer))
+        for ex, rec in zip(exclusive, slots)
+    ]
+    session_caps = {sel: sum(caps[sel] for caps in tables) for sel in tables[0]}
+    # Certified in coefficient space: the packets are these coefficients times
+    # block_diag([I | M_t]), which has full row rank and so keeps every rank.
+    cert = not picks or certify_zero_leakage(
+        vstack([pick.basis for pick in picks.values()]),
+        block_diag([rec.obs.eve_transfer for rec in slots]),
+    )
+    key_blocks = 0 if keys.final_key is None or not cert else keys.final_key.rows
+    audit = AuditReport(
+        degenerate=not cert,
+        reasons=() if cert else ("leakage certificate failed, keys withheld",),
+        subset_agreement=all(
+            k == keys.subset_keys[mask] for (mask, _), k in keys.terminal_subset_keys.items()
+        ),
+        final_agreement=all(k == keys.final_key for k in keys.terminal_final),
+        leakage_certificate=cert,
+        slotwise_feasible=all(_check_against(alloc, caps).ok for caps in tables),
+        scaled_feasible=_check_against(counts, session_caps).ok,
+        achieved_per_slot=Fraction(key_blocks, len(slots)),
+        key_blocks=key_blocks,
+    )
+    if not cert:
+        raise _Degenerate(audit.reasons, audit)
+    return audit
 
 
 def run_session(
@@ -589,7 +764,8 @@ def run_session(
     sessions carry an empty KeyShare.
 
     Raises:
-        ValueError: for m > 3, before any draw (the audit's cap tables).
+        ValueError: before any draw, for m > 3 (the audit's cap tables), or
+            for replayed messages or a final key of the wrong shape or field.
     """
     if alloc.m != params.m:
         raise ValueError(f"allocation is for m={alloc.m}, channel has m={params.m}")
@@ -600,227 +776,42 @@ def run_session(
         )
     if n_slots < 0:
         raise ValueError("slot count must be nonnegative")
-    if messages is not None and len(messages) != n_slots:
-        raise ValueError(f"need {n_slots} message blocks, got {len(messages)}")
+    ctx, m, width = params.ctx, params.m, params.ell - params.n_a
+    if messages is not None:
+        if len(messages) != n_slots:
+            raise ValueError(f"need {n_slots} message blocks, got {len(messages)}")
+        for t, m_block in enumerate(messages):
+            _check_replay(f"message block {t}", m_block, (params.n_a, width), ctx)
     plan = plan_dimensions(params)
     feas = check_allocation_feasible_planned(alloc, plan)
     if not feas.ok:
         raise InfeasibleAllocationError(feas)
+    counts = alloc.floor_scaled(n_slots)
+    key_blocks = min(sum(c for mask, c in counts.items() if mask >> r & 1) for r in range(m))
+    if final_key is not None:
+        _check_replay("final key", final_key, (key_blocks, width), ctx)
 
     msg_rng, chan_rng, proto_rng = rng.spawn(3)
-    ctx = params.ctx
-    n_a, ell, m = params.n_a, params.ell, params.m
-    masks = subset_masks(m)
-
+    if messages is None:
+        messages = [random_matrix(params.n_a, width, ctx, msg_rng) for _ in range(n_slots)]
+    slots = _broadcast(params, messages, chan_rng)
+    transcript = SessionTranscript(params, n_slots, slots)
+    withheld = KeyShare(terminal_final=(None,) * m)
     if n_slots == 0:
-        transcript = SessionTranscript(params, 0, ())
-        audit = AuditReport(False, (), None, None, None, None, None, Fraction(0), 0)
-        return SessionResult(transcript, KeyShare(terminal_final=(None,) * m), audit)
-
-    slots: list[SlotRecord] = []
-    for t in range(n_slots):
-        if messages is not None:
-            m_block = messages[t]
-        else:
-            m_block = random_matrix(n_a, ell - n_a, ctx, msg_rng)
-        x_a = make_source_matrix(m_block, params)
-        obs = broadcast_slot(x_a, params, chan_rng)
-        slots.append(SlotRecord(m_block, x_a, obs))
-
-    def _bail(reasons: tuple[str, ...]) -> SessionResult:
-        transcript = SessionTranscript(params, n_slots, tuple(slots))
-        audit = AuditReport(True, reasons, None, None, None, None, None, Fraction(0), 0)
-        return SessionResult(transcript, KeyShare(terminal_final=(None,) * m), audit)
-
-    # Source-side view: received subspaces in source coordinates come from the
-    # published transfer matrices ([I | M] has full rank, so the coefficient
-    # map is faithful); actual packets are never published.
-    reasons: list[str] = []
-    per_slot_common: list[dict[int, Subspace]] = []
-    for t, rec in enumerate(slots):
-        received = [span_of(f) for f in rec.obs.transfers]
-        common: dict[int, Subspace] = {}
-        for mask in masks:
-            members = mask_members(mask)
-            sub = received[members[0]]
-            for i in members[1:]:
-                sub = sub.intersect(received[i])
-            common[mask] = sub
-            if sub.dim != plan.inter_dims[mask]:
-                reasons.append(
-                    f"slot {t}: subset {mask} common dim {sub.dim} != planned {plan.inter_dims[mask]}"
-                )
-        per_slot_common.append(common)
-    if reasons:
-        return _bail(tuple(reasons))
-
-    # Per-slot exclusive subspaces: uniform picks of the planned dimension.
-    per_slot_exclusive: list[dict[int, Subspace]] = []
-    for t in range(n_slots):
-        picks = {
-            mask: random_inside(per_slot_common[t][mask], plan.exclusive_dims[mask], proto_rng)
-            for mask in masks
-        }
-        per_slot_exclusive.append(picks)
-
-    # Glue slots with direct sums (session coordinate space of dim N * n_a).
-    session_exclusive = SubspaceFamily(
-        m, {mask: direct_sum(*(ex[mask] for ex in per_slot_exclusive)) for mask in masks}
-    )
-    counts = alloc.floor_scaled(n_slots)
+        return SessionResult(transcript, withheld, _unaudited())
     try:
-        picks = extract_secure_subspaces(session_exclusive, counts, None, proto_rng)
-    except (InfeasibleAllocationError, RuntimeError) as exc:
-        return _bail((f"extraction failed: {exc}",))
-
-    # Public disclosures: coefficients expressing each subset's extracted
-    # basis over every member terminal's received rows, slot by slot.  All of
-    # a terminal's subsets share its slot bases, so their bases are solved
-    # stacked, one elimination per slot, and split by rows (each row of C
-    # depends on its own target row alone).  On failure the first failing
-    # (subset, member) is reported, in the order subsets then members.
-    active = [mask for mask in masks if counts[mask] > 0]
-    solved: dict[tuple[int, int], MatrixFq] = {}
-    failed: list[tuple[int, int]] = []
-    for r in range(m):
-        mine = [mask for mask in active if mask >> r & 1]
-        if not mine:
-            continue
-        views = (
-            [rec.obs.transfers[r] for rec in slots],
-            [common[1 << r].dim for common in per_slot_common],
-        )
-        w = _disclose(vstack([picks[mask].basis for mask in mine]), *views)
-        if w is None:
-            failed += [(mask, r) for mask in mine if _disclose(picks[mask].basis, *views) is None]
-            continue
-        row = 0
-        for mask in mine:
-            solved[(mask, r)] = MatrixFq(w.arr[row : row + picks[mask].dim], ctx)
-            row += picks[mask].dim
-    if failed:
-        mask, r = min(failed)
-        return _bail((f"subset {mask} basis not in terminal {r} span",))
-    disclosures = {(mask, r): solved[(mask, r)] for mask in active for r in mask_members(mask)}
-
-    # Key symbols: one (ell - n_a)-symbol block per extracted basis vector.
-    m_stack = vstack([rec.message for rec in slots])
-    subset_keys = {
-        mask: mat_mul(picks[mask].basis, m_stack) for mask in masks if counts[mask] > 0
-    }
-    terminal_subset_keys = _terminal_subset_keys(params, slots, disclosures)
-
-    # Multicast step: one-time-pad a linear combination code over the subset
-    # key blocks so every terminal decodes a common key of
-    # min_r sum_{J containing r} counts[J] blocks.
-    order = [mask for mask in masks if counts[mask] > 0]
-    offsets: dict[int, int] = {}
-    run = 0
-    for mask in order:
-        offsets[mask] = run
-        run += counts[mask]
-    total_rows = run
-    cut = [sum(counts[mask] for mask in masks if mask >> r & 1) for r in range(m)]
-    key_blocks = min(cut) if m else 0
-
-    code = None
-    ciphers = None
-    final = None
-    terminal_final: list[MatrixFq | None] = [None] * m
-    if key_blocks > 0:
-        if final_key is not None:
-            final = final_key
-        else:
-            final = random_matrix(key_blocks, ell - n_a, ctx, msg_rng)
-        rows_for = [
-            [offsets[mask] + j for mask in order if mask >> r & 1 for j in range(counts[mask])]
-            for r in range(m)
-        ]
-        if total_rows <= ctx.q:
-            code = _vandermonde(total_rows, key_blocks, ctx)
-        else:
-            for _ in range(200):
-                cand = random_matrix(total_rows, key_blocks, ctx, proto_rng)
-                if all(
-                    rank(MatrixFq(cand.arr[rows_for[r]], ctx)) == key_blocks for r in range(m)
-                ):
-                    code = cand
-                    break
-            if code is None:
-                return _bail(("no decodable combination code found",))
-        pads = vstack([subset_keys[mask] for mask in order])
-        ciphers = MatrixFq(np.mod(mat_mul(code, final).arr + pads.arr, ctx.q), ctx)
-        for r in range(m):
-            idx = rows_for[r]
-            pads_r = vstack([terminal_subset_keys[(mask, r)] for mask in order if mask >> r & 1])
-            cipher_r = MatrixFq(ciphers.arr[idx], ctx)
-            rhs_r = MatrixFq(np.mod(cipher_r.arr - pads_r.arr, ctx.q), ctx)
-            # sub_code has full column rank (Vandermonde rows or a
-            # rank-checked search), so the decoded key is unique.
-            sol = _solve_unique(MatrixFq(code.arr[idx], ctx), rhs_r)
-            if sol is None:
-                return _bail((f"terminal {r} could not decode the combination code",))
-            terminal_final[r] = sol
-
-    transcript = SessionTranscript(
-        params, n_slots, tuple(slots), disclosures, code, ciphers
-    )
-
-    # Audit (harness-side omniscience): agreement, feasibility inheritance,
-    # and the zero-leakage certificate against the eavesdropper's full view.
-    subset_agreement = all(
-        terminal_subset_keys[(mask, r)] == subset_keys[mask]
-        for (mask, r) in terminal_subset_keys
-    )
-    final_agreement = key_blocks == 0 or all(
-        terminal_final[r] == final for r in range(m)
-    )
-
-    # One cap table per slot; the session's table is their sum, because the
-    # session family and the eavesdropper's session view are direct sums.
-    tables = [
-        _actual_caps(SubspaceFamily(m, ex), span_of(rec.obs.eve_transfer))
-        for ex, rec in zip(per_slot_exclusive, slots)
-    ]
-    slotwise = all(_check_against(alloc, caps).ok for caps in tables)
-    session_caps = {sel: sum(caps[sel] for caps in tables) for sel in tables[0]}
-    scaled_ok = _check_against(counts, session_caps).ok
-
-    # Certified in coefficient space: the packets are these coefficients times
-    # block_diag([I | M_t]), which has full row rank and so keeps every rank.
-    if total_rows > 0:
-        coeff_all = vstack([picks[mask].basis for mask in order])
-        eve_coeffs = block_diag([rec.obs.eve_transfer for rec in slots])
-        cert = certify_zero_leakage(coeff_all, eve_coeffs)
-    else:
-        cert = True
-
-    if not cert:
-        audit = AuditReport(
-            True,
-            ("leakage certificate failed, keys withheld",),
-            subset_agreement,
-            final_agreement,
-            False,
-            slotwise,
-            scaled_ok,
-            Fraction(0),
-            0,
-        )
-        return SessionResult(transcript, KeyShare(terminal_final=(None,) * m), audit)
-
-    audit = AuditReport(
-        False,
-        (),
-        subset_agreement,
-        final_agreement,
-        True,
-        slotwise,
-        scaled_ok,
-        Fraction(key_blocks, n_slots),
-        key_blocks,
-    )
-    keys = KeyShare(subset_keys, terminal_subset_keys, final, tuple(terminal_final))
+        exclusive = _exclusive_picks(slots, plan, proto_rng)
+        picks = _extract(exclusive, counts, m, proto_rng)
+        disclosures = _disclosures(slots, picks, plan)
+        keys = _keys(params, slots, picks, disclosures)
+        if key_blocks and final_key is None:
+            final_key = random_matrix(key_blocks, width, ctx, msg_rng)
+        final = final_key if key_blocks else None
+        code, ciphers, keys = _multicast(picks, keys, final, m, proto_rng)
+        transcript = SessionTranscript(params, n_slots, slots, disclosures, code, ciphers)
+        audit = _audit(alloc, counts, slots, exclusive, picks, keys)
+    except _Degenerate as exc:
+        return SessionResult(transcript, withheld, exc.audit)
     return SessionResult(transcript, keys, audit)
 
 
@@ -877,15 +868,9 @@ def _session_to_json(result: SessionResult) -> dict:
             "terminal_final": [_mat(k) for k in result.keys.terminal_final],
         },
         "audit": {
-            "degenerate": audit.degenerate,
+            **asdict(audit),
             "reasons": list(audit.reasons),
-            "subset_agreement": audit.subset_agreement,
-            "final_agreement": audit.final_agreement,
-            "leakage_certificate": audit.leakage_certificate,
-            "slotwise_feasible": audit.slotwise_feasible,
-            "scaled_feasible": audit.scaled_feasible,
             "achieved_per_slot": str(audit.achieved_per_slot),
-            "key_blocks": audit.key_blocks,
         },
     }
 
@@ -909,34 +894,18 @@ def _session_from_json(doc: dict) -> SessionResult:
     disclosures = {
         (d["subset"], d["terminal"]): _unmat(d["coeffs"], ctx) for d in pub["disclosures"]
     }
-    transcript = SessionTranscript(
-        params,
-        len(slots),
-        tuple(slots),
-        disclosures,
-        _unmat(pub["multicast_code"], ctx),
-        _unmat(pub["ciphers"], ctx),
-    )
+    code, ciphers = (_unmat(pub[name], ctx) for name in ("multicast_code", "ciphers"))
+    transcript = SessionTranscript(params, len(slots), tuple(slots), disclosures, code, ciphers)
     kd = doc["keys"]
-    ad = doc["audit"]
+    ad = {f.name: doc["audit"][f.name] for f in fields(AuditReport)}
     keys = KeyShare(
         {int(mask): _unmat(k, ctx) for mask, k in kd["subset_keys"].items()},
         {} if ad["degenerate"] else _terminal_subset_keys(params, slots, disclosures),
         _unmat(kd["final_key"], ctx),
         tuple(_unmat(k, ctx) for k in kd["terminal_final"]),
     )
-    audit = AuditReport(
-        ad["degenerate"],
-        tuple(ad["reasons"]),
-        ad["subset_agreement"],
-        ad["final_agreement"],
-        ad["leakage_certificate"],
-        ad["slotwise_feasible"],
-        ad["scaled_feasible"],
-        Fraction(ad["achieved_per_slot"]),
-        ad["key_blocks"],
-    )
-    return SessionResult(transcript, keys, audit)
+    ad.update(reasons=tuple(ad["reasons"]), achieved_per_slot=Fraction(ad["achieved_per_slot"]))
+    return SessionResult(transcript, keys, AuditReport(**ad))
 
 
 def save_session(result: SessionResult, path) -> None:

@@ -208,11 +208,17 @@ def cmd_simulate(cfg: dict, parser) -> dict:
         params = make_params(cfg, {})
     except ValueError as exc:
         parser.error(f"invalid parameters: {exc}")
+    for key in ("trials", "seed"):
+        if int(cfg[key]) < 0:
+            parser.error(f"--{key} must be nonnegative, got {cfg[key]}")
     plan = plan_dimensions(params)
     if cfg["allocation"] is not None:
-        alloc = SubsetAllocation(
-            params.m, {int(k): Fraction(v) for k, v in cfg["allocation"].items()}
-        )
+        try:
+            alloc = SubsetAllocation(
+                params.m, {int(k): Fraction(v) for k, v in cfg["allocation"].items()}
+            )
+        except (ValueError, ZeroDivisionError) as exc:
+            parser.error(f"invalid allocation: {exc}")
         lp_value = None
     else:
         alloc, lp_value = solve_allocation_lp_planned(plan)

@@ -720,6 +720,33 @@ def test_session_replay_hook_validates_length():
         run_session(p, 2, alloc, np.random.default_rng(0), messages=[msg])
 
 
+def test_session_replay_hooks_refuse_malformed_input_before_any_draw():
+    # README shape, 4 slots: 12 key blocks of ell - n_a = 4 symbols.  A 12 x 1
+    # key would broadcast into the 16 x 4 ciphers and release keys no
+    # terminal decodes; every malformed replay is refused before the spawn.
+    p = P(101, 10, 6, [4, 4], 2)
+    alloc, _ = solve_allocation_lp_planned(plan_dimensions(p))
+    messages = [zeros(6, 4, F101)] * 4
+    malformed = [
+        {"final_key": zeros(12, 1, F101)},
+        {"final_key": zeros(13, 4, F101)},
+        {"final_key": zeros(12, 4, FieldCtx(103))},
+        {"messages": messages[:3] + [zeros(6, 3, F101)]},
+        {"messages": messages[:3] + [zeros(6, 4, FieldCtx(103))]},
+    ]
+    for replay in malformed:
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="must be"):
+            run_session(p, 4, alloc, rng, **replay)
+        assert rng.bit_generator.state == state
+        assert rng.bit_generator.seed_seq.n_children_spawned == 0
+    key = MatrixFq(np.arange(48).reshape(12, 4), F101)
+    res = run_session(p, 4, alloc, np.random.default_rng(0), messages=messages, final_key=key)
+    assert not res.audit.degenerate and res.audit.final_agreement
+    assert res.keys.final_key == key and res.transcript.ciphers.shape == (16, 4)
+
+
 def test_session_rate_converges_with_slots():
     # fractional optimum: value 5/2 needs time extension to be approached
     p = P(101, 6, 4, [3, 3], 1)

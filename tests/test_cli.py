@@ -255,3 +255,25 @@ def test_simulate_explicit_allocation_from_config(tmp_path):
     }))
     with pytest.raises(SystemExit):
         main(["simulate", "--config", str(cfg)])
+
+
+SIMULATE = ["simulate", "--q", "101", "--ell", "8", "--na", "4", "--n", "3", "--ne", "1"]
+
+
+@pytest.mark.parametrize(
+    "flags, allocation, message",
+    [
+        (["--trials", "-3"], None, "--trials must be nonnegative"),
+        (["--seed", "-1"], None, "--seed must be nonnegative"),
+        ([], {"9": "1"}, "subset mask 9 out of range"),
+        ([], {"1": "-1/2"}, "share for subset 1 is negative"),
+    ],
+)
+def test_simulate_bad_input_is_a_usage_error(tmp_path, capsys, flags, allocation, message):
+    # outside input that run_session or numpy would refuse with a traceback
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"allocation": allocation, "slots": 2, "trials": 2}))
+    with pytest.raises(SystemExit) as exc:
+        main(SIMULATE + ["--config", str(cfg)] + flags)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err

@@ -4,7 +4,17 @@ import numpy as np
 import pytest
 
 from nckey.bounds import generic_dims
-from nckey.fieldmath import FieldCtx, MatrixFq, identity, mat_mul, random_matrix, rank, zeros
+from nckey import fieldmath
+from nckey.fieldmath import (
+    FieldCtx,
+    MatrixFq,
+    identity,
+    mat_mul,
+    random_matrix,
+    rank,
+    vstack,
+    zeros,
+)
 from nckey.subspaces import (
     Subspace,
     SubspaceFamily,
@@ -112,6 +122,25 @@ def test_modular_identity_random_larger():
             a = random_subspace(6, int(rng.integers(0, 7)), ctx, rng)
             b = random_subspace(6, int(rng.integers(0, 7)), ctx, rng)
             assert (a + b).dim + a.intersect(b).dim == a.dim + b.dim
+
+
+@pytest.mark.parametrize("q", [2, 101, 11_863_279, 2**31 - 1])
+def test_lattice_laws_past_two_panels(q):
+    # ambient dimension 200 is more than two elimination panels wide, so sums
+    # and intersections run on the float64 panels for every q but 2^31 - 1;
+    # a shared part keeps U + V short of the whole space and U ∩ V nonzero
+    ctx = FieldCtx(q)
+    assert 200 > 2 * fieldmath._PANEL
+    rng = np.random.default_rng(q)
+    for shared_dim, extra in ((40, 60), (70, 50)):
+        shared = random_matrix(shared_dim, 200, ctx, rng)
+        u, v = (span_of(vstack([shared, random_matrix(extra, 200, ctx, rng)])) for _ in range(2))
+        total, meet = u + v, u.intersect(v)
+        assert total == v + u and meet == v.intersect(u)
+        assert total.dim + meet.dim == u.dim + v.dim
+        assert total.dim < 200 and meet.contains(span_of(shared)) and meet.dim >= shared_dim
+        assert u + meet == u and u.intersect(total) == u
+        assert u.contains(meet) and total.contains(u) and total.contains(v)
 
 
 def test_complement_trivial():
