@@ -54,7 +54,7 @@ from .channel import ChannelParams, SlotObservation, broadcast_slot, make_source
 from .fieldmath import (
     FieldCtx,
     MatrixFq,
-    _solve_unique,
+    _solve,
     block_diag,
     hstack,
     mat_mul,
@@ -62,7 +62,6 @@ from .fieldmath import (
     rank,
     solve_in_rowspan,
     vstack,
-    zeros,
 )
 from .simplex import maximize
 from .subspaces import Subspace, SubspaceFamily, direct_sum, random_inside, span_of
@@ -530,27 +529,23 @@ def _vandermonde(rows: int, cols: int, ctx: FieldCtx) -> MatrixFq:
     return MatrixFq(out, ctx)
 
 
-def _disclose(target: MatrixFq, transfers: list[MatrixFq], dim: int) -> MatrixFq | None:
+def _disclose(target: MatrixFq, transfers: list[MatrixFq]) -> MatrixFq | None:
     """C with C @ block_diag(transfers) == target, solved one slot block at a
     time (None when some block is not representable).
 
     C @ block_diag(F_t) = B exactly when C_t @ F_t is B's slot-t block.  If
     some F_t has dependent rows C is not unique; ``solve_in_rowspan`` returns
-    the C supported on the basis rows its pivot policy makes pivots.  Over the
-    whole block-diagonal matrix that policy reaches slot t's rows behind the
-    rows that earlier slots left without a pivot (zero in the basis columns),
-    so solving behind that many zero rows and dropping their coefficients
-    reproduces its choice exactly.  ``dim`` is dim span F_t, in every slot.
+    the basic solution, and over a block-diagonal matrix that is the hstack
+    of the per-block ones.  F_t is public, so every valid C shows the
+    eavesdropper the same B and the choice does not bear on secrecy.
     """
-    ctx, width = target.ctx, transfers[0].cols
+    width = transfers[0].cols
     blocks = []
     for t, f in enumerate(transfers):
-        lead = t * (f.rows - dim)
-        part = MatrixFq(target.arr[:, t * width : (t + 1) * width], ctx)
-        w = solve_in_rowspan(part, vstack([zeros(lead, width, ctx), f]))
+        w = solve_in_rowspan(MatrixFq(target.arr[:, t * width : (t + 1) * width], target.ctx), f)
         if w is None:
             return None
-        blocks.append(MatrixFq(w.arr[:, lead:], ctx))
+        blocks.append(w)
     return hstack(blocks)
 
 
@@ -632,27 +627,25 @@ def _extract(exclusive, counts: dict[int, int], m: int, rng) -> dict[int, Subspa
     return {mask: pick for mask, pick in picks.items() if pick.dim}
 
 
-def _disclosures(
-    slots, picks: dict[int, Subspace], plan: DimensionPlan
-) -> dict[tuple[int, int], MatrixFq]:
+def _disclosures(slots, picks: dict[int, Subspace], m: int) -> dict[tuple[int, int], MatrixFq]:
     """Step 4, public part: coefficients expressing each subset's extracted
-    basis over every member terminal's received rows, slot by slot.
+    basis over every member terminal's received rows, slot by slot (_disclose).
 
     All of a terminal's subsets share its slot bases, so their bases are
     solved stacked, one elimination per slot, and split by rows (each row of
-    C depends on its own target row alone).  On failure the first failing
-    (subset, member) is reported, in the order subsets then members.
+    the basic solution depends on its own target row alone).  On failure the
+    first failing (subset, member) is reported, in the order subsets then
+    members.
     """
     solved, failed = {}, []
-    for r in range(plan.m):
+    for r in range(m):
         mine = [mask for mask in picks if mask >> r & 1]
         if not mine:
             continue
-        # Past the common-dim check every F_r,t spans the planned dimension.
-        views = ([rec.obs.transfers[r] for rec in slots], plan.inter_dims[1 << r])
-        w = _disclose(vstack([picks[mask].basis for mask in mine]), *views)
+        transfers = [rec.obs.transfers[r] for rec in slots]
+        w = _disclose(vstack([picks[mask].basis for mask in mine]), transfers)
         if w is None:
-            failed += [(mask, r) for mask in mine if _disclose(picks[mask].basis, *views) is None]
+            failed += [(mask, r) for mask in mine if _disclose(picks[mask].basis, transfers) is None]
             continue
         parts = np.split(w.arr, np.cumsum([picks[mask].dim for mask in mine])[:-1])
         solved.update({(mask, r): MatrixFq(part, w.ctx) for mask, part in zip(mine, parts)})
@@ -682,28 +675,33 @@ def _multicast(picks: dict[int, Subspace], keys: KeyShare, final: MatrixFq | Non
     # Pad row i is a key block of subset labels[i] (subset keys in mask order).
     labels = [mask for mask, pick in picks.items() for _ in range(pick.dim)]
     rows_for = [[i for i, mask in enumerate(labels) if mask >> r & 1] for r in range(m)]
-    if len(labels) <= ctx.q:
-        code = _vandermonde(len(labels), key_blocks, ctx)
-    else:
-        for _ in range(200):
-            code = random_matrix(len(labels), key_blocks, ctx, rng)
-            if all(rank(MatrixFq(code.arr[rows], ctx)) == key_blocks for rows in rows_for):
-                break
-        else:
-            raise _Degenerate(("no decodable combination code found",))
     pads = vstack(list(keys.subset_keys.values()))
-    ciphers = MatrixFq(np.mod(mat_mul(code, final).arr + pads.arr, ctx.q), ctx)
-    decoded = []
-    for r, rows in enumerate(rows_for):
-        pads_r = vstack([keys.terminal_subset_keys[(mask, r)] for mask in picks if mask >> r & 1])
-        rhs_r = MatrixFq(np.mod(ciphers.arr[rows] - pads_r.arr, ctx.q), ctx)
-        # sub_code has full column rank (Vandermonde rows or a
-        # rank-checked search), so the decoded key is unique.
-        sol = _solve_unique(MatrixFq(code.arr[rows], ctx), rhs_r)
+    pads_for = [
+        vstack([keys.terminal_subset_keys[(mask, r)] for mask in picks if mask >> r & 1])
+        for r in range(m)
+    ]
+    if len(labels) <= ctx.q:
+        draws = [_vandermonde(len(labels), key_blocks, ctx)]
+    else:
+        draws = (random_matrix(len(labels), key_blocks, ctx, rng) for _ in range(200))
+    for code in draws:
+        ciphers = MatrixFq(np.mod(mat_mul(code, final).arr + pads.arr, ctx.q), ctx)
+        # Terminal r solves its rows of the code for the final key.  A draw
+        # whose rows fall short of full column rank for some terminal (never
+        # Vandermonde rows) is redrawn; otherwise each decoding is unique.
+        solved = [
+            _solve(MatrixFq(code.arr[rows], ctx), MatrixFq(ciphers.arr[rows] - pads_r.arr, ctx))
+            for rows, pads_r in zip(rows_for, pads_for)
+        ]
+        if all(r == key_blocks for _, r in solved):
+            break
+    else:
+        raise _Degenerate(("no decodable combination code found",))
+    for r, (sol, _) in enumerate(solved):
         if sol is None:
             raise _Degenerate((f"terminal {r} could not decode the combination code",))
-        decoded.append(sol)
-    return code, ciphers, replace(keys, final_key=final, terminal_final=tuple(decoded))
+    decoded = tuple(sol for sol, _ in solved)
+    return code, ciphers, replace(keys, final_key=final, terminal_final=decoded)
 
 
 def _audit(alloc: SubsetAllocation, counts, slots, exclusive, picks, keys: KeyShare) -> AuditReport:
@@ -802,7 +800,7 @@ def run_session(
     try:
         exclusive = _exclusive_picks(slots, plan, proto_rng)
         picks = _extract(exclusive, counts, m, proto_rng)
-        disclosures = _disclosures(slots, picks, plan)
+        disclosures = _disclosures(slots, picks, m)
         keys = _keys(params, slots, picks, disclosures)
         if key_blocks and final_key is None:
             final_key = random_matrix(key_blocks, width, ctx, msg_rng)

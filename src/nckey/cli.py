@@ -107,7 +107,12 @@ def resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
     cfg["command"] = args.command
     if cfg["ell"] is None or cfg["na"] is None or cfg["n"] is None:
         parser.error("--ell, --na and --n are required (via flags or config)")
-    cfg["n"] = [int(x) for x in cfg["n"]]
+    # Exact types: JSON true and false load as bools, a subclass of int.
+    for key in ("q", "ell", "na", "ne", "slots", "trials", "seed"):
+        if type(cfg[key]) is not int:
+            parser.error(f"{key} must be an integer, got {cfg[key]!r}")
+    if type(cfg["n"]) is not list or any(type(x) is not int for x in cfg["n"]):
+        parser.error(f"n must be a list of integers, got {cfg['n']!r}")
     return cfg
 
 
@@ -122,7 +127,10 @@ def parse_sweep(expr: str | None, parser) -> tuple[str, list[int]] | None:
     parts = expr.split(":")
     if len(parts) != 3 or parts[0] not in SWEEP_VARS:
         parser.error(f"sweep must be <var>:<lo>:<hi> with var in {SWEEP_VARS}, got {expr!r}")
-    lo, hi = int(parts[1]), int(parts[2])
+    try:
+        lo, hi = int(parts[1]), int(parts[2])
+    except ValueError:
+        parser.error(f"sweep bounds must be integers, got {expr!r}")
     if lo > hi:
         parser.error(f"empty sweep range {lo}..{hi}")
     return parts[0], list(range(lo, hi + 1))
@@ -209,7 +217,7 @@ def cmd_simulate(cfg: dict, parser) -> dict:
     except ValueError as exc:
         parser.error(f"invalid parameters: {exc}")
     for key in ("trials", "seed"):
-        if int(cfg[key]) < 0:
+        if cfg[key] < 0:
             parser.error(f"--{key} must be nonnegative, got {cfg[key]}")
     plan = plan_dimensions(params)
     if cfg["allocation"] is not None:
@@ -224,11 +232,11 @@ def cmd_simulate(cfg: dict, parser) -> dict:
         alloc, lp_value = solve_allocation_lp_planned(plan)
     rng = np.random.default_rng(cfg["seed"])
     rows = []
-    trials = int(cfg["trials"])
+    trials = cfg["trials"]
     streams = rng.spawn(trials) if trials else []
     for i in range(trials):
         try:
-            result = run_session(params, int(cfg["slots"]), alloc, streams[i])
+            result = run_session(params, cfg["slots"], alloc, streams[i])
         except InfeasibleAllocationError as exc:
             parser.error(f"allocation refused: {exc}")
         except ValueError as exc:
@@ -248,7 +256,7 @@ def cmd_simulate(cfg: dict, parser) -> dict:
     good = [r for r in rows if not r["degenerate"]]
     summary = {
         "trials": trials,
-        "slots": int(cfg["slots"]),
+        "slots": cfg["slots"],
         "allocation": {str(k): str(v) for k, v in alloc.items()},
         "lp_value": str(lp_value) if lp_value is not None else None,
         "degenerate": len(rows) - len(good),

@@ -1,9 +1,11 @@
 """Exact dense linear algebra over prime fields F_q.
 
 All matrices at play are small and dense (packet counts and packet lengths at
-desk scale).  One forward elimination, ``_echelon``, serves them all: ``rank``
-counts its pivots, ``rref`` adds a back-substitution pass, ``solve_in_rowspan``
-reads a transform off ``[basis | I]`` and ``right_kernel`` reads the RREF.
+desk scale).  One forward elimination, ``_echelon``, and one back-substitution,
+``_back_substitute``, serve them all: ``rank`` counts the forward pivots,
+``rref`` runs both, ``right_kernel`` reads the RREF, and ``_solve`` eliminates
+``[a | b]`` forward and back-substitutes b's columns only, for the basic
+solution of a @ X == b; ``solve_in_rowspan`` is ``_solve`` on the transposes.
 Matrices are int64 numpy arrays with entries in [0, q), q < 2**31, so every
 product of two reduced scalars fits int64.  Arithmetic is exact integer
 arithmetic reduced mod q, in one of two number formats chosen from q and the
@@ -220,7 +222,7 @@ def _echelon(a: np.ndarray, q: int, limit: int | None = None) -> list[int]:
     the pivot columns in order.
 
     Pivots are searched in the first ``limit`` columns (all by default) while
-    row operations span the full width, for augmented systems ``[basis | I]``.
+    row operations span the full width, for augmented systems ``[a | b]``.
     The pivot of each column is the first nonzero entry at or below the current
     row, swapped into place; each pivot row is scaled to a leading 1 and
     cleared from the rows below it only.
@@ -312,6 +314,24 @@ def _echelon(a: np.ndarray, q: int, limit: int | None = None) -> list[int]:
     return pivots
 
 
+def _back_substitute(a: np.ndarray, pivots: list[int], q: int, start: int = 0) -> None:
+    """In-place back-substitution over an echelon form from ``_echelon``:
+    each pivot column is cleared from the rows above, last pivot first, in
+    the columns from ``start`` (and the pivot) on.
+
+    Row i is already clear of every later pivot column when it clears its
+    own, and no row operation reaches an earlier pivot column, so each
+    multiplier a[:i, c] is final when it is read.  Columns left of ``start``
+    can therefore be skipped, as ``_solve`` does for a's columns.
+    """
+    for i in reversed(range(len(pivots))):
+        c = pivots[i]
+        if np.any(a[:i, c]):
+            lo = max(c, start)
+            a[:i, lo:] -= np.outer(a[:i, c], a[i, lo:])
+            np.mod(a[:i, lo:], q, out=a[:i, lo:])
+
+
 def rref(m: MatrixFq) -> tuple[MatrixFq, int, list[int]]:
     """Reduced row echelon form over F_q.
 
@@ -320,22 +340,41 @@ def rref(m: MatrixFq) -> tuple[MatrixFq, int, list[int]]:
         span as ``m``, rank is the number of nonzero rows of R, and
         pivot_cols lists the pivot column indices in order.
     """
-    q = m.ctx.q
     a = m.arr.copy()
-    pivots = _echelon(a, q)
-    # Back-substitution, last pivot first: row i is already clear of every
-    # later pivot column when it clears its own column from the rows above.
-    for i in reversed(range(len(pivots))):
-        c = pivots[i]
-        if np.any(a[:i, c]):
-            a[:i, c:] -= np.outer(a[:i, c], a[i, c:])
-            np.mod(a[:i, c:], q, out=a[:i, c:])
+    pivots = _echelon(a, m.ctx.q)
+    _back_substitute(a, pivots, m.ctx.q)
     return MatrixFq(a, m.ctx), len(pivots), pivots
 
 
 def rank(m: MatrixFq) -> int:
     """Rank of ``m`` over F_q: the pivot count of a forward elimination."""
     return len(_echelon(m.arr.copy(), m.ctx.q))
+
+
+def _solve(a: MatrixFq, b: MatrixFq) -> tuple[MatrixFq | None, int]:
+    """The basic solution X of a @ X == b, or None when there is no
+    solution, and the rank of ``a``.
+
+    The basic solution is zero outside a's pivot columns (its earliest
+    independent ones) and unique on them.  One forward elimination of
+    ``[a | b]`` with pivots in a's columns leaves a unit upper triangular
+    block beside the right-hand side.  The system is consistent exactly when
+    the rows past the rank are zero in b's columns, and back-substitution
+    then updates b's columns only.
+    """
+    _check_same_ctx(a, b)
+    if a.rows != b.rows:
+        raise ValueError(f"row mismatch: a has {a.rows}, b has {b.rows}")
+    q, n = a.ctx.q, a.cols
+    aug = np.hstack([a.arr, b.arr])
+    pivots = _echelon(aug, q, limit=n)
+    r = len(pivots)
+    if np.any(aug[r:, n:]):
+        return None, r
+    _back_substitute(aug, pivots, q, start=n)
+    x = np.zeros((n, b.cols), dtype=np.int64)
+    x[pivots] = aug[:r, n:]
+    return MatrixFq(x, a.ctx), r
 
 
 def solve_in_rowspan(target: MatrixFq, basis: MatrixFq) -> MatrixFq | None:
@@ -345,63 +384,17 @@ def solve_in_rowspan(target: MatrixFq, basis: MatrixFq) -> MatrixFq | None:
     span of ``basis``, otherwise None (not-representable is a normal result,
     not an error).
 
-    When the basis rows are dependent C is not unique.  The pivot policy of
-    the elimination (the first nonzero entry at or below the current row,
-    swapped into place) fixes which basis rows become pivots; those rows are
-    independent and span the basis, and the returned C is the unique one
-    supported on them.  Gauss-Jordan elimination with the same policy picks
-    the same rows, hence the same C.
+    When the basis rows are dependent C is not unique; the one returned is
+    the basic solution, supported on the earliest independent basis rows
+    (each row independent of the rows before it), which span the basis.
+    Over a block-diagonal basis that is the hstack of the per-block basic
+    solutions.
     """
     _check_same_ctx(target, basis)
     if target.cols != basis.cols:
         raise ValueError(f"column mismatch: target has {target.cols}, basis has {basis.cols}")
-    q = target.ctx.q
-    b = basis.rows
-    if target.rows == 0:
-        return zeros(0, b, target.ctx)
-    if b == 0:
-        return None if np.any(target.arr) else zeros(target.rows, 0, target.ctx)
-    # Eliminate [basis | I] with pivots restricted to the basis columns, so
-    # the right block records the transform T with E = T @ basis.
-    aug = np.hstack([basis.arr, np.eye(b, dtype=np.int64)])
-    pivots = _echelon(aug, q, limit=basis.cols)
-    r = len(pivots)
-    ech = aug[:r, : basis.cols]
-    transform = aug[:r, basis.cols :]
-    # Reduce target rows against E in pivot order, recording the combination
-    # used; E's rows are zero below each pivot, so a cleared column stays clear.
-    resid = target.arr.copy()
-    coeff_over_ech = np.zeros((target.rows, r), dtype=np.int64)
-    for i, pc in enumerate(pivots):
-        c = resid[:, pc].copy()
-        coeff_over_ech[:, i] = c
-        if np.any(c):
-            resid -= np.outer(c, ech[i])
-            np.mod(resid, q, out=resid)
-    if np.any(resid):
-        return None
-    return mat_mul(MatrixFq(coeff_over_ech, target.ctx), MatrixFq(transform, target.ctx))
-
-
-def _solve_unique(a: MatrixFq, b: MatrixFq) -> MatrixFq | None:
-    """The X with a @ X == b when ``a`` has full column rank, else None (also
-    when the system is inconsistent).
-
-    One forward elimination of ``[a | b]`` with pivots in a's columns leaves
-    a unit upper triangular block over the right-hand side; back-substitution
-    then runs over b's columns only.
-    """
-    _check_same_ctx(a, b)
-    if a.rows != b.rows:
-        raise ValueError(f"row mismatch: a has {a.rows}, b has {b.rows}")
-    q, n = a.ctx.q, a.cols
-    aug = np.hstack([a.arr, b.arr])
-    if len(_echelon(aug, q, limit=n)) < n or np.any(aug[n:, n:]):
-        return None
-    upper, x = aug[:n, :n], aug[:n, n:]
-    for i in reversed(range(1, n)):
-        x[:i] = np.mod(x[:i] - np.outer(upper[:i, i], x[i]), q)
-    return MatrixFq(x, a.ctx)
+    x, _ = _solve(basis.transpose(), target.transpose())
+    return None if x is None else x.transpose()
 
 
 def right_kernel(m: MatrixFq) -> MatrixFq:

@@ -26,7 +26,16 @@ from nckey.agreement import (
 )
 from nckey.bounds import symmetric_pair_dims, three_terminal_rate
 from nckey.channel import ChannelParams
-from nckey.fieldmath import FieldCtx, MatrixFq, block_diag, solve_in_rowspan, vstack, zeros
+from nckey.fieldmath import (
+    FieldCtx,
+    MatrixFq,
+    block_diag,
+    random_matrix,
+    rank,
+    solve_in_rowspan,
+    vstack,
+    zeros,
+)
 from nckey.subspaces import (
     SubspaceFamily,
     direct_sum,
@@ -562,7 +571,7 @@ def test_session_cap_table_is_sum_of_slot_tables(monkeypatch):
 
 
 # (params, slots, seeds): n_r <= n_a, where each disclosure is unique, and
-# n_r > n_a, where it is not and the dense elimination's choice is the one kept
+# n_r > n_a, where it is not and the basic solution is the one published
 DISCLOSURE_SHAPES = [
     (P(101, 10, 6, [4, 4], 2), 3, range(4)),
     (P(2, 6, 4, [3, 3], 1), 2, range(24)),
@@ -586,9 +595,8 @@ def _disclosed_sessions():
 
 
 def test_disclosures_equal_dense_block_diagonal_solve():
-    # solving slot by slot gives exactly the coefficients that the dense solve
-    # over the whole N-slot block-diagonal matrix picks, also when they are
-    # not unique (n_r > n_a)
+    # solving slot by slot gives exactly the basic solution over the whole
+    # N-slot block-diagonal matrix, also when it is not the only one (n_r > n_a)
     checked = {}
     for p, res, f_stacks, bases in _disclosed_sessions():
         for (mask, r), w in res.transcript.disclosures.items():
@@ -613,7 +621,7 @@ def test_disclosure_bail_names_the_first_failing_pair(monkeypatch, failing, repo
     bases = {mask: w @ block_diag(transfers[r]) for (mask, r), w in res.transcript.disclosures.items()}
     original = agreement._disclose
 
-    def failing_disclose(target, trans, dims):
+    def failing_disclose(target, trans):
         r = next(r for r in range(p.m) if trans == transfers[r])
         for mask, fail_r in failing:
             b = bases[mask].arr
@@ -621,11 +629,46 @@ def test_disclosure_bail_names_the_first_failing_pair(monkeypatch, failing, repo
                 np.array_equal(target.arr[i : i + len(b)], b) for i in range(target.rows - len(b) + 1)
             ):
                 return None
-        return original(target, trans, dims)
+        return original(target, trans)
 
     monkeypatch.setattr(agreement, "_disclose", failing_disclose)
     again = run_session(p, 3, alloc, np.random.default_rng(0))
     assert again.audit.reasons == (f"subset {reported[0]} basis not in terminal {reported[1]} span",)
+
+
+def test_multicast_redraws_rank_short_codes_and_names_the_failing_terminal():
+    # at q = 5 the 7 pad rows (subsets 1, 2, 2, 2, 3, 3, 3) outnumber the
+    # field, so the code is drawn at random, and a draw is kept only when the
+    # rows of every terminal have full column rank (about one square 4 x 4
+    # draw in four falls short); the redraws follow the seeded stream
+    ctx, rng = FieldCtx(5), np.random.default_rng(3)
+    dims = {1: 1, 2: 3, 3: 3}
+    picks = {mask: random_subspace(8, d, ctx, rng) for mask, d in dims.items()}
+    subset_keys = {mask: random_matrix(d, 3, ctx, rng) for mask, d in dims.items()}
+    copies = {(mask, r): k for mask, k in subset_keys.items() for r in (0, 1) if mask >> r & 1}
+    keys = agreement.KeyShare(subset_keys, copies)
+    final = random_matrix(4, 3, ctx, rng)
+    rows_for = [[0, 4, 5, 6], [1, 2, 3, 4, 5, 6]]
+    redrawn = 0
+    for seed in range(8):
+        code, _, out = agreement._multicast(picks, keys, final, 2, np.random.default_rng(seed))
+        replay, draws = np.random.default_rng(seed), 0
+        while True:
+            want, draws = random_matrix(7, 4, ctx, replay), draws + 1
+            if all(rank(MatrixFq(want.arr[rows], ctx)) == 4 for rows in rows_for):
+                break
+        assert code == want and out.terminal_final == (final, final)
+        redrawn += draws > 1
+    assert redrawn
+    # a wrong copy of a subset key leaves terminal 1's 6 x 4 system inconsistent
+    wrong = {**copies, (2, 1): MatrixFq(copies[(2, 1)].arr + 1, ctx)}
+    with pytest.raises(agreement._Degenerate) as exc:
+        agreement._multicast(picks, replace(keys, terminal_subset_keys=wrong), final, 2, rng)
+    assert exc.value.args == ("terminal 1 could not decode the combination code",)
+    # five key blocks, but terminal 0 holds four pad rows: every draw falls short
+    with pytest.raises(agreement._Degenerate) as exc:
+        agreement._multicast(picks, keys, random_matrix(5, 3, ctx, rng), 2, rng)
+    assert exc.value.args == ("no decodable combination code found",)
 
 
 def test_coefficient_certificate_equals_packet_certificate():

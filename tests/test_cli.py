@@ -277,3 +277,30 @@ def test_simulate_bad_input_is_a_usage_error(tmp_path, capsys, flags, allocation
         main(SIMULATE + ["--config", str(cfg)] + flags)
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+def test_non_integer_sweep_bound_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--q", "101", "--ell", "8", "--na", "4", "--n", "3", "--sweep", "ne:a:3"])
+    assert exc.value.code == 2
+    assert "sweep bounds must be integers, got 'ne:a:3'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"trials": "x"}, "trials must be an integer, got 'x'"),
+        ({"seed": "7"}, "seed must be an integer, got '7'"),
+        ({"ell": "10"}, "ell must be an integer, got '10'"),
+        ({"slots": True}, "slots must be an integer, got True"),
+        ({"n": [3, "3"]}, "n must be a list of integers, got [3, '3']"),
+    ],
+)
+def test_config_value_of_the_wrong_type_is_a_usage_error(tmp_path, capsys, config, message):
+    # config values reach int(), numpy and run_session unconverted
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"q": 101, "ell": 8, "na": 4, "n": [3], "ne": 1, **config}))
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err

@@ -11,7 +11,8 @@ from nckey import fieldmath
 from nckey.fieldmath import (
     FieldCtx,
     MatrixFq,
-    _solve_unique,
+    _solve,
+    block_diag,
     hstack,
     identity,
     is_prime,
@@ -92,23 +93,22 @@ def reference_rref(m: MatrixFq):
 
 
 def reference_solve(target: MatrixFq, basis: MatrixFq):
-    """C from the Gauss-Jordan transform T of [basis | I] (R = T @ basis):
-    target's coordinates over R times T, or None outside the row span."""
-    q, ctx = target.ctx.q, target.ctx
-    if basis.rows == 0:
-        return None if np.any(target.arr) else zeros(target.rows, 0, ctx)
-    aug = np.hstack([basis.arr, np.eye(basis.rows, dtype=np.int64)])
-    pivots = reference_eliminate(aug, q, pivot_col_limit=basis.cols)
-    red = aug[: len(pivots), : basis.cols]
-    transform = aug[: len(pivots), basis.cols :]
-    resid = target.arr.copy()
-    coeff_over_red = np.zeros((target.rows, len(pivots)), dtype=np.int64)
-    for i, pc in enumerate(pivots):
-        coeff_over_red[:, i] = resid[:, pc]
-        resid = np.mod(resid - np.outer(coeff_over_red[:, i], red[i]), q)
-    if np.any(resid):
+    """The basic solution C of C @ basis == target, or None outside the row
+    span: zero except on the earliest independent basis rows, where it is
+    the unique Gauss-Jordan solution.
+
+    Those rows each raise the rank of the rows before them; Gauss-Jordan on
+    basis^T counts that rank column by column, so they are its pivots.
+    """
+    ctx = target.ctx
+    kept = reference_rref(basis.transpose())[2]
+    aug = np.hstack([basis.arr[kept].T, target.arr.T])
+    reference_eliminate(aug, ctx.q, pivot_col_limit=len(kept))
+    if np.any(aug[len(kept) :, len(kept) :]):
         return None
-    return mat_mul(MatrixFq(coeff_over_red, ctx), MatrixFq(transform, ctx))
+    out = np.zeros((target.rows, basis.rows), dtype=np.int64)
+    out[:, kept] = aug[: len(kept), len(kept) :].T
+    return MatrixFq(out, ctx)
 
 
 def test_is_prime_small():
@@ -250,8 +250,8 @@ def test_rref_and_right_kernel_match_gauss_jordan(m):
 )
 def test_solve_in_rowspan_returns_the_gauss_jordan_witness(m, lead, k, stray, seed):
     # m's rows are often dependent, so C is not unique: the witness must be
-    # the Gauss-Jordan one, also behind a zero-row prefix as _disclose builds
-    # its per-slot bases; a stray random target row is usually outside the span
+    # the basic solution, also behind a zero-row prefix (never a pivot); a
+    # stray random target row is usually outside the span
     basis = vstack([zeros(lead, m.cols, m.ctx), m])
     rng = np.random.default_rng(seed)
     target = random_matrix(k, basis.rows, m.ctx, rng) @ basis
@@ -277,9 +277,9 @@ def panelled_matrices(draw):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(panelled_matrices(), st.integers(0, 2**32 - 1))
 def test_panelled_elimination_matches_gauss_jordan(case, seed):
-    # solve_in_rowspan eliminates [m | I] with pivots limited to m's columns,
-    # so its limit often ends inside a panel; its targets are two rows in the
-    # span and one random row, usually outside it
+    # solve_in_rowspan eliminates [m^T | target^T] with pivots limited to
+    # m^T's columns, so its limit often ends inside a panel; its targets are
+    # two rows in the span and one random row, usually outside it
     panel, m = case
     rng = np.random.default_rng(seed)
     target = vstack([random_matrix(2, m.rows, m.ctx, rng) @ m, random_matrix(1, m.cols, m.ctx, rng)])
@@ -339,22 +339,65 @@ def test_float_panels_at_the_largest_float_modulus():
     st.booleans(),
     st.integers(0, 2**32 - 1),
 )
-def test_solve_unique_matches_solve_in_rowspan(a, panel, width, stray, seed):
-    # a @ X == b has the unique solution solve_in_rowspan finds for the
-    # transposed system when a has full column rank, and none otherwise
+def test_solve_rank_decides_whether_a_key_decodes(a, panel, width, stray, seed):
+    # a @ X == b for a planted X: the solve reports a's rank, and at full
+    # column rank it returns X itself; below it a kernel vector gives a second
+    # solution, so no key is decoded; a stray right-hand side is usually
+    # inconsistent; the solution is always the basic one
     rng = np.random.default_rng(seed)
-    b = a @ random_matrix(a.cols, width, a.ctx, rng)
+    x = random_matrix(a.cols, width, a.ctx, rng)
+    b = a @ x
     if stray and a.rows:
         b = MatrixFq(b.arr + rng.integers(0, a.ctx.q, size=b.shape), a.ctx)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fieldmath, "_PANEL", panel)
-        got = _solve_unique(a, b)
-    witness = solve_in_rowspan(b.transpose(), a.transpose())
-    if rank(a) < a.cols or witness is None:
-        assert got is None
-    else:
-        assert got == witness.transpose()
-        assert a @ got == b
+        got, r = _solve(a, b)
+    assert r == reference_rref(a)[1]
+    witness = reference_solve(b.transpose(), a.transpose())
+    assert got == (None if witness is None else witness.transpose())
+    if got is None:
+        assert stray
+        return
+    assert a @ got == b
+    if r == a.cols:
+        assert stray or got == x
+    elif width:
+        other = MatrixFq(got.arr + reference_kernel(a).arr[:1].T, a.ctx)
+        assert a @ other == b and other != got
+
+
+@st.composite
+def block_systems(draw):
+    """1-3 blocks over one field, with dependent rows (thin factors and a
+    repeated row), and a target: rows in the block-diagonal span, then
+    possibly a stray random row."""
+    q = draw(st.sampled_from([2, 3, 101, 2**31 - 1]))
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        m = draw(low_rank_matrices(qs=(q,)))
+        if m.rows and draw(st.booleans()):
+            m = vstack([m, MatrixFq(m.arr[-1:], m.ctx)])
+        blocks.append(m)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    basis = block_diag(blocks)
+    target = random_matrix(draw(st.integers(0, 4)), basis.rows, basis.ctx, rng) @ basis
+    if draw(st.booleans()):
+        target = vstack([target, random_matrix(1, basis.cols, basis.ctx, rng)])
+    return blocks, target
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(block_systems())
+def test_block_diagonal_solve_is_the_hstack_of_block_solves(case):
+    # the basic solution over block_diag is each block's basic solution of
+    # its own target columns, side by side (None when any block has none)
+    blocks, target = case
+    per, col = [], 0
+    for m in blocks:
+        per.append(solve_in_rowspan(MatrixFq(target.arr[:, col : col + m.cols], m.ctx), m))
+        col += m.cols
+    got = solve_in_rowspan(target, block_diag(blocks))
+    assert got == (None if any(w is None for w in per) else hstack(per))
 
 
 def test_rank_at_large_modulus_reduces_before_int64_overflows():
@@ -479,6 +522,21 @@ def test_solve_in_rowspan_membership_and_witness():
     target = MatrixFq([[0, 0, 1]], ctx)
     assert rank(vstack([basis, target])) > rank(basis)
     assert solve_in_rowspan(target, basis) is None
+
+
+def test_solve_in_rowspan_returns_the_basic_solution():
+    # rows 0 and 1 are equal and zero in column 0: an elimination that swaps
+    # row 2 up for column 0 reaches row 1 before row 0, but the basic
+    # solution is supported on the earliest independent rows, 0 and 2
+    basis = MatrixFq([[0, 1], [0, 1], [1, 0]], F5)
+    assert solve_in_rowspan(MatrixFq([[1, 1]], F5), basis).tolist() == [[1, 0, 1]]
+    # at q = 2 zero entries, hence such swaps, are frequent
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        rows, cols, inner = (int(x) for x in rng.integers(1, 15, size=3))
+        m = random_matrix(rows, inner, F2, rng) @ random_matrix(inner, cols, F2, rng)
+        target = random_matrix(3, rows, F2, rng) @ m
+        assert solve_in_rowspan(target, m) == reference_solve(target, m)
 
 
 def test_solve_in_rowspan_large_modulus_no_overflow():
