@@ -113,6 +113,12 @@ def resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
             parser.error(f"{key} must be an integer, got {cfg[key]!r}")
     if type(cfg["n"]) is not list or any(type(x) is not int for x in cfg["n"]):
         parser.error(f"n must be a list of integers, got {cfg['n']!r}")
+    # An int out would be opened as a file descriptor.
+    for key in ("sweep", "out"):
+        if cfg[key] is not None and type(cfg[key]) is not str:
+            parser.error(f"{key} must be a string, got {cfg[key]!r}")
+    if cfg["format"] not in ("csv", "json"):
+        parser.error(f"format must be 'csv' or 'json', got {cfg['format']!r}")
     return cfg
 
 

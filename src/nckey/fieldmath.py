@@ -8,20 +8,22 @@ desk scale).  One forward elimination, ``_echelon``, and one back-substitution,
 solution of a @ X == b; ``solve_in_rowspan`` is ``_solve`` on the transposes.
 Matrices are int64 numpy arrays with entries in [0, q), q < 2**31, so every
 product of two reduced scalars fits int64.  Arithmetic is exact integer
-arithmetic reduced mod q, in one of two number formats chosen from q and the
-shape alone:
+arithmetic reduced mod q, in number formats chosen from q and the shape
+alone:
 
-* float64, whose integers are exact below 2**53, while every accumulation
-  stays below that: ``mat_mul`` is one BLAS product when k (q-1)**2 < 2**53
-  for its k-term dot products, and ``_echelon`` eliminates in float64
-  column panels, with one BLAS product per panel, when
-  ``_PANEL`` (q-1)**2 + q <= 2**53 (q up to about 1.2e7) and the matrix is
-  more than two panels wide, reducing before pending updates reach the bound;
-* int64 otherwise (q near 2**31, or narrow matrices): ``_echelon`` makes one
-  rank-1 update per pivot, and ``mat_mul`` splits one factor into 16-bit
-  limbs so every dot product stays below 2**63.
+* Products (``mat_mul``, and ``_echelon``'s panel products) all go through
+  ``_mul_mod``: float64 BLAS, whose integers are exact below 2**53.  A
+  k-term product is one BLAS call when k (q-1)**2 < 2**53; above that one
+  factor is split into b-bit limbs, b the widest with
+  k (2**b - 1)(q - 1) < 2**53 (two 16-bit limbs at k = 64 and q = 2**31 - 1),
+  stacked into one operand, and the limb blocks are recombined in int64.
+* ``_echelon`` eliminates in column panels of ``_PANEL`` columns, one
+  product per panel, when the matrix is more than two panels wide, at every
+  q; narrow matrices take one rank-1 update per pivot.  Its rank-1 updates,
+  like ``_back_substitute``'s, run in int64 and are reduced before pending
+  updates pass 2**63.
 
-Both formats give the same pivots and the same bytes.  All randomness flows
+Every format gives the same pivots and the same bytes.  All randomness flows
 through caller-supplied ``numpy.random.Generator`` instances; nothing touches
 global RNG state.
 """
@@ -176,7 +178,7 @@ def block_diag(mats) -> MatrixFq:
 
 
 def mat_mul(a: MatrixFq, b: MatrixFq) -> MatrixFq:
-    """Exact product a @ b modulo q.
+    """Exact product a @ b modulo q, through ``_mul_mod``'s float64 products.
 
     Raises:
         ValueError: On inner-dimension or field-context mismatch.
@@ -184,22 +186,7 @@ def mat_mul(a: MatrixFq, b: MatrixFq) -> MatrixFq:
     _check_same_ctx(a, b)
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: ({a.rows}x{a.cols}) @ ({b.rows}x{b.cols})")
-    q = a.ctx.q
-    k = a.cols
-    if k == 0:
-        return zeros(a.rows, b.cols, a.ctx)
-    # Every accumulated dot product is an exact integer: in float64 (BLAS)
-    # below 2^53, else in int64 over 16-bit limbs of a, each limb product
-    # staying below 2^16 * 2^31 per term and so below 2^63 over 2^16 - 1 terms.
-    if k * (q - 1) * (q - 1) < 2**53:
-        return MatrixFq(np.mod(a.arr.astype(np.float64) @ b.arr.astype(np.float64), q), a.ctx)
-    acc = np.zeros((a.rows, b.cols), dtype=np.int64)
-    for j in range(0, k, 2**16 - 1):
-        part, rhs = a.arr[:, j : j + 2**16 - 1], b.arr[j : j + 2**16 - 1]
-        high = np.mod((part >> 16) @ rhs, q)
-        low = np.mod((part & 0xFFFF) @ rhs, q)
-        acc = np.mod(acc + (high << 16) + low, q)
-    return MatrixFq(acc, a.ctx)
+    return MatrixFq(_mul_mod(a.arr, b.arr, a.ctx.q), a.ctx)
 
 
 def random_matrix(rows: int, cols: int, ctx: FieldCtx, rng: np.random.Generator) -> MatrixFq:
@@ -207,14 +194,56 @@ def random_matrix(rows: int, cols: int, ctx: FieldCtx, rng: np.random.Generator)
     return MatrixFq(rng.integers(0, ctx.q, size=(rows, cols), dtype=np.int64), ctx)
 
 
-# Column-panel width of the float64 elimination in _echelon.
+# Column-panel width of the blocked elimination in _echelon.
 _PANEL = 64
 
 
 def _residue(x: np.ndarray, q: int) -> np.ndarray:
-    """x mod q in int64; exact on _echelon's float64 working copies, whose
-    entries are integers below 2^53 in size (and faster than float mod)."""
-    return np.mod(x.astype(np.int64, copy=False), q)
+    """x mod q as a new int64 array; exact on float64 arrays of integers
+    below 2^53 in size, which are cast in the ufunc's buffers (faster than
+    float mod, and with no full-size temporary)."""
+    return np.mod(x, q, dtype=np.int64, casting="unsafe")
+
+
+def _mul_mod(x: np.ndarray, y: np.ndarray, q: int) -> np.ndarray:
+    """x @ y mod q for int64 matrices with entries in [0, q), as a new int64
+    matrix, exact through float64 BLAS products.
+
+    A dot product of k terms of at most (q-1)^2 each is exact in float64 while
+    k (q-1)^2 < 2^53, and is then one product.  Otherwise x is split into
+    b-bit limbs, b the widest with k (2^b - 1)(q - 1) < 2^53 (two 16-bit
+    limbs at k = 64 and q = 2^31 - 1), stacked into one operand so that each
+    product is still one BLAS call.  The limb blocks of the result are
+    reduced and recombined Horner-style, acc = (acc << b) + p mod q, which
+    stays below 2^63.  k is taken in chunks of at most 2^16 - 1 terms, which
+    keeps b at 6 bits or more for every q < 2^31.
+    """
+    rows = x.shape[0]
+    bits = (q - 1).bit_length()
+    out = np.zeros((rows, y.shape[1]), dtype=np.int64)
+    for j in range(0, x.shape[1], 2**16 - 1):
+        part, rhs = x[:, j : j + 2**16 - 1], y[j : j + 2**16 - 1].astype(np.float64)
+        top = (2**53 - 1) // (part.shape[1] * (q - 1))
+        b = bits if top >= q - 1 else (top + 1).bit_length() - 1
+        limbs = -(-bits // b)
+        if limbs > 1:
+            part = np.vstack([(part >> (b * s)) & (2**b - 1) for s in reversed(range(limbs))])
+        prod = part.astype(np.float64) @ rhs
+        # Reduced in place, a panel of rows at a time, so that no temporary
+        # is as large as the product.
+        res = prod.view(np.int64)
+        for i in range(0, len(prod), _PANEL):
+            res[i : i + _PANEL] = _residue(prod[i : i + _PANEL], q)
+        acc = res[:rows]
+        for s in range(1, limbs):
+            acc <<= b
+            acc += res[s * rows : (s + 1) * rows]
+            np.mod(acc, q, out=acc)
+        if j:
+            acc += out
+            np.mod(acc, q, out=acc)
+        out = acc
+    return out
 
 
 def _echelon(a: np.ndarray, q: int, limit: int | None = None) -> list[int]:
@@ -233,36 +262,28 @@ def _echelon(a: np.ndarray, q: int, limit: int | None = None) -> list[int]:
     they stood when it began (A12 right of the panel).  At its end the pivot
     rows carry the k x k transform M, new pivot rows = M @ A12, and each row
     below carries -L21 @ M, L21 being its multipliers.  The columns right of
-    the panel then take the whole panel in one matrix product,
-    [M ; -L21 @ M] @ A12: its top rows are the pivot rows' T = M @ A12, and
-    the rest is added to A22, that is A22 -= L21 @ T.
-    Panels are ``_PANEL`` columns wide and the working copy is float64 (BLAS
-    products) when ``_PANEL`` updates of size (q-1)^2 fit below 2^53,
-    float64's exact integer range, and the matrix is more than two panels
-    wide.  Otherwise one panel spans the whole width, so there is no trailing
-    product, and the loop works on the int64 array itself.
+    the panel then take the whole panel in one exact product,
+    [M ; -L21 @ M] @ A12 mod q (``_mul_mod``): its top rows are the pivot
+    rows' T = M @ A12, and the rest is added to A22, that is A22 -= L21 @ T.
+    Panels are ``_PANEL`` columns wide when the matrix is more than two
+    panels wide, at every q; otherwise one panel spans the whole width, so
+    there is no trailing product.
 
-    Updates are reduced lazily: a rank-1 update adds products of two reduced
-    scalars, at most (q-1)^2 in size, and a panel's product adds k of them, so
-    ``room`` updates fit between reductions.  A panel with trailing columns
-    starts with room for all of its updates, which those columns take at its
-    end; otherwise the loop reduces the rows below when room runs out.  Pivot
-    columns and rows are reduced before use, and the whole array on return.
-    The arithmetic is exact on either path, so the pivots and the result do
-    not depend on it.
+    The loop works on the int64 array itself, and updates are reduced
+    lazily.  A rank-1 update subtracts a product of two reduced scalars, at
+    most (q-1)^2, so ``room`` of them fit between reductions (about 9e14 at
+    q = 101, 2 at q = 2^31 - 1), and the loop reduces the rows below the
+    pivot when room runs out.  The columns right of a panel only ever gain
+    its reduced product, less than q, so they stay below q times the panel
+    count plus one until a panel reads them.  Pivot columns and rows, and
+    A12, are reduced before use, and the whole array on return.
     """
     rows, width = a.shape
     limit = width if limit is None else limit
-    unit = (q - 1) * (q - 1)
-    room = (2**53 - q) // unit
-    if width > 2 * _PANEL and room >= _PANEL:
-        # The float64 working copy takes over a's buffer (same item size).
-        work, panel = a.view(np.float64), _PANEL
-        work[...] = a.astype(np.float64)
-    else:
-        work, panel, room = a, max(width, 1), (2**63 - q) // unit
+    panel = _PANEL if width > 2 * _PANEL else max(width, 1)
+    room = (2**63 - q) // ((q - 1) * (q - 1))
     pivots: list[int] = []
-    r = pending = 0
+    r = 0
     for c0 in range(0, limit, panel):
         if r == rows:
             break
@@ -270,11 +291,9 @@ def _echelon(a: np.ndarray, q: int, limit: int | None = None) -> list[int]:
         r0, w = r, c1 - c0
         # One tracking column per possible pivot, when columns trail the panel.
         depth = min(min(c1, limit) - c0, rows - r0) if c1 < width else 0
-        if pending + depth > room:
-            work[r0:, c0:] = _residue(work[r0:, c0:], q)
-            pending = 0
-        blk = np.zeros((rows - r0, w + depth), dtype=work.dtype)
-        blk[:, :w] = work[r0:, c0:c1]
+        blk = np.zeros((rows - r0, w + depth), dtype=np.int64)
+        blk[:, :w] = a[r0:, c0:c1]
+        lazy = 0
         for c in range(c0, min(c1, limit)):
             if r == rows:
                 break
@@ -286,30 +305,28 @@ def _echelon(a: np.ndarray, q: int, limit: int | None = None) -> list[int]:
             p = i + int(nz[0])
             if p != i:
                 blk[[i, p]] = blk[[p, i]]
-                work[[r, r0 + p], c1:] = work[[r0 + p, r], c1:]
+                a[[r, r0 + p], c1:] = a[[r0 + p, r], c1:]
                 col[[0, p - i]] = col[[p - i, 0]]
             if depth:
                 blk[i, w + i] = 1
             blk[i] = np.mod(_residue(blk[i], q) * pow(int(col[0]), -1, q), q)
             if nz.size > 1:
-                if pending == room:
+                if lazy == room:
                     blk[i + 1 :] = _residue(blk[i + 1 :], q)
-                    pending = 0
+                    lazy = 0
                 # Tracking columns past w + i are still zero in every row.
                 end = w + i + 1 if depth else w
                 blk[i + 1 :, j:end] -= np.outer(col[1:], blk[i, j:end])
-                pending += 1
+                lazy += 1
             pivots.append(c)
             r += 1
-        work[r0:, c0:c1] = blk[:, :w]
+        a[r0:, c0:c1] = blk[:, :w]
         k = r - r0
         if depth and k:
-            track = _residue(blk[:, w : w + k], q).astype(work.dtype)
-            prod = track @ _residue(work[r0:r, c1:], q).astype(work.dtype)
-            work[r0:r, c1:] = _residue(prod[:k], q)
-            work[r:, c1:] += prod[k:]
-    if work is not a:
-        a[...] = work.astype(np.int64)
+            prod = _mul_mod(_residue(blk[:, w : w + k], q), _residue(a[r0:r, c1:], q), q)
+            a[r0:r, c1:] = prod[:k]
+            a[r:, c1:] += prod[k:]
+            del prod
     np.mod(a, q, out=a)
     return pivots
 
@@ -321,15 +338,25 @@ def _back_substitute(a: np.ndarray, pivots: list[int], q: int, start: int = 0) -
 
     Row i is already clear of every later pivot column when it clears its
     own, and no row operation reaches an earlier pivot column, so each
-    multiplier a[:i, c] is final when it is read.  Columns left of ``start``
-    can therefore be skipped, as ``_solve`` does for a's columns.
+    multiplier a[:i, c] is final, and reduced, when it is read.  Columns left
+    of ``start`` can therefore be skipped, as ``_solve`` does for a's
+    columns.  Updates are reduced lazily, as in ``_echelon``: the pivot row
+    is reduced before use, and the rows above it when ``room`` rank-1
+    updates have piled up, and every row on return.
     """
+    room = (2**63 - q) // ((q - 1) * (q - 1))
+    pending = 0
     for i in reversed(range(len(pivots))):
         c = pivots[i]
         if np.any(a[:i, c]):
             lo = max(c, start)
-            a[:i, lo:] -= np.outer(a[:i, c], a[i, lo:])
-            np.mod(a[:i, lo:], q, out=a[:i, lo:])
+            if pending == room:
+                np.mod(a[:i, lo:], q, out=a[:i, lo:])
+                pending = 0
+            a[:i, lo:] -= np.outer(a[:i, c], np.mod(a[i, lo:], q))
+            pending += 1
+    if pending:
+        np.mod(a[:, start:], q, out=a[:, start:])
 
 
 def rref(m: MatrixFq) -> tuple[MatrixFq, int, list[int]]:

@@ -294,10 +294,16 @@ def test_non_integer_sweep_bound_is_a_usage_error(capsys):
         ({"ell": "10"}, "ell must be an integer, got '10'"),
         ({"slots": True}, "slots must be an integer, got True"),
         ({"n": [3, "3"]}, "n must be a list of integers, got [3, '3']"),
+        ({"out": ["x.csv"]}, "out must be a string, got ['x.csv']"),
+        ({"sweep": 5}, "sweep must be a string, got 5"),
+        ({"format": "xml"}, "format must be 'csv' or 'json', got 'xml'"),
     ],
 )
 def test_config_value_of_the_wrong_type_is_a_usage_error(tmp_path, capsys, config, message):
-    # config values reach int(), numpy and run_session unconverted
+    # config values reach int(), numpy, run_session and open() unconverted;
+    # any format but json would be written as CSV, and an int out opened as a
+    # file descriptor (a list stands in for it here: unchecked, an int would
+    # write to and close one of the test process's descriptors)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"q": 101, "ell": 8, "na": 4, "n": [3], "ne": 1, **config}))
     with pytest.raises(SystemExit) as exc:

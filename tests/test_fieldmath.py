@@ -203,13 +203,23 @@ def reference_kernel(m: MatrixFq) -> MatrixFq:
 
 @functools.cache
 def largest_float_q(panel: int) -> int:
-    """The largest prime whose wide eliminations run in float64 panels of
-    this width: ``panel`` lazy updates of size (q-1)^2 on top of an entry
-    below q stay within 2^53."""
-    q = math.isqrt(2**53 // panel) + 1
-    while (2**53 - q) // (q - 1) ** 2 < panel or not is_prime(q):
+    """The largest prime whose panel products, ``panel`` terms of at most
+    (q-1)^2, are one float64 product: panel (q-1)^2 < 2^53."""
+    q = math.isqrt((2**53 - 1) // panel) + 1
+    while panel * (q - 1) ** 2 >= 2**53 or not is_prime(q):
         q -= 1
     return q
+
+
+def next_prime(n: int) -> int:
+    n += 1
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+# The smallest prime whose 64-term products take limbs.
+FIRST_LIMB_Q = next_prime(largest_float_q(64))
 
 
 @st.composite
@@ -266,7 +276,9 @@ def test_solve_in_rowspan_returns_the_gauss_jordan_witness(m, lead, k, stray, se
 def panelled_matrices(draw):
     """A panel width of 1-3 columns, so that small matrices span several
     panels, and a matrix with zero columns and 0-2 leading zero rows (which
-    force row swaps), over fields on both sides of the float64 bound."""
+    force row swaps), over fields on both sides of the float64 bound: panel
+    products are one float64 product up to largest_float_q(panel) and limb
+    products above it."""
     panel = draw(st.sampled_from([1, 2, 3]))
     m = draw(low_rank_matrices(qs=(2, 3, 101, largest_float_q(panel), 2**31 - 1)))
     arr = np.insert(m.arr, draw(st.lists(st.integers(0, m.cols), max_size=3)), 0, axis=1)
@@ -295,27 +307,33 @@ def test_panelled_elimination_matches_gauss_jordan(case, seed):
 
 def test_default_panels_match_gauss_jordan():
     # at the default panel width: leading zero rows (swaps), zero columns
-    # inside the second panel and a dependent row, at q = 101
-    rng = np.random.default_rng(31)
-    ctx = FieldCtx(101)
-    arr = random_matrix(300, 480, ctx, rng).arr.copy()
-    arr[:5] = 0
-    arr[:, 70:76] = 0
-    arr[150] = (arr[20] + arr[30]) % 101
-    m = MatrixFq(arr, ctx)
-    target = random_matrix(4, 300, ctx, rng) @ m
-    assert rank(m) == 294
-    assert rref(m) == reference_rref(m)
-    assert solve_in_rowspan(target, m) == reference_solve(target, m)
+    # inside the second panel and a dependent row, with single panel
+    # products at q = 101 and limb products at q = 2^31 - 1
+    for q in (101, 2**31 - 1):
+        rng = np.random.default_rng(31)
+        ctx = FieldCtx(q)
+        arr = random_matrix(300, 480, ctx, rng).arr.copy()
+        arr[:5] = 0
+        arr[:, 70:76] = 0
+        arr[150] = (arr[20] + arr[30]) % q
+        m = MatrixFq(arr, ctx)
+        target = random_matrix(4, 300, ctx, rng) @ m
+        assert rank(m) == 294
+        assert rref(m) == reference_rref(m)
+        assert solve_in_rowspan(target, m) == reference_solve(target, m)
 
 
 def test_float_panels_at_the_largest_float_modulus():
     # an all-(q-1) matrix, a random one, and L @ U built so that every panel
-    # product adds the full panel * (q-1)^2 to the rows below: L is 1 on the
-    # diagonal and below each diagonal panel block, U is 1 on the diagonal
-    # and q-1 right of each pivot's panel, so each panel's transform is the
-    # identity and its tracking columns are all q-1; without a reduction the
-    # second panel would carry the trailing entries past 2^53
+    # product is as large as it gets: L is 1 on the diagonal and below each
+    # diagonal panel block, U is 1 on the diagonal and q-1 right of each
+    # pivot's panel, so each panel's transform is the identity, its tracking
+    # columns are all q-1, and every dot product of [M ; -L21 @ M] @ A12 sums
+    # a full panel of (q-1)^2 terms: just below 2^53 in one float64 product
+    # at the largest float modulus.  L @ U runs past that bound too, where
+    # panel products take two 12-bit limbs at the next prime and two 16-bit
+    # ones at 2^31 - 1, and where the rank-1 updates inside a panel reduce
+    # every other pivot
     w = fieldmath._PANEL
     ctx = FieldCtx(largest_float_q(w))
     top = MatrixFq(np.full((40, 3 * w), ctx.q - 1), ctx)
@@ -326,9 +344,12 @@ def test_float_panels_at_the_largest_float_modulus():
     assert rref(m) == reference_rref(m)
     rows, cols = np.arange(3 * w + 8)[:, None], np.arange(5 * w)[None, :]
     lower = np.where(rows // w > rows.T // w, 1, 0) + np.eye(3 * w + 8, dtype=np.int64)
-    upper = np.where(cols // w > rows // w, ctx.q - 1, 0) + np.eye(3 * w + 8, 5 * w, dtype=np.int64)
-    m = MatrixFq(lower, ctx) @ MatrixFq(upper, ctx)
-    assert rref(m) == reference_rref(m)
+    for q in (ctx.q, FIRST_LIMB_Q, 2**31 - 1):
+        ctx = FieldCtx(q)
+        upper = np.where(cols // w > rows // w, q - 1, 0) + np.eye(3 * w + 8, 5 * w, dtype=np.int64)
+        m = MatrixFq(lower, ctx) @ MatrixFq(upper, ctx)
+        assert rref(m) == reference_rref(m)
+        assert rank(m) == m.rows
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -458,7 +479,7 @@ def test_mat_mul_associative_distributive():
 
 
 def test_mat_mul_large_modulus_no_overflow():
-    # q close to 2**31: dot products go through 16-bit limbs
+    # q close to 2**31: dot products go through float64 limb products
     ctx = FieldCtx(2147483647)
     rng = np.random.default_rng(1)
     a = random_matrix(3, 40, ctx, rng)
@@ -468,16 +489,29 @@ def test_mat_mul_large_modulus_no_overflow():
     assert got.tolist() == [[int(x) for x in row] for row in want]
 
 
-@pytest.mark.parametrize("k", [1, 2, 2**16 - 1])
+# k on both sides of every change of limb count (the largest k for which L
+# limbs of ceil(bits / L) bits keep k terms of limb * (q-1) below 2^53) and
+# of the 2^16 - 1 term chunk: at FIRST_LIMB_Q single products up to 63 terms,
+# then two 12-bit limbs; at q = 2^31 - 1 two 16-bit limbs up to 64 terms, then
+# three of 11 bits, four of 8, five of 7 and six of 6 bits
+@pytest.mark.parametrize(
+    "k", [1, 2, 63, 64, 65, 2049, 2050, 16448, 16449, 33026, 33027, 2**16 - 1, 2**16]
+)
 def test_mat_mul_limbs_match_python_integers(k):
-    # at q = 2^31 - 1 every k >= 3 overflows a plain int64 product; the
-    # all-(q-1) row and column give the largest dot product there is
-    ctx = FieldCtx(2**31 - 1)
-    rng = np.random.default_rng(k)
-    a = vstack([random_matrix(2, k, ctx, rng), MatrixFq(np.full((1, k), ctx.q - 1), ctx)])
-    b = hstack([random_matrix(k, 2, ctx, rng), MatrixFq(np.full((k, 1), ctx.q - 1), ctx)])
-    want = (a.arr.astype(object) @ b.arr.astype(object)) % ctx.q
-    assert mat_mul(a, b).tolist() == want.tolist()
+    # at q = 2^31 - 1 every k >= 3 overflows a plain int64 product.  The
+    # all-(q-1) row and column give the largest dot product there is, but an
+    # even one, which float64 holds exactly up to 2^54; a last entry of q-2 in
+    # both makes every limb block's dot product odd, so a limb or product one
+    # bit too wide cannot be exact
+    for q in (FIRST_LIMB_Q, 2**31 - 1):
+        ctx = FieldCtx(q)
+        rng = np.random.default_rng(k)
+        top = np.full((2, k), q - 1)
+        top[1, -1] = q - 2
+        a = vstack([random_matrix(2, k, ctx, rng), MatrixFq(top, ctx)])
+        b = hstack([random_matrix(k, 2, ctx, rng), MatrixFq(top.T, ctx)])
+        want = (a.arr.astype(object) @ b.arr.astype(object)) % q
+        assert mat_mul(a, b).tolist() == want.tolist(), q
 
 
 def test_random_matrix_empty_and_deterministic():
@@ -540,8 +574,8 @@ def test_solve_in_rowspan_returns_the_basic_solution():
 
 
 def test_solve_in_rowspan_large_modulus_no_overflow():
-    # q close to 2**31: recombining over three or more pivots overflows int64
-    # unless the product goes through mat_mul's limbs
+    # q close to 2**31: products of three or more reduced terms overflow
+    # int64, and every one must stay exact
     ctx = FieldCtx(2147483647)
     rng = np.random.default_rng(3)
     basis = random_matrix(6, 10, ctx, rng)
