@@ -31,7 +31,11 @@ The protocol, per session of N slots; run_session calls one stage per step:
    one-time-padding a linear combination code over the subset key blocks.
 6. _audit: agreement, feasibility inheritance, and the zero-leakage
    certificate against the eavesdropper's complete view, in coefficient
-   space (width N * n_a, not N * ell).
+   space (width N * n_a, not N * ell).  Both work modulo the eavesdropper's
+   slot subspaces (_quotient): the cap of a selection is the rank of its
+   bases modulo the slot's view, and the key vectors, which extraction made
+   independent, leak nothing exactly when they keep full row rank modulo the
+   direct sum of those views (_leakage_certificate).
 
 A degenerate session (a generic-position event failed, probability O(1/q),
 or a step found no solution) has its keys withheld: the stage raises
@@ -55,7 +59,7 @@ from .fieldmath import (
     FieldCtx,
     MatrixFq,
     _solve,
-    block_diag,
+    _wrap,
     hstack,
     mat_mul,
     random_matrix,
@@ -64,7 +68,7 @@ from .fieldmath import (
     vstack,
 )
 from .simplex import maximize
-from .subspaces import Subspace, SubspaceFamily, direct_sum, random_inside, span_of
+from .subspaces import Subspace, SubspaceFamily, _quotient, direct_sum, random_inside, span_of
 
 # Largest family whose 2^k - 1 selections are enumerated for actual subspaces.
 MAX_ENUMERATED_SUBSETS = 7
@@ -148,9 +152,10 @@ def _as_allocation(alloc, m: int) -> SubsetAllocation:
 
 def _cap(subs, base: Subspace | None) -> int:
     """Dimension the subspaces ``subs`` add to ``base`` (to nothing when
-    ``base`` is None): one forward-only rank of their stacked bases."""
-    bases = [s.basis for s in subs] + ([] if base is None else [base.basis])
-    return rank(vstack(bases)) - (0 if base is None else base.dim)
+    ``base`` is None): one forward-only rank of their stacked bases, taken
+    modulo ``base`` (_quotient)."""
+    stacked = vstack([s.basis for s in subs])
+    return rank(stacked if base is None else _quotient(stacked, base))
 
 
 def _actual_caps(family: SubspaceFamily, base: Subspace | None = None) -> dict[tuple[int, ...], int]:
@@ -704,23 +709,41 @@ def _multicast(picks: dict[int, Subspace], keys: KeyShare, final: MatrixFq | Non
     return code, ciphers, replace(keys, final_key=final, terminal_final=decoded)
 
 
+def _leakage_certificate(key_vectors: MatrixFq, eves: list[Subspace]) -> bool:
+    """Zero-leakage certificate of extracted key vectors, in session
+    coordinates, against the eavesdropper's span, the direct sum of the slot
+    subspaces ``eves``: the key vectors keep all their rows' rank modulo that
+    span, one slot block at a time (_quotient).
+
+    That holds exactly when rank K = K.rows and span K meets span E only in
+    zero.  Extraction certifies the first, so on extracted picks the verdict
+    is certify_zero_leakage(K, block_diag(E_t)), from one elimination of
+    K.rows x sum_t (n_a - dim E_t).
+    """
+    ctx, width = key_vectors.ctx, eves[0].ambient_dim
+    blocks = [
+        _quotient(_wrap(key_vectors.arr[:, t * width : (t + 1) * width], ctx), eve)
+        for t, eve in enumerate(eves)
+    ]
+    return rank(hstack(blocks)) == key_vectors.rows
+
+
 def _audit(alloc: SubsetAllocation, counts, slots, exclusive, picks, keys: KeyShare) -> AuditReport:
     """Audit (harness-side omniscience): agreement, feasibility inheritance,
     and the zero-leakage certificate against the eavesdropper's full view.
-    A failed certificate withholds the keys: its report is raised."""
-    # One cap table per slot; the session's table is their sum, because the
+    A failed certificate withholds the keys: its report is raised.
+
+    Both reuse the eavesdropper's slot subspaces: one cap table per slot, and
+    the certificate taken modulo their direct sum (_leakage_certificate).
+    """
+    eves = [span_of(rec.obs.eve_transfer) for rec in slots]
+    # The session's cap table is the sum of the slot tables, because the
     # session family and the eavesdropper's session view are direct sums.
-    tables = [
-        _actual_caps(SubspaceFamily(alloc.m, ex), span_of(rec.obs.eve_transfer))
-        for ex, rec in zip(exclusive, slots)
-    ]
+    tables = [_actual_caps(SubspaceFamily(alloc.m, ex), eve) for ex, eve in zip(exclusive, eves)]
     session_caps = {sel: sum(caps[sel] for caps in tables) for sel in tables[0]}
     # Certified in coefficient space: the packets are these coefficients times
     # block_diag([I | M_t]), which has full row rank and so keeps every rank.
-    cert = not picks or certify_zero_leakage(
-        vstack([pick.basis for pick in picks.values()]),
-        block_diag([rec.obs.eve_transfer for rec in slots]),
-    )
+    cert = not picks or _leakage_certificate(vstack([pick.basis for pick in picks.values()]), eves)
     key_blocks = 0 if keys.final_key is None or not cert else keys.final_key.rows
     audit = AuditReport(
         degenerate=not cert,

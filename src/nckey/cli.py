@@ -117,6 +117,12 @@ def resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
     for key in ("sweep", "out"):
         if cfg[key] is not None and type(cfg[key]) is not str:
             parser.error(f"{key} must be a string, got {cfg[key]!r}")
+    # Shares are read by Fraction, which takes a bool as 0 or 1.
+    alloc = cfg["allocation"]
+    if alloc is not None and (
+        type(alloc) is not dict or any(type(v) not in (int, float, str) for v in alloc.values())
+    ):
+        parser.error(f"allocation must map subsets to numbers or strings, got {alloc!r}")
     if cfg["format"] not in ("csv", "json"):
         parser.error(f"format must be 'csv' or 'json', got {cfg['format']!r}")
     return cfg
@@ -231,7 +237,7 @@ def cmd_simulate(cfg: dict, parser) -> dict:
             alloc = SubsetAllocation(
                 params.m, {int(k): Fraction(v) for k, v in cfg["allocation"].items()}
             )
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             parser.error(f"invalid allocation: {exc}")
         lp_value = None
     else:

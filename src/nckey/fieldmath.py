@@ -105,7 +105,7 @@ class MatrixFq:
         return self.arr.shape
 
     def transpose(self) -> "MatrixFq":
-        return MatrixFq(self.arr.T, self.ctx)
+        return _wrap(self.arr.T, self.ctx)
 
     def tolist(self) -> list[list[int]]:
         return self.arr.tolist()
@@ -126,6 +126,19 @@ class MatrixFq:
 
     def __repr__(self):
         return f"MatrixFq({self.arr.tolist()}, q={self.ctx.q})"
+
+
+def _wrap(a: np.ndarray, ctx: FieldCtx) -> MatrixFq:
+    """MatrixFq over an int64 2-D array that is already reduced mod q and
+    that no caller writes to again (a kernel output), made read-only without
+    the public constructor's np.mod.  A view of a larger buffer is copied, so
+    that it does not keep that buffer alive."""
+    if a.base is not None and a.base.nbytes > a.nbytes:
+        a = a.copy()
+    a.flags.writeable = False
+    out = object.__new__(MatrixFq)
+    out.ctx, out.arr = ctx, a
+    return out
 
 
 def zeros(rows: int, cols: int, ctx: FieldCtx) -> MatrixFq:
@@ -150,7 +163,7 @@ def vstack(mats) -> MatrixFq:
     cols = {m.cols for m in mats}
     if len(cols) != 1:
         raise ValueError(f"cannot stack matrices with differing column counts {sorted(cols)}")
-    return MatrixFq(np.vstack([m.arr for m in mats]), ctx)
+    return _wrap(np.vstack([m.arr for m in mats]), ctx)
 
 
 def hstack(mats) -> MatrixFq:
@@ -159,7 +172,7 @@ def hstack(mats) -> MatrixFq:
     rws = {m.rows for m in mats}
     if len(rws) != 1:
         raise ValueError(f"cannot stack matrices with differing row counts {sorted(rws)}")
-    return MatrixFq(np.hstack([m.arr for m in mats]), ctx)
+    return _wrap(np.hstack([m.arr for m in mats]), ctx)
 
 
 def block_diag(mats) -> MatrixFq:
@@ -174,7 +187,7 @@ def block_diag(mats) -> MatrixFq:
         out[r : r + m.rows, c : c + m.cols] = m.arr
         r += m.rows
         c += m.cols
-    return MatrixFq(out, ctx)
+    return _wrap(out, ctx)
 
 
 def mat_mul(a: MatrixFq, b: MatrixFq) -> MatrixFq:
@@ -186,12 +199,12 @@ def mat_mul(a: MatrixFq, b: MatrixFq) -> MatrixFq:
     _check_same_ctx(a, b)
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: ({a.rows}x{a.cols}) @ ({b.rows}x{b.cols})")
-    return MatrixFq(_mul_mod(a.arr, b.arr, a.ctx.q), a.ctx)
+    return _wrap(_mul_mod(a.arr, b.arr, a.ctx.q), a.ctx)
 
 
 def random_matrix(rows: int, cols: int, ctx: FieldCtx, rng: np.random.Generator) -> MatrixFq:
     """Matrix with i.i.d. entries uniform on [0, q), drawn from the given rng."""
-    return MatrixFq(rng.integers(0, ctx.q, size=(rows, cols), dtype=np.int64), ctx)
+    return _wrap(rng.integers(0, ctx.q, size=(rows, cols), dtype=np.int64), ctx)
 
 
 # Column-panel width of the blocked elimination in _echelon.
@@ -370,7 +383,7 @@ def rref(m: MatrixFq) -> tuple[MatrixFq, int, list[int]]:
     a = m.arr.copy()
     pivots = _echelon(a, m.ctx.q)
     _back_substitute(a, pivots, m.ctx.q)
-    return MatrixFq(a, m.ctx), len(pivots), pivots
+    return _wrap(a, m.ctx), len(pivots), pivots
 
 
 def rank(m: MatrixFq) -> int:
@@ -401,7 +414,7 @@ def _solve(a: MatrixFq, b: MatrixFq) -> tuple[MatrixFq | None, int]:
     _back_substitute(aug, pivots, q, start=n)
     x = np.zeros((n, b.cols), dtype=np.int64)
     x[pivots] = aug[:r, n:]
-    return MatrixFq(x, a.ctx), r
+    return _wrap(x, a.ctx), r
 
 
 def solve_in_rowspan(target: MatrixFq, basis: MatrixFq) -> MatrixFq | None:
@@ -431,4 +444,4 @@ def right_kernel(m: MatrixFq) -> MatrixFq:
     out = np.zeros((len(free), m.cols), dtype=np.int64)
     out[np.arange(len(free)), free] = 1
     out[:, pivots] = np.mod(-red.arr[:r, free].T, m.ctx.q)
-    return MatrixFq(out, m.ctx)
+    return _wrap(out, m.ctx)

@@ -14,6 +14,8 @@ import numpy as np
 from .fieldmath import (
     FieldCtx,
     MatrixFq,
+    _mul_mod,
+    _wrap,
     block_diag,
     mat_mul,
     random_matrix,
@@ -113,7 +115,28 @@ def _check_compatible(a: Subspace, b: Subspace):
 def span_of(m: MatrixFq) -> Subspace:
     """Row span of a matrix as a canonical subspace."""
     red, r, _ = rref(m)
-    return Subspace(MatrixFq(red.arr[:r], m.ctx), m.cols)
+    return Subspace(_wrap(red.arr[:r], m.ctx), m.cols)
+
+
+def _quotient(rows: MatrixFq, sub: Subspace) -> MatrixFq:
+    """The rows modulo ``sub``, in coordinates: each row less the combination
+    of sub's RREF basis that matches it in the basis's pivot columns, which
+    leaves those columns zero, and so dropped.
+
+    Over an RREF basis B with pivot columns P and the other columns F this is
+    rows[:, F] - rows[:, P] @ B[:, F], one ``_mul_mod`` product.  A vector
+    lies in ``sub`` exactly when its image is zero, so the image has rank
+    dim(rowspan(rows) + sub) - dim(sub).
+    """
+    if sub.dim == 0:
+        return rows
+    q, basis = sub.ctx.q, sub.basis.arr
+    pivots = np.argmax(basis != 0, axis=1)
+    free = np.setdiff1d(np.arange(sub.ambient_dim), pivots)
+    out = rows.arr[:, free]
+    out -= _mul_mod(rows.arr[:, pivots], basis[:, free], q)
+    np.mod(out, q, out=out)
+    return _wrap(out, sub.ctx)
 
 
 def zero_subspace(ambient_dim: int, ctx: FieldCtx) -> Subspace:
@@ -139,6 +162,9 @@ def random_inside(
     Draws coefficient matrices over ``sub``'s basis until the combination has
     full rank (with ``avoid``); this is uniform because every valid subspace
     has the same number of spanning matrices (see spanning_matrix_count).
+    A pick of all of ``sub`` (dim == sub.dim, no ``avoid``) can only be
+    ``sub``: its square draws are checked by rank alone, and the first
+    full-rank one returns ``sub``, after the same draws as any other pick.
     Raises RuntimeError if MAX_DRAWS draws all fail.
     """
     free = sub.dim - (0 if avoid is None else avoid.dim)
@@ -148,16 +174,20 @@ def random_inside(
         return zero_subspace(sub.ambient_dim, sub.ctx)
     for _ in range(MAX_DRAWS):
         coeff = random_matrix(dim, sub.dim, sub.ctx, rng)
-        if avoid is None:
+        if avoid is not None:
+            cand = mat_mul(coeff, sub.basis)
+            if rank(vstack([cand, avoid.basis])) == dim + avoid.dim:
+                return span_of(cand)
+        elif dim == sub.dim:
+            # A full-rank square draw has RREF I, and I @ basis is sub's.
+            if rank(coeff) == dim:
+                return sub
+        else:
             red, r, _ = rref(coeff)
             if r == dim:
                 # red @ basis is already in RREF: in the basis's pivot
                 # columns it equals red, and each row leads there.
                 return Subspace(mat_mul(red, sub.basis), sub.ambient_dim)
-        else:
-            cand = mat_mul(coeff, sub.basis)
-            if rank(vstack([cand, avoid.basis])) == dim + avoid.dim:
-                return span_of(cand)
     raise RuntimeError(f"no full-rank draw in {MAX_DRAWS} tries")
 
 

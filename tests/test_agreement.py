@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nckey import agreement, simplex
 from nckey.agreement import (
@@ -439,6 +441,75 @@ def test_certificate_trivial_cases():
     keys = MatrixFq([[1, 0, 1, 0]], F2)
     assert certify_zero_leakage(keys, zeros(0, 4, F2))
     assert not certify_zero_leakage(keys, keys)
+
+
+@st.composite
+def keys_and_eavesdropper(draw):
+    """Session-width key rows K against a block-diagonal eavesdropper E, at
+    the field-size extremes: E's blocks may be empty or rank-deficient, and
+    K mixes free rows, rows inside span E and rows dependent on earlier K
+    rows (shuffled)."""
+    ctx = FieldCtx(draw(st.sampled_from([2, 3, 101, 2**31 - 1])))
+    slots, width = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = []
+    for _ in range(slots):
+        rows, inner = draw(st.integers(0, width + 1)), draw(st.integers(0, width))
+        blocks.append(random_matrix(rows, inner, ctx, rng) @ random_matrix(inner, width, ctx, rng))
+    eve = block_diag(blocks)
+    free, leaked, dependent = (draw(st.integers(0, n)) for n in (slots * width, 2, 2))
+    free_rows = random_matrix(free, slots * width, ctx, rng)
+    keys = vstack(
+        [
+            free_rows,
+            random_matrix(leaked, eve.rows, ctx, rng) @ eve,
+            random_matrix(dependent, free, ctx, rng) @ free_rows,
+        ]
+    )
+    keys = MatrixFq(keys.arr[rng.permutation(keys.rows)], ctx)
+    return keys, eve, [span_of(block) for block in blocks]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(keys_and_eavesdropper())
+def test_quotient_certificate_equals_certify_zero_leakage(case):
+    # modulo the eavesdropper's slot spans, K keeps all its rows' rank exactly
+    # when it has full row rank and certify_zero_leakage holds; extraction
+    # certifies the full row rank, so on sessions the two verdicts agree
+    keys, eve, eves = case
+    cert = agreement._leakage_certificate(keys, eves)
+    assert cert == (rank(keys) == keys.rows and certify_zero_leakage(keys, eve))
+
+
+def test_quotient_certificate_hand_cases():
+    # two slots of F_3^3, the eavesdropper seeing e1 in the first: a key off
+    # its view passes; a key inside it fails, and so do dependent key rows
+    ctx = FieldCtx(3)
+    eve = [span_of(MatrixFq([[1, 0, 0]], ctx)), zero_subspace(3, ctx)]
+    assert agreement._leakage_certificate(MatrixFq([[0, 1, 0, 1, 0, 0]], ctx), eve)
+    assert not agreement._leakage_certificate(MatrixFq([[2, 0, 0, 0, 0, 0]], ctx), eve)
+    assert not agreement._leakage_certificate(MatrixFq([[0, 1, 0, 0, 0, 0]] * 2, ctx), eve)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([2, 3, 101, 2**31 - 1]),
+    st.integers(1, 8),
+    st.lists(st.integers(0, 5), min_size=1, max_size=3),
+    st.integers(0, 9),
+    st.integers(0, 2**32 - 1),
+)
+def test_quotient_cap_equals_the_stacked_rank(q, ambient, dims, eve_rows, seed):
+    # the dimension a selection adds to a base, taken modulo the base, is the
+    # rank of the selection's bases stacked on the base's, less the base's
+    ctx, rng = FieldCtx(q), np.random.default_rng(seed)
+    base = span_of(random_matrix(eve_rows, ambient, ctx, rng))
+    subs = [random_subspace(ambient, min(d, ambient), ctx, rng) for d in dims]
+    if len(subs) > 1:
+        subs.append(subs[0] + subs[1])
+    stacked = rank(vstack([sub.basis for sub in subs] + [base.basis])) - base.dim
+    assert agreement._cap(subs, base) == stacked
+    assert agreement._cap(subs, None) == rank(vstack([sub.basis for sub in subs]))
 
 
 def test_exhaustive_leakage_spot_cases():

@@ -267,6 +267,7 @@ SIMULATE = ["simulate", "--q", "101", "--ell", "8", "--na", "4", "--n", "3", "--
         (["--seed", "-1"], None, "--seed must be nonnegative"),
         ([], {"9": "1"}, "subset mask 9 out of range"),
         ([], {"1": "-1/2"}, "share for subset 1 is negative"),
+        ([], {"1": float("inf")}, "cannot convert Infinity to integer ratio"),
     ],
 )
 def test_simulate_bad_input_is_a_usage_error(tmp_path, capsys, flags, allocation, message):
@@ -297,6 +298,10 @@ def test_non_integer_sweep_bound_is_a_usage_error(capsys):
         ({"out": ["x.csv"]}, "out must be a string, got ['x.csv']"),
         ({"sweep": 5}, "sweep must be a string, got 5"),
         ({"format": "xml"}, "format must be 'csv' or 'json', got 'xml'"),
+        ({"allocation": [1, 2]}, "allocation must map subsets to numbers or strings, got [1, 2]"),
+        ({"allocation": "1"}, "allocation must map subsets to numbers or strings, got '1'"),
+        ({"allocation": {"1": None}}, "got {'1': None}"),
+        ({"allocation": {"1": True}}, "got {'1': True}"),
     ],
 )
 def test_config_value_of_the_wrong_type_is_a_usage_error(tmp_path, capsys, config, message):

@@ -1,7 +1,10 @@
+import copy
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nckey.bounds import generic_dims
 from nckey import fieldmath
@@ -12,12 +15,14 @@ from nckey.fieldmath import (
     mat_mul,
     random_matrix,
     rank,
+    rref,
     vstack,
     zeros,
 )
 from nckey.subspaces import (
     Subspace,
     SubspaceFamily,
+    _quotient,
     direct_sum,
     full_space,
     gaussian_binomial,
@@ -227,9 +232,35 @@ def test_random_subspace_uniform():
         assert abs(c - n * p) <= 5 * sigma
 
 
+@pytest.mark.parametrize("q", [2, 3, 101, 2**31 - 1])
+def test_full_dimension_pick_returns_sub_after_the_reference_draws(q):
+    # a pick of all of sub returns sub itself, and leaves the generator where
+    # the draw-and-rref loop of a partial pick would: singular square draws
+    # (frequent at q = 2) are redrawn, full-rank ones reduce to I
+    from nckey import subspaces
+
+    ctx = FieldCtx(q)
+    rejected = 0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        sub = random_subspace(7, int(rng.integers(1, 6)), ctx, rng)
+        ref_rng = copy.deepcopy(rng)
+        got = subspaces.random_inside(sub, sub.dim, rng)
+        while True:
+            red, r, _ = rref(random_matrix(sub.dim, sub.dim, ctx, ref_rng))
+            if r == sub.dim:
+                break
+            rejected += 1
+        assert got is sub
+        assert Subspace(mat_mul(red, sub.basis), 7) == sub
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert rejected >= (20 if q == 2 else 0)
+
+
 def test_rejection_draws_are_bounded(monkeypatch):
     # a rank that never reports full rank must end every rejection loop
-    # (draws without avoid read the rank off rref, draws with avoid call rank)
+    # (partial draws without avoid read the rank off rref; full-dimension
+    # draws and draws with avoid call rank)
     from nckey import subspaces
 
     rng = np.random.default_rng(4)
@@ -241,7 +272,32 @@ def test_rejection_draws_are_bounded(monkeypatch):
     with pytest.raises(RuntimeError, match="tries"):
         subspaces.random_inside(a, 1, rng)
     with pytest.raises(RuntimeError, match="tries"):
+        subspaces.random_inside(a, 2, rng)
+    with pytest.raises(RuntimeError, match="tries"):
         full_space(4, F5).complement(a, rng)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([2, 3, 101, 2**31 - 1]),
+    st.integers(0, 9),
+    st.integers(0, 8),
+    st.integers(0, 4),
+    st.integers(0, 6),
+    st.integers(0, 2**32 - 1),
+)
+def test_quotient_rank_is_the_rank_added_to_the_subspace(q, ambient, rows, inside, spread, seed):
+    # rows modulo S keep exactly the rank they add to S, rows inside S map to
+    # zero, and the quotient's width is ambient - dim S
+    ctx, rng = FieldCtx(q), np.random.default_rng(seed)
+    sub = span_of(random_matrix(spread, ambient, ctx, rng))
+    x = vstack(
+        [random_matrix(rows, ambient, ctx, rng), random_matrix(inside, sub.dim, ctx, rng) @ sub.basis]
+    )
+    image = _quotient(x, sub)
+    assert image.shape == (rows + inside, ambient - sub.dim)
+    assert rank(image) == rank(vstack([x, sub.basis])) - sub.dim
+    assert not _quotient(MatrixFq(x.arr[rows:], ctx), sub).arr.any()
 
 
 def test_direct_sum():
