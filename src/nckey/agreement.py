@@ -32,7 +32,7 @@ The protocol, per session of N slots; run_session calls one stage per step:
 6. _audit: agreement, feasibility inheritance, and the zero-leakage
    certificate against the eavesdropper's complete view, in coefficient
    space (width N * n_a, not N * ell).  Both work modulo the eavesdropper's
-   slot subspaces (_quotient): the cap of a selection is the rank of its
+   slot subspaces (quotient): the cap of a selection is the rank of its
    bases modulo the slot's view, and the key vectors, which extraction made
    independent, leak nothing exactly when they keep full row rank modulo the
    direct sum of those views (_leakage_certificate).
@@ -68,7 +68,7 @@ from .fieldmath import (
     vstack,
 )
 from .simplex import maximize
-from .subspaces import Subspace, SubspaceFamily, _quotient, direct_sum, random_inside, span_of
+from .subspaces import Subspace, SubspaceFamily, direct_sum, quotient, random_inside, span_of
 
 # Largest family whose 2^k - 1 selections are enumerated for actual subspaces.
 MAX_ENUMERATED_SUBSETS = 7
@@ -153,9 +153,9 @@ def _as_allocation(alloc, m: int) -> SubsetAllocation:
 def _cap(subs, base: Subspace | None) -> int:
     """Dimension the subspaces ``subs`` add to ``base`` (to nothing when
     ``base`` is None): one forward-only rank of their stacked bases, taken
-    modulo ``base`` (_quotient)."""
+    modulo ``base`` (quotient)."""
     stacked = vstack([s.basis for s in subs])
-    return rank(stacked if base is None else _quotient(stacked, base))
+    return rank(stacked if base is None else quotient(stacked, base))
 
 
 def _actual_caps(family: SubspaceFamily, base: Subspace | None = None) -> dict[tuple[int, ...], int]:
@@ -369,11 +369,13 @@ def extract_secure_subspaces(
     """Pick counts[J] dimensions inside each exclusive subspace so that all
     picks are mutually independent.
 
-    With ``eve`` a Subspace (test mode) the picks are additionally certified
-    independent of the eavesdropper's subspace, exactly.  With ``eve`` None
-    (the realistic mode: only the eavesdropper's dimension is known) only
-    mutual independence is certified here; independence from the eavesdropper
-    then holds with probability 1 - O(1/q) and is checked by the session audit.
+    Both modes take one acceptance test: the picks add their total dimension
+    to ``eve``'s subspace, or to nothing when ``eve`` is None (_cap).  With ``eve`` a Subspace (test mode) that certifies
+    them independent of each other and of the eavesdropper's subspace,
+    exactly.  With ``eve`` None (the realistic mode: only the eavesdropper's
+    dimension is known) it certifies mutual independence only; independence
+    from the eavesdropper then holds with probability 1 - O(1/q) and is
+    checked by the session audit.
 
     Independent picks certify every selection constraint at once, and
     feasible counts always admit them (Rado's theorem, matroid union), so the
@@ -396,13 +398,10 @@ def extract_secure_subspaces(
         singletons = {(mask,): _cap([family[mask]], base) for mask in masks}
         raise InfeasibleAllocationError(_check_against(counts, singletons))
 
-    want = sum(counts.values()) + (0 if base is None else base.dim)
+    want = sum(counts.values())
     for attempt in range(max_tries):
         picks = {mask: random_inside(family[mask], counts[mask], rng) for mask in masks}
-        bases = [picks[mask].basis for mask in masks if counts[mask] > 0]
-        if base is not None:
-            bases.append(base.basis)
-        if not bases or rank(vstack(bases)) == want:
+        if not want or _cap([picks[mask] for mask in masks if counts[mask] > 0], base) == want:
             return picks
         if attempt == 0 and len(masks) <= MAX_ENUMERATED_SUBSETS:
             feas = _check_against(counts, _actual_caps(family, base))
@@ -713,7 +712,7 @@ def _leakage_certificate(key_vectors: MatrixFq, eves: list[Subspace]) -> bool:
     """Zero-leakage certificate of extracted key vectors, in session
     coordinates, against the eavesdropper's span, the direct sum of the slot
     subspaces ``eves``: the key vectors keep all their rows' rank modulo that
-    span, one slot block at a time (_quotient).
+    span, one slot block at a time (quotient).
 
     That holds exactly when rank K = K.rows and span K meets span E only in
     zero.  Extraction certifies the first, so on extracted picks the verdict
@@ -722,7 +721,7 @@ def _leakage_certificate(key_vectors: MatrixFq, eves: list[Subspace]) -> bool:
     """
     ctx, width = key_vectors.ctx, eves[0].ambient_dim
     blocks = [
-        _quotient(_wrap(key_vectors.arr[:, t * width : (t + 1) * width], ctx), eve)
+        quotient(_wrap(key_vectors.arr[:, t * width : (t + 1) * width], ctx), eve)
         for t, eve in enumerate(eves)
     ]
     return rank(hstack(blocks)) == key_vectors.rows

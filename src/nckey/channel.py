@@ -13,8 +13,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fieldmath import FieldCtx, MatrixFq, hstack, identity, mat_mul, random_matrix, rank, vstack
-from .subspaces import Subspace, spanning_matrix_count
+from .fieldmath import FieldCtx, MatrixFq, hstack, identity, mat_mul, random_matrix
+from .subspaces import Subspace, quotient, span_of, spanning_matrix_count
 
 
 @dataclass(frozen=True)
@@ -89,10 +89,10 @@ def matrix_transition_prob(x_r: MatrixFq, x_a: MatrixFq, n_r: int) -> Fraction:
         raise ValueError(f"packet length mismatch: {x_r.cols} vs {x_a.cols}")
     if x_r.rows != n_r:
         raise ValueError(f"observation has {x_r.rows} rows, expected n_r={n_r}")
-    r_a = rank(x_a)
-    if rank(vstack([x_a, x_r])) != r_a:
+    pi_a = span_of(x_a)
+    if quotient(x_r, pi_a).arr.any():
         return Fraction(0)
-    return Fraction(1, x_a.ctx.q ** (n_r * r_a))
+    return Fraction(1, x_a.ctx.q ** (n_r * pi_a.dim))
 
 
 def subspace_transition_prob(pi_i: Subspace, pi_a: Subspace, n_i: int) -> Fraction:

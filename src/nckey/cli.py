@@ -96,6 +96,8 @@ def resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
                 loaded = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             parser.error(f"cannot read config {args.config}: {exc}")
+        if type(loaded) is not dict:
+            parser.error(f"config {args.config} must be a JSON object, got {loaded!r}")
         unknown = set(loaded) - set(DEFAULTS)
         if unknown:
             parser.error(f"unknown config keys: {sorted(unknown)}")
@@ -174,26 +176,32 @@ def _lower_bound(params: ChannelParams) -> tuple[Fraction, str]:
     return value * (params.ell - params.n_a), "allocation_lp"
 
 
-def cmd_bounds(cfg: dict, parser) -> dict:
+def _sweep_points(cfg: dict, parser):
+    """Yield (sweep columns, channel parameters) for each sweep point, or for
+    the configured parameters alone without a sweep; non-prime q values are
+    skipped."""
     sweep = parse_sweep(cfg["sweep"], parser)
     points = [(None, None)] if sweep is None else [(sweep[0], v) for v in sweep[1]]
-    rows = []
     for var, value in points:
-        overrides = {} if var is None else {var: value}
         if var == "q" and not is_prime(value):
             continue
         try:
-            params = make_params(cfg, overrides)
+            params = make_params(cfg, {} if var is None else {var: value})
         except ValueError as exc:
             parser.error(f"invalid parameters at {var}={value}: {exc}")
+        yield {"sweep_var": var or "none", "sweep_value": "" if value is None else value}, params
+
+
+def cmd_bounds(cfg: dict, parser) -> dict:
+    rows = []
+    for sweep_cols, params in _sweep_points(cfg, parser):
         upper = upper_bound(params)
         lower_abs, method = _lower_bound(params)
         dof = params.ell - params.n_a
         binding_cut, _ = min((_cut(params, n_i) for n_i in params.n), key=lambda c: c[1])
         mismatch = binding_cut != params.n_a
         common = {
-            "sweep_var": var or "none",
-            "sweep_value": value if value is not None else "",
+            **sweep_cols,
             "q": params.ctx.q,
             "ell": params.ell,
             "na": params.n_a,
@@ -285,17 +293,8 @@ ORACLE_INPUTS = "uniform over each fixed input dimension 0..na"
 
 
 def cmd_oracle(cfg: dict, parser) -> dict:
-    sweep = parse_sweep(cfg["sweep"], parser)
-    points = [(None, None)] if sweep is None else [(sweep[0], v) for v in sweep[1]]
     rows = []
-    for var, value in points:
-        if var == "q" and not is_prime(value):
-            continue
-        overrides = {} if var is None else {var: value}
-        try:
-            params = make_params(cfg, overrides)
-        except ValueError as exc:
-            parser.error(f"invalid parameters at {var}={value}: {exc}")
+    for sweep_cols, params in _sweep_points(cfg, parser):
         if params.m != 1:
             parser.error("oracle needs exactly one terminal (--n with one count)")
         coeff = asymptotic_cmi_coefficient(params)
@@ -307,8 +306,7 @@ def cmd_oracle(cfg: dict, parser) -> dict:
                 parser.error(str(exc))
             rows.append(
                 {
-                    "sweep_var": var or "none",
-                    "sweep_value": value if value is not None else "",
+                    **sweep_cols,
                     "q": params.ctx.q,
                     "ell": params.ell,
                     "na": params.n_a,

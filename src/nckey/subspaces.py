@@ -2,7 +2,10 @@
 complements, uniform sampling, direct sums, and Grassmannian counting.
 
 A subspace is represented by its unique RREF basis with zero rows dropped, so
-equal subspaces compare (and hash) bit-identically.
+equal subspaces compare (and hash) bit-identically.  Every relation to a
+subspace reads off ``quotient``, vectors taken modulo its basis: containment
+is a zero quotient, intersection the left kernel of a quotient, and a pick
+avoids a subspace when its quotient keeps full rank.
 """
 
 from __future__ import annotations
@@ -45,26 +48,18 @@ class Subspace:
 
     def contains(self, other: "Subspace") -> bool:
         _check_compatible(self, other)
-        if other.dim == 0:
-            return True
-        return rank(vstack([self.basis, other.basis])) == self.dim
+        return not quotient(other.basis, self).arr.any()
 
     def __add__(self, other: "Subspace") -> "Subspace":
         _check_compatible(self, other)
         return span_of(vstack([self.basis, other.basis]))
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection via the kernel method: left-null vectors of the
-        stacked bases split into coordinates over each basis."""
+        """The combinations c @ self.basis that lie in ``other``: c runs over
+        the left kernel of self's basis modulo ``other`` (quotient)."""
         _check_compatible(self, other)
-        if self.dim == 0 or other.dim == 0:
-            return zero_subspace(self.ambient_dim, self.ctx)
-        stacked = vstack([self.basis, MatrixFq((-other.basis.arr), self.ctx)])
-        left_null = right_kernel(stacked.transpose())
-        if left_null.rows == 0:
-            return zero_subspace(self.ambient_dim, self.ctx)
-        coeff_a = MatrixFq(left_null.arr[:, : self.dim], self.ctx)
-        return span_of(mat_mul(coeff_a, self.basis))
+        coeffs = right_kernel(quotient(self.basis, other).transpose())
+        return span_of(mat_mul(coeffs, self.basis))
 
     def complement(self, other: "Subspace", rng: np.random.Generator | None = None) -> "Subspace":
         """A subspace U with U <= self, U independent of (self ∩ other), and
@@ -118,7 +113,7 @@ def span_of(m: MatrixFq) -> Subspace:
     return Subspace(_wrap(red.arr[:r], m.ctx), m.cols)
 
 
-def _quotient(rows: MatrixFq, sub: Subspace) -> MatrixFq:
+def quotient(rows: MatrixFq, sub: Subspace) -> MatrixFq:
     """The rows modulo ``sub``, in coordinates: each row less the combination
     of sub's RREF basis that matches it in the basis's pivot columns, which
     leaves those columns zero, and so dropped.
@@ -128,11 +123,14 @@ def _quotient(rows: MatrixFq, sub: Subspace) -> MatrixFq:
     lies in ``sub`` exactly when its image is zero, so the image has rank
     dim(rowspan(rows) + sub) - dim(sub).
     """
+    if rows.ctx != sub.ctx or rows.cols != sub.ambient_dim:
+        raise ValueError(f"{rows.cols}-column rows over {rows.ctx} do not live in {sub!r}")
     if sub.dim == 0:
         return rows
     q, basis = sub.ctx.q, sub.basis.arr
     pivots = np.argmax(basis != 0, axis=1)
-    free = np.setdiff1d(np.arange(sub.ambient_dim), pivots)
+    free = np.ones(sub.ambient_dim, dtype=bool)
+    free[pivots] = False
     out = rows.arr[:, free]
     out -= _mul_mod(rows.arr[:, pivots], basis[:, free], q)
     np.mod(out, q, out=out)
@@ -176,7 +174,7 @@ def random_inside(
         coeff = random_matrix(dim, sub.dim, sub.ctx, rng)
         if avoid is not None:
             cand = mat_mul(coeff, sub.basis)
-            if rank(vstack([cand, avoid.basis])) == dim + avoid.dim:
+            if rank(quotient(cand, avoid)) == dim:
                 return span_of(cand)
         elif dim == sub.dim:
             # A full-rank square draw has RREF I, and I @ basis is sub's.

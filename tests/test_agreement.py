@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 from dataclasses import replace
@@ -41,6 +42,7 @@ from nckey.fieldmath import (
 from nckey.subspaces import (
     SubspaceFamily,
     direct_sum,
+    random_inside,
     random_subspace,
     span_of,
     zero_subspace,
@@ -407,6 +409,29 @@ def test_extract_postconditions_exact_mode():
             joint = span_of(vstack(stacked))
             assert joint.dim == total
             assert (joint + eve).dim == total + eve.dim
+
+
+@pytest.mark.parametrize("q", [2, 3, 101, 2**31 - 1])
+def test_quotient_extraction_matches_the_stacked_rank_reference(q):
+    # with the eavesdropper's subspace given, extraction accepts and rejects
+    # the same picks as a loop that ranks them stacked on the eavesdropper's
+    # basis, and leaves the generator in the same state; q = 2 rejects often
+    rejected = 0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        fam, eve = _random_family(rng, q=q)
+        counts = solve_allocation_lp(fam, eve)[0].floor_scaled(1)
+        ref_rng = copy.deepcopy(rng)
+        got = extract_secure_subspaces(fam, counts, eve, rng)
+        want = sum(counts.values()) + eve.dim
+        while True:
+            picks = {mask: random_inside(fam[mask], counts[mask], ref_rng) for mask in fam.masks()}
+            if rank(vstack([p.basis for p in picks.values()] + [eve.basis])) == want:
+                break
+            rejected += 1
+        assert got == picks
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert rejected >= (5 if q == 2 else 0)
 
 
 def test_extract_realistic_orthogonal_to_eavesdropper_whp():

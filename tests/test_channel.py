@@ -11,7 +11,7 @@ from nckey.channel import (
     matrix_transition_prob,
     subspace_transition_prob,
 )
-from nckey.fieldmath import FieldCtx, MatrixFq, random_matrix, rank, zeros
+from nckey.fieldmath import FieldCtx, MatrixFq, random_matrix, rank, vstack, zeros
 from nckey.subspaces import iter_all_subspaces, span_of, subspaces_within, zero_subspace
 
 F2 = FieldCtx(2)
@@ -98,6 +98,28 @@ def test_matrix_transition_sums_to_one():
                 matrix_transition_prob(x_r, x_a, n_r) for x_r in all_matrices(n_r, 3, F2)
             )
             assert total == 1
+
+
+@pytest.mark.parametrize("q", [2, 3, 101, 2**31 - 1])
+def test_matrix_transition_quotient_matches_the_stacked_rank_law(q):
+    # the law read off x_r modulo rowspan(x_a) equals the stacked-rank form,
+    # q^(-n_r rank x_a) when rank [x_a; x_r] = rank x_a and 0 otherwise, on
+    # sources of every rank and observations inside and outside their span
+    ctx, rng = FieldCtx(q), np.random.default_rng(q)
+    verdicts = set()
+    for _ in range(80):
+        ell, n_a, n_r = (int(x) for x in rng.integers(1, 7, size=3))
+        inner = int(rng.integers(0, min(n_a, ell) + 1))
+        x_a = random_matrix(n_a, inner, ctx, rng) @ random_matrix(inner, ell, ctx, rng)
+        x_r = random_matrix(n_r, n_a, ctx, rng) @ x_a
+        if rng.integers(2):
+            x_r = vstack([MatrixFq(x_r.arr[1:], ctx), random_matrix(1, ell, ctx, rng)])
+        r_a = rank(x_a)
+        inside = rank(vstack([x_a, x_r])) == r_a
+        want = Fraction(1, q ** (n_r * r_a)) if inside else Fraction(0)
+        assert matrix_transition_prob(x_r, x_a, n_r) == want
+        verdicts.add(inside)
+    assert verdicts == {True, False}
 
 
 def test_subspace_transition_prob_cases():

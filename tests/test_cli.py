@@ -234,6 +234,18 @@ def test_config_file_and_flag_override(tmp_path):
         main(["bounds", "--config", str(bad)])
 
 
+@pytest.mark.parametrize("loaded", [5, None, [1], "abc"])
+def test_config_that_is_not_an_object_is_a_usage_error(tmp_path, capsys, loaded):
+    # a number or null has no keys to check, and a list or string would be
+    # read as a list of unknown keys
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(loaded))
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert f"must be a JSON object, got {loaded!r}" in capsys.readouterr().err
+
+
 def test_missing_required_params():
     with pytest.raises(SystemExit):
         main(["bounds", "--q", "101"])

@@ -16,18 +16,19 @@ from nckey.fieldmath import (
     random_matrix,
     rank,
     rref,
+    right_kernel,
     vstack,
     zeros,
 )
 from nckey.subspaces import (
     Subspace,
     SubspaceFamily,
-    _quotient,
     direct_sum,
     full_space,
     gaussian_binomial,
     iter_all_subspaces,
     iter_subspaces,
+    quotient,
     random_subspace,
     span_of,
     spanning_matrix_count,
@@ -77,6 +78,13 @@ def test_sum_ambient_mismatch():
         zero_subspace(2, F2) + zero_subspace(3, F2)
     with pytest.raises(ValueError):
         zero_subspace(2, F2) + zero_subspace(2, F3)
+
+
+def test_quotient_refuses_rows_outside_the_ambient_space():
+    with pytest.raises(ValueError, match="3-column rows"):
+        quotient(zeros(1, 3, F2), full_space(2, F2))
+    with pytest.raises(ValueError, match="do not live in"):
+        quotient(zeros(1, 2, F3), zero_subspace(2, F2))
 
 
 def test_intersect_examples():
@@ -132,8 +140,9 @@ def test_modular_identity_random_larger():
 @pytest.mark.parametrize("q", [2, 101, 11_863_279, 2**31 - 1])
 def test_lattice_laws_past_two_panels(q):
     # ambient dimension 200 is more than two elimination panels wide, so sums
-    # and intersections run on the float64 panels for every q but 2^31 - 1;
-    # a shared part keeps U + V short of the whole space and U ∩ V nonzero
+    # and the span_of that ends each intersection run on the float64 panels;
+    # the intersection kernels, dim U <= 120 columns wide, fit in one panel.
+    # A shared part keeps U + V short of the whole space and U ∩ V nonzero
     ctx = FieldCtx(q)
     assert 200 > 2 * fieldmath._PANEL
     rng = np.random.default_rng(q)
@@ -294,10 +303,85 @@ def test_quotient_rank_is_the_rank_added_to_the_subspace(q, ambient, rows, insid
     x = vstack(
         [random_matrix(rows, ambient, ctx, rng), random_matrix(inside, sub.dim, ctx, rng) @ sub.basis]
     )
-    image = _quotient(x, sub)
+    image = quotient(x, sub)
     assert image.shape == (rows + inside, ambient - sub.dim)
     assert rank(image) == rank(vstack([x, sub.basis])) - sub.dim
-    assert not _quotient(MatrixFq(x.arr[rows:], ctx), sub).arr.any()
+    assert not quotient(MatrixFq(x.arr[rows:], ctx), sub).arr.any()
+
+
+def reference_intersect(a: Subspace, b: Subspace) -> Subspace:
+    """The kernel method: left-null vectors of a's basis stacked on -b's
+    split into coordinates over each basis; a's half spans a ∩ b."""
+    if a.dim == 0 or b.dim == 0:
+        return zero_subspace(a.ambient_dim, a.ctx)
+    stacked = vstack([a.basis, MatrixFq(-b.basis.arr, a.ctx)])
+    left_null = right_kernel(stacked.transpose())
+    if left_null.rows == 0:
+        return zero_subspace(a.ambient_dim, a.ctx)
+    return span_of(MatrixFq(left_null.arr[:, : a.dim], a.ctx) @ a.basis)
+
+
+def reference_contains(a: Subspace, b: Subspace) -> bool:
+    """b <= a exactly when stacking b's basis on a's adds no rank."""
+    return b.dim == 0 or rank(vstack([a.basis, b.basis])) == a.dim
+
+
+def _pivot_complement(sub: Subspace) -> Subspace:
+    """The unit vectors off sub's pivot columns, which span a complement of
+    sub in the whole space."""
+    free = np.ones(sub.ambient_dim, dtype=bool)
+    free[rref(sub.basis)[2]] = False
+    return Subspace(MatrixFq(np.eye(sub.ambient_dim, dtype=np.int64)[free], sub.ctx), sub.ambient_dim)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([2, 3, 101, 2**31 - 1]),
+    st.integers(0, 9),
+    st.integers(0, 4),
+    st.integers(0, 5),
+    st.integers(0, 5),
+    st.integers(0, 2**32 - 1),
+)
+def test_quotient_intersect_and_contains_equal_the_stacked_references(q, ambient, shared, du, dv, seed):
+    # U and V share a random part; against them: the zero space, U itself,
+    # U + V above U, the full space, and a complement of U
+    ctx, rng = FieldCtx(q), np.random.default_rng(seed)
+    common = random_matrix(shared, ambient, ctx, rng)
+    u, v = (span_of(vstack([common, random_matrix(d, ambient, ctx, rng)])) for d in (du, dv))
+    others = [v, zero_subspace(ambient, ctx), u, u + v, full_space(ambient, ctx), _pivot_complement(u)]
+    for a, b in itertools.product([u] + others, others):
+        assert a.intersect(b) == reference_intersect(a, b)
+        assert a.contains(b) == reference_contains(a, b)
+    assert u.intersect(_pivot_complement(u)).dim == 0
+
+
+@pytest.mark.parametrize("q", [2, 3, 101, 2**31 - 1])
+def test_quotient_avoiding_pick_matches_the_stacked_rank_reference(q):
+    # a pick that avoids a subspace draws, accepts and rejects exactly as a
+    # loop that ranks each candidate stacked on the avoided basis, and leaves
+    # the generator in the same state; small dimensions make q = 2 reject
+    from nckey import subspaces
+
+    ctx = FieldCtx(q)
+    rejected = 0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        sub = random_subspace(6, int(rng.integers(1, 6)), ctx, rng)
+        avoid = span_of(random_matrix(int(rng.integers(0, sub.dim)), sub.dim, ctx, rng) @ sub.basis)
+        dim = int(rng.integers(0, sub.dim - avoid.dim + 1))
+        ref_rng = copy.deepcopy(rng)
+        got = subspaces.random_inside(sub, dim, rng, avoid=avoid)
+        want = zero_subspace(6, ctx)
+        while dim:
+            cand = random_matrix(dim, sub.dim, ctx, ref_rng) @ sub.basis
+            if rank(vstack([cand, avoid.basis])) == dim + avoid.dim:
+                want = span_of(cand)
+                break
+            rejected += 1
+        assert got == want
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert rejected >= (10 if q == 2 else 0)
 
 
 def test_direct_sum():
