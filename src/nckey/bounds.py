@@ -2,8 +2,9 @@
 information oracle that validates the asymptotic formulas at small field size.
 
 All bound formulas are rational in the channel counts, so rates are carried as
-exact Fraction coefficients of log q; nothing here is floating point except
-the oracle's entropy sums.
+exact Fraction coefficients of log q.  The oracle's joint law is exact too:
+integer weights over one common denominator.  Only the final log sums are
+floating point.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .channel import ChannelParams, subspace_transition_prob
+from .channel import ChannelParams
 from .fieldmath import FieldCtx
-from .subspaces import Subspace, gaussian_binomial, subspaces_within
+from .subspaces import Subspace, gaussian_binomial, spanning_matrix_count, subspaces_within
 
 ABSOLUTE = "absolute"
 PER_DOF = "per_dof"  # per (ell - n_a) * log q
@@ -152,8 +153,16 @@ def exact_cmi_oracle(params: ChannelParams, input_dist: dict[Subspace, Fraction]
     """Exact I(source subspace; receiver subspace | eavesdropper subspace) in nats.
 
     Enumerates the subspace channel exhaustively under the given input
-    distribution.  Joint probabilities are exact rationals; only the final
-    log sums are floating point.
+    distribution: for each input pi_a in order, every pair (pi_i, pi_e) of
+    subspaces of pi_a that the receiver and the eavesdropper can observe.
+    Below pi_a the channel law depends only on dimensions (see
+    ``channel.subspace_transition_prob``), so it is tabulated once per
+    (n_r, dim pi_r, dim pi_a).  Joint probabilities are exact: Python ints
+    over one common denominator D, summed exactly into the marginals.
+    Observations are keyed by the bytes of their canonical RREF bases.  Only
+    the final log sums are floating point; each term, (w / D) * log((w w_e) /
+    (w_ae w_ie)), is a correctly rounded int division, so it equals the float
+    of the same exact rational.
 
     Args:
         params: Channel shape with a single terminal (m == 1).
@@ -178,38 +187,45 @@ def exact_cmi_oracle(params: ChannelParams, input_dist: dict[Subspace, Fraction]
         if s.dim > params.n_a:
             raise ValueError(f"input subspace dim {s.dim} exceeds n_a={params.n_a}")
 
-    n_i, n_e = params.n[0], params.n_e
-    joint: dict[tuple[Subspace, Subspace, Subspace], Fraction] = {}
-    for pi_a, p_a in input_dist.items():
-        if p_a == 0:
-            continue
-        outs_i = [
-            (s, subspace_transition_prob(s, pi_a, n_i))
-            for s in subspaces_within(pi_a, max_dim=min(n_i, pi_a.dim))
-        ]
-        outs_e = [
-            (s, subspace_transition_prob(s, pi_a, n_e))
-            for s in subspaces_within(pi_a, max_dim=min(n_e, pi_a.dim))
-        ]
-        for pi_i, p_i in outs_i:
-            for pi_e, p_e in outs_e:
-                p = p_a * p_i * p_e
-                if p:
-                    key = (pi_a, pi_i, pi_e)
-                    joint[key] = joint.get(key, Fraction(0)) + p
+    ctx, n_i, n_e = params.ctx, params.n[0], params.n_e
+    support = [(pi_a, Fraction(p_a)) for pi_a, p_a in input_dist.items() if p_a != 0]
+    top = max((pi_a.dim for pi_a, _ in support), default=0)
+    scale = math.lcm(*(p_a.denominator for _, p_a in support))
+    denom = scale * ctx.q ** ((n_i + n_e) * top)
+    # P(dim-d observation | dim-k input) * q^(n_r top), an int.
+    law = {
+        (n_r, d, k): spanning_matrix_count(n_r, d, ctx) * ctx.q ** (n_r * (top - k))
+        for n_r in (n_i, n_e)
+        for k in range(top + 1)
+        for d in range(min(n_r, k) + 1)
+    }
 
-    p_e: dict[Subspace, Fraction] = {}
-    p_ae: dict[tuple[Subspace, Subspace], Fraction] = {}
-    p_ie: dict[tuple[Subspace, Subspace], Fraction] = {}
-    for (a, i, e), p in joint.items():
-        p_e[e] = p_e.get(e, Fraction(0)) + p
-        p_ae[(a, e)] = p_ae.get((a, e), Fraction(0)) + p
-        p_ie[(i, e)] = p_ie.get((i, e), Fraction(0)) + p
+    index: dict[bytes, int] = {}
+    joint: list[tuple[int, int, int, int]] = []
+    for a, (pi_a, p_a) in enumerate(support):
+        k = pi_a.dim
+        outs = [
+            (index.setdefault(s.basis.arr.tobytes(), len(index)), s.dim)
+            for s in subspaces_within(pi_a, max_dim=min(max(n_i, n_e), k))
+        ]
+        w_a = p_a.numerator * (scale // p_a.denominator)
+        outs_e = [(e, law[n_e, d, k]) for e, d in outs if d <= n_e]
+        for i, d in outs:
+            if d <= n_i:
+                w_ai = w_a * law[n_i, d, k]
+                joint.extend((a, i, e, w_ai * w_e) for e, w_e in outs_e)
+
+    w_e: dict[int, int] = {}
+    w_ae: dict[tuple[int, int], int] = {}
+    w_ie: dict[tuple[int, int], int] = {}
+    for a, i, e, w in joint:
+        w_e[e] = w_e.get(e, 0) + w
+        w_ae[a, e] = w_ae.get((a, e), 0) + w
+        w_ie[i, e] = w_ie.get((i, e), 0) + w
 
     cmi = 0.0
-    for (a, i, e), p in joint.items():
-        ratio = (p * p_e[e]) / (p_ae[(a, e)] * p_ie[(i, e)])
-        cmi += float(p) * math.log(float(ratio))
+    for a, i, e, w in joint:
+        cmi += (w / denom) * math.log((w * w_e[e]) / (w_ae[a, e] * w_ie[i, e]))
     return max(cmi, 0.0)
 
 

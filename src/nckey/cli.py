@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--sweep",
             help=f"<var>:<lo>:<hi> inclusive integer sweep; var in {SWEEP_VARS} "
-            "(nb sets every terminal count; non-prime q values are skipped)",
+            "(nb sets every terminal count; non-prime q values below 2**31 are skipped)",
         )
         p.add_argument("--slots", type=int, help="slots per session (simulate)")
         p.add_argument("--trials", type=int, help="session count (simulate)")
@@ -178,17 +178,19 @@ def _lower_bound(params: ChannelParams) -> tuple[Fraction, str]:
 
 def _sweep_points(cfg: dict, parser):
     """Yield (sweep columns, channel parameters) for each sweep point, or for
-    the configured parameters alone without a sweep; non-prime q values are
-    skipped."""
+    the configured parameters alone without a sweep; non-prime q values below
+    2**31 are skipped."""
     sweep = parse_sweep(cfg["sweep"], parser)
     points = [(None, None)] if sweep is None else [(sweep[0], v) for v in sweep[1]]
     for var, value in points:
-        if var == "q" and not is_prime(value):
+        # q >= 2**31 is no field modulus; make_params reports it.
+        if var == "q" and value < 2**31 and not is_prime(value):
             continue
         try:
             params = make_params(cfg, {} if var is None else {var: value})
         except ValueError as exc:
-            parser.error(f"invalid parameters at {var}={value}: {exc}")
+            where = "" if var is None else f" at {var}={value}"
+            parser.error(f"invalid parameters{where}: {exc}")
         yield {"sweep_var": var or "none", "sweep_value": "" if value is None else value}, params
 
 
@@ -274,6 +276,8 @@ def cmd_simulate(cfg: dict, parser) -> dict:
             }
         )
     good = [r for r in rows if not r["degenerate"]]
+    # An empty session ends before its audit, with no agreement to count.
+    audited = [r for r in good if r["leakage_certificate"] is not None]
     summary = {
         "trials": trials,
         "slots": cfg["slots"],
@@ -281,9 +285,11 @@ def cmd_simulate(cfg: dict, parser) -> dict:
         "lp_value": str(lp_value) if lp_value is not None else None,
         "degenerate": len(rows) - len(good),
         "degeneracy_rate": (len(rows) - len(good)) / trials if trials else None,
-        "agreement_rate": (sum(1 for r in good if r["agreement"]) / len(good)) if good else None,
-        "certificate_rate": (sum(1 for r in good if r["leakage_certificate"]) / len(good))
-        if good
+        "agreement_rate": (sum(1 for r in audited if r["agreement"]) / len(audited))
+        if audited
+        else None,
+        "certificate_rate": (sum(1 for r in audited if r["leakage_certificate"]) / len(audited))
+        if audited
         else None,
     }
     return {"rows": rows, "summary": summary}

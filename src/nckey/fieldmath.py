@@ -33,19 +33,40 @@ from __future__ import annotations
 import numpy as np
 
 
+# The smallest strong pseudoprime to all of the bases 2, 3, 5 and 7.
+_MILLER_RABIN_LIMIT = 3_215_031_751
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality check (adequate for n < 2**31)."""
+    """Deterministic Miller-Rabin test on bases 2, 3, 5 and 7.
+
+    Exact for every n below 3,215,031,751, the smallest strong pseudoprime
+    to all four bases, so for every field modulus q < 2**31.
+
+    Raises:
+        ValueError: If n >= 3,215,031,751, where these bases can be fooled.
+    """
+    if n >= _MILLER_RABIN_LIMIT:
+        raise ValueError(f"is_prime is exact only below {_MILLER_RABIN_LIMIT}, got {n}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    bases = (2, 3, 5, 7)
+    if any(n % a == 0 for a in bases):
+        return n in bases
+    # n - 1 = d 2^s with d odd: n is a strong probable prime to base a when
+    # a^d = 1, or a^(d 2^r) = -1 for some r < s.
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in bases:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

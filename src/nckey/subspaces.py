@@ -270,14 +270,14 @@ def iter_all_subspaces(ambient_dim: int, ctx: FieldCtx, max_dim: int | None = No
 
 
 def subspaces_within(s: Subspace, max_dim: int | None = None):
-    """Yield every subspace of ``s`` with dim <= max_dim, via its coordinate space."""
+    """Yield every subspace of ``s`` with dim <= max_dim, via its coordinate
+    space: by dimension, then in ``iter_subspaces`` order of the coordinate
+    bases.  ``coords.basis @ s.basis`` is already the canonical basis, with no
+    elimination: a product of two RREF bases is RREF (see ``random_inside``)."""
     top = s.dim if max_dim is None else min(max_dim, s.dim)
     for d in range(top + 1):
         for coords in iter_subspaces(s.dim, d, s.ctx):
-            if d == 0:
-                yield zero_subspace(s.ambient_dim, s.ctx)
-            else:
-                yield span_of(mat_mul(coords.basis, s.basis))
+            yield Subspace(mat_mul(coords.basis, s.basis), s.ambient_dim)
 
 
 class SubspaceFamily:

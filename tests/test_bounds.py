@@ -17,9 +17,16 @@ from nckey.bounds import (
     uniform_dim_distribution,
     upper_bound,
 )
-from nckey.channel import ChannelParams
-from nckey.fieldmath import FieldCtx
-from nckey.subspaces import gaussian_binomial, iter_subspaces, random_subspace
+from nckey.channel import ChannelParams, subspace_transition_prob
+from nckey.fieldmath import FieldCtx, mat_mul
+from nckey.subspaces import (
+    Subspace,
+    gaussian_binomial,
+    iter_all_subspaces,
+    iter_subspaces,
+    random_subspace,
+    span_of,
+)
 
 F2 = FieldCtx(2)
 F101 = FieldCtx(101)
@@ -224,3 +231,109 @@ def test_oracle_trend_and_asymptote():
     gaps = [1.0 - v for v in normalized]
     assert gaps[0] >= gaps[1] >= gaps[2]
     assert gaps[2] <= 0.15
+
+
+def reference_cmi_oracle(params: ChannelParams, input_dist: dict[Subspace, Fraction]) -> float:
+    """The oracle with Fraction probabilities keyed by Subspace objects, each
+    observation re-eliminated by span_of and its law taken from
+    subspace_transition_prob: the reference for exact_cmi_oracle's integer
+    weights on indexed observations."""
+
+    def within(pi_a, max_dim):
+        for d in range(max_dim + 1):
+            for coords in iter_subspaces(pi_a.dim, d, pi_a.ctx):
+                yield span_of(mat_mul(coords.basis, pi_a.basis))
+
+    n_i, n_e = params.n[0], params.n_e
+    joint: dict[tuple[Subspace, Subspace, Subspace], Fraction] = {}
+    for pi_a, p_a in input_dist.items():
+        if p_a == 0:
+            continue
+        outs_i = [
+            (s, subspace_transition_prob(s, pi_a, n_i))
+            for s in within(pi_a, min(n_i, pi_a.dim))
+        ]
+        outs_e = [
+            (s, subspace_transition_prob(s, pi_a, n_e))
+            for s in within(pi_a, min(n_e, pi_a.dim))
+        ]
+        for pi_i, p_i in outs_i:
+            for pi_e, p_e in outs_e:
+                p = p_a * p_i * p_e
+                if p:
+                    key = (pi_a, pi_i, pi_e)
+                    joint[key] = joint.get(key, Fraction(0)) + p
+
+    p_e: dict[Subspace, Fraction] = {}
+    p_ae: dict[tuple[Subspace, Subspace], Fraction] = {}
+    p_ie: dict[tuple[Subspace, Subspace], Fraction] = {}
+    for (a, i, e), p in joint.items():
+        p_e[e] = p_e.get(e, Fraction(0)) + p
+        p_ae[(a, e)] = p_ae.get((a, e), Fraction(0)) + p
+        p_ie[(i, e)] = p_ie.get((i, e), Fraction(0)) + p
+
+    cmi = 0.0
+    for (a, i, e), p in joint.items():
+        ratio = (p * p_e[e]) / (p_ae[(a, e)] * p_ie[(i, e)])
+        cmi += float(p) * math.log(float(ratio))
+    return max(cmi, 0.0)
+
+
+def _candidate_inputs(q):
+    """The _cmi_candidates inputs: each fixed-dim uniform, a point mass, a
+    two-dim mixture, and uniform over every subspace of dim <= 2 of F_q^3."""
+    ctx = FieldCtx(q)
+    inputs = [uniform_dim_distribution(3, d, ctx) for d in range(3)]
+    inputs.append({next(iter(iter_subspaces(3, 2, ctx))): Fraction(1)})
+    mix = {}
+    for d in (1, 2):
+        for sub, pr in uniform_dim_distribution(3, d, ctx).items():
+            mix[sub] = mix.get(sub, Fraction(0)) + pr / 2
+    inputs.append(mix)
+    everything = list(iter_all_subspaces(3, ctx, max_dim=2))
+    inputs.append({sub: Fraction(1, len(everything)) for sub in everything})
+    return inputs
+
+
+def _assert_bit_equal(p, dist):
+    got, want = exact_cmi_oracle(p, dist), reference_cmi_oracle(p, dist)
+    assert got == want, (p, got, want)
+    return got
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_oracle_equals_the_fraction_reference_on_the_candidate_family(q):
+    for n_i, n_e in ((1, 1), (2, 0), (0, 2), (2, 1)):
+        p = P(q, 3, 2, [n_i], n_e)
+        values = [_assert_bit_equal(p, dist) for dist in _candidate_inputs(q)]
+        assert values[3] == 0.0  # the point mass
+    assert max(values) > 0
+
+
+def test_oracle_equals_the_fraction_reference_at_edge_inputs():
+    ctx = FieldCtx(3)
+    # n_e >= ell: the eavesdropper may see all of the input
+    for n_e in (3, 4):
+        _assert_bit_equal(P(3, 3, 2, [1], n_e), uniform_dim_distribution(3, 2, ctx))
+    # a zero-probability entry, at the front of the support
+    lines = uniform_dim_distribution(3, 1, ctx)
+    planes = list(iter_subspaces(3, 2, ctx))
+    skewed = {planes[0]: Fraction(0), **{s: pr / 3 for s, pr in lines.items()}}
+    skewed.update({planes[1]: Fraction(1, 3), planes[2]: Fraction(1, 3)})
+    assert _assert_bit_equal(P(3, 3, 2, [1], 1), skewed) > 0
+    # unequal denominators, a mass on the zero subspace among them
+    zero = next(iter(iter_subspaces(3, 0, ctx)))
+    mixed = {zero: Fraction(1, 7), planes[5]: Fraction(2, 7 * 3), planes[6]: Fraction(4, 7 * 3)}
+    mixed.update({s: Fraction(4, 7) * pr for s, pr in lines.items()})
+    assert sum(mixed.values()) == 1
+    assert _assert_bit_equal(P(3, 3, 2, [2], 1), mixed) > 0
+
+
+def test_oracle_equals_the_fraction_reference_on_ell4_shapes_at_q2():
+    ctx = FieldCtx(2)
+    for n_a in (1, 2, 3):
+        for n_i in range(n_a + 1):
+            for n_e in range(n_a + 1):
+                p = P(2, 4, n_a, [n_i], n_e)
+                for dim in range(n_a + 1):
+                    _assert_bit_equal(p, uniform_dim_distribution(4, dim, ctx))

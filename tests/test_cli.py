@@ -1,9 +1,12 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from nckey.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(args, tmp_path, name="out.txt"):
@@ -174,6 +177,21 @@ def test_simulate_zero_trials(tmp_path):
     assert doc["summary"]["degeneracy_rate"] is None
 
 
+def test_simulate_empty_sessions_report_no_rates(tmp_path):
+    # a zero-slot session is neither degenerate nor audited
+    raw = run_cli(
+        ["simulate", "--q", "101", "--ell", "10", "--na", "6", "--n", "4", "4",
+         "--ne", "2", "--slots", "0", "--trials", "1", "--format", "json"],
+        tmp_path,
+        "empty.json",
+    )
+    doc = json.loads(raw)
+    assert doc["rows"][0]["leakage_certificate"] is None
+    summary = doc["summary"]
+    assert summary["degeneracy_rate"] == 0.0
+    assert summary["agreement_rate"] is None and summary["certificate_rate"] is None
+
+
 def test_simulate_rejects_m4(capsys):
     # run_session refuses m > 3 before any draw; simulate reports it as a usage error
     for na, n in (("4", ["2"] * 4), ("6", ["3"] * 4)):
@@ -197,6 +215,36 @@ def test_oracle_report(tmp_path):
     assert all(r["coeff_bound"] == 1 for r in rows)
     best = max(float(r["cmi_per_logq"]) for r in rows)
     assert 0.8 < best <= 1.0
+
+
+def test_oracle_golden_sweep_bytes(tmp_path):
+    # the q sweep the benchmark runs, byte for byte as the Fraction oracle wrote it
+    out = run_cli(
+        ["oracle", "--ell", "3", "--na", "2", "--n", "1", "--ne", "1", "--sweep", "q:2:5"],
+        tmp_path,
+        "sweep.csv",
+    )
+    assert out == (DATA / "oracle_ell3_na2_sweep_q.csv").read_bytes()
+
+
+def test_unswept_invalid_parameters_name_no_sweep_point(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--q", "2", "--ell", "3", "--na", "2", "--n", "1", "--ne", "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid parameters: observation counts must be nonnegative" in err
+    assert "None" not in err
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--ell", "3", "--na", "2", "--n", "1", "--sweep", "ne:-1:0"])
+    assert exc.value.code == 2
+    assert "invalid parameters at ne=-1:" in capsys.readouterr().err
+
+
+def test_q_sweep_past_the_field_limit_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--ell", "3", "--na", "2", "--n", "1", "--sweep", "q:2147483646:2147483648"])
+    assert exc.value.code == 2
+    assert "invalid parameters at q=2147483648: field modulus" in capsys.readouterr().err
 
 
 def test_oracle_gate_refusal():

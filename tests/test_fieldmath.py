@@ -111,11 +111,84 @@ def reference_solve(target: MatrixFq, basis: MatrixFq):
     return MatrixFq(out, ctx)
 
 
+def reference_is_prime(n: int) -> bool:
+    """Trial division: the reference for is_prime's Miller-Rabin test."""
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
+def strong_probable_prime(n: int, a: int) -> bool:
+    """Whether odd n > 2 passes one Miller-Rabin round to base a."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    x = pow(a, (n - 1) >> s, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
 def test_is_prime_small():
     primes = [2, 3, 5, 7, 11, 101, 1009]
     composites = [1, 4, 6, 9, 100, 1001]
     assert all(is_prime(p) for p in primes)
     assert not any(is_prime(c) for c in composites)
+
+
+def test_is_prime_equals_trial_division_below_1e5():
+    assert [n for n in range(-5, 10**5) if is_prime(n) != reference_is_prime(n)] == []
+
+
+# Strong pseudoprimes below 2^31: the first to bases 2 and 3, the others to
+# bases 2, 3 and 5, which base 7 exposes.
+STRONG_PSEUDOPRIMES = [1373653, 25326001, 161304001, 960946321, 1157839381]
+
+
+def chernick_carmichael_numbers(limit: int) -> list[int]:
+    """(6k+1)(12k+1)(18k+1) below limit with all three factors prime: each is a
+    Carmichael number, a Fermat pseudoprime to every base prime to it."""
+    out = []
+    for k in itertools.count(1):
+        factors = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+        if math.prod(factors) >= limit:
+            return out
+        if all(reference_is_prime(f) for f in factors):
+            out.append(math.prod(factors))
+
+
+def test_is_prime_at_pseudoprimes_and_near_the_field_limit():
+    for n in STRONG_PSEUDOPRIMES:
+        assert strong_probable_prime(n, 2) and strong_probable_prime(n, 3)
+    carmichael = chernick_carmichael_numbers(2**31)
+    assert carmichael[:3] == [1729, 294409, 56052361] and len(carmichael) == 8
+    root = math.isqrt(2**31)
+    prime_squares = [p * p for p in range(root - 60, root + 60) if reference_is_prime(p)]
+    near_limit = range(2**31 - 150, 2**31)
+    cases = [*STRONG_PSEUDOPRIMES, *carmichael, *prime_squares, *near_limit]
+    assert [n for n in cases if is_prime(n) != reference_is_prime(n)] == []
+    assert sum(map(is_prime, near_limit)) >= 5 and is_prime(2**31 - 1)
+
+
+def test_is_prime_refuses_the_first_number_its_bases_can_mistake():
+    # 3215031751 = 151 * 751 * 28351 passes all four rounds, so it bounds the test
+    limit = 3215031751
+    assert limit == 151 * 751 * 28351 > 2**31
+    assert all(strong_probable_prime(limit, a) for a in (2, 3, 5, 7))
+    assert is_prime(limit - 2) == reference_is_prime(limit - 2)
+    with pytest.raises(ValueError, match="exact only below"):
+        is_prime(limit)
 
 
 def test_field_ctx_rejects_composite():

@@ -437,6 +437,26 @@ def test_subspaces_within():
     assert len(set(inside)) == len(inside)
 
 
+def reference_subspaces_within(s: Subspace, max_dim: int):
+    """Each coordinate subspace's image in s, re-eliminated by span_of."""
+    return [
+        span_of(mat_mul(coords.basis, s.basis))
+        for d in range(min(max_dim, s.dim) + 1)
+        for coords in iter_subspaces(s.dim, d, s.ctx)
+    ]
+
+
+@pytest.mark.parametrize("ctx", [F2, F3], ids=["q2", "q3"])
+def test_subspaces_within_are_canonical_without_elimination(ctx):
+    # the products of RREF bases are the span_of bases, in the same order
+    for ell in range(1, 5):
+        for s in iter_all_subspaces(ell, ctx):
+            for max_dim in {1, s.dim}:
+                got = list(subspaces_within(s, max_dim=max_dim))
+                want = reference_subspaces_within(s, max_dim)
+                assert got == want
+
+
 def _generic_trial(rng, ctx, n, k, fix_first=False):
     dims = [int(rng.integers(0, n + 1)) for _ in range(k)]
     subs = [random_subspace(n, d, ctx, rng) for d in dims]
