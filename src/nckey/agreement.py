@@ -32,10 +32,13 @@ The protocol, per session of N slots; run_session calls one stage per step:
 6. _audit: agreement, feasibility inheritance, and the zero-leakage
    certificate against the eavesdropper's complete view, in coefficient
    space (width N * n_a, not N * ell).  Both work modulo the eavesdropper's
-   slot subspaces (quotient): the cap of a selection is the rank of its
-   bases modulo the slot's view, and the key vectors, which extraction made
-   independent, leak nothing exactly when they keep full row rank modulo the
-   direct sum of those views (_leakage_certificate).
+   slot subspaces (quotient): a slot's cap table is read off one elimination
+   per chain of selections (_actual_caps), and the key vectors, which
+   extraction made independent, leak nothing exactly when they keep full
+   row rank modulo the direct sum of those views (_leakage_certificate).
+   Rows inside one slot block are checked slot by slot, so only the rows
+   that couple slots are ranked at session width, as in extraction's rank
+   and the disclosures' solves.
 
 A degenerate session (a generic-position event failed, probability O(1/q),
 or a step found no solution) has its keys withheld: the stage raises
@@ -44,6 +47,7 @@ _Degenerate with its reasons, and run_session catches it in one place.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import json
@@ -58,6 +62,7 @@ from .channel import ChannelParams, SlotObservation, broadcast_slot, make_source
 from .fieldmath import (
     FieldCtx,
     MatrixFq,
+    _echelon,
     _solve,
     _wrap,
     hstack,
@@ -151,17 +156,49 @@ def _as_allocation(alloc, m: int) -> SubsetAllocation:
 
 
 def _cap(subs, base: Subspace | None) -> int:
-    """Dimension the subspaces ``subs`` add to ``base`` (to nothing when
-    ``base`` is None): one forward-only rank of their stacked bases, taken
-    modulo ``base`` (quotient)."""
-    stacked = vstack([s.basis for s in subs])
-    return rank(stacked if base is None else quotient(stacked, base))
+    """Dimension the subspaces ``subs`` add to ``base``: one forward-only
+    rank of their stacked bases modulo ``base`` (quotient).
+
+    When ``base`` is None the largest subspace takes its place: its RREF
+    basis has independent rows, so it adds its whole dimension, and the
+    others add the rank of their bases modulo it.
+    """
+    subs, extra = list(subs), 0
+    if base is None:
+        base = subs.pop(max(range(len(subs)), key=lambda i: subs[i].dim))
+        extra = base.dim
+    if not subs:
+        return extra
+    return extra + rank(quotient(vstack([s.basis for s in subs]), base))
+
+
+def _symmetric_chains(k: int) -> list[list[tuple[int, ...]]]:
+    """A symmetric chain decomposition of the subsets of range(k) (de Bruijn,
+    van Ebbenhorst Tengbergen and Kruyswijk, 1951): C(k, k // 2) chains, each
+    set one element larger than the one before, that cover every subset
+    once.  Adding element x turns a chain C_1 < ... < C_h into
+    C_1 < ... < C_h < C_h + x and C_1 + x < ... < C_(h-1) + x."""
+    chains = [[()]]
+    for x in range(k):
+        chains = [
+            grown
+            for c in chains
+            for grown in (c + [c[-1] + (x,)], [s + (x,) for s in c[:-1]])
+            if grown
+        ]
+    return chains
 
 
 def _actual_caps(family: SubspaceFamily, base: Subspace | None = None) -> dict[tuple[int, ...], int]:
     """Cap table of the actual subspaces: for every nonempty selection of the
     family's subsets (by size, then lexicographically), the dimension its
     members add to ``base`` (to nothing when ``base`` is None).
+
+    One elimination per chain of a symmetric chain decomposition
+    (_symmetric_chains) gives the caps of all its selections: the chain's
+    bases, modulo ``base`` (quotient), are stacked in chain order and
+    transposed, and a selection's cap is the number of pivot columns inside
+    its prefix of rows (the column rank profile).
 
     Raises:
         ValueError: for more than 7 subsets (m > 3), where the 2^k - 1
@@ -173,10 +210,22 @@ def _actual_caps(family: SubspaceFamily, base: Subspace | None = None) -> dict[t
             f"actual-subspace constraints are enumerated only up to "
             f"{MAX_ENUMERATED_SUBSETS} subsets (m <= 3), got {len(masks)}"
         )
+    if not masks:
+        return {}
+    bases = [family[mask].basis for mask in masks]
+    if base is not None:
+        bases = [quotient(b, base) for b in bases]
+    caps = {}
+    for chain in _symmetric_chains(len(masks)):
+        order = list(chain[0]) + [min(set(b) - set(a)) for a, b in zip(chain, chain[1:])]
+        pivots = _echelon(np.hstack([bases[i].arr.T for i in order]), bases[0].ctx.q)
+        for sel in chain:
+            if sel:
+                caps[sel] = bisect.bisect_left(pivots, sum(bases[i].rows for i in sel))
     return {
-        sel: _cap([family[mask] for mask in sel], base)
+        tuple(masks[i] for i in sel): caps[sel]
         for k in range(1, len(masks) + 1)
-        for sel in itertools.combinations(masks, k)
+        for sel in itertools.combinations(range(len(masks)), k)
     }
 
 
@@ -535,22 +584,30 @@ def _vandermonde(rows: int, cols: int, ctx: FieldCtx) -> MatrixFq:
 
 def _disclose(target: MatrixFq, transfers: list[MatrixFq]) -> MatrixFq | None:
     """C with C @ block_diag(transfers) == target, solved one slot block at a
-    time (None when some block is not representable).
+    time, and in each for the target rows nonzero there only (None when some
+    block is not representable).
 
     C @ block_diag(F_t) = B exactly when C_t @ F_t is B's slot-t block.  If
     some F_t has dependent rows C is not unique; ``solve_in_rowspan`` returns
     the basic solution, and over a block-diagonal matrix that is the hstack
-    of the per-block ones.  F_t is public, so every valid C shows the
+    of the per-block ones.  Each of its rows depends on its own target row
+    alone, and is zero for a zero row, so the rows that are zero in a slot
+    block are left zero unsolved.  F_t is public, so every valid C shows the
     eavesdropper the same B and the choice does not bear on secrecy.
     """
-    width = transfers[0].cols
-    blocks = []
+    width, ctx = transfers[0].cols, target.ctx
+    offsets = np.cumsum([0] + [f.rows for f in transfers])
+    out = np.zeros((target.rows, offsets[-1]), dtype=np.int64)
     for t, f in enumerate(transfers):
-        w = solve_in_rowspan(MatrixFq(target.arr[:, t * width : (t + 1) * width], target.ctx), f)
+        block = target.arr[:, t * width : (t + 1) * width]
+        live = block.any(axis=1).nonzero()[0]
+        if not live.size:
+            continue
+        w = solve_in_rowspan(_wrap(block[live], ctx), f)
         if w is None:
             return None
-        blocks.append(w)
-    return hstack(blocks)
+        out[live, offsets[t] : offsets[t + 1]] = w.arr
+    return _wrap(out, ctx)
 
 
 def _terminal_subset_keys(
@@ -710,21 +767,39 @@ def _multicast(picks: dict[int, Subspace], keys: KeyShare, final: MatrixFq | Non
 
 def _leakage_certificate(key_vectors: MatrixFq, eves: list[Subspace]) -> bool:
     """Zero-leakage certificate of extracted key vectors, in session
-    coordinates, against the eavesdropper's span, the direct sum of the slot
-    subspaces ``eves``: the key vectors keep all their rows' rank modulo that
-    span, one slot block at a time (quotient).
+    coordinates, against the eavesdropper's span E, the direct sum of the
+    slot subspaces ``eves``: the key vectors K keep all their rows' rank
+    modulo E.
 
     That holds exactly when rank K = K.rows and span K meets span E only in
     zero.  Extraction certifies the first, so on extracted picks the verdict
-    is certify_zero_leakage(K, block_diag(E_t)), from one elimination of
-    K.rows x sum_t (n_a - dim E_t).
+    is certify_zero_leakage(K, block_diag(E_t)).
+
+    Rows nonzero in one slot block only (every row of a full pick) are
+    checked slot by slot: slot t's, L_t, must add their count to E_t.  The
+    other rows R must then keep their rank modulo the sums E_t + L_t, taken
+    one slot block at a time (quotient) and ranked once, since
+    rank(K mod E) = sum_t rank(L_t mod E_t) + rank(R mod sum_t (E_t + L_t)).
     """
     ctx, width = key_vectors.ctx, eves[0].ambient_dim
+    live = key_vectors.arr.reshape(key_vectors.rows, len(eves), width).any(axis=2)
+    local = live.sum(axis=1) == 1
+    sums = []
+    for t, eve in enumerate(eves):
+        mine = key_vectors.arr[local & live[:, t], t * width : (t + 1) * width]
+        if len(mine):
+            grown = span_of(vstack([eve.basis, _wrap(mine, ctx)]))
+            if grown.dim != eve.dim + len(mine):
+                return False
+            eve = grown
+        sums.append(eve)
+    rest = key_vectors.arr[~local]
+    if not len(rest):
+        return True
     blocks = [
-        quotient(_wrap(key_vectors.arr[:, t * width : (t + 1) * width], ctx), eve)
-        for t, eve in enumerate(eves)
+        quotient(_wrap(rest[:, t * width : (t + 1) * width], ctx), eve) for t, eve in enumerate(sums)
     ]
-    return rank(hstack(blocks)) == key_vectors.rows
+    return rank(hstack(blocks)) == len(rest)
 
 
 def _audit(alloc: SubsetAllocation, counts, slots, exclusive, picks, keys: KeyShare) -> AuditReport:

@@ -309,8 +309,9 @@ def _echelon(a: np.ndarray, q: int, limit: int | None = None) -> list[int]:
     q = 101, 2 at q = 2^31 - 1), and the loop reduces the rows below the
     pivot when room runs out.  The columns right of a panel only ever gain
     its reduced product, less than q, so they stay below q times the panel
-    count plus one until a panel reads them.  Pivot columns and rows, and
-    A12, are reduced before use, and the whole array on return.
+    count plus one until a panel reads them.  Pivot columns, A12 and the
+    live part of each pivot row (from its pivot on) are reduced before use,
+    and the whole array on return.
     """
     rows, width = a.shape
     limit = width if limit is None else limit
@@ -333,7 +334,7 @@ def _echelon(a: np.ndarray, q: int, limit: int | None = None) -> list[int]:
                 break
             i, j = r - r0, c - c0
             col = _residue(blk[i:, j], q)
-            nz = np.flatnonzero(col)
+            nz = col.nonzero()[0]
             if nz.size == 0:
                 continue
             p = i + int(nz[0])
@@ -343,14 +344,15 @@ def _echelon(a: np.ndarray, q: int, limit: int | None = None) -> list[int]:
                 col[[0, p - i]] = col[[p - i, 0]]
             if depth:
                 blk[i, w + i] = 1
-            blk[i] = np.mod(_residue(blk[i], q) * pow(int(col[0]), -1, q), q)
+            # Tracking columns past w + i are still zero in every row, and the
+            # pivot row is zero mod q left of j.
+            end = w + i + 1 if depth else w
+            blk[i, j:end] = np.mod(_residue(blk[i, j:end], q) * pow(int(col[0]), -1, q), q)
             if nz.size > 1:
                 if lazy == room:
                     blk[i + 1 :] = _residue(blk[i + 1 :], q)
                     lazy = 0
-                # Tracking columns past w + i are still zero in every row.
-                end = w + i + 1 if depth else w
-                blk[i + 1 :, j:end] -= np.outer(col[1:], blk[i, j:end])
+                blk[i + 1 :, j:end] -= col[1:, None] * blk[i, j:end]
                 lazy += 1
             pivots.append(c)
             r += 1
@@ -382,12 +384,12 @@ def _back_substitute(a: np.ndarray, pivots: list[int], q: int, start: int = 0) -
     pending = 0
     for i in reversed(range(len(pivots))):
         c = pivots[i]
-        if np.any(a[:i, c]):
+        if a[:i, c].any():
             lo = max(c, start)
             if pending == room:
                 np.mod(a[:i, lo:], q, out=a[:i, lo:])
                 pending = 0
-            a[:i, lo:] -= np.outer(a[:i, c], np.mod(a[i, lo:], q))
+            a[:i, lo:] -= a[:i, c, None] * np.mod(a[i, lo:], q)
             pending += 1
     if pending:
         np.mod(a[:, start:], q, out=a[:, start:])

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import json
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -33,6 +34,7 @@ from nckey.fieldmath import (
     FieldCtx,
     MatrixFq,
     block_diag,
+    hstack,
     random_matrix,
     rank,
     solve_in_rowspan,
@@ -42,6 +44,7 @@ from nckey.fieldmath import (
 from nckey.subspaces import (
     SubspaceFamily,
     direct_sum,
+    quotient,
     random_inside,
     random_subspace,
     span_of,
@@ -526,7 +529,9 @@ def test_quotient_certificate_hand_cases():
 )
 def test_quotient_cap_equals_the_stacked_rank(q, ambient, dims, eve_rows, seed):
     # the dimension a selection adds to a base, taken modulo the base, is the
-    # rank of the selection's bases stacked on the base's, less the base's
+    # rank of the selection's bases stacked on the base's, less the base's;
+    # with no base, the largest basis (often the appended sum, not the first
+    # subspace) counts whole and the others modulo it
     ctx, rng = FieldCtx(q), np.random.default_rng(seed)
     base = span_of(random_matrix(eve_rows, ambient, ctx, rng))
     subs = [random_subspace(ambient, min(d, ambient), ctx, rng) for d in dims]
@@ -535,6 +540,203 @@ def test_quotient_cap_equals_the_stacked_rank(q, ambient, dims, eve_rows, seed):
     stacked = rank(vstack([sub.basis for sub in subs] + [base.basis])) - base.dim
     assert agreement._cap(subs, base) == stacked
     assert agreement._cap(subs, None) == rank(vstack([sub.basis for sub in subs]))
+
+
+# ---------------------------------------------------------------------------
+# slot-local session checks against the elimination they replace
+# ---------------------------------------------------------------------------
+
+FIELD_EXTREMES = [2, 101, 2**31 - 1]
+
+
+def reference_caps(family, base):
+    """The cap table one selection at a time: the rank of each selection's
+    stacked bases, taken modulo ``base`` (by size, then lexicographically)."""
+    masks = family.masks()
+    table = {}
+    for k in range(1, len(masks) + 1):
+        for sel in itertools.combinations(masks, k):
+            stacked = vstack([family[mask].basis for mask in sel])
+            table[sel] = rank(stacked if base is None else quotient(stacked, base))
+    return table
+
+
+@st.composite
+def families_and_bases(draw):
+    """A family on some of the 2^m - 1 subsets, m <= 3, with members of any
+    dimension (zero included), some of them sums or copies of the others
+    (fully dependent), and a rank-deficient base or none."""
+    ctx = FieldCtx(draw(st.sampled_from(FIELD_EXTREMES)))
+    m, ambient = draw(st.integers(1, 3)), draw(st.integers(1, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    masks = draw(st.lists(st.sampled_from(subset_masks(m)), min_size=1, unique=True))
+    members = {}
+    for mask in masks:
+        kind = draw(st.sampled_from(["random", "zero", "dependent"]))
+        if kind == "dependent" and members:
+            parts = draw(st.lists(st.sampled_from(sorted(members)), min_size=1, max_size=2))
+            members[mask] = span_of(vstack([members[part].basis for part in parts]))
+        else:
+            dim = 0 if kind == "zero" else draw(st.integers(0, ambient))
+            members[mask] = random_subspace(ambient, dim, ctx, rng)
+    base = None
+    if draw(st.booleans()):
+        rows, inner = draw(st.integers(0, ambient + 1)), draw(st.integers(0, ambient))
+        base = span_of(random_matrix(rows, inner, ctx, rng) @ random_matrix(inner, ambient, ctx, rng))
+    return SubspaceFamily(m, members), base
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(families_and_bases())
+def test_chain_caps_equal_the_per_selection_reference(case):
+    # one elimination per symmetric chain gives every selection's cap, in the
+    # same table order as ranking each selection on its own
+    family, base = case
+    got, want = agreement._actual_caps(family, base), reference_caps(family, base)
+    assert got == want and list(got) == list(want)
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_chain_decomposition_is_symmetric_and_covers_each_selection_once(k):
+    chains = agreement._symmetric_chains(k)
+    sets = [sel for chain in chains for sel in chain]
+    assert sorted(sets) == sorted(itertools.chain.from_iterable(
+        itertools.combinations(range(k), size) for size in range(k + 1)
+    ))
+    assert len(chains) == math.comb(k, k // 2)
+    for chain in chains:
+        assert len(chain[0]) + len(chain[-1]) == k
+        assert all(len(b) == len(a) + 1 and set(a) < set(b) for a, b in zip(chain, chain[1:]))
+
+
+def reference_certificate(keys, eves):
+    """The certificate as one rank of all key rows modulo the per-slot
+    eavesdropper spans, side by side."""
+    width = eves[0].ambient_dim
+    blocks = [
+        quotient(MatrixFq(keys.arr[:, t * width : (t + 1) * width], keys.ctx), eve)
+        for t, eve in enumerate(eves)
+    ]
+    return rank(hstack(blocks)) == keys.rows
+
+
+@st.composite
+def slot_keys_and_eavesdropper(draw):
+    """Key rows against per-slot eavesdropper spans, mixing rows local to one
+    slot block, local rows dependent modulo E_t (combinations of E_t and the
+    slot's other local rows), rows that couple slots, a dependent coupled
+    row, and zero rows; any of the kinds may be absent."""
+    ctx = FieldCtx(draw(st.sampled_from(FIELD_EXTREMES)))
+    slots, width = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    eves = []
+    for _ in range(slots):
+        rows, inner = draw(st.integers(0, width + 1)), draw(st.integers(0, width))
+        eves.append(span_of(random_matrix(rows, inner, ctx, rng) @ random_matrix(inner, width, ctx, rng)))
+    local, coupled = draw(st.integers(0, 2 * slots)), draw(st.integers(0, 4))
+    rows = []
+    for _ in range(local):
+        t = int(rng.integers(slots))
+        row = np.zeros(slots * width, dtype=np.int64)
+        row[t * width : (t + 1) * width] = random_matrix(1, width, ctx, rng).arr
+        rows.append(row)
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        t = int(rng.integers(slots))
+        mine = [r[t * width : (t + 1) * width] for r in rows if r.any()]
+        span = vstack([eves[t].basis, MatrixFq(np.reshape(mine, (-1, width)), ctx)])
+        row = np.zeros(slots * width, dtype=np.int64)
+        row[t * width : (t + 1) * width] = (random_matrix(1, span.rows, ctx, rng) @ span).arr
+        rows.append(row)
+    rows += list(random_matrix(coupled, slots * width, ctx, rng).arr)
+    if coupled and draw(st.sampled_from([False, False, True])):
+        rows.append((random_matrix(1, len(rows), ctx, rng) @ MatrixFq(np.array(rows), ctx)).arr[0])
+    rows += [np.zeros(slots * width, dtype=np.int64)] * draw(st.sampled_from([0, 0, 0, 1]))
+    keys = MatrixFq(np.reshape(rows, (-1, slots * width)), ctx)
+    return MatrixFq(keys.arr[rng.permutation(keys.rows)], ctx), eves
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(slot_keys_and_eavesdropper())
+def test_slot_local_certificate_equals_the_full_quotient_rank(case):
+    # local rows checked slot by slot, then the coupling rows modulo the
+    # per-slot sums, give the verdict of ranking every row modulo E
+    keys, eves = case
+    assert agreement._leakage_certificate(keys, eves) == reference_certificate(keys, eves)
+
+
+def test_slot_local_certificate_hand_cases():
+    # two slots of F_3^2, the eavesdropper seeing e1 in the first
+    ctx = FieldCtx(3)
+    eves = [span_of(MatrixFq([[1, 0]], ctx)), zero_subspace(2, ctx)]
+    cases = {
+        # all rows local: e2 in slot 0 and e1 in slot 1 pass; e1 in slot 0 fails
+        ((0, 1, 0, 0), (0, 0, 1, 0)): True,
+        ((1, 0, 0, 0), (0, 0, 1, 0)): False,
+        # local rows dependent modulo E_0: e2 and e1 + e2 in slot 0
+        ((0, 1, 0, 0), (1, 1, 0, 0)): False,
+        # no row local
+        ((0, 1, 1, 0), (1, 0, 0, 1)): True,
+        ((0, 1, 1, 0), (1, 1, 1, 0)): False,
+        # a coupling row that the local rows and E make dependent
+        ((0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 0)): False,
+        # a zero row
+        ((0, 1, 0, 0), (0, 0, 0, 0)): False,
+    }
+    for rows, verdict in cases.items():
+        keys = MatrixFq(list(rows), ctx)
+        assert agreement._leakage_certificate(keys, eves) == verdict
+        assert reference_certificate(keys, eves) == verdict
+
+
+def reference_disclose(target, transfers):
+    """C slot block by slot block, solving every target row in every block."""
+    width, blocks = transfers[0].cols, []
+    for t, f in enumerate(transfers):
+        w = solve_in_rowspan(MatrixFq(target.arr[:, t * width : (t + 1) * width], target.ctx), f)
+        if w is None:
+            return None
+        blocks.append(w)
+    return hstack(blocks)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(FIELD_EXTREMES),
+    st.integers(1, 4),
+    st.integers(1, 5),
+    st.integers(0, 3),
+    st.integers(0, 2**32 - 1),
+)
+def test_slot_local_disclosure_equals_the_full_block_solve(q, slots, n_a, extra, seed):
+    # tall rank-deficient transfers (n_r > n_a, so C is not unique); target
+    # rows in each slot block are zero, inside the transfer's span, or
+    # (rarely) outside it, so that some systems have no solution
+    ctx, rng = FieldCtx(q), np.random.default_rng(seed)
+    n_r, inner = n_a + extra, int(rng.integers(1, n_a + 1))
+    transfers = [random_matrix(n_r, inner, ctx, rng) @ random_matrix(inner, n_a, ctx, rng) for _ in range(slots)]
+    target = np.zeros((6, slots * n_a), dtype=np.int64)
+    for i, t in itertools.product(range(6), range(slots)):
+        kind = rng.choice(["zero", "inside", "inside", "outside"], p=[0.45, 0.25, 0.25, 0.05])
+        if kind == "inside":
+            target[i, t * n_a : (t + 1) * n_a] = (random_matrix(1, n_r, ctx, rng) @ transfers[t]).arr
+        elif kind == "outside":
+            target[i, t * n_a : (t + 1) * n_a] = random_matrix(1, n_a, ctx, rng).arr
+    target = MatrixFq(target, ctx)
+    assert agreement._disclose(target, transfers) == reference_disclose(target, transfers)
+
+
+def test_slot_local_disclosure_equals_the_full_block_solve_on_sessions():
+    # every terminal's stacked subset bases, as _disclosures solves them, on
+    # the golden shapes, the tall one (n_r > n_a) included
+    tall = 0
+    for p, res, _, bases in _disclosed_sessions():
+        slots = res.transcript.slots
+        for r in range(p.m):
+            target = vstack([bases[mask] for mask in sorted(bases) if mask >> r & 1])
+            transfers = [rec.obs.transfers[r] for rec in slots]
+            assert agreement._disclose(target, transfers) == reference_disclose(target, transfers)
+        tall += max(p.n) > p.n_a
+    assert tall >= 10
 
 
 def test_exhaustive_leakage_spot_cases():
