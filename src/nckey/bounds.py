@@ -1,21 +1,22 @@
-"""Closed-form secret-key rate bounds plus a brute-force conditional mutual
-information oracle that validates the asymptotic formulas at small field size.
+"""Closed-form secret-key rate bounds plus an exact conditional mutual
+information oracle that checks the asymptotic formulas at any field size.
 
 All bound formulas are rational in the channel counts, so rates are carried as
-exact Fraction coefficients of log q.  The oracle's joint law is exact too:
-integer weights over one common denominator.  Only the final log sums are
-floating point.
+exact Fraction coefficients of log q.  The oracle counts subspace
+configurations by dimension, since its inputs are uniform over one dimension;
+its law is integer weights over one common denominator, and only the final
+log sum is floating point.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .channel import ChannelParams
-from .fieldmath import FieldCtx
-from .subspaces import Subspace, gaussian_binomial, spanning_matrix_count, subspaces_within
+from .subspaces import gaussian_binomial, spanning_matrix_count
 
 ABSOLUTE = "absolute"
 PER_DOF = "per_dof"  # per (ell - n_a) * log q
@@ -122,111 +123,72 @@ def generic_dims(dims, ambient: int) -> tuple[int, int]:
 
 
 def asymptotic_cmi_coefficient(params: ChannelParams, receiver: int = 0) -> int:
-    """Large-field coefficient of max_P I(source; receiver | eavesdropper):
-    (min[n_a, n_i+n_e] - n_e)(ell - min[n_a, n_i+n_e])."""
+    """The cut coefficient (cut - n_e)(ell - cut), cut = min[n_a, n_i+n_e].
+
+    It is the large-field coefficient of max_P I(source; receiver |
+    eavesdropper) only when 2 cut <= ell + n_e + 1.  An input uniform over
+    dimension k has coefficient (min[n_i+n_e, k] - min[n_e, k])(ell - k),
+    which rises all the way to k = cut only under that condition; otherwise a
+    lower k scores more (ell=4, n_a=n_i=3, n_e=0: k=2 gives 4 > 3).
+    """
     return _cut(params, params.n[receiver])[1]
 
 
-class OracleSizeError(ValueError):
-    """Raised when an exact-enumeration instance is too large to be feasible."""
+def _log_ratio(a: int, b: int) -> float:
+    """log(a / b) for positive ints of any size: a / b itself can exceed the
+    float range, so it is shifted by the difference of bit lengths into
+    (1/2, 2), divided with one rounding, and the shift added back."""
+    shift = a.bit_length() - b.bit_length()
+    frac = a / (b << shift) if shift >= 0 else (a << -shift) / b
+    return math.log(frac) + shift * math.log(2)
 
 
-def uniform_dim_distribution(ell: int, dim: int, ctx: FieldCtx) -> dict[Subspace, Fraction]:
-    """Uniform distribution over all dim-dimensional subspaces of F_q^ell."""
-    count = gaussian_binomial(ell, dim, ctx)
-    return {s: Fraction(1, count) for s in _all_subspaces_cached(ell, dim, ctx)}
+def exact_cmi_oracle(params: ChannelParams, input_dim: int) -> float:
+    """Exact I(source subspace; receiver subspace | eavesdropper subspace) in
+    nats, for the source uniform over the input_dim-dimensional subspaces of
+    F_q^ell.
 
+    That input law is GL(ell)-invariant, so the CMI depends on dimension
+    counts only.  With k = input_dim, e = dim pi_e, d = dim pi_i, j =
+    dim(pi_i & pi_e) and u = dim(pi_i + pi_e) = d + e - j: given pi_e the
+    source is uniform over the G(ell-e, k-e) k-subspaces containing it, and
+    given (pi_i, pi_e) over the G(ell-u, k-u) containing pi_i + pi_e.  So
+    I = E[log G(ell-e, k-e) - log G(ell-u, k-u)], with G the Gaussian
+    binomial and S = ``spanning_matrix_count``, under the exact law of
+    (e, d, j): integer weight w over D = G(ell, k) q^((n_i+n_e) k), with
 
-_SUBSPACE_CACHE: dict[tuple[int, int, int], tuple[Subspace, ...]] = {}
+        w = G(ell, e) G(e, j) q^((d-j)(e-j)) G(ell-e, d-j)   [pairs (pi_i, pi_e)]
+            * G(ell-u, k-u) S(n_i, d) S(n_e, e)               [each pair's weight].
 
-
-def _all_subspaces_cached(ell: int, dim: int, ctx: FieldCtx) -> tuple[Subspace, ...]:
-    key = (ell, dim, ctx.q)
-    if key not in _SUBSPACE_CACHE:
-        from .subspaces import iter_subspaces
-
-        _SUBSPACE_CACHE[key] = tuple(iter_subspaces(ell, dim, ctx))
-    return _SUBSPACE_CACHE[key]
-
-
-def exact_cmi_oracle(params: ChannelParams, input_dist: dict[Subspace, Fraction]) -> float:
-    """Exact I(source subspace; receiver subspace | eavesdropper subspace) in nats.
-
-    Enumerates the subspace channel exhaustively under the given input
-    distribution: for each input pi_a in order, every pair (pi_i, pi_e) of
-    subspaces of pi_a that the receiver and the eavesdropper can observe.
-    Below pi_a the channel law depends only on dimensions (see
-    ``channel.subspace_transition_prob``), so it is tabulated once per
-    (n_r, dim pi_r, dim pi_a).  Joint probabilities are exact: Python ints
-    over one common denominator D, summed exactly into the marginals.
-    Observations are keyed by the bytes of their canonical RREF bases.  Only
-    the final log sums are floating point; each term, (w / D) * log((w w_e) /
-    (w_ae w_ie)), is a correctly rounded int division, so it equals the float
-    of the same exact rational.
-
-    Args:
-        params: Channel shape with a single terminal (m == 1).
-        input_dist: Distribution over subspaces of F_q^ell with dim <= n_a;
-            probabilities must sum to 1.
+    Only the final sum is floating point: each term is the correctly rounded
+    w / D times the log of the exact int ratio of the two counts.
 
     Raises:
-        OracleSizeError: If the instance exceeds the exhaustive-enumeration
-            gate (ell <= 4, q <= 5, single receiver).
+        ValueError: Unless there is one terminal (m == 1) and
+            0 <= input_dim <= n_a.
     """
-    if params.m != 1 or params.ell > 4 or params.ctx.q > 5:
-        raise OracleSizeError(
-            "exact enumeration is gated to ell <= 4, q <= 5, one receiver; "
-            f"got ell={params.ell}, q={params.ctx.q}, m={params.m}"
-        )
-    total = sum(input_dist.values(), Fraction(0))
-    if total != 1:
-        raise ValueError(f"input distribution must sum to 1, got {total}")
-    for s in input_dist:
-        if s.ambient_dim != params.ell or s.ctx != params.ctx:
-            raise ValueError("input distribution support must live in F_q^ell")
-        if s.dim > params.n_a:
-            raise ValueError(f"input subspace dim {s.dim} exceeds n_a={params.n_a}")
-
-    ctx, n_i, n_e = params.ctx, params.n[0], params.n_e
-    support = [(pi_a, Fraction(p_a)) for pi_a, p_a in input_dist.items() if p_a != 0]
-    top = max((pi_a.dim for pi_a, _ in support), default=0)
-    scale = math.lcm(*(p_a.denominator for _, p_a in support))
-    denom = scale * ctx.q ** ((n_i + n_e) * top)
-    # P(dim-d observation | dim-k input) * q^(n_r top), an int.
-    law = {
-        (n_r, d, k): spanning_matrix_count(n_r, d, ctx) * ctx.q ** (n_r * (top - k))
-        for n_r in (n_i, n_e)
-        for k in range(top + 1)
-        for d in range(min(n_r, k) + 1)
-    }
-
-    index: dict[bytes, int] = {}
-    joint: list[tuple[int, int, int, int]] = []
-    for a, (pi_a, p_a) in enumerate(support):
-        k = pi_a.dim
-        outs = [
-            (index.setdefault(s.basis.arr.tobytes(), len(index)), s.dim)
-            for s in subspaces_within(pi_a, max_dim=min(max(n_i, n_e), k))
-        ]
-        w_a = p_a.numerator * (scale // p_a.denominator)
-        outs_e = [(e, law[n_e, d, k]) for e, d in outs if d <= n_e]
-        for i, d in outs:
-            if d <= n_i:
-                w_ai = w_a * law[n_i, d, k]
-                joint.extend((a, i, e, w_ai * w_e) for e, w_e in outs_e)
-
-    w_e: dict[int, int] = {}
-    w_ae: dict[tuple[int, int], int] = {}
-    w_ie: dict[tuple[int, int], int] = {}
-    for a, i, e, w in joint:
-        w_e[e] = w_e.get(e, 0) + w
-        w_ae[a, e] = w_ae.get((a, e), 0) + w
-        w_ie[i, e] = w_ie.get((i, e), 0) + w
+    if params.m != 1:
+        raise ValueError(f"the CMI oracle needs exactly one terminal, got m={params.m}")
+    if not 0 <= input_dim <= params.n_a:
+        raise ValueError(f"input_dim must lie in [0, n_a={params.n_a}], got {input_dim}")
+    ctx, ell, k = params.ctx, params.ell, input_dim
+    n_i, n_e, q = params.n[0], params.n_e, ctx.q
+    gauss = functools.cache(lambda n, r: gaussian_binomial(n, r, ctx))
+    span = functools.cache(lambda n, r: spanning_matrix_count(n, r, ctx))
+    denom = gauss(ell, k) * q ** ((n_i + n_e) * k)
 
     cmi = 0.0
-    for a, i, e, w in joint:
-        cmi += (w / denom) * math.log((w * w_e[e]) / (w_ae[a, e] * w_ie[i, e]))
-    return max(cmi, 0.0)
+    for e in range(min(n_e, k) + 1):
+        w_e = gauss(ell, e) * span(n_e, e)
+        for d in range(min(n_i, k) + 1):
+            w_ed = w_e * span(n_i, d)
+            # j = d, pi_i inside pi_e, gives u = e and a zero log: skipped
+            for j in range(max(0, d + e - k), min(d - 1, e) + 1):
+                u = d + e - j
+                pairs = gauss(e, j) * q ** ((d - j) * (e - j)) * gauss(ell - e, d - j)
+                w = w_ed * pairs * gauss(ell - u, k - u)
+                cmi += (w / denom) * _log_ratio(gauss(ell - e, k - e), gauss(ell - u, k - u))
+    return cmi
 
 
 def best_uniform_input_cmi(params: ChannelParams) -> tuple[float, int]:
@@ -236,8 +198,7 @@ def best_uniform_input_cmi(params: ChannelParams) -> tuple[float, int]:
     """
     best = (0.0, 0)
     for d in range(params.n_a + 1):
-        dist = uniform_dim_distribution(params.ell, d, params.ctx)
-        val = exact_cmi_oracle(params, dist)
+        val = exact_cmi_oracle(params, d)
         if val > best[0]:
             best = (val, d)
     return best

@@ -24,13 +24,11 @@ from .agreement import (
     solve_allocation_lp_planned,
 )
 from .bounds import (
-    OracleSizeError,
     _cut,
     exact_cmi_oracle,
     asymptotic_cmi_coefficient,
     three_terminal_rate,
     two_terminal_rate,
-    uniform_dim_distribution,
     upper_bound,
 )
 from .channel import ChannelParams
@@ -50,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, doc in (
         ("bounds", "emit upper/lower rate coefficients over a parameter sweep"),
         ("simulate", "run seeded key-agreement sessions and audit them"),
-        ("oracle", "exact conditional mutual information on tiny instances"),
+        ("oracle", "exact conditional mutual information of uniform fixed-dimension inputs"),
     ):
         p = sub.add_parser(name, help=doc)
         p.add_argument("--config", help="JSON config file; explicit flags override it")
@@ -295,9 +293,6 @@ def cmd_simulate(cfg: dict, parser) -> dict:
     return {"rows": rows, "summary": summary}
 
 
-ORACLE_INPUTS = "uniform over each fixed input dimension 0..na"
-
-
 def cmd_oracle(cfg: dict, parser) -> dict:
     rows = []
     for sweep_cols, params in _sweep_points(cfg, parser):
@@ -305,11 +300,7 @@ def cmd_oracle(cfg: dict, parser) -> dict:
             parser.error("oracle needs exactly one terminal (--n with one count)")
         coeff = asymptotic_cmi_coefficient(params)
         for dim in range(params.n_a + 1):
-            dist = uniform_dim_distribution(params.ell, dim, params.ctx)
-            try:
-                cmi = exact_cmi_oracle(params, dist)
-            except OracleSizeError as exc:
-                parser.error(str(exc))
+            cmi = exact_cmi_oracle(params, dim)
             rows.append(
                 {
                     **sweep_cols,

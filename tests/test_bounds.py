@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from nckey.bounds import (
-    OracleSizeError,
     RateExpression,
     asymptotic_cmi_coefficient,
     best_uniform_input_cmi,
@@ -14,7 +13,6 @@ from nckey.bounds import (
     no_feedback_two_terminal_rate,
     three_terminal_rate,
     two_terminal_rate,
-    uniform_dim_distribution,
     upper_bound,
 )
 from nckey.channel import ChannelParams, subspace_transition_prob
@@ -26,6 +24,7 @@ from nckey.subspaces import (
     iter_subspaces,
     random_subspace,
     span_of,
+    spanning_matrix_count,
 )
 
 F2 = FieldCtx(2)
@@ -136,108 +135,17 @@ def test_generic_dims_match_sampling_at_large_q():
     assert hits / trials > 0.9
 
 
-def test_oracle_gate():
-    with pytest.raises(OracleSizeError, match="ell"):
-        exact_cmi_oracle(P(2, 5, 2, [1], 1), {})
-    with pytest.raises(OracleSizeError):
-        exact_cmi_oracle(P(7, 3, 2, [1], 1), {})
-    with pytest.raises(OracleSizeError):
-        exact_cmi_oracle(P(2, 3, 2, [1, 1], 1), {})
+def uniform_dim_distribution(ell: int, dim: int, ctx: FieldCtx) -> dict[Subspace, Fraction]:
+    """Uniform distribution over all dim-dimensional subspaces of F_q^ell."""
+    subs = list(iter_subspaces(ell, dim, ctx))
+    return {s: Fraction(1, len(subs)) for s in subs}
 
 
-def test_oracle_input_validation():
-    p = P(2, 3, 2, [1], 1)
-    bad = uniform_dim_distribution(3, 1, F2)
-    bad.popitem()
-    with pytest.raises(ValueError, match="sum to 1"):
-        exact_cmi_oracle(p, bad)
-    with pytest.raises(ValueError, match="exceeds"):
-        exact_cmi_oracle(P(2, 3, 1, [1], 1), uniform_dim_distribution(3, 2, F2))
-
-
-def test_oracle_no_receiver_is_zero():
-    p = P(2, 3, 2, [0], 1)
-    dist = uniform_dim_distribution(3, 2, F2)
-    assert exact_cmi_oracle(p, dist) == 0.0
-
-
-def test_oracle_point_mass_is_zero():
-    # a deterministic input carries no information
-    p = P(2, 3, 2, [1], 1)
-    s = next(iter(iter_subspaces(3, 2, F2)))
-    assert exact_cmi_oracle(p, {s: Fraction(1)}) == 0.0
-
-
-def test_oracle_strong_eavesdropper_vanishes_with_q():
-    # n_e >= ell: the eavesdropper captures everything as q grows
-    vals = {}
-    for q in (2, 3):
-        p = P(q, 2, 1, [1], 2)
-        dist = uniform_dim_distribution(2, 1, FieldCtx(q))
-        vals[q] = exact_cmi_oracle(p, dist) / math.log(q)
-    assert vals[3] < vals[2]
-    assert vals[3] < 0.2
-
-
-def _cmi_candidates(q):
-    """Oracle CMI for a family of inputs: fixed-dim uniforms, a point mass,
-    a two-dim mixture, and uniform over everything."""
-    ctx = FieldCtx(q)
-    p = P(q, 3, 2, [1], 1)
-    fixed = [exact_cmi_oracle(p, uniform_dim_distribution(3, d, ctx)) for d in range(3)]
-    others = []
-    s = next(iter(iter_subspaces(3, 2, ctx)))
-    others.append(exact_cmi_oracle(p, {s: Fraction(1)}))
-    mix = {}
-    for d, w in ((1, Fraction(1, 2)), (2, Fraction(1, 2))):
-        for sub, pr in uniform_dim_distribution(3, d, ctx).items():
-            mix[sub] = mix.get(sub, Fraction(0)) + w * pr
-    others.append(exact_cmi_oracle(p, mix))
-    everything = {}
-    count = sum(gaussian_binomial(3, d, ctx) for d in range(3))
-    for d in range(3):
-        for sub in uniform_dim_distribution(3, d, ctx):
-            everything[sub] = Fraction(1, count)
-    others.append(exact_cmi_oracle(p, everything))
-    return fixed, others
-
-
-def test_oracle_maximizer_is_uniform_fixed_dimension_at_q5():
-    # From q=5 on this instance the family maximum is attained by a
-    # uniform-over-one-dimension input, as the large-field theory predicts.
-    fixed, others = _cmi_candidates(5)
-    assert max(others) <= max(fixed) + 1e-12
-
-
-def test_oracle_mixtures_win_at_tiny_q():
-    # The fixed-dimension optimality is an asymptotic statement: at q=2 the
-    # concavity of conditional MI makes dimension mixtures strictly better.
-    # (Cross-checked against an exhaustive matrix-level computation.)
-    fixed, others = _cmi_candidates(2)
-    assert max(others) > max(fixed) + 1e-9
-
-
-def test_oracle_trend_and_asymptote():
-    # normalized best CMI grows with q toward the asymptotic coefficient
-    p2 = P(2, 3, 2, [1], 1)
-    assert asymptotic_cmi_coefficient(p2) == 1
-    normalized = []
-    for q in (2, 3, 5):
-        p = P(q, 3, 2, [1], 1)
-        cmi, best_dim = best_uniform_input_cmi(p)
-        normalized.append(cmi / math.log(q))
-        assert best_dim == 2
-    assert normalized[0] <= normalized[1] <= normalized[2] <= 1.0
-    gaps = [1.0 - v for v in normalized]
-    assert gaps[0] >= gaps[1] >= gaps[2]
-    assert gaps[2] <= 0.15
-
-
-def reference_cmi_oracle(params: ChannelParams, input_dist: dict[Subspace, Fraction]) -> float:
-    """The oracle with Fraction probabilities keyed by Subspace objects, each
-    observation re-eliminated by span_of and its law taken from
-    subspace_transition_prob: the reference for exact_cmi_oracle's integer
-    weights on indexed observations."""
+def reference_terms(params: ChannelParams, input_dist: dict[Subspace, Fraction]):
+    """(pi_a, pi_i, pi_e, p, ratio) for every triple of positive probability,
+    p = P(pi_a, pi_i, pi_e) and ratio = p P(pi_e) / (P(pi_a, pi_e) P(pi_i, pi_e)),
+    both exact Fractions keyed by Subspace objects, each observation
+    re-eliminated by span_of and its law taken from subspace_transition_prob."""
 
     def within(pi_a, max_dim):
         for d in range(max_dim + 1):
@@ -271,20 +179,127 @@ def reference_cmi_oracle(params: ChannelParams, input_dist: dict[Subspace, Fract
         p_e[e] = p_e.get(e, Fraction(0)) + p
         p_ae[(a, e)] = p_ae.get((a, e), Fraction(0)) + p
         p_ie[(i, e)] = p_ie.get((i, e), Fraction(0)) + p
-
-    cmi = 0.0
     for (a, i, e), p in joint.items():
-        ratio = (p * p_e[e]) / (p_ae[(a, e)] * p_ie[(i, e)])
-        cmi += float(p) * math.log(float(ratio))
-    return max(cmi, 0.0)
+        yield a, i, e, p, (p * p_e[e]) / (p_ae[(a, e)] * p_ie[(i, e)])
+
+
+def _cmi_of_terms(terms) -> float:
+    # fsum: only the terms are rounded, not their running sum
+    return max(math.fsum(float(p) * math.log(float(ratio)) for *_, p, ratio in terms), 0.0)
+
+
+def reference_cmi_oracle(params: ChannelParams, input_dist: dict[Subspace, Fraction]) -> float:
+    """I(pi_a; pi_i | pi_e) in nats for any input distribution, by exhaustive
+    Fraction enumeration of the triples: the reference for exact_cmi_oracle."""
+    return _cmi_of_terms(reference_terms(params, input_dist))
+
+
+def orbit_law(params: ChannelParams, k: int) -> dict[tuple[int, int, int], Fraction]:
+    """P(dim pi_e = e, dim pi_i = d, dim(pi_i + pi_e) = u) for the source
+    uniform over the k-subspaces of F_q^ell: the weights w / D that
+    exact_cmi_oracle's docstring states, as exact Fractions."""
+    ctx, ell, q = params.ctx, params.ell, params.ctx.q
+    n_i, n_e = params.n[0], params.n_e
+
+    def G(n, r):
+        return gaussian_binomial(n, r, ctx)
+
+    def S(n, r):
+        return spanning_matrix_count(n, r, ctx)
+
+    denom = G(ell, k) * q ** ((n_i + n_e) * k)
+    law = {}
+    for e in range(min(n_e, k) + 1):
+        for d in range(min(n_i, k) + 1):
+            for j in range(max(0, d + e - k), min(d, e) + 1):
+                u = d + e - j
+                pairs = G(ell, e) * G(e, j) * q ** ((d - j) * (e - j)) * G(ell - e, d - j)
+                law[e, d, u] = Fraction(pairs * G(ell - u, k - u) * S(n_i, d) * S(n_e, e), denom)
+    return law
+
+
+def _assert_orbit_law(p: ChannelParams, k: int) -> None:
+    """The enumerated joint law, bucketed by (e, d, u), is the orbit law;
+    each triple's ratio is G(ell-e, k-e) / G(ell-u, k-u); and the oracle's
+    float is the reference's within 1e-12."""
+    terms = list(reference_terms(p, uniform_dim_distribution(p.ell, k, p.ctx)))
+    law: dict[tuple[int, int, int], Fraction] = {}
+    sums: dict[tuple[Subspace, Subspace], int] = {}
+    for _, pi_i, pi_e, prob, ratio in terms:
+        e = pi_e.dim
+        if (pi_i, pi_e) not in sums:
+            sums[pi_i, pi_e] = (pi_i + pi_e).dim
+        u = sums[pi_i, pi_e]
+        law[e, pi_i.dim, u] = law.get((e, pi_i.dim, u), Fraction(0)) + prob
+        g_e = gaussian_binomial(p.ell - e, k - e, p.ctx)
+        assert ratio == Fraction(g_e, gaussian_binomial(p.ell - u, k - u, p.ctx)), (p, k)
+    assert law == orbit_law(p, k), (p, k)
+    assert abs(exact_cmi_oracle(p, k) - _cmi_of_terms(terms)) <= 1e-12, (p, k)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_orbit_law_equals_the_reference_enumeration(q):
+    # every (ell, k, n_i, n_e) with ell <= 3 and n_i, n_e <= 2; n_a only bounds k.
+    # ell = 4 runs at q = 2 only (next test): its Fraction enumeration takes
+    # about 20 s at q = 3 and 6 minutes at q = 5.
+    for ell in (2, 3):
+        for n_i in range(3):
+            for n_e in range(3):
+                for k in range(ell):
+                    _assert_orbit_law(P(q, ell, ell - 1, [n_i], n_e), k)
+
+
+def test_oracle_equals_the_fraction_reference_on_ell4_shapes_at_q2():
+    for n_i in range(4):
+        for n_e in range(4):
+            for k in range(4):
+                _assert_orbit_law(P(2, 4, 3, [n_i], n_e), k)
+
+
+def test_oracle_runs_past_the_old_gate():
+    # no size gate: q = 7 and ell = 5 give the reference's values
+    for p, k in ((P(7, 3, 2, [1], 1), 2), (P(2, 5, 2, [1], 1), 2)):
+        value = exact_cmi_oracle(p, k)
+        assert value > 0
+        want = reference_cmi_oracle(p, uniform_dim_distribution(p.ell, k, p.ctx))
+        assert abs(value - want) <= 1e-12
+
+
+def test_oracle_input_validation():
+    with pytest.raises(ValueError, match="one terminal"):
+        exact_cmi_oracle(P(2, 3, 2, [1, 1], 1), 1)
+    for k in (-1, 3):
+        with pytest.raises(ValueError, match="input_dim"):
+            exact_cmi_oracle(P(2, 3, 2, [1], 1), k)
+
+
+def test_oracle_no_receiver_is_zero():
+    assert exact_cmi_oracle(P(2, 3, 2, [0], 1), 2) == 0.0
+
+
+def test_oracle_point_mass_is_zero():
+    # a deterministic input carries no information
+    p = P(2, 3, 2, [1], 1)
+    s = next(iter(iter_subspaces(3, 2, F2)))
+    assert reference_cmi_oracle(p, {s: Fraction(1)}) == 0.0
+
+
+def test_oracle_strong_eavesdropper_vanishes_with_q():
+    # n_e >= ell: the eavesdropper captures everything as q grows
+    vals = {}
+    for q in (2, 3):
+        p = P(q, 2, 1, [1], 2)
+        dist = uniform_dim_distribution(2, 1, FieldCtx(q))
+        vals[q] = reference_cmi_oracle(p, dist) / math.log(q)
+    assert vals[3] < vals[2]
+    assert vals[3] < 0.2
 
 
 def _candidate_inputs(q):
-    """The _cmi_candidates inputs: each fixed-dim uniform, a point mass, a
-    two-dim mixture, and uniform over every subspace of dim <= 2 of F_q^3."""
+    """A point mass, a two-dim mixture, and uniform over every subspace of
+    dim <= 2 of F_q^3."""
     ctx = FieldCtx(q)
-    inputs = [uniform_dim_distribution(3, d, ctx) for d in range(3)]
-    inputs.append({next(iter(iter_subspaces(3, 2, ctx))): Fraction(1)})
+    inputs = [{next(iter(iter_subspaces(3, 2, ctx))): Fraction(1)}]
     mix = {}
     for d in (1, 2):
         for sub, pr in uniform_dim_distribution(3, d, ctx).items():
@@ -295,45 +310,94 @@ def _candidate_inputs(q):
     return inputs
 
 
-def _assert_bit_equal(p, dist):
-    got, want = exact_cmi_oracle(p, dist), reference_cmi_oracle(p, dist)
-    assert got == want, (p, got, want)
-    return got
+def _cmi_candidates(q):
+    """Oracle CMI of each fixed-dim uniform input, and reference CMI of the
+    _candidate_inputs."""
+    p = P(q, 3, 2, [1], 1)
+    fixed = [exact_cmi_oracle(p, d) for d in range(3)]
+    return fixed, [reference_cmi_oracle(p, dist) for dist in _candidate_inputs(q)]
+
+
+def test_oracle_maximizer_is_uniform_fixed_dimension_at_q5():
+    # From q=5 on this instance the family maximum is attained by a
+    # uniform-over-one-dimension input, as the large-field theory predicts.
+    fixed, others = _cmi_candidates(5)
+    assert max(others) <= max(fixed) + 1e-12
+
+
+def test_oracle_mixtures_win_at_tiny_q():
+    # The fixed-dimension optimality is an asymptotic statement: at q=2 the
+    # concavity of conditional MI makes dimension mixtures strictly better.
+    # (Cross-checked against an exhaustive matrix-level computation.)
+    fixed, others = _cmi_candidates(2)
+    assert max(others) > max(fixed) + 1e-9
+
+
+def test_oracle_trend_and_asymptote():
+    # normalized best CMI grows with q toward the asymptotic coefficient
+    p2 = P(2, 3, 2, [1], 1)
+    assert asymptotic_cmi_coefficient(p2) == 1
+    normalized = []
+    for q in (2, 3, 5):
+        p = P(q, 3, 2, [1], 1)
+        cmi, best_dim = best_uniform_input_cmi(p)
+        normalized.append(cmi / math.log(q))
+        assert best_dim == 2
+    assert normalized[0] <= normalized[1] <= normalized[2] <= 1.0
+    gaps = [1.0 - v for v in normalized]
+    assert gaps[0] >= gaps[1] >= gaps[2]
+    assert gaps[2] <= 0.15
+
+
+@pytest.mark.parametrize(
+    "ell, n_a, n_i, n_e, inside",
+    [(3, 2, 1, 1, True), (4, 3, 3, 0, False)],
+)
+def test_large_field_cmi_per_input_dim(ell, n_a, n_i, n_e, inside):
+    # At q = 2^31 - 1, I / log q at input dim k is within 1e-6 of
+    # (min[n_i+n_e, k] - min[n_e, k])(ell - k).  The cut coefficient is the
+    # maximum over k only when 2 cut <= ell + n_e + 1; (4, 3, 3, 0) lies
+    # outside that condition, and its k = 2 scores 4 > 3.
+    p = P(2**31 - 1, ell, n_a, [n_i], n_e)
+    limits = [(min(n_i + n_e, k) - min(n_e, k)) * (ell - k) for k in range(n_a + 1)]
+    for k, limit in enumerate(limits):
+        assert abs(exact_cmi_oracle(p, k) / math.log(p.ctx.q) - limit) <= 1e-6, (p, k)
+    cut = min(n_a, n_i + n_e)
+    assert (2 * cut <= ell + n_e + 1) == inside
+    assert (max(limits) == asymptotic_cmi_coefficient(p)) == inside
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_oracle_equals_the_fraction_reference_on_the_candidate_family(q):
+    # the fixed-dim members are covered by the orbit-law grid above; the
+    # reference alone scores the point mass and the mixtures
     for n_i, n_e in ((1, 1), (2, 0), (0, 2), (2, 1)):
         p = P(q, 3, 2, [n_i], n_e)
-        values = [_assert_bit_equal(p, dist) for dist in _candidate_inputs(q)]
-        assert values[3] == 0.0  # the point mass
-    assert max(values) > 0
+        point, *mixtures = [reference_cmi_oracle(p, dist) for dist in _candidate_inputs(q)]
+        assert point == 0.0
+        # a receiver that sees nothing learns nothing
+        assert all(v > 0 for v in mixtures) if n_i else mixtures == [0.0, 0.0]
 
 
 def test_oracle_equals_the_fraction_reference_at_edge_inputs():
     ctx = FieldCtx(3)
     # n_e >= ell: the eavesdropper may see all of the input
     for n_e in (3, 4):
-        _assert_bit_equal(P(3, 3, 2, [1], n_e), uniform_dim_distribution(3, 2, ctx))
-    # a zero-probability entry, at the front of the support
+        p = P(3, 3, 2, [1], n_e)
+        assert abs(exact_cmi_oracle(p, 2) - reference_cmi_oracle(p, uniform_dim_distribution(3, 2, ctx))) <= 1e-12
+    # a zero-probability entry, at the front of the support, changes nothing
     lines = uniform_dim_distribution(3, 1, ctx)
     planes = list(iter_subspaces(3, 2, ctx))
-    skewed = {planes[0]: Fraction(0), **{s: pr / 3 for s, pr in lines.items()}}
+    skewed = {s: pr / 3 for s, pr in lines.items()}
     skewed.update({planes[1]: Fraction(1, 3), planes[2]: Fraction(1, 3)})
-    assert _assert_bit_equal(P(3, 3, 2, [1], 1), skewed) > 0
-    # unequal denominators, a mass on the zero subspace among them
+    value = reference_cmi_oracle(P(3, 3, 2, [1], 1), skewed)
+    assert value > 0
+    assert reference_cmi_oracle(P(3, 3, 2, [1], 1), {planes[0]: Fraction(0), **skewed}) == value
+    # unequal denominators, a mass on the zero subspace among them; the CMI
+    # is at most H(pi_a)
     zero = next(iter(iter_subspaces(3, 0, ctx)))
     mixed = {zero: Fraction(1, 7), planes[5]: Fraction(2, 7 * 3), planes[6]: Fraction(4, 7 * 3)}
     mixed.update({s: Fraction(4, 7) * pr for s, pr in lines.items()})
     assert sum(mixed.values()) == 1
-    assert _assert_bit_equal(P(3, 3, 2, [2], 1), mixed) > 0
-
-
-def test_oracle_equals_the_fraction_reference_on_ell4_shapes_at_q2():
-    ctx = FieldCtx(2)
-    for n_a in (1, 2, 3):
-        for n_i in range(n_a + 1):
-            for n_e in range(n_a + 1):
-                p = P(2, 4, n_a, [n_i], n_e)
-                for dim in range(n_a + 1):
-                    _assert_bit_equal(p, uniform_dim_distribution(4, dim, ctx))
+    entropy = -math.fsum(float(pr) * math.log(float(pr)) for pr in mixed.values())
+    assert 0 < reference_cmi_oracle(P(3, 3, 2, [2], 1), mixed) <= entropy

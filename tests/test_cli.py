@@ -218,7 +218,7 @@ def test_oracle_report(tmp_path):
 
 
 def test_oracle_golden_sweep_bytes(tmp_path):
-    # the q sweep the benchmark runs, byte for byte as the Fraction oracle wrote it
+    # the q sweep the benchmark runs, byte for byte as the orbit-count oracle wrote it
     out = run_cli(
         ["oracle", "--ell", "3", "--na", "2", "--n", "1", "--ne", "1", "--sweep", "q:2:5"],
         tmp_path,
@@ -247,9 +247,20 @@ def test_q_sweep_past_the_field_limit_is_a_usage_error(capsys):
     assert "invalid parameters at q=2147483648: field modulus" in capsys.readouterr().err
 
 
-def test_oracle_gate_refusal():
-    with pytest.raises(SystemExit):
-        main(["oracle", "--q", "7", "--ell", "3", "--na", "2", "--n", "1", "--ne", "1"])
+def test_oracle_runs_past_the_old_gate(tmp_path, capsys):
+    # no size gate: q = 7 and ell = 5 run; only the one-terminal condition stays
+    out = run_cli(
+        ["oracle", "--q", "7", "--ell", "5", "--na", "3", "--n", "2", "--ne", "1", "--format", "json"],
+        tmp_path,
+        "oracle.json",
+    )
+    rows = json.loads(out)["rows"]
+    assert [r["input_dim"] for r in rows] == [0, 1, 2, 3]
+    assert max(float(r["cmi_nats"]) for r in rows) > 0
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--q", "7", "--ell", "3", "--na", "2", "--n", "1", "1", "--ne", "1"])
+    assert exc.value.code == 2
+    assert "exactly one terminal" in capsys.readouterr().err
 
 
 def test_oracle_q_sweep_monotone(tmp_path):

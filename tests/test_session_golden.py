@@ -8,21 +8,31 @@ more key rows than field elements, a shape with more received packets than
 source packets (n_r > n_a, where disclosures are not unique), and q=2, 3 and
 7 shapes whose seeds hit every reason a session bails out for.
 
+A second digest set, ``session_protocol_digests.json``, hashes only the
+protocol's outputs as int64 arrays with their shapes (messages, transfers,
+disclosures, code, ciphers and keys) plus the audit verdicts, so that a change
+of the transcript format regenerates the first set and leaves it untouched.
+
 Regenerate (only for an intended, documented output change) with
-``PYTHONPATH=src python tests/test_session_golden.py > tests/data/session_digests.json``.
+``PYTHONPATH=src python tests/test_session_golden.py > tests/data/session_digests.json``
+or, for the protocol digests,
+``PYTHONPATH=src python tests/test_session_golden.py --protocol > tests/data/session_protocol_digests.json``.
 """
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from nckey.agreement import plan_dimensions, run_session, solve_allocation_lp_planned
 from nckey.channel import ChannelParams
 from nckey.fieldmath import FieldCtx
 
 DATA = Path(__file__).parent / "data" / "session_digests.json"
+PROTOCOL_DATA = Path(__file__).parent / "data" / "session_protocol_digests.json"
 
 # name -> (q, ell, n_a, n, n_e, slots, seeds)
 CASES = {
@@ -56,23 +66,72 @@ def _outcome(result) -> str:
     return next(kind for kind in BAIL_KINDS if kind in result.audit.reasons[0])
 
 
-def run_cases() -> dict:
-    out = {}
+def _protocol_digest(result) -> str:
+    """sha256 over the session's protocol outputs as little-endian int64
+    arrays with their shapes, and its outcome, certificate, key blocks and
+    achieved rate; no part of ``to_json_dict()`` enters it."""
+    tr, keys, audit = result.transcript, result.keys, result.audit
+    h = hashlib.sha256()
+
+    def feed(label: str, entries) -> None:
+        # entries: (index tuple of a fixed length per label, matrix or None)
+        h.update(np.array([len(label), len(entries)], "<i8").tobytes() + label.encode())
+        for index, mat in entries:
+            shape = (-1, -1) if mat is None else mat.shape
+            h.update(np.array([*index, *shape], "<i8").tobytes())
+            if mat is not None:
+                h.update(mat.arr.astype("<i8").tobytes())
+
+    slots = list(enumerate(tr.slots))
+    feed("messages", [((t,), rec.message) for t, rec in slots])
+    feed("transfers", [((t, r), f) for t, rec in slots for r, f in enumerate(rec.obs.transfers)])
+    feed("eve_transfers", [((t,), rec.obs.eve_transfer) for t, rec in slots])
+    feed("disclosures", [(key, w) for key, w in sorted(tr.disclosures.items())])
+    feed("code", [((), tr.multicast_code)])
+    feed("ciphers", [((), tr.ciphers)])
+    feed("subset_keys", [((mask,), k) for mask, k in sorted(keys.subset_keys.items())])
+    feed("final_key", [((), keys.final_key)])
+    feed("terminal_final", [((r,), k) for r, k in enumerate(keys.terminal_final)])
+    feed("terminal_subset_keys", [(key, k) for key, k in sorted(keys.terminal_subset_keys.items())])
+    verdicts = [_outcome(result), audit.leakage_certificate, audit.key_blocks, str(audit.achieved_per_slot)]
+    h.update(json.dumps(verdicts).encode())
+    return h.hexdigest()
+
+
+def run_sessions() -> list:
+    """(case name, seed, SessionResult) for every golden session."""
+    out = []
     for name, (q, ell, n_a, n, n_e, slots, seeds) in CASES.items():
         params = ChannelParams(FieldCtx(q), ell, n_a, n, n_e)
         alloc, _ = solve_allocation_lp_planned(plan_dimensions(params))
-        runs = {}
         for seed in seeds:
-            result = run_session(params, slots, alloc, np.random.default_rng(seed))
-            text = json.dumps(_session_doc(result), sort_keys=True)
-            runs[str(seed)] = [_outcome(result), hashlib.sha256(text.encode()).hexdigest()]
-        out[name] = runs
+            out.append((name, str(seed), run_session(params, slots, alloc, np.random.default_rng(seed))))
     return out
 
 
-def test_session_digests_match_golden():
+def format_digests(sessions) -> dict:
+    out = {}
+    for name, seed, result in sessions:
+        text = json.dumps(_session_doc(result), sort_keys=True)
+        out.setdefault(name, {})[seed] = [_outcome(result), hashlib.sha256(text.encode()).hexdigest()]
+    return out
+
+
+def protocol_digests(sessions) -> dict:
+    out = {}
+    for name, seed, result in sessions:
+        out.setdefault(name, {})[seed] = _protocol_digest(result)
+    return out
+
+
+@pytest.fixture(scope="module")
+def sessions():
+    return run_sessions()
+
+
+def test_session_digests_match_golden(sessions):
     want = json.loads(DATA.read_text())
-    got = run_cases()
+    got = format_digests(sessions)
     assert got == want
     outcomes = {kind for runs in got.values() for kind, _ in runs.values()}
     assert outcomes == {"ok", *BAIL_KINDS}
@@ -80,5 +139,12 @@ def test_session_digests_match_golden():
         assert {kind for kind, _ in got[name].values()} == {"ok", *BAIL_KINDS}
 
 
+def test_session_protocol_digests_match_golden(sessions):
+    want = json.loads(PROTOCOL_DATA.read_text())
+    assert protocol_digests(sessions) == want
+    assert sum(len(runs) for runs in want.values()) == 151
+
+
 if __name__ == "__main__":
-    print(json.dumps(run_cases(), indent=1, sort_keys=True))
+    digests = protocol_digests if sys.argv[1:] == ["--protocol"] else format_digests
+    print(json.dumps(digests(run_sessions()), indent=1, sort_keys=True))
