@@ -58,7 +58,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .channel import ChannelParams, SlotObservation, broadcast_slot, make_source_matrix
+from .channel import ChannelParams, SlotObservation, broadcast_slot, make_source_matrix, observe
 from .fieldmath import (
     FieldCtx,
     MatrixFq,
@@ -411,7 +411,7 @@ class InfeasibleAllocationError(ValueError):
 def extract_secure_subspaces(
     family: SubspaceFamily,
     counts: dict[int, int],
-    eve,
+    eve: Subspace | None,
     rng: np.random.Generator,
     max_tries: int = 500,
 ) -> dict[int, Subspace]:
@@ -419,12 +419,12 @@ def extract_secure_subspaces(
     picks are mutually independent.
 
     Both modes take one acceptance test: the picks add their total dimension
-    to ``eve``'s subspace, or to nothing when ``eve`` is None (_cap).  With ``eve`` a Subspace (test mode) that certifies
-    them independent of each other and of the eavesdropper's subspace,
-    exactly.  With ``eve`` None (the realistic mode: only the eavesdropper's
-    dimension is known) it certifies mutual independence only; independence
-    from the eavesdropper then holds with probability 1 - O(1/q) and is
-    checked by the session audit.
+    to ``eve``'s subspace, or to nothing when ``eve`` is None (_cap).  With
+    ``eve`` a Subspace (test mode) that certifies them independent of each
+    other and of the eavesdropper's subspace, exactly.  With ``eve`` None
+    (the realistic mode: only its dimension is known) it certifies mutual
+    independence only; independence from the eavesdropper then holds with
+    probability 1 - O(1/q) and is checked by the session audit.
 
     Independent picks certify every selection constraint at once, and
     feasible counts always admit them (Rado's theorem, matroid union), so the
@@ -432,28 +432,33 @@ def extract_secure_subspaces(
     pick, to tell bad luck from infeasible counts.
 
     Raises:
+        TypeError: if ``eve`` is neither None nor a Subspace.
+        ValueError: if a count is not a nonnegative integer.
         InfeasibleAllocationError: if the requested counts violate the
             verifiable feasibility constraints (with a witness selection).
         RuntimeError: if no valid pick is found within max_tries.
     """
+    if eve is not None and not isinstance(eve, Subspace):
+        raise TypeError(f"eve must be None or a Subspace, got {type(eve).__name__}")
     alloc = _as_allocation(counts, family.m)
+    if any(v.denominator != 1 for _, v in alloc.items()):
+        raise ValueError(f"counts must be nonnegative integers, got {dict(alloc.items())}")
     _check_shares_covered(alloc, family)
     masks = family.masks()
     counts = {mask: int(alloc[mask]) for mask in masks}
-    base = eve if isinstance(eve, Subspace) else None
     if any(counts[mask] > family[mask].dim for mask in masks):
         # An impossible pick violates its singleton cap, and singletons lead
         # the table order, so the first violated singleton is the witness.
-        singletons = {(mask,): _cap([family[mask]], base) for mask in masks}
+        singletons = {(mask,): _cap([family[mask]], eve) for mask in masks}
         raise InfeasibleAllocationError(_check_against(counts, singletons))
 
     want = sum(counts.values())
     for attempt in range(max_tries):
         picks = {mask: random_inside(family[mask], counts[mask], rng) for mask in masks}
-        if not want or _cap([picks[mask] for mask in masks if counts[mask] > 0], base) == want:
+        if not want or _cap([picks[mask] for mask in masks if counts[mask] > 0], eve) == want:
             return picks
         if attempt == 0 and len(masks) <= MAX_ENUMERATED_SUBSETS:
-            feas = _check_against(counts, _actual_caps(family, base))
+            feas = _check_against(counts, _actual_caps(family, eve))
             if not feas.ok:
                 raise InfeasibleAllocationError(feas)
     raise RuntimeError(f"no valid extraction found in {max_tries} tries")
@@ -527,10 +532,11 @@ class SlotRecord:
 class SessionTranscript:
     """Everything a session emitted.  Public messages (terminal transfer
     matrices, coefficient disclosures, the combination code and its padded
-    ciphers) are exactly what the eavesdropper also receives."""
+    ciphers) are exactly what the eavesdropper also receives.  The JSON form
+    (schema 2) stores each slot's message and transfers only; load rebuilds
+    its source [I | M] and received packets F @ [I | M] (observe)."""
 
     params: ChannelParams
-    n_slots: int
     slots: tuple[SlotRecord, ...]
     disclosures: dict[tuple[int, int], MatrixFq] = field(default_factory=dict)
     multicast_code: MatrixFq | None = None
@@ -565,11 +571,74 @@ class SessionResult:
     audit: AuditReport
 
     def to_json_dict(self) -> dict:
-        return _session_to_json(self)
+        tr, p, audit = self.transcript, self.transcript.params, self.audit
+        return {
+            "schema_version": SCHEMA_VERSION,
+            "params": {"q": p.ctx.q, "ell": p.ell, "na": p.n_a, "n": list(p.n), "ne": p.n_e},
+            "slots": [
+                {
+                    "message": _mat(rec.message),
+                    "transfers": [_mat(f) for f in rec.obs.transfers],
+                    "eve_transfer": _mat(rec.obs.eve_transfer),
+                }
+                for rec in tr.slots
+            ],
+            "public_messages": {
+                "disclosures": [
+                    {"subset": mask, "terminal": r, "coeffs": _mat(w)}
+                    for (mask, r), w in sorted(tr.disclosures.items())
+                ],
+                "multicast_code": _mat(tr.multicast_code),
+                "ciphers": _mat(tr.ciphers),
+            },
+            "keys": {
+                "subset_keys": {str(mask): _mat(k) for mask, k in sorted(self.keys.subset_keys.items())},
+                "final_key": _mat(self.keys.final_key),
+                "terminal_final": [_mat(k) for k in self.keys.terminal_final],
+            },
+            "audit": {
+                **asdict(audit),
+                "reasons": list(audit.reasons),
+                "achieved_per_slot": str(audit.achieved_per_slot),
+            },
+        }
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SessionResult":
-        return _session_from_json(doc)
+        """Load a schema-2 document, rebuilding each slot's source and received
+        packets; ValueError on another schema or a count or shape off the params."""
+        if doc.get("schema_version") != SCHEMA_VERSION:
+            raise ValueError(f"unsupported transcript schema {doc.get('schema_version')}")
+        pd = doc["params"]
+        ctx = FieldCtx(pd["q"])
+        params = ChannelParams(ctx, pd["ell"], pd["na"], tuple(pd["n"]), pd["ne"])
+        want = [(n_r, params.n_a) for n_r in (*params.n, params.n_e)]
+        slots = []
+        for t, s in enumerate(doc["slots"]):
+            fs = [_unmat(f, ctx) for f in (*s["transfers"], s["eve_transfer"])]
+            if [f.shape for f in fs] != want:
+                raise ValueError(f"slot {t}: transfer shapes {[f.shape for f in fs]}, need {want}")
+            message = _unmat(s["message"], ctx)
+            source = make_source_matrix(message, params)
+            slots.append(SlotRecord(message, source, observe(source, fs[:-1], fs[-1])))
+        pub = doc["public_messages"]
+        disclosures = {
+            (d["subset"], d["terminal"]): _unmat(d["coeffs"], ctx) for d in pub["disclosures"]
+        }
+        if any(w.cols != len(slots) * params.n[r] for (_, r), w in disclosures.items()):
+            raise ValueError("a disclosure's width does not match its terminal's received rows")
+        code, ciphers = (_unmat(pub[name], ctx) for name in ("multicast_code", "ciphers"))
+        transcript = SessionTranscript(params, tuple(slots), disclosures, code, ciphers)
+        kd = doc["keys"]
+        ad = {f.name: doc["audit"][f.name] for f in fields(AuditReport)}
+        keys = KeyShare(
+            {int(mask): _unmat(k, ctx) for mask, k in kd["subset_keys"].items()},
+            {} if ad["degenerate"] else _terminal_subset_keys(params, slots, disclosures),
+            _unmat(kd["final_key"], ctx),
+            tuple(_unmat(k, ctx) for k in kd["terminal_final"]),
+        )
+        ad.update(reasons=tuple(ad["reasons"]), achieved_per_slot=Fraction(ad["achieved_per_slot"]))
+        return cls(transcript, keys, AuditReport(**ad))
 
 
 def _vandermonde(rows: int, cols: int, ctx: FieldCtx) -> MatrixFq:
@@ -890,7 +959,7 @@ def run_session(
     if messages is None:
         messages = [random_matrix(params.n_a, width, ctx, msg_rng) for _ in range(n_slots)]
     slots = _broadcast(params, messages, chan_rng)
-    transcript = SessionTranscript(params, n_slots, slots)
+    transcript = SessionTranscript(params, slots)
     withheld = KeyShare(terminal_final=(None,) * m)
     if n_slots == 0:
         return SessionResult(transcript, withheld, _unaudited())
@@ -903,7 +972,7 @@ def run_session(
             final_key = random_matrix(key_blocks, width, ctx, msg_rng)
         final = final_key if key_blocks else None
         code, ciphers, keys = _multicast(picks, keys, final, m, proto_rng)
-        transcript = SessionTranscript(params, n_slots, slots, disclosures, code, ciphers)
+        transcript = SessionTranscript(params, slots, disclosures, code, ciphers)
         audit = _audit(alloc, counts, slots, exclusive, picks, keys)
     except _Degenerate as exc:
         return SessionResult(transcript, withheld, exc.audit)
@@ -914,98 +983,22 @@ def run_session(
 # Transcript serialization (versioned JSON for replay and comparison)
 # --------------------------------------------------------------------------
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _mat(m: MatrixFq | None):
-    if m is None:
-        return None
-    return {"rows": m.rows, "cols": m.cols, "entries": m.tolist()}
+    return None if m is None else {"rows": m.rows, "cols": m.cols, "entries": m.tolist()}
 
 
 def _unmat(doc, ctx: FieldCtx) -> MatrixFq | None:
     if doc is None:
         return None
-    arr = np.array(doc["entries"], dtype=np.int64).reshape(doc["rows"], doc["cols"])
-    return MatrixFq(arr, ctx)
-
-
-def _session_to_json(result: SessionResult) -> dict:
-    p = result.transcript.params
-    tr = result.transcript
-    audit = result.audit
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "params": {"q": p.ctx.q, "ell": p.ell, "na": p.n_a, "n": list(p.n), "ne": p.n_e},
-        "slots": [
-            {
-                "message": _mat(rec.message),
-                "source": _mat(rec.source),
-                "transfers": [_mat(f) for f in rec.obs.transfers],
-                "received": [_mat(x) for x in rec.obs.received],
-                "eve_transfer": _mat(rec.obs.eve_transfer),
-                "eve_received": _mat(rec.obs.eve_received),
-            }
-            for rec in tr.slots
-        ],
-        "public_messages": {
-            "transfers": [[_mat(f) for f in rec.obs.transfers] for rec in tr.slots],
-            "disclosures": [
-                {"subset": mask, "terminal": r, "coeffs": _mat(w)}
-                for (mask, r), w in sorted(tr.disclosures.items())
-            ],
-            "multicast_code": _mat(tr.multicast_code),
-            "ciphers": _mat(tr.ciphers),
-        },
-        "keys": {
-            "subset_keys": {str(mask): _mat(k) for mask, k in sorted(result.keys.subset_keys.items())},
-            "final_key": _mat(result.keys.final_key),
-            "terminal_final": [_mat(k) for k in result.keys.terminal_final],
-        },
-        "audit": {
-            **asdict(audit),
-            "reasons": list(audit.reasons),
-            "achieved_per_slot": str(audit.achieved_per_slot),
-        },
-    }
-
-
-def _session_from_json(doc: dict) -> SessionResult:
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported transcript schema {doc.get('schema_version')}")
-    pd = doc["params"]
-    ctx = FieldCtx(pd["q"])
-    params = ChannelParams(ctx, pd["ell"], pd["na"], tuple(pd["n"]), pd["ne"])
-    slots = []
-    for s in doc["slots"]:
-        obs = SlotObservation(
-            tuple(_unmat(f, ctx) for f in s["transfers"]),
-            tuple(_unmat(x, ctx) for x in s["received"]),
-            _unmat(s["eve_transfer"], ctx),
-            _unmat(s["eve_received"], ctx),
-        )
-        slots.append(SlotRecord(_unmat(s["message"], ctx), _unmat(s["source"], ctx), obs))
-    pub = doc["public_messages"]
-    disclosures = {
-        (d["subset"], d["terminal"]): _unmat(d["coeffs"], ctx) for d in pub["disclosures"]
-    }
-    code, ciphers = (_unmat(pub[name], ctx) for name in ("multicast_code", "ciphers"))
-    transcript = SessionTranscript(params, len(slots), tuple(slots), disclosures, code, ciphers)
-    kd = doc["keys"]
-    ad = {f.name: doc["audit"][f.name] for f in fields(AuditReport)}
-    keys = KeyShare(
-        {int(mask): _unmat(k, ctx) for mask, k in kd["subset_keys"].items()},
-        {} if ad["degenerate"] else _terminal_subset_keys(params, slots, disclosures),
-        _unmat(kd["final_key"], ctx),
-        tuple(_unmat(k, ctx) for k in kd["terminal_final"]),
-    )
-    ad.update(reasons=tuple(ad["reasons"]), achieved_per_slot=Fraction(ad["achieved_per_slot"]))
-    return SessionResult(transcript, keys, AuditReport(**ad))
+    return MatrixFq(np.array(doc["entries"], dtype=np.int64).reshape(doc["rows"], doc["cols"]), ctx)
 
 
 def save_session(result: SessionResult, path) -> None:
     with open(path, "w") as fh:
-        json.dump(result.to_json_dict(), fh, sort_keys=True, indent=1)
+        json.dump(result.to_json_dict(), fh, sort_keys=True, separators=(",", ":"))
 
 
 def load_session(path) -> SessionResult:

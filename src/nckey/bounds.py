@@ -59,14 +59,16 @@ def _cut(params: ChannelParams, n_i: int) -> tuple[int, int]:
 
 def upper_bound(params: ChannelParams) -> RateExpression:
     """min over terminals i of (min[n_a, n_i+n_e] - n_e)(ell - min[n_a, n_i+n_e]);
-    zero when the eavesdropper matches the source (n_e >= n_a)."""
+    zero when the eavesdropper matches the source (n_e >= n_a).  It also bounds
+    sources of injected rank below the cut only when 2 cut <= ell + n_e + 1."""
     return RateExpression(Fraction(min(_cut(params, n_i)[1] for n_i in params.n)), ABSOLUTE)
 
 
 def two_terminal_rate(params: ChannelParams) -> RateExpression:
     """Single-receiver achievable rate with the source reduced to
     n_a' = min(n_a, n_b+n_e) injected packets; matches upper_bound at n_a',
-    so this is the m=1 capacity."""
+    so this is the m=1 capacity when 2 n_a' <= ell + n_e + 1 (a lower
+    injected rank does better otherwise; see asymptotic_cmi_coefficient)."""
     if params.m != 1:
         raise ValueError(f"two_terminal_rate needs exactly one terminal, got m={params.m}")
     return upper_bound(params)

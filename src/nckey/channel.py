@@ -76,9 +76,14 @@ def broadcast_slot(x_a: MatrixFq, params: ChannelParams, rng: np.random.Generato
     if x_a.shape != (params.n_a, params.ell):
         raise ValueError(f"source matrix must be {params.n_a}x{params.ell}, got {x_a.shape}")
     transfers = tuple(random_matrix(n_i, params.n_a, params.ctx, rng) for n_i in params.n)
+    return observe(x_a, transfers, random_matrix(params.n_e, params.n_a, params.ctx, rng))
+
+
+def observe(x_a: MatrixFq, transfers, eve_transfer: MatrixFq) -> SlotObservation:
+    """The packets X_r = F_r @ X_A that each receiver observes under the given
+    transfer matrices (terminals 1..m, then the eavesdropper)."""
     received = tuple(mat_mul(f, x_a) for f in transfers)
-    f_e = random_matrix(params.n_e, params.n_a, params.ctx, rng)
-    return SlotObservation(transfers, received, f_e, mat_mul(f_e, x_a))
+    return SlotObservation(tuple(transfers), received, eve_transfer, mat_mul(eve_transfer, x_a))
 
 
 def matrix_transition_prob(x_r: MatrixFq, x_a: MatrixFq, n_r: int) -> Fraction:

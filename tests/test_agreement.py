@@ -396,6 +396,25 @@ def test_extract_refuses_infeasible():
     assert err.value.witness == (1,)
 
 
+def test_extract_refuses_counts_that_are_not_nonnegative_integers():
+    rng = np.random.default_rng(8)
+    fam, eve = _random_family(rng)
+    for counts in ({1: Fraction(5, 2)}, {1: 2.7}, {1: -1}):
+        with pytest.raises(ValueError, match="negative"):
+            extract_secure_subspaces(fam, counts, eve, rng)
+    # integer-valued counts of other types are still taken
+    picks = extract_secure_subspaces(fam, {1: Fraction(1), 2: 1.0}, eve, rng)
+    assert picks[1].dim == picks[2].dim == 1
+
+
+def test_extract_refuses_an_eavesdropper_that_is_not_a_subspace():
+    rng = np.random.default_rng(8)
+    fam, eve = _random_family(rng)
+    for bad in (3, eve.basis, eve.dim):
+        with pytest.raises(TypeError, match="eve must be None or a Subspace"):
+            extract_secure_subspaces(fam, {1: 1}, bad, rng)
+
+
 def test_extract_postconditions_exact_mode():
     rng = np.random.default_rng(13)
     for _ in range(30):
@@ -760,7 +779,7 @@ def test_session_zero_slots():
     p = P(101, 6, 3, [2], 1)
     alloc, _ = solve_allocation_lp_planned(plan_dimensions(p))
     res = run_session(p, 0, alloc, np.random.default_rng(0))
-    assert res.transcript.n_slots == 0 and not res.transcript.slots
+    assert not res.transcript.slots
     assert res.audit.achieved_per_slot == 0
     assert res.keys.final_key is None
 
@@ -1158,27 +1177,33 @@ def test_session_exhaustive_independence_of_final_key():
         assert c * total == k_counts[k] * v_counts[v]
 
 
+def _reload(res):
+    return type(res).from_json_dict(json.loads(json.dumps(res.to_json_dict())))
+
+
 def test_session_transcript_roundtrip(tmp_path):
     from nckey.agreement import load_session, save_session
 
-    p = P(101, 8, 4, [3, 3], 1)
-    alloc, _ = solve_allocation_lp_planned(plan_dimensions(p))
-    res = run_session(p, 2, alloc, np.random.default_rng(5))
-    doc = res.to_json_dict()
-    blob = json.dumps(doc, sort_keys=True)
-    back = type(res).from_json_dict(json.loads(blob))
-    assert back.transcript.params == res.transcript.params
-    assert back.transcript.n_slots == res.transcript.n_slots
-    for s1, s2 in zip(back.transcript.slots, res.transcript.slots):
-        assert s1.message == s2.message and s1.source == s2.source
-        assert s1.obs.transfers == s2.obs.transfers
-        assert s1.obs.eve_received == s2.obs.eve_received
-    assert back.transcript.disclosures == res.transcript.disclosures
-    assert res.keys.terminal_subset_keys and back.keys == res.keys
-    assert back.audit == res.audit
-    path = tmp_path / "session.json"
-    save_session(res, path)
-    assert load_session(path).audit == res.audit
+    kinds = {}
+    for q, n_slots in itertools.product((2, 101, 2**31 - 1), (0, 1, 2, 3)):
+        p = P(q, 8, 4, [3, 3], 1)
+        alloc, _ = solve_allocation_lp_planned(plan_dimensions(p))
+        res = run_session(p, n_slots, alloc, np.random.default_rng(5))
+        doc = res.to_json_dict()
+        assert doc["schema_version"] == 2
+        assert set(doc["public_messages"]) == {"disclosures", "multicast_code", "ciphers"}
+        assert all(set(s) == {"message", "transfers", "eve_transfer"} for s in doc["slots"])
+        back = _reload(res)
+        # sources and received packets are rebuilt, not read
+        assert back == res
+        assert back.transcript.slots == res.transcript.slots
+        assert len(back.transcript.slots) == n_slots
+        kinds.setdefault(q, set()).add(res.audit.degenerate)
+        path = tmp_path / "session.json"
+        save_session(res, path)
+        assert load_session(path) == res
+        assert "\n" not in path.read_text()
+    assert kinds[101] == kinds[2**31 - 1] == {False}
     # degenerate sessions withhold every key, also those whose disclosures
     # were published before the leakage certificate failed
     q2 = P(2, 6, 4, [3, 3], 1)
@@ -1186,5 +1211,43 @@ def test_session_transcript_roundtrip(tmp_path):
     for seed, reason in ((1, "common dim"), (15, "leakage certificate")):
         res = run_session(q2, 2, alloc, np.random.default_rng(seed))
         assert reason in res.audit.reasons[0]
-        back = type(res).from_json_dict(json.loads(json.dumps(res.to_json_dict())))
-        assert back.keys == res.keys and not back.keys.terminal_subset_keys
+        back = _reload(res)
+        assert back == res and not back.keys.terminal_subset_keys
+
+
+def test_session_transcript_load_refuses_schema_1_and_malformed_documents():
+    p = P(101, 8, 4, [3, 3], 1)
+    alloc, _ = solve_allocation_lp_planned(plan_dimensions(p))
+    doc = run_session(p, 2, alloc, np.random.default_rng(5)).to_json_dict()
+    load = agreement.SessionResult.from_json_dict
+
+    def broken(edit):
+        bad = copy.deepcopy(doc)
+        edit(bad)
+        return bad
+
+    def mat(rows, cols):
+        return {"rows": rows, "cols": cols, "entries": [[1] * cols for _ in range(rows)]}
+
+    with pytest.raises(ValueError, match="unsupported transcript schema 1"):
+        load(broken(lambda d: d.update(schema_version=1)))
+    cases = {
+        "transfer shapes": [
+            lambda d: d["slots"][0]["transfers"].pop(),
+            lambda d: d["slots"][1]["transfers"].append(mat(3, 4)),
+            lambda d: d["slots"][0]["transfers"].__setitem__(1, mat(2, 4)),
+            lambda d: d["slots"][1]["transfers"].__setitem__(0, mat(3, 5)),
+            lambda d: d["slots"][0].__setitem__("eve_transfer", mat(2, 4)),
+        ],
+        "message block": [
+            lambda d: d["slots"][0].__setitem__("message", mat(4, 3)),
+            lambda d: d["slots"][1].__setitem__("message", mat(3, 4)),
+        ],
+        "disclosure": [
+            lambda d: d["public_messages"]["disclosures"][0].__setitem__("coeffs", mat(1, 3)),
+        ],
+    }
+    for match, edits in cases.items():
+        for edit in edits:
+            with pytest.raises(ValueError, match=match):
+                load(broken(edit))

@@ -12,6 +12,8 @@ A second digest set, ``session_protocol_digests.json``, hashes only the
 protocol's outputs as int64 arrays with their shapes (messages, transfers,
 disclosures, code, ciphers and keys) plus the audit verdicts, so that a change
 of the transcript format regenerates the first set and leaves it untouched.
+Every session is also reloaded from its JSON, which stores no source or
+received packets, and must give the same protocol digest and packets.
 
 Regenerate (only for an intended, documented output change) with
 ``PYTHONPATH=src python tests/test_session_golden.py > tests/data/session_digests.json``
@@ -143,6 +145,18 @@ def test_session_protocol_digests_match_golden(sessions):
     want = json.loads(PROTOCOL_DATA.read_text())
     assert protocol_digests(sessions) == want
     assert sum(len(runs) for runs in want.values()) == 151
+
+
+def test_golden_sessions_reload_exactly(sessions):
+    want = json.loads(PROTOCOL_DATA.read_text())
+    for name, seed, result in sessions:
+        back = type(result).from_json_dict(json.loads(json.dumps(result.to_json_dict())))
+        assert _protocol_digest(back) == want[name][seed], (name, seed)
+        assert len(back.transcript.slots) == len(result.transcript.slots)
+        for rec, old in zip(back.transcript.slots, result.transcript.slots):
+            assert rec.source == old.source
+            assert rec.obs.received == old.obs.received
+            assert rec.obs.eve_received == old.obs.eve_received
 
 
 if __name__ == "__main__":
