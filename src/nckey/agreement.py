@@ -19,8 +19,8 @@ The protocol, per session of N slots; run_session calls one stage per step:
    min(sum_S excl_J, n_a - n_e), a polymatroid rank (Edmonds 1970), so the
    singleton caps plus the full-collection budget imply every other cap and
    planning works for any m (DimensionPlan.caps).  Actual subspaces need every
-   selection, so their table is limited to 7 subsets (m <= 3); so is the
-   session audit, which sums one table per slot, and hence run_session.
+   selection of the subsets with a positive share (_allocated), at most 7; so
+   does the session audit, which sums one table per slot, and hence run_session.
 4. _extract: slots are glued by direct sums; floor(N * share) basis vectors
    per subset are extracted so that everything is mutually independent
    (extract_secure_subspaces: the picks' joint rank is their own feasibility
@@ -62,13 +62,13 @@ from .channel import ChannelParams, SlotObservation, broadcast_slot, make_source
 from .fieldmath import (
     FieldCtx,
     MatrixFq,
-    _echelon,
     _solve,
     _wrap,
     hstack,
     mat_mul,
     random_matrix,
     rank,
+    rank_profile,
     solve_in_rowspan,
     vstack,
 )
@@ -77,6 +77,8 @@ from .subspaces import Subspace, SubspaceFamily, direct_sum, quotient, random_in
 
 # Largest family whose 2^k - 1 selections are enumerated for actual subspaces.
 MAX_ENUMERATED_SUBSETS = 7
+# Pick draws per extraction before it gives up (extract_secure_subspaces).
+MAX_EXTRACTION_TRIES = 500
 
 
 def _pos(x: int) -> int:
@@ -201,14 +203,14 @@ def _actual_caps(family: SubspaceFamily, base: Subspace | None = None) -> dict[t
     its prefix of rows (the column rank profile).
 
     Raises:
-        ValueError: for more than 7 subsets (m > 3), where the 2^k - 1
-            selections are too many to enumerate.
+        ValueError: for more than 7 members, where the 2^k - 1 selections are
+            too many to enumerate.
     """
     masks = family.masks()
     if len(masks) > MAX_ENUMERATED_SUBSETS:
         raise ValueError(
             f"actual-subspace constraints are enumerated only up to "
-            f"{MAX_ENUMERATED_SUBSETS} subsets (m <= 3), got {len(masks)}"
+            f"{MAX_ENUMERATED_SUBSETS} subsets, got {len(masks)}"
         )
     if not masks:
         return {}
@@ -218,7 +220,7 @@ def _actual_caps(family: SubspaceFamily, base: Subspace | None = None) -> dict[t
     caps = {}
     for chain in _symmetric_chains(len(masks)):
         order = list(chain[0]) + [min(set(b) - set(a)) for a, b in zip(chain, chain[1:])]
-        pivots = _echelon(np.hstack([bases[i].arr.T for i in order]), bases[0].ctx.q)
+        pivots = rank_profile(hstack([bases[i].transpose() for i in order]))
         for sel in chain:
             if sel:
                 caps[sel] = bisect.bisect_left(pivots, sum(bases[i].rows for i in sel))
@@ -246,17 +248,17 @@ def check_allocation_feasible(alloc, family: SubspaceFamily, eve: Subspace) -> F
     ``alloc`` may be a SubsetAllocation or a plain mask -> number mapping.
     """
     alloc = _as_allocation(alloc, family.m)
-    _check_shares_covered(alloc, family)
-    return _check_against(alloc, _actual_caps(family, eve))
+    return _check_against(alloc, _actual_caps(_allocated(alloc, family), eve))
 
 
-def _check_shares_covered(alloc: SubsetAllocation, family: SubspaceFamily):
-    """A positive share on a subset the family does not carry would escape
-    every constraint; refuse it outright."""
-    positive = {mask for mask, v in alloc.shares.items() if v > 0}
-    missing = positive - set(family.masks())
+def _allocated(alloc: SubsetAllocation, members) -> SubspaceFamily:
+    """The ``members`` with a positive share (caps are monotone, so a zero share
+    adds no constraint); a positive share on an absent subset is refused."""
+    positive = [mask for mask, v in alloc.items() if v > 0]
+    missing = sorted(set(positive) - set(members))
     if missing:
-        raise ValueError(f"shares assigned to subsets absent from the family: {sorted(missing)}")
+        raise ValueError(f"shares assigned to subsets absent from the family: {missing}")
+    return SubspaceFamily(alloc.m, {mask: members[mask] for mask in positive})
 
 
 @dataclass(frozen=True)
@@ -389,8 +391,8 @@ def _solve_maxmin(m: int, caps: dict[tuple[int, ...], int]) -> tuple[SubsetAlloc
 
 
 def solve_allocation_lp(family: SubspaceFamily, eve: Subspace) -> tuple[SubsetAllocation, Fraction]:
-    """Optimal subset allocation for actual subspaces; m <= 3 (constraint count
-    is 2^(2^m - 1) - 1).  Returns (allocation, min-terminal value)."""
+    """Optimal subset allocation for actual subspaces; the LP sees every member,
+    so at most 7.  Returns (allocation, min-terminal value)."""
     return _solve_maxmin(family.m, _actual_caps(family, eve))
 
 
@@ -413,7 +415,6 @@ def extract_secure_subspaces(
     counts: dict[int, int],
     eve: Subspace | None,
     rng: np.random.Generator,
-    max_tries: int = 500,
 ) -> dict[int, Subspace]:
     """Pick counts[J] dimensions inside each exclusive subspace so that all
     picks are mutually independent.
@@ -428,22 +429,22 @@ def extract_secure_subspaces(
 
     Independent picks certify every selection constraint at once, and
     feasible counts always admit them (Rado's theorem, matroid union), so the
-    cap table (_actual_caps) is consulted only after an impossible or failed
-    pick, to tell bad luck from infeasible counts.
+    positive counts' cap table (_actual_caps) is consulted only after an
+    impossible or failed pick, to tell bad luck from infeasible counts.
 
     Raises:
         TypeError: if ``eve`` is neither None nor a Subspace.
         ValueError: if a count is not a nonnegative integer.
         InfeasibleAllocationError: if the requested counts violate the
             verifiable feasibility constraints (with a witness selection).
-        RuntimeError: if no valid pick is found within max_tries.
+        RuntimeError: if no valid pick is found in MAX_EXTRACTION_TRIES draws.
     """
     if eve is not None and not isinstance(eve, Subspace):
         raise TypeError(f"eve must be None or a Subspace, got {type(eve).__name__}")
     alloc = _as_allocation(counts, family.m)
     if any(v.denominator != 1 for _, v in alloc.items()):
         raise ValueError(f"counts must be nonnegative integers, got {dict(alloc.items())}")
-    _check_shares_covered(alloc, family)
+    allocated = _allocated(alloc, family)
     masks = family.masks()
     counts = {mask: int(alloc[mask]) for mask in masks}
     if any(counts[mask] > family[mask].dim for mask in masks):
@@ -453,15 +454,15 @@ def extract_secure_subspaces(
         raise InfeasibleAllocationError(_check_against(counts, singletons))
 
     want = sum(counts.values())
-    for attempt in range(max_tries):
+    for attempt in range(MAX_EXTRACTION_TRIES):
         picks = {mask: random_inside(family[mask], counts[mask], rng) for mask in masks}
-        if not want or _cap([picks[mask] for mask in masks if counts[mask] > 0], eve) == want:
+        if not want or _cap([picks[mask] for mask in allocated], eve) == want:
             return picks
-        if attempt == 0 and len(masks) <= MAX_ENUMERATED_SUBSETS:
-            feas = _check_against(counts, _actual_caps(family, eve))
+        if attempt == 0 and len(allocated) <= MAX_ENUMERATED_SUBSETS:
+            feas = _check_against(counts, _actual_caps(allocated, eve))
             if not feas.ok:
                 raise InfeasibleAllocationError(feas)
-    raise RuntimeError(f"no valid extraction found in {max_tries} tries")
+    raise RuntimeError(f"no valid extraction found in {MAX_EXTRACTION_TRIES} tries")
 
 
 def certify_zero_leakage(key_vectors: MatrixFq, eve_matrix: MatrixFq) -> bool:
@@ -606,7 +607,8 @@ class SessionResult:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SessionResult":
         """Load a schema-2 document, rebuilding each slot's source and received
-        packets; ValueError on another schema or a count or shape off the params."""
+        packets; ValueError on another schema, a count or shape off the params,
+        an entry outside [0, q), or a subset or terminal out of range."""
         if doc.get("schema_version") != SCHEMA_VERSION:
             raise ValueError(f"unsupported transcript schema {doc.get('schema_version')}")
         pd = doc["params"]
@@ -625,11 +627,17 @@ class SessionResult:
         disclosures = {
             (d["subset"], d["terminal"]): _unmat(d["coeffs"], ctx) for d in pub["disclosures"]
         }
+        if not all(_is_mask(mask, params.m) and r in mask_members(mask) for mask, r in disclosures):
+            raise ValueError("a disclosure's subset is out of range or lacks its terminal")
         if any(w.cols != len(slots) * params.n[r] for (_, r), w in disclosures.items()):
             raise ValueError("a disclosure's width does not match its terminal's received rows")
         code, ciphers = (_unmat(pub[name], ctx) for name in ("multicast_code", "ciphers"))
         transcript = SessionTranscript(params, tuple(slots), disclosures, code, ciphers)
         kd = doc["keys"]
+        if not all(_is_mask(int(mask), params.m) for mask in kd["subset_keys"]):
+            raise ValueError(f"subset key masks {sorted(kd['subset_keys'])} out of range")
+        if len(kd["terminal_final"]) != params.m:
+            raise ValueError(f"need {params.m} terminal final keys, got {len(kd['terminal_final'])}")
         ad = {f.name: doc["audit"][f.name] for f in fields(AuditReport)}
         keys = KeyShare(
             {int(mask): _unmat(k, ctx) for mask, k in kd["subset_keys"].items()},
@@ -882,7 +890,7 @@ def _audit(alloc: SubsetAllocation, counts, slots, exclusive, picks, keys: KeySh
     eves = [span_of(rec.obs.eve_transfer) for rec in slots]
     # The session's cap table is the sum of the slot tables, because the
     # session family and the eavesdropper's session view are direct sums.
-    tables = [_actual_caps(SubspaceFamily(alloc.m, ex), eve) for ex, eve in zip(exclusive, eves)]
+    tables = [_actual_caps(_allocated(alloc, ex), eve) for ex, eve in zip(exclusive, eves)]
     session_caps = {sel: sum(caps[sel] for caps in tables) for sel in tables[0]}
     # Certified in coefficient space: the packets are these coefficients times
     # block_diag([I | M_t]), which has full row rank and so keeps every rank.
@@ -928,15 +936,15 @@ def run_session(
     sessions carry an empty KeyShare.
 
     Raises:
-        ValueError: before any draw, for m > 3 (the audit's cap tables), or
-            for replayed messages or a final key of the wrong shape or field.
+        ValueError: before any draw, for positive shares on over 7 subsets,
+            or for replayed messages or a final key of the wrong shape or field.
     """
     if alloc.m != params.m:
         raise ValueError(f"allocation is for m={alloc.m}, channel has m={params.m}")
-    if 2**params.m - 1 > MAX_ENUMERATED_SUBSETS:
+    if sum(v > 0 for _, v in alloc.items()) > MAX_ENUMERATED_SUBSETS:
         raise ValueError(
-            f"sessions are audited only up to {MAX_ENUMERATED_SUBSETS} subsets (m <= 3), "
-            f"got m={params.m}"
+            f"sessions are audited only up to {MAX_ENUMERATED_SUBSETS} subsets with a "
+            f"positive share, got shares on {[mask for mask, v in alloc.items() if v > 0]}"
         )
     if n_slots < 0:
         raise ValueError("slot count must be nonnegative")
@@ -991,9 +999,24 @@ def _mat(m: MatrixFq | None):
 
 
 def _unmat(doc, ctx: FieldCtx) -> MatrixFq | None:
+    """ValueError unless the entries are nested lists of exactly the declared
+    shape holding ints (not bools) in [0, q)."""
     if doc is None:
         return None
-    return MatrixFq(np.array(doc["entries"], dtype=np.int64).reshape(doc["rows"], doc["cols"]), ctx)
+    rows, cols, entries = doc["rows"], doc["cols"], doc["entries"]
+    if not (
+        all(type(n) is int and n >= 0 for n in (rows, cols))
+        and isinstance(entries, list)
+        and len(entries) == rows
+        and all(isinstance(row, list) and len(row) == cols for row in entries)
+        and all(type(x) is int and 0 <= x < ctx.q for row in entries for x in row)
+    ):
+        raise ValueError(f"matrix entries are not {rows} x {cols} ints in [0, {ctx.q})")
+    return MatrixFq(np.array(entries, dtype=np.int64).reshape(rows, cols), ctx)
+
+
+def _is_mask(mask, m: int) -> bool:
+    return type(mask) is int and 1 <= mask < 2**m
 
 
 def save_session(result: SessionResult, path) -> None:

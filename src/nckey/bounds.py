@@ -124,16 +124,16 @@ def generic_dims(dims, ambient: int) -> tuple[int, int]:
     return min(total, ambient), _pos(total - (k - 1) * ambient)
 
 
-def asymptotic_cmi_coefficient(params: ChannelParams, receiver: int = 0) -> int:
-    """The cut coefficient (cut - n_e)(ell - cut), cut = min[n_a, n_i+n_e].
+def asymptotic_cmi_coefficient(params: ChannelParams) -> int:
+    """The cut coefficient (cut - n_e)(ell - cut), cut = min[n_a, n_1+n_e].
 
     It is the large-field coefficient of max_P I(source; receiver |
     eavesdropper) only when 2 cut <= ell + n_e + 1.  An input uniform over
-    dimension k has coefficient (min[n_i+n_e, k] - min[n_e, k])(ell - k),
+    dimension k has coefficient (min[n_1+n_e, k] - min[n_e, k])(ell - k),
     which rises all the way to k = cut only under that condition; otherwise a
-    lower k scores more (ell=4, n_a=n_i=3, n_e=0: k=2 gives 4 > 3).
+    lower k scores more (ell=4, n_a=n_1=3, n_e=0: k=2 gives 4 > 3).
     """
-    return _cut(params, params.n[receiver])[1]
+    return _cut(params, params.n[0])[1]
 
 
 def _log_ratio(a: int, b: int) -> float:

@@ -414,6 +414,13 @@ def rank(m: MatrixFq) -> int:
     return len(_echelon(m.arr.copy(), m.ctx.q))
 
 
+def rank_profile(m: MatrixFq) -> list[int]:
+    """Column rank profile of ``m``: the pivot columns of one forward
+    elimination, in order (the same pivots ``rref`` returns).  Column c is a
+    pivot exactly when it is independent of the columns before it."""
+    return _echelon(m.arr.copy(), m.ctx.q)
+
+
 def _solve(a: MatrixFq, b: MatrixFq) -> tuple[MatrixFq | None, int]:
     """The basic solution X of a @ X == b, or None when there is no
     solution, and the rank of ``a``.

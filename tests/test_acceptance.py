@@ -19,7 +19,6 @@ from nckey.bounds import (
     asymptotic_cmi_coefficient,
     best_uniform_input_cmi,
     generic_dims,
-    two_terminal_rate,
     upper_bound,
 )
 from nckey.channel import ChannelParams, matrix_transition_prob, subspace_transition_prob
@@ -48,10 +47,13 @@ def test_criterion_1_single_receiver_capacity_match():
         for n_b in range(0, n_a + 1):
             for n_e in range(0, n_a + 1):
                 for ell in range(n_a + 1, 13):
+                    # the lower side is the planned allocation LP, in absolute
+                    # units, with the source reduced to the cut
                     p = _params(101, ell, n_a, [n_b], n_e)
                     reduced = max(1, min(n_a, n_b + n_e))
-                    p_red = _params(101, ell, reduced, [n_b], n_e)
-                    ok &= two_terminal_rate(p).coefficient == upper_bound(p_red).coefficient
+                    plan = plan_dimensions(_params(101, ell, reduced, [n_b], n_e))
+                    _, value = solve_allocation_lp_planned(plan)
+                    ok &= upper_bound(p).coefficient == value * (ell - reduced)
                     checked += 1
     elapsed = time.perf_counter() - t0
     _report(

@@ -170,15 +170,22 @@ def test_feasibility_zero_and_tight():
 
 
 def test_feasibility_refuses_more_than_seven_subsets():
-    # actual-subspace constraints are enumerated exactly, never sampled; at
-    # m=4 (15 subsets) the enumeration is refused.  Extraction needs no table:
-    # jointly independent picks certify the counts for any m.
+    # actual-subspace constraints are enumerated exactly, never sampled, over
+    # the subsets with a positive share: at m=4 (15 subsets) shares on 7 of
+    # them are checked, and shares on 8 are refused.  Extraction needs no
+    # table: jointly independent picks certify the counts for any m.
     rng = np.random.default_rng(71)
     pis = [random_subspace(6, 3, F101, rng) for _ in range(4)]
     eve = random_subspace(6, 2, F101, rng)
     fam = build_exclusive_subspaces(pis, eve, rng)
+    assert check_allocation_feasible(SubsetAllocation(4, {}), fam, eve).ok
+    lines = SubspaceFamily(4, {mask: random_subspace(6, 1, F101, rng) for mask in range(1, 16)})
+    seven = {mask: Fraction(1, 8) for mask in range(1, 8)}
+    assert check_allocation_feasible(SubsetAllocation(4, seven), lines, eve).ok
+    over = check_allocation_feasible(SubsetAllocation(4, {**seven, 5: 2}), lines, eve)
+    assert (over.ok, over.witness, over.lhs, over.rhs) == (False, (5,), 2, 1)
     with pytest.raises(ValueError, match="7 subsets"):
-        check_allocation_feasible(SubsetAllocation(4, {}), fam, eve)
+        check_allocation_feasible(SubsetAllocation(4, {**seven, 8: Fraction(1, 8)}), lines, eve)
     counts = {1: 1, 2: 1, 4: 1, 8: 1}
     picks = extract_secure_subspaces(fam, counts, eve, rng)
     for mask, u in picks.items():
@@ -471,7 +478,7 @@ def test_extract_realistic_orthogonal_to_eavesdropper_whp():
         eve = random_subspace(6, 2, F101, rng)
         try:
             fam = build_exclusive_subspaces(pis, eve, rng)
-            picks = extract_secure_subspaces(fam, counts, None, rng, max_tries=20)
+            picks = extract_secure_subspaces(fam, counts, None, rng)
         except (InfeasibleAllocationError, RuntimeError):
             continue
         stacked = vstack([picks[mask].basis for mask in fam.masks() if counts[mask]])
@@ -613,6 +620,27 @@ def test_chain_caps_equal_the_per_selection_reference(case):
     family, base = case
     got, want = agreement._actual_caps(family, base), reference_caps(family, base)
     assert got == want and list(got) == list(want)
+
+
+@st.composite
+def shares_on(draw, family):
+    """Shares on the family's members, zeros likely, near their caps."""
+    value = st.one_of(st.just(0), st.integers(0, 4), st.fractions(0, 4, max_denominator=3))
+    return SubsetAllocation(family.m, {mask: draw(value) for mask in family.masks()})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(families_and_bases(), st.data())
+def test_allocated_check_equals_the_full_table_check(case, data):
+    # the check over the subsets with a positive share returns the full
+    # table's first violation (a zero share only ever shrinks a violated
+    # selection), with the same witness, lhs and rhs
+    family, base = case
+    first = family[family.masks()[0]]
+    eve = base if base is not None else zero_subspace(first.ambient_dim, first.ctx)
+    alloc = data.draw(shares_on(family))
+    full = agreement._check_against(alloc, reference_caps(family, eve))
+    assert check_allocation_feasible(alloc, family, eve) == full
 
 
 @pytest.mark.parametrize("k", range(8))
@@ -805,16 +833,36 @@ def test_session_refuses_infeasible_allocation():
         run_session(p, 2, too_much, np.random.default_rng(0))
 
 
-def test_session_refuses_m4_before_any_draw():
-    for n in ((3, 3, 3, 3), (4, 4, 4, 4)):
-        p = P(101, 10, 6, n, 1)
-        alloc, _ = solve_allocation_lp_planned(plan_dimensions(p))
+def test_session_refuses_more_than_seven_allocated_subsets_before_any_draw():
+    # the audit's cap tables cover the subsets with a positive share, so a
+    # session refuses shares on 8 of them, at any m, before drawing anything
+    p = P(101, 10, 6, (4, 4, 4, 4), 1)
+    for shares in (range(1, 9), (1, 2, 4, 8, 3, 5, 6, 15)):
+        alloc = SubsetAllocation(4, {mask: Fraction(1, 16) for mask in shares})
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match="7 subsets"):
             run_session(p, 2, alloc, rng)
         assert rng.bit_generator.state == state
         assert rng.bit_generator.seed_seq.n_children_spawned == 0
+
+
+@pytest.mark.parametrize("n", [(3, 3, 3, 3), (4, 4, 4, 4), (3, 3, 3, 3, 3)])
+def test_sessions_past_three_terminals_agree_certify_and_audit_caps(monkeypatch, n):
+    # the planned allocation puts shares on at most 7 subsets, so m = 4 and
+    # m = 5 sessions are audited; each slot's cap table covers those subsets
+    calls = _record_cap_tables(monkeypatch)
+    p = P(101, 10, 6, n, 1)
+    alloc, value = solve_allocation_lp_planned(plan_dimensions(p))
+    allocated = [mask for mask, share in alloc.items() if share > 0]
+    assert len(allocated) <= agreement.MAX_ENUMERATED_SUBSETS < 2**p.m - 1
+    for seed in (1, 2):
+        calls.clear()
+        audit = run_session(p, 2, alloc, np.random.default_rng(seed)).audit
+        assert not audit.degenerate and audit.key_blocks == math.floor(2 * value)
+        assert audit.subset_agreement and audit.final_agreement and audit.leakage_certificate
+        assert audit.slotwise_feasible is True and audit.scaled_feasible is True
+        assert [family.masks() for family, base, _ in calls if base is not None] == [allocated] * 2
 
 
 def _record_cap_tables(monkeypatch):
@@ -1229,6 +1277,9 @@ def test_session_transcript_load_refuses_schema_1_and_malformed_documents():
     def mat(rows, cols):
         return {"rows": rows, "cols": cols, "entries": [[1] * cols for _ in range(rows)]}
 
+    entry = doc["slots"][0]["message"]["entries"][0][0]
+    flat = sum(doc["slots"][0]["message"]["entries"], [])
+
     with pytest.raises(ValueError, match="unsupported transcript schema 1"):
         load(broken(lambda d: d.update(schema_version=1)))
     cases = {
@@ -1245,7 +1296,25 @@ def test_session_transcript_load_refuses_schema_1_and_malformed_documents():
         ],
         "disclosure": [
             lambda d: d["public_messages"]["disclosures"][0].__setitem__("coeffs", mat(1, 3)),
+            lambda d: d["public_messages"]["disclosures"][0].__setitem__("terminal", 5),
+            lambda d: d["public_messages"]["disclosures"][0].__setitem__("subset", 9),
+            lambda d: d["public_messages"]["disclosures"][0].update(subset=1, terminal=1),
         ],
+        "matrix entries": [
+            lambda d: d["slots"][0]["message"]["entries"][0].__setitem__(0, entry + 101),
+            lambda d: d["slots"][0]["message"].__setitem__("entries", [flat[:8], flat[8:]]),
+            lambda d: d["slots"][1]["message"]["entries"][2].__setitem__(1, True),
+            lambda d: d["slots"][1]["message"]["entries"][2].__setitem__(1, -1),
+            lambda d: d["slots"][1]["message"]["entries"][2].__setitem__(1, 1.0),
+            lambda d: d["slots"][0]["eve_transfer"].__setitem__("entries", []),
+            lambda d: d["slots"][0].__setitem__("eve_transfer", {"rows": 0, "cols": 4, "entries": [[1] * 4]}),
+            lambda d: d["public_messages"]["disclosures"][0]["coeffs"]["entries"].append([0] * 6),
+        ],
+        "subset key masks": [
+            lambda d: d["keys"]["subset_keys"].__setitem__("9", d["keys"]["subset_keys"]["1"]),
+            lambda d: d["keys"]["subset_keys"].__setitem__("0", d["keys"]["subset_keys"]["1"]),
+        ],
+        "terminal final keys": [lambda d: d["keys"]["terminal_final"].pop()],
     }
     for match, edits in cases.items():
         for edit in edits:

@@ -192,14 +192,21 @@ def test_simulate_empty_sessions_report_no_rates(tmp_path):
     assert summary["agreement_rate"] is None and summary["certificate_rate"] is None
 
 
-def test_simulate_rejects_m4(capsys):
-    # run_session refuses m > 3 before any draw; simulate reports it as a usage error
-    for na, n in (("4", ["2"] * 4), ("6", ["3"] * 4)):
-        with pytest.raises(SystemExit) as exc:
-            main(["simulate", "--q", "101", "--ell", "10", "--na", na, "--n", *n,
-                  "--ne", "1", "--trials", "2"])
-        assert exc.value.code == 2
-        assert "7 subsets" in capsys.readouterr().err
+def test_simulate_audits_m4_and_rejects_eight_allocated_subsets(tmp_path, capsys):
+    # the planned m = 4 allocation holds shares on at most 7 subsets, so its
+    # sessions are audited; run_session refuses shares on 8 before any draw,
+    # and simulate reports that as a usage error
+    m4 = ["simulate", "--q", "101", "--ell", "10", "--na", "6", "--n", "3", "3", "3", "3",
+          "--ne", "1", "--slots", "2", "--trials", "3", "--seed", "7", "--format", "json"]
+    summary = json.loads(run_cli(m4, tmp_path, "m4.json"))["summary"]
+    assert sum(Fraction(v) > 0 for v in summary["allocation"].values()) <= 7
+    assert summary["agreement_rate"] == summary["certificate_rate"] == 1.0
+    cfg = tmp_path / "eight.json"
+    cfg.write_text(json.dumps({"allocation": {str(mask): "1/16" for mask in range(1, 9)}}))
+    with pytest.raises(SystemExit) as exc:
+        main(m4 + ["--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "7 subsets" in capsys.readouterr().err
 
 
 def test_oracle_report(tmp_path):
