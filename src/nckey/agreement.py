@@ -18,9 +18,9 @@ The protocol, per session of N slots; run_session calls one stage per step:
    {selection: cap}.  On planned dimensions the cap of a selection S is
    min(sum_S excl_J, n_a - n_e), a polymatroid rank (Edmonds 1970), so the
    singleton caps plus the full-collection budget imply every other cap and
-   planning works for any m (DimensionPlan.caps).  Actual subspaces need every
-   selection of the subsets with a positive share (_allocated), at most 7; so
-   does the session audit, which sums one table per slot, and hence run_session.
+   planning works for any m (DimensionPlan.caps).  Checks against actual
+   subspaces enumerate every selection of the subsets with a positive share
+   (_allocated), at most 7; sessions need no such table (steps 4 and 6).
 4. _extract: slots are glued by direct sums; floor(N * share) basis vectors
    per subset are extracted so that everything is mutually independent
    (extract_secure_subspaces: the picks' joint rank is their own feasibility
@@ -29,16 +29,14 @@ The protocol, per session of N slots; run_session calls one stage per step:
    reconstruct its subset keys exactly (_keys).
 5. _multicast: a final common key is delivered to all terminals by
    one-time-padding a linear combination code over the subset key blocks.
-6. _audit: agreement, feasibility inheritance, and the zero-leakage
-   certificate against the eavesdropper's complete view, in coefficient
-   space (width N * n_a, not N * ell).  Both work modulo the eavesdropper's
-   slot subspaces (quotient): a slot's cap table is read off one elimination
-   per chain of selections (_actual_caps), and the key vectors, which
-   extraction made independent, leak nothing exactly when they keep full
-   row rank modulo the direct sum of those views (_leakage_certificate).
-   Rows inside one slot block are checked slot by slot, so only the rows
-   that couple slots are ranked at session width, as in extraction's rank
-   and the disclosures' solves.
+6. _audit: agreement and the zero-leakage certificate against the
+   eavesdropper's complete view, in coefficient space (width N * n_a, not
+   N * ell): the key vectors, which extraction made independent, leak
+   nothing exactly when they keep full row rank modulo the direct sum of the
+   eavesdropper's slot subspaces (_leakage_certificate), and that rank also
+   proves the counts feasible.  Rows inside one slot block are checked slot
+   by slot, so only the rows that couple slots are ranked at session width,
+   as in extraction's rank and the disclosures' solves.
 
 A degenerate session (a generic-position event failed, probability O(1/q),
 or a step found no solution) has its keys withheld: the stage raises
@@ -534,7 +532,7 @@ class SessionTranscript:
     """Everything a session emitted.  Public messages (terminal transfer
     matrices, coefficient disclosures, the combination code and its padded
     ciphers) are exactly what the eavesdropper also receives.  The JSON form
-    (schema 2) stores each slot's message and transfers only; load rebuilds
+    (schema 3) stores each slot's message and transfers only; load rebuilds
     its source [I | M] and received packets F @ [I | M] (observe)."""
 
     params: ChannelParams
@@ -559,8 +557,6 @@ class AuditReport:
     subset_agreement: bool | None
     final_agreement: bool | None
     leakage_certificate: bool | None
-    slotwise_feasible: bool | None
-    scaled_feasible: bool | None
     achieved_per_slot: Fraction
     key_blocks: int
 
@@ -606,12 +602,15 @@ class SessionResult:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SessionResult":
-        """Load a schema-2 document, rebuilding each slot's source and received
-        packets; ValueError on another schema, a count or shape off the params,
-        an entry outside [0, q), or a subset or terminal out of range."""
+        """Load a schema-3 document, rebuilding each slot's source and received
+        packets; ValueError on another schema, non-int params, a count, shape,
+        entry, subset or terminal out of range, or an audit off its keys."""
         if doc.get("schema_version") != SCHEMA_VERSION:
             raise ValueError(f"unsupported transcript schema {doc.get('schema_version')}")
         pd = doc["params"]
+        scalars = [pd[name] for name in ("q", "ell", "na", "ne")]
+        if not isinstance(pd["n"], list) or any(type(x) is not int for x in scalars + pd["n"]):
+            raise ValueError(f"params must be plain ints, got {pd}")
         ctx = FieldCtx(pd["q"])
         params = ChannelParams(ctx, pd["ell"], pd["na"], tuple(pd["n"]), pd["ne"])
         want = [(n_r, params.n_a) for n_r in (*params.n, params.n_e)]
@@ -645,6 +644,17 @@ class SessionResult:
             _unmat(kd["final_key"], ctx),
             tuple(_unmat(k, ctx) for k in kd["terminal_final"]),
         )
+        key_blocks = 0 if keys.final_key is None else keys.final_key.rows
+        flags = [ad["subset_agreement"], ad["final_agreement"], ad["leakage_certificate"]]
+        if not (
+            all(flag is None or type(flag) is bool for flag in flags)
+            and isinstance(ad["reasons"], list) and all(type(r) is str for r in ad["reasons"])
+            and ad["degenerate"] is bool(ad["reasons"])
+            and (not ad["degenerate"] or keys == KeyShare(terminal_final=(None,) * params.m))
+            and type(ad["key_blocks"]) is int and ad["key_blocks"] == key_blocks
+            and ad["achieved_per_slot"] == str(Fraction(key_blocks, len(slots)) if slots else 0)
+        ):
+            raise ValueError(f"audit block {doc['audit']} disagrees with the keys it ships with")
         ad.update(reasons=tuple(ad["reasons"]), achieved_per_slot=Fraction(ad["achieved_per_slot"]))
         return cls(transcript, keys, AuditReport(**ad))
 
@@ -702,7 +712,7 @@ def _terminal_subset_keys(
 def _unaudited(reasons: tuple[str, ...] = ()) -> AuditReport:
     """Report of a session that ended before its audit: an empty session, or
     a degenerate one with its reasons."""
-    return AuditReport(bool(reasons), reasons, None, None, None, None, None, Fraction(0), 0)
+    return AuditReport(bool(reasons), reasons, None, None, None, Fraction(0), 0)
 
 
 class _Degenerate(Exception):
@@ -879,19 +889,15 @@ def _leakage_certificate(key_vectors: MatrixFq, eves: list[Subspace]) -> bool:
     return rank(hstack(blocks)) == len(rest)
 
 
-def _audit(alloc: SubsetAllocation, counts, slots, exclusive, picks, keys: KeyShare) -> AuditReport:
-    """Audit (harness-side omniscience): agreement, feasibility inheritance,
-    and the zero-leakage certificate against the eavesdropper's full view.
-    A failed certificate withholds the keys: its report is raised.
-
-    Both reuse the eavesdropper's slot subspaces: one cap table per slot, and
-    the certificate taken modulo their direct sum (_leakage_certificate).
+def _audit(slots, picks: dict[int, Subspace], keys: KeyShare) -> AuditReport:
+    """Audit (harness-side omniscience): subset and final agreement, and the
+    zero-leakage certificate modulo the direct sum E of the eavesdropper's
+    slot subspaces (_leakage_certificate); a failed one withholds the keys
+    and raises its report.  A passing one proves feasibility: each pick lies
+    in its glued exclusive subspace and the key rows K keep full rank modulo
+    E, so sum_S counts = rank(K_S mod E) <= dim(sum_S glued_J + E) - dim E.
     """
     eves = [span_of(rec.obs.eve_transfer) for rec in slots]
-    # The session's cap table is the sum of the slot tables, because the
-    # session family and the eavesdropper's session view are direct sums.
-    tables = [_actual_caps(_allocated(alloc, ex), eve) for ex, eve in zip(exclusive, eves)]
-    session_caps = {sel: sum(caps[sel] for caps in tables) for sel in tables[0]}
     # Certified in coefficient space: the packets are these coefficients times
     # block_diag([I | M_t]), which has full row rank and so keeps every rank.
     cert = not picks or _leakage_certificate(vstack([pick.basis for pick in picks.values()]), eves)
@@ -904,8 +910,6 @@ def _audit(alloc: SubsetAllocation, counts, slots, exclusive, picks, keys: KeySh
         ),
         final_agreement=all(k == keys.final_key for k in keys.terminal_final),
         leakage_certificate=cert,
-        slotwise_feasible=all(_check_against(alloc, caps).ok for caps in tables),
-        scaled_feasible=_check_against(counts, session_caps).ok,
         achieved_per_slot=Fraction(key_blocks, len(slots)),
         key_blocks=key_blocks,
     )
@@ -936,16 +940,11 @@ def run_session(
     sessions carry an empty KeyShare.
 
     Raises:
-        ValueError: before any draw, for positive shares on over 7 subsets,
-            or for replayed messages or a final key of the wrong shape or field.
+        ValueError: before any draw, for a wrong terminal or slot count, or for
+            replayed messages or a final key of the wrong shape or field.
     """
     if alloc.m != params.m:
         raise ValueError(f"allocation is for m={alloc.m}, channel has m={params.m}")
-    if sum(v > 0 for _, v in alloc.items()) > MAX_ENUMERATED_SUBSETS:
-        raise ValueError(
-            f"sessions are audited only up to {MAX_ENUMERATED_SUBSETS} subsets with a "
-            f"positive share, got shares on {[mask for mask, v in alloc.items() if v > 0]}"
-        )
     if n_slots < 0:
         raise ValueError("slot count must be nonnegative")
     ctx, m, width = params.ctx, params.m, params.ell - params.n_a
@@ -981,7 +980,7 @@ def run_session(
         final = final_key if key_blocks else None
         code, ciphers, keys = _multicast(picks, keys, final, m, proto_rng)
         transcript = SessionTranscript(params, slots, disclosures, code, ciphers)
-        audit = _audit(alloc, counts, slots, exclusive, picks, keys)
+        audit = _audit(slots, picks, keys)
     except _Degenerate as exc:
         return SessionResult(transcript, withheld, exc.audit)
     return SessionResult(transcript, keys, audit)
@@ -991,7 +990,7 @@ def run_session(
 # Transcript serialization (versioned JSON for replay and comparison)
 # --------------------------------------------------------------------------
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def _mat(m: MatrixFq | None):

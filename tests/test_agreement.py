@@ -833,36 +833,44 @@ def test_session_refuses_infeasible_allocation():
         run_session(p, 2, too_much, np.random.default_rng(0))
 
 
-def test_session_refuses_more_than_seven_allocated_subsets_before_any_draw():
-    # the audit's cap tables cover the subsets with a positive share, so a
-    # session refuses shares on 8 of them, at any m, before drawing anything
-    p = P(101, 10, 6, (4, 4, 4, 4), 1)
-    for shares in (range(1, 9), (1, 2, 4, 8, 3, 5, 6, 15)):
-        alloc = SubsetAllocation(4, {mask: Fraction(1, 16) for mask in shares})
-        rng = np.random.default_rng(0)
-        state = rng.bit_generator.state
-        with pytest.raises(ValueError, match="7 subsets"):
-            run_session(p, 2, alloc, rng)
-        assert rng.bit_generator.state == state
-        assert rng.bit_generator.seed_seq.n_children_spawned == 0
+def test_sessions_audit_more_than_seven_allocated_subsets(monkeypatch):
+    # the audit builds no cap table, so no subset count limits a session:
+    # shares on 8 subsets at m = 4 agree, certify and deliver their blocks.
+    # At ell=9, n_a=5, n=(3,3,4,4), n_e=0 these eight subsets of two or more
+    # terminals have a planned exclusive line, and each terminal is in four.
+    calls = _record_cap_tables(monkeypatch)
+    p = P(101, 9, 5, (3, 3, 4, 4), 0)
+    eight = (3, 5, 6, 9, 10, 12, 13, 14)
+    assert len(eight) > agreement.MAX_ENUMERATED_SUBSETS
+    alloc = SubsetAllocation(4, {mask: Fraction(1, 8) for mask in eight})
+    for seed in range(4):
+        audit = run_session(p, 16, alloc, np.random.default_rng(seed)).audit
+        assert not audit.degenerate and audit.key_blocks == 8
+        assert audit.achieved_per_slot == Fraction(1, 2)
+        assert audit.subset_agreement and audit.final_agreement and audit.leakage_certificate
+    assert not calls
 
 
 @pytest.mark.parametrize("n", [(3, 3, 3, 3), (4, 4, 4, 4), (3, 3, 3, 3, 3)])
 def test_sessions_past_three_terminals_agree_certify_and_audit_caps(monkeypatch, n):
-    # the planned allocation puts shares on at most 7 subsets, so m = 4 and
-    # m = 5 sessions are audited; each slot's cap table covers those subsets
+    # m = 4 and m = 5 sessions agree and certify without a cap table, and
+    # their counts pass the public check against the glued exclusive family
+    # over the eavesdropper's session subspace
     calls = _record_cap_tables(monkeypatch)
+    extractions = _record_extractions(monkeypatch)
     p = P(101, 10, 6, n, 1)
     alloc, value = solve_allocation_lp_planned(plan_dimensions(p))
-    allocated = [mask for mask, share in alloc.items() if share > 0]
-    assert len(allocated) <= agreement.MAX_ENUMERATED_SUBSETS < 2**p.m - 1
     for seed in (1, 2):
         calls.clear()
-        audit = run_session(p, 2, alloc, np.random.default_rng(seed)).audit
+        extractions.clear()
+        res = run_session(p, 2, alloc, np.random.default_rng(seed))
+        audit = res.audit
         assert not audit.degenerate and audit.key_blocks == math.floor(2 * value)
         assert audit.subset_agreement and audit.final_agreement and audit.leakage_certificate
-        assert audit.slotwise_feasible is True and audit.scaled_feasible is True
-        assert [family.masks() for family, base, _ in calls if base is not None] == [allocated] * 2
+        assert not calls
+        [(exclusive, counts)] = extractions
+        glued, eves = _session_view(res, exclusive)
+        assert check_allocation_feasible(counts, glued, direct_sum(*eves)).ok
 
 
 def _record_cap_tables(monkeypatch):
@@ -879,6 +887,27 @@ def _record_cap_tables(monkeypatch):
     return calls
 
 
+def _record_extractions(monkeypatch):
+    """Spy on every _extract call: (per-slot exclusive picks, counts)."""
+    calls = []
+    real = agreement._extract
+
+    def spy(exclusive, counts, m, rng):
+        calls.append((exclusive, counts))
+        return real(exclusive, counts, m, rng)
+
+    monkeypatch.setattr(agreement, "_extract", spy)
+    return calls
+
+
+def _session_view(res, exclusive):
+    """The session's exclusive family, glued by direct sums over the slots as
+    extraction sees it, and the eavesdropper's slot subspaces."""
+    glued = {mask: direct_sum(*(ex[mask] for ex in exclusive)) for mask in exclusive[0]}
+    eves = [span_of(rec.obs.eve_transfer) for rec in res.transcript.slots]
+    return SubspaceFamily(res.transcript.params.m, glued), eves
+
+
 SLOT_SHAPES = [
     (P(101, 10, 6, [4, 4], 2), 3, range(3)),
     (P(101, 9, 6, [4, 4, 4], 2), 2, range(2)),
@@ -887,52 +916,61 @@ SLOT_SHAPES = [
 
 
 def test_session_audit_tables_are_per_slot(monkeypatch):
-    # on the success path run_session builds no session-sized cap table:
-    # one table per slot, each on an n_a-dimensional family
+    # a successful session builds no cap table; checked afterwards on every
+    # session that reached extraction, certified or not, each slot's table
+    # (on an n_a-dimensional family) passing the shares implies that the
+    # session's counts pass the glued table
     calls = _record_cap_tables(monkeypatch)
-    successes = 0
+    extractions = _record_extractions(monkeypatch)
+    successes = slotwise = 0
     for p, slots, seeds in SLOT_SHAPES:
         alloc, _ = solve_allocation_lp_planned(plan_dimensions(p))
         for seed in seeds:
             calls.clear()
+            extractions.clear()
             res = run_session(p, slots, alloc, np.random.default_rng(seed))
-            if res.audit.degenerate:
+            if not res.audit.degenerate:
+                successes += 1
+                assert not calls
+            if not extractions:
                 continue
-            successes += 1
-            assert len(calls) == slots
-            for family, base, _ in calls:
-                assert {family[mask].ambient_dim for mask in family} == {p.n_a}
-                assert base.ambient_dim == p.n_a
-    assert successes >= 6
+            [(exclusive, counts)] = extractions
+            glued, eves = _session_view(res, exclusive)
+            assert {ex[mask].ambient_dim for ex in exclusive for mask in ex} == {p.n_a}
+            if all(
+                check_allocation_feasible(alloc, SubspaceFamily(p.m, ex), eve).ok
+                for ex, eve in zip(exclusive, eves)
+            ):
+                slotwise += 1
+                assert check_allocation_feasible(counts, glued, direct_sum(*eves)).ok
+    assert successes >= 6 and slotwise >= 5
 
 
 def test_session_cap_table_is_sum_of_slot_tables(monkeypatch):
     # a direct sum's dimension is the sum of its parts': the summed per-slot
-    # tables equal the dense table of the session family over the session
-    # eavesdropper, which the audit once built
-    calls = _record_cap_tables(monkeypatch)
-    checked = 0
+    # tables equal the dense table of the glued family over the session
+    # eavesdropper, and a certified session's counts pass that table
+    extractions = _record_extractions(monkeypatch)
+    checked = certified = 0
     for p, slots, seeds in SLOT_SHAPES:
         alloc, _ = solve_allocation_lp_planned(plan_dimensions(p))
         for seed in seeds:
-            calls.clear()
+            extractions.clear()
             res = run_session(p, slots, alloc, np.random.default_rng(seed))
-            if res.audit.scaled_feasible is None:
+            if not extractions:
                 continue
-            # the audit's tables (a failed extraction pick may add one without a base)
-            audit = [call for call in calls if call[1] is not None]
-            assert len(audit) == slots
-            summed = {sel: sum(table[sel] for _, _, table in audit) for sel in audit[0][2]}
-            session_family = SubspaceFamily(
-                p.m, {mask: direct_sum(*(f[mask] for f, _, _ in audit)) for mask in audit[0][0]}
-            )
-            session_eve = direct_sum(*(base for _, base, _ in audit))
-            assert agreement._actual_caps(session_family, session_eve) == summed
-            counts = alloc.floor_scaled(slots)
-            dense = check_allocation_feasible(counts, session_family, session_eve).ok
-            assert res.audit.scaled_feasible == dense
+            [(exclusive, counts)] = extractions
+            glued, eves = _session_view(res, exclusive)
+            tables = [
+                agreement._actual_caps(SubspaceFamily(p.m, ex), eve) for ex, eve in zip(exclusive, eves)
+            ]
+            summed = {sel: sum(table[sel] for table in tables) for sel in tables[0]}
+            assert agreement._actual_caps(glued, direct_sum(*eves)) == summed
             checked += 1
-    assert checked >= 8
+            if res.audit.leakage_certificate:
+                assert check_allocation_feasible(counts, glued, direct_sum(*eves)).ok
+                certified += 1
+    assert checked >= 8 and certified >= 6
 
 
 # (params, slots, seeds): n_r <= n_a, where each disclosure is unique, and
@@ -1057,7 +1095,7 @@ def test_coefficient_certificate_equals_packet_certificate():
 
 def test_sessions_agree_and_certify():
     # seeded sessions: every non-degenerate run agrees bit-exactly, passes the
-    # leakage certificate, and slot-wise feasibility carries to the session
+    # leakage certificate, and delivers the floored counts' key blocks
     p = P(101, 10, 6, [4, 4], 2)
     alloc, value = solve_allocation_lp_planned(plan_dimensions(p))
     rng = np.random.default_rng(2025)
@@ -1071,8 +1109,6 @@ def test_sessions_agree_and_certify():
         a = res.audit
         assert a.subset_agreement and a.final_agreement
         assert a.leakage_certificate
-        if a.slotwise_feasible:
-            assert a.scaled_feasible  # slot-wise feasibility is inherited
         counts = alloc.floor_scaled(3)
         want = min(
             sum(c for mask, c in counts.items() if mask >> r & 1) for r in range(2)
@@ -1238,7 +1274,11 @@ def test_session_transcript_roundtrip(tmp_path):
         alloc, _ = solve_allocation_lp_planned(plan_dimensions(p))
         res = run_session(p, n_slots, alloc, np.random.default_rng(5))
         doc = res.to_json_dict()
-        assert doc["schema_version"] == 2
+        assert doc["schema_version"] == 3
+        assert set(doc["audit"]) == {
+            "degenerate", "reasons", "subset_agreement", "final_agreement",
+            "leakage_certificate", "achieved_per_slot", "key_blocks",
+        }
         assert set(doc["public_messages"]) == {"disclosures", "multicast_code", "ciphers"}
         assert all(set(s) == {"message", "transfers", "eve_transfer"} for s in doc["slots"])
         back = _reload(res)
@@ -1280,8 +1320,20 @@ def test_session_transcript_load_refuses_schema_1_and_malformed_documents():
     entry = doc["slots"][0]["message"]["entries"][0][0]
     flat = sum(doc["slots"][0]["message"]["entries"], [])
 
-    with pytest.raises(ValueError, match="unsupported transcript schema 1"):
-        load(broken(lambda d: d.update(schema_version=1)))
+    for version in (1, 2):
+        with pytest.raises(ValueError, match=f"unsupported transcript schema {version}"):
+            load(broken(lambda d: d.update(schema_version=version)))
+
+    def audit(**fields):
+        return lambda d: d["audit"].update(fields)
+
+    def withhold(d):
+        d["keys"].update(subset_keys={}, final_key=None, terminal_final=[None, None])
+        d["audit"].update(degenerate=True, reasons=["slot 0: event"], key_blocks=0, achieved_per_slot="0")
+
+    # a degenerate audit with every key withheld loads
+    withheld = load(broken(withhold))
+    assert withheld.audit.degenerate and withheld.keys.final_key is None
     cases = {
         "transfer shapes": [
             lambda d: d["slots"][0]["transfers"].pop(),
@@ -1315,6 +1367,37 @@ def test_session_transcript_load_refuses_schema_1_and_malformed_documents():
             lambda d: d["keys"]["subset_keys"].__setitem__("0", d["keys"]["subset_keys"]["1"]),
         ],
         "terminal final keys": [lambda d: d["keys"]["terminal_final"].pop()],
+        "params must be plain ints": [
+            lambda d: d["params"].update(ell="8"),
+            lambda d: d["params"].update(q=101.0),
+            lambda d: d["params"].update(na=True),
+            lambda d: d["params"].update(ne=1.0),
+            lambda d: d["params"].update(n=[3, "3"]),
+            lambda d: d["params"].update(n=[3, True]),
+            lambda d: d["params"].update(n="33"),
+            lambda d: d["params"].update(n=3),
+        ],
+        "audit block": [
+            audit(key_blocks=999),
+            audit(key_blocks=5.0),
+            audit(key_blocks=0, achieved_per_slot="0"),
+            audit(reasons="abc"),
+            audit(reasons=[1], degenerate=True),
+            audit(achieved_per_slot="7/3"),
+            audit(achieved_per_slot="10/4"),
+            audit(achieved_per_slot=2.5),
+            audit(leakage_certificate="no"),
+            audit(subset_agreement=1),
+            audit(final_agreement=[]),
+            audit(degenerate=True),
+            audit(degenerate=None),
+            audit(reasons=["slot 0: event"]),
+            audit(reasons=["slot 0: event"], degenerate=True),
+            lambda d: (withhold(d), audit(key_blocks=5, achieved_per_slot="5/2")(d)),
+            lambda d: (withhold(d), audit(degenerate=False)(d)),
+            lambda d: (withhold(d), d["keys"]["subset_keys"].update({"1": doc["keys"]["subset_keys"]["1"]})),
+            lambda d: (withhold(d), d["keys"]["terminal_final"].__setitem__(1, doc["keys"]["terminal_final"][1])),
+        ],
     }
     for match, edits in cases.items():
         for edit in edits:

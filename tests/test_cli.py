@@ -192,21 +192,24 @@ def test_simulate_empty_sessions_report_no_rates(tmp_path):
     assert summary["agreement_rate"] is None and summary["certificate_rate"] is None
 
 
-def test_simulate_audits_m4_and_rejects_eight_allocated_subsets(tmp_path, capsys):
-    # the planned m = 4 allocation holds shares on at most 7 subsets, so its
-    # sessions are audited; run_session refuses shares on 8 before any draw,
-    # and simulate reports that as a usage error
+def test_simulate_audits_m4_and_eight_allocated_subsets(tmp_path):
+    # m = 4 sessions are audited, on the planned allocation and on a
+    # --config allocation with shares on 8 subsets: the audit builds no cap
+    # table, so no subset count limits a session
     m4 = ["simulate", "--q", "101", "--ell", "10", "--na", "6", "--n", "3", "3", "3", "3",
           "--ne", "1", "--slots", "2", "--trials", "3", "--seed", "7", "--format", "json"]
     summary = json.loads(run_cli(m4, tmp_path, "m4.json"))["summary"]
-    assert sum(Fraction(v) > 0 for v in summary["allocation"].values()) <= 7
     assert summary["agreement_rate"] == summary["certificate_rate"] == 1.0
     cfg = tmp_path / "eight.json"
-    cfg.write_text(json.dumps({"allocation": {str(mask): "1/16" for mask in range(1, 9)}}))
-    with pytest.raises(SystemExit) as exc:
-        main(m4 + ["--config", str(cfg)])
-    assert exc.value.code == 2
-    assert "7 subsets" in capsys.readouterr().err
+    shares = {str(mask): "1/8" for mask in (3, 5, 6, 9, 10, 12, 13, 14)}
+    cfg.write_text(json.dumps({"allocation": shares}))
+    eight = ["simulate", "--q", "101", "--ell", "9", "--na", "5", "--n", "3", "3", "4", "4",
+             "--ne", "0", "--slots", "16", "--trials", "4", "--seed", "7", "--format", "json",
+             "--config", str(cfg)]
+    doc = json.loads(run_cli(eight, tmp_path, "eight.json"))
+    assert doc["summary"]["allocation"] == {**{str(mask): "0" for mask in range(1, 16)}, **shares}
+    assert doc["summary"]["agreement_rate"] == doc["summary"]["certificate_rate"] == 1.0
+    assert [row["achieved_per_slot"] for row in doc["rows"]] == ["1/2"] * 4
 
 
 def test_oracle_report(tmp_path):
