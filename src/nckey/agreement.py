@@ -29,6 +29,10 @@ The protocol, per session of N slots; run_session calls one stage per step:
    reconstruct its subset keys exactly (_keys).
 5. _multicast: a final common key is delivered to all terminals by
    one-time-padding a linear combination code over the subset key blocks.
+   The code is built deterministically, row by row, so that each terminal's
+   rows have full column rank (_combination_code); at m <= 2 every row is a
+   unit vector and a terminal decodes by selection.  The pads are certified
+   (step 6), so the code does not bear on secrecy.
 6. _audit: agreement and the zero-leakage certificate against the
    eavesdropper's complete view, in coefficient space (width N * n_a, not
    N * ell): the key vectors, which extraction made independent, leak
@@ -60,7 +64,7 @@ from .channel import ChannelParams, SlotObservation, broadcast_slot, make_source
 from .fieldmath import (
     FieldCtx,
     MatrixFq,
-    _solve,
+    _mul_mod,
     _wrap,
     hstack,
     mat_mul,
@@ -604,7 +608,9 @@ class SessionResult:
     def from_json_dict(cls, doc: dict) -> "SessionResult":
         """Load a schema-3 document, rebuilding each slot's source and received
         packets; ValueError on another schema, non-int params, a count, shape,
-        entry, subset or terminal out of range, or an audit off its keys."""
+        entry, subset or terminal out of range, or an audit off its keys: a
+        non-degenerate one must carry a true certificate and the agreement
+        of the rebuilt terminal copies with the subset and final keys."""
         if doc.get("schema_version") != SCHEMA_VERSION:
             raise ValueError(f"unsupported transcript schema {doc.get('schema_version')}")
         pd = doc["params"]
@@ -646,8 +652,17 @@ class SessionResult:
         )
         key_blocks = 0 if keys.final_key is None else keys.final_key.rows
         flags = [ad["subset_agreement"], ad["final_agreement"], ad["leakage_certificate"]]
+        # A non-degenerate audit ran on the keys it ships with (none for an
+        # empty session): its agreement flags must be theirs, and it passed
+        # the certificate, since a failed one withholds the keys.
+        audited = [
+            all(k == keys.subset_keys.get(mask) for (mask, _), k in keys.terminal_subset_keys.items()),
+            all(k == keys.final_key for k in keys.terminal_final),
+            True,
+        ]
         if not (
             all(flag is None or type(flag) is bool for flag in flags)
+            and (ad["degenerate"] or flags == (audited if slots else [None] * 3))
             and isinstance(ad["reasons"], list) and all(type(r) is str for r in ad["reasons"])
             and ad["degenerate"] is bool(ad["reasons"])
             and (not ad["degenerate"] or keys == KeyShare(terminal_final=(None,) * params.m))
@@ -657,16 +672,6 @@ class SessionResult:
             raise ValueError(f"audit block {doc['audit']} disagrees with the keys it ships with")
         ad.update(reasons=tuple(ad["reasons"]), achieved_per_slot=Fraction(ad["achieved_per_slot"]))
         return cls(transcript, keys, AuditReport(**ad))
-
-
-def _vandermonde(rows: int, cols: int, ctx: FieldCtx) -> MatrixFq:
-    """rows x cols matrix with row j = (j^0, ..., j^(cols-1)); any ``cols``
-    rows are linearly independent when all row indices are distinct (requires
-    rows <= q)."""
-    out, j = np.ones((rows, cols), dtype=np.int64), np.arange(rows)
-    for i in range(1, cols):
-        out[:, i] = out[:, i - 1] * j % ctx.q
-    return MatrixFq(out, ctx)
 
 
 def _disclose(target: MatrixFq, transfers: list[MatrixFq]) -> MatrixFq | None:
@@ -811,45 +816,155 @@ def _keys(params: ChannelParams, slots, picks: dict[int, Subspace], disclosures)
     return KeyShare(subset_keys, _terminal_subset_keys(params, slots, disclosures))
 
 
-def _multicast(picks: dict[int, Subspace], keys: KeyShare, final: MatrixFq | None, m: int, rng):
+class _Receiver:
+    """One terminal's code rows while the code is built: the pivots of their
+    reduced echelon form, the code rows kept (those that raised the rank),
+    and, once a row is not a unit vector, that form and the transform taking
+    the kept rows to it.  While every kept row is a unit vector, the form is
+    those unit vectors and the transform the identity."""
+
+    def __init__(self, k: int, q: int):
+        self.q, self.pivots, self.kept = q, [], []
+        self.units = np.zeros(k, dtype=bool)
+        self.basis = self.trans = None
+
+    def inside(self) -> np.ndarray:
+        """Which unit vectors lie in the span (a row of the form equal to e_j)."""
+        if self.basis is None:
+            return self.units
+        out = np.zeros_like(self.units)
+        single = np.count_nonzero(self.basis, axis=1) == 1
+        out[np.array(self.pivots)[single]] = True
+        return out
+
+    def residue(self, v: np.ndarray) -> np.ndarray:
+        """v less its part on the pivots: zero exactly when v is in the span."""
+        if self.basis is None:
+            return np.where(self.units, 0, v)
+        return (v - _mul_mod(v[self.pivots][None], self.basis, self.q)[0]) % self.q
+
+    def take_unit(self, j: int, row: int) -> None:
+        """Keep code row ``row``, the unit vector e_j, which lies outside the span."""
+        if self.basis is None:
+            self.units[j] = True
+            self.pivots.append(j)
+            self.kept.append(row)
+        else:
+            self.take(np.eye(1, len(self.units), j, dtype=np.int64)[0], row)
+
+    def take(self, v: np.ndarray, row: int) -> None:
+        """Keep code row ``row``, equal to v, which lies outside the span."""
+        q, w = self.q, self.residue(v)
+        p = int(np.flatnonzero(w)[0])
+        if self.basis is None:
+            n = len(self.pivots)
+            self.basis = np.zeros((n, len(v)), dtype=np.int64)
+            self.basis[np.arange(n), self.pivots] = 1
+            self.trans = np.eye(n, dtype=np.int64)
+        # The new row of the form is w, v less its part on the pivots, scaled
+        # to a leading 1; its transform row is e_new less that part's.
+        # Column p is then cleared from the other rows.
+        inv = pow(int(w[p]), q - 2, q)
+        t = np.append(-_mul_mod(v[self.pivots][None], self.trans, q)[0] % q, 1) * inv % q
+        w = w * inv % q
+        f = self.basis[:, p : p + 1]
+        trans = np.hstack([self.trans, np.zeros((len(f), 1), dtype=np.int64)])
+        self.basis = np.vstack([(self.basis - f * w) % q, w])
+        self.trans = np.vstack([(trans - f * t) % q, t])
+        self.pivots.append(p)
+        self.kept.append(row)
+
+    def decode(self, sent: np.ndarray, rows: list[int]) -> np.ndarray:
+        """The key X with (kept code rows) @ X == the kept rows of ``sent``,
+        this terminal's ciphers less its pads on its code rows ``rows``: the
+        transform times those rows, put in pivot order."""
+        part = sent[np.searchsorted(rows, self.kept)]
+        if self.trans is not None:
+            part = _mul_mod(self.trans, part, self.q)
+        out = np.empty_like(part)
+        out[self.pivots] = part
+        return out
+
+
+def _combination_code(labels: list[int], k: int, m: int, q: int):
+    """The combination code, one row per pad block of subset ``labels[i]``,
+    built row by row (linear information flow: Jaggi, Sanders, Chou, Effros,
+    Egner, Jain and Tolhuizen, IEEE Trans. IT 2005), and every terminal's
+    _Receiver.
+
+    A row must leave the span of every member of its subset still short of
+    rank k.  It takes the first unit vector that does.  Failing that, it
+    starts at the first short member's first unit vector outside its span,
+    and adds each further short member's such vector u_s times the first
+    lambda = 0, 1, ... that keeps it outside every span checked so far: a
+    span excludes at most one lambda, so q > |J| suffices.  A row with no
+    short member is e_0.  At m <= 2 unit vectors always suffice: the private
+    rows take prefixes of the coordinates, and the common rows the next free
+    ones.
+    """
+    receivers = [_Receiver(k, q) for _ in range(m)]
+    code = np.zeros((len(labels), k), dtype=np.int64)
+    for i, mask in enumerate(labels):
+        short = [receivers[r] for r in mask_members(mask) if len(receivers[r].pivots) < k]
+        insides = [rec.inside() for rec in short]
+        free = ~np.logical_or.reduce(insides) if short else np.ones(k, dtype=bool)
+        if free.any():
+            j = int(np.argmax(free))
+            code[i, j] = 1
+            for rec in short:
+                rec.take_unit(j, i)
+            continue
+        # u_s: the first unit vector outside short member s's span
+        v = np.eye(1, k, int(np.argmin(insides[0])), dtype=np.int64)[0]
+        for s in range(1, len(short)):
+            u = np.eye(1, k, int(np.argmin(insides[s])), dtype=np.int64)[0]
+            for lam in range(q):
+                trial = (v + lam * u) % q
+                if all(rec.residue(trial).any() for rec in short[: s + 1]):
+                    v = trial
+                    break
+        code[i] = v
+        for rec in short:
+            if rec.residue(v).any():
+                rec.take(v, i)
+    return code, receivers
+
+
+def _multicast(picks: dict[int, Subspace], keys: KeyShare, final: MatrixFq | None, m: int):
     """Step 5: one-time-pad a linear combination code over the subset key
     blocks so every terminal decodes ``final``, of min_r sum_{J containing r}
     counts[J] blocks (None when that is zero).  Returns the code, the ciphers
     and ``keys`` with the final key and each terminal's decoding.
+
+    The code is deterministic (_combination_code): each terminal's rows have
+    full column rank, and it decodes with one product, its transform times
+    its ciphers less its pads, which must then reproduce all its ciphers.  At
+    m <= 2 every row is a unit vector, so each transform is a permutation and
+    decoding is a selection.  The code does not bear on secrecy: the pads are
+    certified uniform and independent of the eavesdropper's view (_audit), so
+    the ciphers are independent of the final key for any code.
     """
     if final is None:
         return None, None, replace(keys, terminal_final=(None,) * m)
     ctx, key_blocks = final.ctx, final.rows
     # Pad row i is a key block of subset labels[i] (subset keys in mask order).
     labels = [mask for mask, pick in picks.items() for _ in range(pick.dim)]
-    rows_for = [[i for i, mask in enumerate(labels) if mask >> r & 1] for r in range(m)]
-    pads = vstack(list(keys.subset_keys.values()))
-    pads_for = [
-        vstack([keys.terminal_subset_keys[(mask, r)] for mask in picks if mask >> r & 1])
-        for r in range(m)
-    ]
-    if len(labels) <= ctx.q:
-        draws = [_vandermonde(len(labels), key_blocks, ctx)]
-    else:
-        draws = (random_matrix(len(labels), key_blocks, ctx, rng) for _ in range(200))
-    for code in draws:
-        ciphers = MatrixFq(np.mod(mat_mul(code, final).arr + pads.arr, ctx.q), ctx)
-        # Terminal r solves its rows of the code for the final key.  A draw
-        # whose rows fall short of full column rank for some terminal (never
-        # Vandermonde rows) is redrawn; otherwise each decoding is unique.
-        solved = [
-            _solve(MatrixFq(code.arr[rows], ctx), MatrixFq(ciphers.arr[rows] - pads_r.arr, ctx))
-            for rows, pads_r in zip(rows_for, pads_for)
-        ]
-        if all(r == key_blocks for _, r in solved):
-            break
-    else:
+    code, receivers = _combination_code(labels, key_blocks, m, ctx.q)
+    if any(len(rec.pivots) < key_blocks for rec in receivers):
         raise _Degenerate(("no decodable combination code found",))
-    for r, (sol, _) in enumerate(solved):
-        if sol is None:
+    code = _wrap(code, ctx)
+    pads = vstack(list(keys.subset_keys.values()))
+    ciphers = _wrap((mat_mul(code, final).arr + pads.arr) % ctx.q, ctx)
+    decoded = []
+    for r, rec in enumerate(receivers):
+        rows = [i for i, mask in enumerate(labels) if mask >> r & 1]
+        pads_r = vstack([keys.terminal_subset_keys[(mask, r)] for mask in picks if mask >> r & 1])
+        sent = _wrap((ciphers.arr[rows] - pads_r.arr) % ctx.q, ctx)
+        key = _wrap(rec.decode(sent.arr, rows), ctx)
+        if mat_mul(_wrap(code.arr[rows], ctx), key) != sent:
             raise _Degenerate((f"terminal {r} could not decode the combination code",))
-    decoded = tuple(sol for sol, _ in solved)
-    return code, ciphers, replace(keys, final_key=final, terminal_final=decoded)
+        decoded.append(key)
+    return code, ciphers, replace(keys, final_key=final, terminal_final=tuple(decoded))
 
 
 def _leakage_certificate(key_vectors: MatrixFq, eves: list[Subspace]) -> bool:
@@ -978,7 +1093,7 @@ def run_session(
         if key_blocks and final_key is None:
             final_key = random_matrix(key_blocks, width, ctx, msg_rng)
         final = final_key if key_blocks else None
-        code, ciphers, keys = _multicast(picks, keys, final, m, proto_rng)
+        code, ciphers, keys = _multicast(picks, keys, final, m)
         transcript = SessionTranscript(params, slots, disclosures, code, ciphers)
         audit = _audit(slots, picks, keys)
     except _Degenerate as exc:

@@ -243,23 +243,24 @@ def _mul_mod(x: np.ndarray, y: np.ndarray, q: int) -> np.ndarray:
     """x @ y mod q for int64 matrices with entries in [0, q), as a new int64
     matrix, exact through float64 BLAS products.
 
-    A dot product of k terms of at most (q-1)^2 each is exact in float64 while
-    k (q-1)^2 < 2^53, and is then one product.  Otherwise x is split into
-    b-bit limbs, b the widest with k (2^b - 1)(q - 1) < 2^53 (two 16-bit
-    limbs at k = 64 and q = 2^31 - 1), stacked into one operand so that each
-    product is still one BLAS call.  The limb blocks of the result are
-    reduced and recombined Horner-style, acc = (acc << b) + p mod q, which
-    stays below 2^63.  k is taken in chunks of at most 2^16 - 1 terms, which
-    keeps b at 6 bits or more for every q < 2^31.
+    A dot product of k terms of at most a (q-1) each, a being x's largest
+    entry, is exact in float64 while k a (q-1) < 2^53, and is then one
+    product (at every q when x is a 0/1 combination code).  Otherwise x is
+    split into b-bit limbs, b the widest with k (2^b - 1)(q - 1) < 2^53 (two
+    16-bit limbs at k = 64 and q = 2^31 - 1), stacked into one operand so
+    that each product is still one BLAS call.  The limb blocks of the result
+    are reduced and recombined Horner-style, acc = (acc << b) + p mod q,
+    which stays below 2^63.  k is taken in chunks of at most 2^16 - 1 terms,
+    which keeps b at 6 bits or more for every q < 2^31.
     """
-    rows = x.shape[0]
-    bits = (q - 1).bit_length()
+    rows, largest = x.shape[0], int(x.max(initial=0))
+    bits = largest.bit_length()
     out = np.zeros((rows, y.shape[1]), dtype=np.int64)
     for j in range(0, x.shape[1], 2**16 - 1):
         part, rhs = x[:, j : j + 2**16 - 1], y[j : j + 2**16 - 1].astype(np.float64)
         top = (2**53 - 1) // (part.shape[1] * (q - 1))
-        b = bits if top >= q - 1 else (top + 1).bit_length() - 1
-        limbs = -(-bits // b)
+        b = (top + 1).bit_length() - 1
+        limbs = 1 if top >= largest else -(-bits // b)
         if limbs > 1:
             part = np.vstack([(part >> (b * s)) & (2**b - 1) for s in reversed(range(limbs))])
         prod = part.astype(np.float64) @ rhs

@@ -1039,38 +1039,82 @@ def test_disclosure_bail_names_the_first_failing_pair(monkeypatch, failing, repo
     assert again.audit.reasons == (f"subset {reported[0]} basis not in terminal {reported[1]} span",)
 
 
-def test_multicast_redraws_rank_short_codes_and_names_the_failing_terminal():
-    # at q = 5 the 7 pad rows (subsets 1, 2, 2, 2, 3, 3, 3) outnumber the
-    # field, so the code is drawn at random, and a draw is kept only when the
-    # rows of every terminal have full column rank (about one square 4 x 4
-    # draw in four falls short); the redraws follow the seeded stream
-    ctx, rng = FieldCtx(5), np.random.default_rng(3)
-    dims = {1: 1, 2: 3, 3: 3}
-    picks = {mask: random_subspace(8, d, ctx, rng) for mask, d in dims.items()}
-    subset_keys = {mask: random_matrix(d, 3, ctx, rng) for mask, d in dims.items()}
-    copies = {(mask, r): k for mask, k in subset_keys.items() for r in (0, 1) if mask >> r & 1}
-    keys = agreement.KeyShare(subset_keys, copies)
-    final = random_matrix(4, 3, ctx, rng)
-    rows_for = [[0, 4, 5, 6], [1, 2, 3, 4, 5, 6]]
-    redrawn = 0
-    for seed in range(8):
-        code, _, out = agreement._multicast(picks, keys, final, 2, np.random.default_rng(seed))
-        replay, draws = np.random.default_rng(seed), 0
-        while True:
-            want, draws = random_matrix(7, 4, ctx, replay), draws + 1
-            if all(rank(MatrixFq(want.arr[rows], ctx)) == 4 for rows in rows_for):
-                break
-        assert code == want and out.terminal_final == (final, final)
-        redrawn += draws > 1
-    assert redrawn
-    # a wrong copy of a subset key leaves terminal 1's 6 x 4 system inconsistent
-    wrong = {**copies, (2, 1): MatrixFq(copies[(2, 1)].arr + 1, ctx)}
+def _multicast_inputs(dims: dict[int, int], ctx: FieldCtx, rng, width: int = 2):
+    picks = {mask: random_subspace(4, d, ctx, rng) for mask, d in dims.items()}
+    subset_keys = {mask: random_matrix(d, width, ctx, rng) for mask, d in dims.items()}
+    copies = {
+        (mask, r): k for mask, k in subset_keys.items() for r in agreement.mask_members(mask)
+    }
+    return picks, agreement.KeyShare(subset_keys, copies)
+
+
+def _is_unit(row: np.ndarray) -> bool:
+    return np.count_nonzero(row) == 1 and row.max() == 1
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("q", [2, 3, 5, 101, 2**31 - 1])
+def test_multicast_code_has_full_rank_rows_for_every_terminal(m, q, monkeypatch):
+    # the code is deterministic: each terminal's rows have full column rank
+    # and decode the final key; at m <= 2 every row is a unit vector, so
+    # decoding is a selection and no elimination runs
+    import nckey.fieldmath as fieldmath
+
+    calls = []
+    for name in ("_echelon", "_solve"):
+        original = getattr(fieldmath, name)
+        monkeypatch.setattr(
+            fieldmath, name, lambda *a, _f=original, _n=name, **kw: calls.append(_n) or _f(*a, **kw)
+        )
+    ctx = FieldCtx(q)
+    decoded = 0
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        dims = {mask: d for mask in subset_masks(m) if (d := int(rng.integers(0, 4)))}
+        k = min(sum(d for mask, d in dims.items() if mask >> r & 1) for r in range(m))
+        if not k:
+            continue
+        picks, keys = _multicast_inputs(dims, ctx, rng)
+        final = random_matrix(k, 2, ctx, rng)
+        calls.clear()
+        code, ciphers, out = agreement._multicast(picks, keys, final, m)
+        assert out.terminal_final == (final,) * m
+        if m <= 2:
+            assert all(_is_unit(row) for row in code.arr) and not calls
+        labels = [mask for mask, d in dims.items() for _ in range(d)]
+        for r in range(m):
+            rows = [i for i, mask in enumerate(labels) if mask >> r & 1]
+            assert rank(MatrixFq(code.arr[rows], ctx)) == k
+        assert ciphers == MatrixFq((code @ final).arr + vstack(list(keys.subset_keys.values())).arr, ctx)
+        decoded += 1
+    assert decoded >= 8
+
+
+def test_multicast_triangle_takes_combination_rows_and_names_failures():
+    # m = 3 with shares on the pairs 3, 5 and 6 only: the rows of 3 and 5
+    # take e_0, e_1 and e_2, e_3, after which no unit vector is outside both
+    # spans of 6's members, so its first two rows are combinations; its third
+    # finds both members full and takes e_0, and every terminal decodes
+    for q in (3, 101, 2**31 - 1):
+        ctx, rng = FieldCtx(q), np.random.default_rng(q)
+        picks, keys = _multicast_inputs({3: 2, 5: 2, 6: 3}, ctx, rng)
+        final = random_matrix(4, 2, ctx, rng)
+        code, _, out = agreement._multicast(picks, keys, final, 3)
+        assert [np.flatnonzero(row).tolist() for row in code.arr[:4]] == [[0], [1], [2], [3]]
+        assert not any(_is_unit(row) for row in code.arr[4:6])
+        assert code.arr[6].tolist() == [1, 0, 0, 0]
+        assert out.terminal_final == (final,) * 3
+    # a wrong copy of a subset key: terminal 2 decodes a key that does not
+    # reproduce its five ciphers
+    bumped = keys.terminal_subset_keys[(6, 2)].arr.copy()
+    bumped[0, 0] += 1
+    wrong = {**keys.terminal_subset_keys, (6, 2): MatrixFq(bumped, ctx)}
     with pytest.raises(agreement._Degenerate) as exc:
-        agreement._multicast(picks, replace(keys, terminal_subset_keys=wrong), final, 2, rng)
-    assert exc.value.args == ("terminal 1 could not decode the combination code",)
-    # five key blocks, but terminal 0 holds four pad rows: every draw falls short
+        agreement._multicast(picks, replace(keys, terminal_subset_keys=wrong), final, 3)
+    assert exc.value.args == ("terminal 2 could not decode the combination code",)
+    # five key blocks, but every terminal holds four pad rows
     with pytest.raises(agreement._Degenerate) as exc:
-        agreement._multicast(picks, keys, random_matrix(5, 3, ctx, rng), 2, rng)
+        agreement._multicast(picks, keys, random_matrix(5, 2, ctx, rng), 3)
     assert exc.value.args == ("no decodable combination code found",)
 
 
@@ -1119,8 +1163,8 @@ def test_sessions_agree_and_certify():
 
 def test_session_large_symmetric_setup():
     # n_a=60, n_b=n_c=15, n_e=20 over four slots: the closed-form value is 15
-    # per slot, and with 120 extracted rows over F_101 the multicast step has
-    # to fall back to a randomly drawn combination code.
+    # per slot, and the multicast step codes 120 extracted rows over F_101,
+    # more rows than field elements, with unit vectors.
     p = P(101, 70, 60, [15, 15], 20)
     alloc, value = solve_allocation_lp_planned(plan_dimensions(p))
     assert value == three_terminal_rate(p).coefficient == 15
@@ -1403,3 +1447,46 @@ def test_session_transcript_load_refuses_schema_1_and_malformed_documents():
         for edit in edits:
             with pytest.raises(ValueError, match=match):
                 load(broken(edit))
+
+
+def test_session_transcript_load_checks_the_agreement_flags_and_the_certificate():
+    # the flags are not taken on trust: load compares the terminal copies it
+    # rebuilds from the disclosures with the shipped subset keys, and the
+    # terminals' final keys with the final key, and a non-degenerate audit
+    # must carry a passing certificate
+    p = P(101, 8, 4, [3, 3], 1)
+    alloc, _ = solve_allocation_lp_planned(plan_dimensions(p))
+    res = run_session(p, 3, alloc, np.random.default_rng(5))
+    assert not res.audit.degenerate
+    doc = res.to_json_dict()
+    load = agreement.SessionResult.from_json_dict
+    assert load(doc) == res
+
+    def bump(mat):
+        mat["entries"][0][0] = (mat["entries"][0][0] + 1) % 101
+
+    def broken(edit):
+        bad = copy.deepcopy(doc)
+        edit(bad)
+        return bad
+
+    tampered = {
+        "subset key": lambda d: bump(d["keys"]["subset_keys"]["1"]),
+        "terminal final key": lambda d: bump(d["keys"]["terminal_final"][1]),
+        "subset agreement": lambda d: d["audit"].update(subset_agreement=False),
+        "final agreement": lambda d: d["audit"].update(final_agreement=False),
+        "false certificate": lambda d: d["audit"].update(leakage_certificate=False),
+        "no certificate": lambda d: d["audit"].update(leakage_certificate=None),
+    }
+    for name, edit in tampered.items():
+        with pytest.raises(ValueError, match="audit block"):
+            load(broken(edit))
+    # flags that report the shipped keys' disagreement are consistent
+    flagged = load(
+        broken(lambda d: (bump(d["keys"]["subset_keys"]["1"]), d["audit"].update(subset_agreement=False)))
+    )
+    assert flagged.audit.subset_agreement is False
+    # an empty session ran no audit, so it carries no flags
+    empty = run_session(p, 0, alloc, np.random.default_rng(5)).to_json_dict()
+    with pytest.raises(ValueError, match="audit block"):
+        load({**empty, "audit": {**empty["audit"], "leakage_certificate": True}})

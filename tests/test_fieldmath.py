@@ -591,6 +591,24 @@ def test_mat_mul_limbs_match_python_integers(k):
         assert mat_mul(a, b).tolist() == want.tolist(), q
 
 
+@pytest.mark.parametrize("k", [1, 300, 2**16 - 1, 2**16])
+def test_mat_mul_sizes_limbs_by_the_largest_left_entry(k):
+    # at q = 2^31 - 1 a left operand whose entries are at most top =
+    # (2^53 - 1) // (k (q - 1)) takes one float64 product, and one entry
+    # past top takes limbs.  Each dot product is odd (one odd term, the rest
+    # even) and near its largest, so a product too wide for float64 cannot be
+    # exact
+    q = 2**31 - 1
+    ctx, top = FieldCtx(q), (2**53 - 1) // (min(k, 2**16 - 1) * (q - 1))
+    rhs = np.full((k, 2), q - 1)
+    rhs[-1] = q - 2
+    for largest in (1, top, top + 1):
+        lhs = np.full((2, k), largest)
+        lhs[:, -1] = largest - 1 + largest % 2
+        want = (lhs.astype(object) @ rhs.astype(object)) % q
+        assert mat_mul(MatrixFq(lhs, ctx), MatrixFq(rhs, ctx)).tolist() == want.tolist()
+
+
 def test_random_matrix_empty_and_deterministic():
     rng = np.random.default_rng(9)
     assert random_matrix(0, 3, F2, rng).shape == (0, 3)

@@ -44,7 +44,7 @@ CASES = {
     "q3": (3, 6, 4, (3, 3), 1, 2, range(32)),
     "q3-m3": (3, 9, 6, (4, 4, 4), 2, 2, range(12)),
     "q7": (7, 12, 8, (5, 5), 2, 3, range(6)),
-    # 120 extracted rows > q: the multicast step draws a random combination code
+    # 120 extracted rows > q: the combination code has more rows than field elements
     "wide": (101, 70, 60, (15, 15), 20, 4, range(2)),
     "bigq": (2**31 - 1, 10, 6, (4, 4), 2, 3, range(3)),
     # n_r > n_a: disclosures are not unique, so they pin which solution is chosen
