@@ -64,7 +64,7 @@ from .channel import ChannelParams, SlotObservation, broadcast_slot, make_source
 from .fieldmath import (
     FieldCtx,
     MatrixFq,
-    _mul_mod,
+    _solve,
     _wrap,
     hstack,
     mat_mul,
@@ -655,11 +655,7 @@ class SessionResult:
         # A non-degenerate audit ran on the keys it ships with (none for an
         # empty session): its agreement flags must be theirs, and it passed
         # the certificate, since a failed one withholds the keys.
-        audited = [
-            all(k == keys.subset_keys.get(mask) for (mask, _), k in keys.terminal_subset_keys.items()),
-            all(k == keys.final_key for k in keys.terminal_final),
-            True,
-        ]
+        audited = [*_agreement(keys), True]
         if not (
             all(flag is None or type(flag) is bool for flag in flags)
             and (ad["degenerate"] or flags == (audited if slots else [None] * 3))
@@ -818,15 +814,14 @@ def _keys(params: ChannelParams, slots, picks: dict[int, Subspace], disclosures)
 
 class _Receiver:
     """One terminal's code rows while the code is built: the pivots of their
-    reduced echelon form, the code rows kept (those that raised the rank),
-    and, once a row is not a unit vector, that form and the transform taking
-    the kept rows to it.  While every kept row is a unit vector, the form is
-    those unit vectors and the transform the identity."""
+    reduced echelon form and the code rows kept (those that raised the
+    rank), and, once a row is not a unit vector, that form.  While every
+    kept row is a unit vector, the form is those unit vectors."""
 
     def __init__(self, k: int, q: int):
         self.q, self.pivots, self.kept = q, [], []
         self.units = np.zeros(k, dtype=bool)
-        self.basis = self.trans = None
+        self.basis = None
 
     def inside(self) -> np.ndarray:
         """Which unit vectors lie in the span (a row of the form equal to e_j)."""
@@ -837,11 +832,16 @@ class _Receiver:
         out[np.array(self.pivots)[single]] = True
         return out
 
-    def residue(self, v: np.ndarray) -> np.ndarray:
-        """v less its part on the pivots: zero exactly when v is in the span."""
+    def unit_residue(self, j: int) -> np.ndarray:
+        """e_j less its part on the pivots: zero exactly when e_j is in the
+        span.  That part is the row of the form with pivot j, if any."""
+        out = np.zeros(len(self.units), dtype=np.int64)
+        out[j] = 1
         if self.basis is None:
-            return np.where(self.units, 0, v)
-        return (v - _mul_mod(v[self.pivots][None], self.basis, self.q)[0]) % self.q
+            out[j] = not self.units[j]
+        elif j in self.pivots:
+            out = (out - self.basis[self.pivots.index(j)]) % self.q
+        return out
 
     def take_unit(self, j: int, row: int) -> None:
         """Keep code row ``row``, the unit vector e_j, which lies outside the span."""
@@ -850,40 +850,34 @@ class _Receiver:
             self.pivots.append(j)
             self.kept.append(row)
         else:
-            self.take(np.eye(1, len(self.units), j, dtype=np.int64)[0], row)
+            self.take(self.unit_residue(j), row)
 
-    def take(self, v: np.ndarray, row: int) -> None:
-        """Keep code row ``row``, equal to v, which lies outside the span."""
-        q, w = self.q, self.residue(v)
-        p = int(np.flatnonzero(w)[0])
+    def take(self, w: np.ndarray, row: int) -> None:
+        """Keep code row ``row``, whose residue w (the row less its part on
+        the pivots) is nonzero."""
+        q, p = self.q, int(np.flatnonzero(w)[0])
         if self.basis is None:
             n = len(self.pivots)
-            self.basis = np.zeros((n, len(v)), dtype=np.int64)
+            self.basis = np.zeros((n, len(w)), dtype=np.int64)
             self.basis[np.arange(n), self.pivots] = 1
-            self.trans = np.eye(n, dtype=np.int64)
-        # The new row of the form is w, v less its part on the pivots, scaled
-        # to a leading 1; its transform row is e_new less that part's.
-        # Column p is then cleared from the other rows.
-        inv = pow(int(w[p]), q - 2, q)
-        t = np.append(-_mul_mod(v[self.pivots][None], self.trans, q)[0] % q, 1) * inv % q
-        w = w * inv % q
-        f = self.basis[:, p : p + 1]
-        trans = np.hstack([self.trans, np.zeros((len(f), 1), dtype=np.int64)])
-        self.basis = np.vstack([(self.basis - f * w) % q, w])
-        self.trans = np.vstack([(trans - f * t) % q, t])
+        # The new row of the form is w scaled to a leading 1; column p is
+        # then cleared from the other rows.
+        w = w * pow(int(w[p]), q - 2, q) % q
+        self.basis = np.vstack([(self.basis - self.basis[:, p : p + 1] * w) % q, w])
         self.pivots.append(p)
         self.kept.append(row)
 
-    def decode(self, sent: np.ndarray, rows: list[int]) -> np.ndarray:
-        """The key X with (kept code rows) @ X == the kept rows of ``sent``,
-        this terminal's ciphers less its pads on its code rows ``rows``: the
-        transform times those rows, put in pivot order."""
-        part = sent[np.searchsorted(rows, self.kept)]
-        if self.trans is not None:
-            part = _mul_mod(self.trans, part, self.q)
+    def decode(self, code: MatrixFq, sent: MatrixFq, rows: list[int]) -> MatrixFq:
+        """The key X with (kept code rows) @ X == their rows of ``sent``, this
+        terminal's ciphers less its pads on its code rows ``rows``: while
+        every kept row is a unit vector a selection in pivot order, and
+        otherwise one k x k solve."""
+        part = sent.arr[np.searchsorted(rows, self.kept)]
+        if self.basis is not None:
+            return _solve(_wrap(code.arr[self.kept], code.ctx), _wrap(part, code.ctx))[0]
         out = np.empty_like(part)
         out[self.pivots] = part
-        return out
+        return _wrap(out, code.ctx)
 
 
 def _combination_code(labels: list[int], k: int, m: int, q: int):
@@ -914,19 +908,24 @@ def _combination_code(labels: list[int], k: int, m: int, q: int):
             for rec in short:
                 rec.take_unit(j, i)
             continue
-        # u_s: the first unit vector outside short member s's span
-        v = np.eye(1, k, int(np.argmin(insides[0])), dtype=np.int64)[0]
+        # u_s: the first unit vector outside short member s's span.  The
+        # residues of v on the short members' spans are linear in v, so they
+        # follow v from those of the u_s.
+        firsts = [int(np.argmin(inside)) for inside in insides]
+        v = np.zeros(k, dtype=np.int64)
+        v[firsts[0]] = 1
+        res = [rec.unit_residue(firsts[0]) for rec in short]
         for s in range(1, len(short)):
-            u = np.eye(1, k, int(np.argmin(insides[s])), dtype=np.int64)[0]
-            for lam in range(q):
-                trial = (v + lam * u) % q
-                if all(rec.residue(trial).any() for rec in short[: s + 1]):
-                    v = trial
-                    break
+            du = [rec.unit_residue(firsts[s]) for rec in short]
+            checked = list(zip(res[: s + 1], du))
+            outside = (lam for lam in range(q) if all(((w + lam * d) % q).any() for w, d in checked))
+            lam = next(outside, 0)
+            v[firsts[s]] = (v[firsts[s]] + lam) % q
+            res = [(w + lam * d) % q for w, d in zip(res, du)]
         code[i] = v
-        for rec in short:
-            if rec.residue(v).any():
-                rec.take(v, i)
+        for rec, w in zip(short, res):
+            if w.any():
+                rec.take(w, i)
     return code, receivers
 
 
@@ -937,10 +936,10 @@ def _multicast(picks: dict[int, Subspace], keys: KeyShare, final: MatrixFq | Non
     and ``keys`` with the final key and each terminal's decoding.
 
     The code is deterministic (_combination_code): each terminal's rows have
-    full column rank, and it decodes with one product, its transform times
-    its ciphers less its pads, which must then reproduce all its ciphers.  At
-    m <= 2 every row is a unit vector, so each transform is a permutation and
-    decoding is a selection.  The code does not bear on secrecy: the pads are
+    full column rank, and it decodes its ciphers less its pads on the rows it
+    kept, which must then reproduce all its ciphers.  At m <= 2 every row is
+    a unit vector, so decoding is a selection; otherwise it is one k x k
+    solve per terminal.  The code does not bear on secrecy: the pads are
     certified uniform and independent of the eavesdropper's view (_audit), so
     the ciphers are independent of the final key for any code.
     """
@@ -960,7 +959,7 @@ def _multicast(picks: dict[int, Subspace], keys: KeyShare, final: MatrixFq | Non
         rows = [i for i, mask in enumerate(labels) if mask >> r & 1]
         pads_r = vstack([keys.terminal_subset_keys[(mask, r)] for mask in picks if mask >> r & 1])
         sent = _wrap((ciphers.arr[rows] - pads_r.arr) % ctx.q, ctx)
-        key = _wrap(rec.decode(sent.arr, rows), ctx)
+        key = rec.decode(code, sent, rows)
         if mat_mul(_wrap(code.arr[rows], ctx), key) != sent:
             raise _Degenerate((f"terminal {r} could not decode the combination code",))
         decoded.append(key)
@@ -1004,6 +1003,15 @@ def _leakage_certificate(key_vectors: MatrixFq, eves: list[Subspace]) -> bool:
     return rank(hstack(blocks)) == len(rest)
 
 
+def _agreement(keys: KeyShare) -> tuple[bool, bool]:
+    """Subset agreement (every terminal's copy equals its subset key) and final
+    agreement (every terminal's decoding equals the final key)."""
+    return (
+        all(k == keys.subset_keys.get(mask) for (mask, _), k in keys.terminal_subset_keys.items()),
+        all(k == keys.final_key for k in keys.terminal_final),
+    )
+
+
 def _audit(slots, picks: dict[int, Subspace], keys: KeyShare) -> AuditReport:
     """Audit (harness-side omniscience): subset and final agreement, and the
     zero-leakage certificate modulo the direct sum E of the eavesdropper's
@@ -1017,13 +1025,12 @@ def _audit(slots, picks: dict[int, Subspace], keys: KeyShare) -> AuditReport:
     # block_diag([I | M_t]), which has full row rank and so keeps every rank.
     cert = not picks or _leakage_certificate(vstack([pick.basis for pick in picks.values()]), eves)
     key_blocks = 0 if keys.final_key is None or not cert else keys.final_key.rows
+    subset_agreement, final_agreement = _agreement(keys)
     audit = AuditReport(
         degenerate=not cert,
         reasons=() if cert else ("leakage certificate failed, keys withheld",),
-        subset_agreement=all(
-            k == keys.subset_keys[mask] for (mask, _), k in keys.terminal_subset_keys.items()
-        ),
-        final_agreement=all(k == keys.final_key for k in keys.terminal_final),
+        subset_agreement=subset_agreement,
+        final_agreement=final_agreement,
         leakage_certificate=cert,
         achieved_per_slot=Fraction(key_blocks, len(slots)),
         key_blocks=key_blocks,

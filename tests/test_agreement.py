@@ -1061,10 +1061,10 @@ def test_multicast_code_has_full_rank_rows_for_every_terminal(m, q, monkeypatch)
     import nckey.fieldmath as fieldmath
 
     calls = []
-    for name in ("_echelon", "_solve"):
-        original = getattr(fieldmath, name)
+    for module, name in ((fieldmath, "_echelon"), (fieldmath, "_solve"), (agreement, "_solve")):
+        original = getattr(module, name)
         monkeypatch.setattr(
-            fieldmath, name, lambda *a, _f=original, _n=name, **kw: calls.append(_n) or _f(*a, **kw)
+            module, name, lambda *a, _f=original, _n=name, **kw: calls.append(_n) or _f(*a, **kw)
         )
     ctx = FieldCtx(q)
     decoded = 0
