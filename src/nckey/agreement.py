@@ -5,9 +5,10 @@ The protocol, per session of N slots; run_session calls one stage per step:
 1. _broadcast: the source broadcasts [I | M[t]] with M[t] uniform; every
    legitimate terminal publishes its transfer matrix, so the source learns
    each terminal's received subspace in source coordinates (dimension n_a).
-2. _exclusive_picks: each subset's common subspace must have its
-   generic-position dimension (plan_dimensions); then for each nonempty
-   subset J the source picks, uniformly inside the common subspace, an
+2. _exclusive_picks: one rref per slot and terminal of [F | J] (RowReduced)
+   gives the received subspace and the transform the disclosures reuse.
+   Each subset's common subspace must have its generic-position dimension
+   (plan_dimensions); then for each nonempty subset J the source picks, uniformly inside the common subspace, an
    "exclusive" subspace of the planned dimension.  Only test oracles that can
    see the eavesdropper's subspace build it by explicit complement
    subtraction (build_exclusive_subspaces).
@@ -25,8 +26,8 @@ The protocol, per session of N slots; run_session calls one stage per step:
    per subset are extracted so that everything is mutually independent
    (extract_secure_subspaces: the picks' joint rank is their own feasibility
    certificate, for any m).  _disclosures: coefficients published over the
-   public channel, solved one slot block at a time, let each member terminal
-   reconstruct its subset keys exactly (_keys).
+   public channel, one product per slot block with step 2's transforms, let
+   each member terminal reconstruct its subset keys exactly (_keys).
 5. _multicast: a final common key is delivered to all terminals by
    one-time-padding a linear combination code over the subset key blocks.
    The code is built deterministically, row by row, so that each terminal's
@@ -40,7 +41,7 @@ The protocol, per session of N slots; run_session calls one stage per step:
    eavesdropper's slot subspaces (_leakage_certificate), and that rank also
    proves the counts feasible.  Rows inside one slot block are checked slot
    by slot, so only the rows that couple slots are ranked at session width,
-   as in extraction's rank and the disclosures' solves.
+   as in extraction's rank.
 
 A degenerate session (a generic-position event failed, probability O(1/q),
 or a step found no solution) has its keys withheld: the stage raises
@@ -64,6 +65,7 @@ from .channel import ChannelParams, SlotObservation, broadcast_slot, make_source
 from .fieldmath import (
     FieldCtx,
     MatrixFq,
+    RowReduced,
     _solve,
     _wrap,
     hstack,
@@ -670,34 +672,6 @@ class SessionResult:
         return cls(transcript, keys, AuditReport(**ad))
 
 
-def _disclose(target: MatrixFq, transfers: list[MatrixFq]) -> MatrixFq | None:
-    """C with C @ block_diag(transfers) == target, solved one slot block at a
-    time, and in each for the target rows nonzero there only (None when some
-    block is not representable).
-
-    C @ block_diag(F_t) = B exactly when C_t @ F_t is B's slot-t block.  If
-    some F_t has dependent rows C is not unique; ``solve_in_rowspan`` returns
-    the basic solution, and over a block-diagonal matrix that is the hstack
-    of the per-block ones.  Each of its rows depends on its own target row
-    alone, and is zero for a zero row, so the rows that are zero in a slot
-    block are left zero unsolved.  F_t is public, so every valid C shows the
-    eavesdropper the same B and the choice does not bear on secrecy.
-    """
-    width, ctx = transfers[0].cols, target.ctx
-    offsets = np.cumsum([0] + [f.rows for f in transfers])
-    out = np.zeros((target.rows, offsets[-1]), dtype=np.int64)
-    for t, f in enumerate(transfers):
-        block = target.arr[:, t * width : (t + 1) * width]
-        live = block.any(axis=1).nonzero()[0]
-        if not live.size:
-            continue
-        w = solve_in_rowspan(_wrap(block[live], ctx), f)
-        if w is None:
-            return None
-        out[live, offsets[t] : offsets[t + 1]] = w.arr
-    return _wrap(out, ctx)
-
-
 def _terminal_subset_keys(
     params: ChannelParams, slots, disclosures: dict[tuple[int, int], MatrixFq]
 ) -> dict[tuple[int, int], MatrixFq]:
@@ -736,20 +710,21 @@ def _broadcast(params: ChannelParams, messages, rng) -> tuple[SlotRecord, ...]:
     return tuple(SlotRecord(b, x, broadcast_slot(x, params, rng)) for b, x in zip(messages, sources))
 
 
-def _exclusive_picks(slots, plan: DimensionPlan, rng) -> list[dict[int, Subspace]]:
+def _exclusive_picks(received, plan: DimensionPlan, rng) -> list[dict[int, Subspace]]:
     """Step 2: per slot, a uniform pick of each subset's planned exclusive
     dimension inside its common subspace.
 
-    Source-side view: received subspaces in source coordinates come from the
-    published transfer matrices ([I | M] has full rank, so the coefficient
-    map is faithful); actual packets are never published.  Every common
-    subspace off its planned dimension is reported before any pick is drawn.
+    Source-side view: received subspaces in source coordinates are the RREFs
+    of the published transfer matrices (``received[t][r]``, RowReduced);
+    [I | M] has full rank, so the coefficient map is faithful, and actual
+    packets are never published.  Every common subspace off its planned
+    dimension is reported before any pick is drawn.
     """
     masks = subset_masks(plan.m)
     commons, reasons = [], []
-    for t, rec in enumerate(slots):
-        received = [span_of(f) for f in rec.obs.transfers]
-        common = {mask: _common_subspace(received, mask) for mask in masks}
+    for t, slot in enumerate(received):
+        spans = [Subspace(f.echelon, f.cols) for f in slot]
+        common = {mask: _common_subspace(spans, mask) for mask in masks}
         reasons += [
             f"slot {t}: subset {mask} common dim {sub.dim} != planned {plan.inter_dims[mask]}"
             for mask, sub in common.items()
@@ -776,32 +751,24 @@ def _extract(exclusive, counts: dict[int, int], m: int, rng) -> dict[int, Subspa
     return {mask: pick for mask, pick in picks.items() if pick.dim}
 
 
-def _disclosures(slots, picks: dict[int, Subspace], m: int) -> dict[tuple[int, int], MatrixFq]:
-    """Step 4, public part: coefficients expressing each subset's extracted
-    basis over every member terminal's received rows, slot by slot (_disclose).
-
-    All of a terminal's subsets share its slot bases, so their bases are
-    solved stacked, one elimination per slot, and split by rows (each row of
-    the basic solution depends on its own target row alone).  On failure the
-    first failing (subset, member) is reported, in the order subsets then
-    members.
+def _disclosures(received, picks: dict[int, Subspace]) -> dict[tuple[int, int], MatrixFq]:
+    """Step 4, public part: coefficients C expressing each subset's extracted
+    basis B over every member terminal r's received rows, one slot block B_t
+    at a time (C @ block_diag(F_t) == B exactly when C_t @ F_t == B_t), each
+    a product with step 2's reduction of F_t (solve_in_rowspan on RowReduced):
+    the basic solution, also where F_t has dependent rows and C is not
+    unique.  F_t is public, so any valid C shows the eavesdropper the same B.
+    The first failing (subset, member) is reported, subsets first.
     """
-    solved, failed = {}, []
-    for r in range(m):
-        mine = [mask for mask in picks if mask >> r & 1]
-        if not mine:
-            continue
-        transfers = [rec.obs.transfers[r] for rec in slots]
-        w = _disclose(vstack([picks[mask].basis for mask in mine]), transfers)
-        if w is None:
-            failed += [(mask, r) for mask in mine if _disclose(picks[mask].basis, transfers) is None]
-            continue
-        parts = np.split(w.arr, np.cumsum([picks[mask].dim for mask in mine])[:-1])
-        solved.update({(mask, r): MatrixFq(part, w.ctx) for mask, part in zip(mine, parts)})
-    if failed:
-        mask, r = min(failed)
-        raise _Degenerate((f"subset {mask} basis not in terminal {r} span",))
-    return {(mask, r): solved[(mask, r)] for mask in picks for r in mask_members(mask)}
+    out = {}
+    for mask, pick in picks.items():
+        blocks = [_wrap(b, pick.ctx) for b in np.split(pick.basis.arr, len(received), axis=1)]
+        for r in mask_members(mask):
+            parts = [solve_in_rowspan(b, slot[r]) for b, slot in zip(blocks, received)]
+            if any(w is None for w in parts):
+                raise _Degenerate((f"subset {mask} basis not in terminal {r} span",))
+            out[(mask, r)] = hstack(parts)
+    return out
 
 
 def _keys(params: ChannelParams, slots, picks: dict[int, Subspace], disclosures) -> KeyShare:
@@ -1093,9 +1060,10 @@ def run_session(
     if n_slots == 0:
         return SessionResult(transcript, withheld, _unaudited())
     try:
-        exclusive = _exclusive_picks(slots, plan, proto_rng)
+        received = [[RowReduced(f) for f in rec.obs.transfers] for rec in slots]
+        exclusive = _exclusive_picks(received, plan, proto_rng)
         picks = _extract(exclusive, counts, m, proto_rng)
-        disclosures = _disclosures(slots, picks, m)
+        disclosures = _disclosures(received, picks)
         keys = _keys(params, slots, picks, disclosures)
         if key_blocks and final_key is None:
             final_key = random_matrix(key_blocks, width, ctx, msg_rng)

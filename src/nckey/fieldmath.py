@@ -5,7 +5,8 @@ desk scale).  One forward elimination, ``_echelon``, and one back-substitution,
 ``_back_substitute``, serve them all: ``rank`` counts the forward pivots,
 ``rref`` runs both, ``right_kernel`` reads the RREF, and ``_solve`` eliminates
 ``[a | b]`` forward and back-substitutes b's columns only, for the basic
-solution of a @ X == b; ``solve_in_rowspan`` is ``_solve`` on the transposes.
+solution of a @ X == b; ``solve_in_rowspan`` is ``_solve`` on the transposes,
+or one product against a ``RowReduced`` basis, whose rref it reuses.
 Matrices are int64 numpy arrays with entries in [0, q), q < 2**31, so every
 product of two reduced scalars fits int64.  Arithmetic is exact integer
 arithmetic reduced mod q, in number formats chosen from q and the shape
@@ -448,6 +449,25 @@ def _solve(a: MatrixFq, b: MatrixFq) -> tuple[MatrixFq | None, int]:
     return _wrap(x, a.ctx), r
 
 
+class RowReduced(MatrixFq):
+    """A matrix F with its row reduction, which ``solve_in_rowspan`` reuses.
+    One rref of [F | J], J the anti-identity, has rows [R | S J] pivoting in
+    F's columns: R = RREF(F) and S @ F == R.  Its other rows, F's left kernel
+    reversed, pivot on F's rows that depend on earlier ones, so S is zero
+    there: the basic solution of X @ F == R (row rank profiles: Jeannerod,
+    Pernet and Storjohann, J. Symbolic Comput. 2013)."""
+
+    __slots__ = ("echelon", "pivots", "transform")
+
+    def __init__(self, f: MatrixFq):
+        n, width = f.shape
+        red, _, pivots = rref(_wrap(np.hstack([f.arr, np.eye(n, dtype=np.int64)[::-1]]), f.ctx))
+        r = sum(p < width for p in pivots)
+        self.ctx, self.arr, self.pivots = f.ctx, f.arr, pivots[:r]
+        self.echelon = _wrap(red.arr[:r, :width], f.ctx)
+        self.transform = _wrap(red.arr[:r, width:][:, ::-1], f.ctx)
+
+
 def solve_in_rowspan(target: MatrixFq, basis: MatrixFq) -> MatrixFq | None:
     """Express every row of ``target`` as a combination of the rows of ``basis``.
 
@@ -460,12 +480,23 @@ def solve_in_rowspan(target: MatrixFq, basis: MatrixFq) -> MatrixFq | None:
     (each row independent of the rows before it), which span the basis.
     Over a block-diagonal basis that is the hstack of the per-block basic
     solutions.
+
+    A RowReduced basis is not eliminated again: a target's pivot columns
+    are its coordinates over R, valid when they give its other columns too
+    (a zero quotient), and C is those coordinates times S.
     """
     _check_same_ctx(target, basis)
     if target.cols != basis.cols:
         raise ValueError(f"column mismatch: target has {target.cols}, basis has {basis.cols}")
-    x, _ = _solve(basis.transpose(), target.transpose())
-    return None if x is None else x.transpose()
+    if not isinstance(basis, RowReduced):
+        x, _ = _solve(basis.transpose(), target.transpose())
+        return None if x is None else x.transpose()
+    k, pivots = basis.cols - len(basis.pivots), basis.pivots
+    rest = np.hstack([np.delete(basis.echelon.arr, pivots, axis=1), basis.transform.arr])
+    prod = _mul_mod(target.arr[:, pivots], rest, basis.ctx.q)
+    if not np.array_equal(prod[:, :k], np.delete(target.arr, pivots, axis=1)):
+        return None
+    return _wrap(prod[:, k:], basis.ctx)
 
 
 def right_kernel(m: MatrixFq) -> MatrixFq:

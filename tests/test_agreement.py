@@ -33,15 +33,18 @@ from nckey.channel import ChannelParams
 from nckey.fieldmath import (
     FieldCtx,
     MatrixFq,
+    RowReduced,
     block_diag,
     hstack,
     random_matrix,
     rank,
+    rank_profile,
     solve_in_rowspan,
     vstack,
     zeros,
 )
 from nckey.subspaces import (
+    Subspace,
     SubspaceFamily,
     direct_sum,
     quotient,
@@ -749,6 +752,45 @@ def reference_disclose(target, transfers):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     st.sampled_from(FIELD_EXTREMES),
+    st.integers(1, 6),
+    st.integers(0, 8),
+    st.integers(0, 4),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_reduced_transfer_gives_its_span_and_the_basic_solution(q, n_a, n_r, k, stray, seed):
+    # one rref of [F | J] gives F's canonical basis R and S with S @ F == R,
+    # S zero on F's rows that depend on earlier ones, so that a target's
+    # pivot columns times S is the basic solution; F is often tall
+    # (n_r > n_a) and rank-deficient, and a stray target row is usually
+    # outside the span
+    ctx, rng = FieldCtx(q), np.random.default_rng(seed)
+    inner = int(rng.integers(0, min(n_a, n_r) + 1))
+    f = random_matrix(n_r, inner, ctx, rng) @ random_matrix(inner, n_a, ctx, rng)
+    red = RowReduced(f)
+    assert red == f and red.echelon == span_of(f).basis
+    assert red.transform @ f == red.echelon
+    assert not np.delete(red.transform.arr, rank_profile(f.transpose()), axis=1).any()
+    target = random_matrix(k, n_r, ctx, rng) @ f
+    assert MatrixFq(target.arr[:, red.pivots], ctx) @ red.transform == solve_in_rowspan(target, f)
+    if stray:
+        target = vstack([target, random_matrix(1, n_a, ctx, rng)])
+    assert solve_in_rowspan(target, red) == solve_in_rowspan(target, f)
+
+
+def session_disclose(target, transfers):
+    """_disclosures of ``target`` as the one subset of a one-terminal session
+    over ``transfers`` (None when it bails)."""
+    received = [[RowReduced(f)] for f in transfers]
+    try:
+        return agreement._disclosures(received, {1: Subspace(target, target.cols)})[(1, 0)]
+    except agreement._Degenerate:
+        return None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(FIELD_EXTREMES),
     st.integers(1, 4),
     st.integers(1, 5),
     st.integers(0, 3),
@@ -769,19 +811,19 @@ def test_slot_local_disclosure_equals_the_full_block_solve(q, slots, n_a, extra,
         elif kind == "outside":
             target[i, t * n_a : (t + 1) * n_a] = random_matrix(1, n_a, ctx, rng).arr
     target = MatrixFq(target, ctx)
-    assert agreement._disclose(target, transfers) == reference_disclose(target, transfers)
+    assert session_disclose(target, transfers) == reference_disclose(target, transfers)
 
 
 def test_slot_local_disclosure_equals_the_full_block_solve_on_sessions():
-    # every terminal's stacked subset bases, as _disclosures solves them, on
-    # the golden shapes, the tall one (n_r > n_a) included
+    # every terminal's stacked subset bases, disclosed against its reduced
+    # transfers, on the golden shapes, the tall one (n_r > n_a) included
     tall = 0
     for p, res, _, bases in _disclosed_sessions():
         slots = res.transcript.slots
         for r in range(p.m):
             target = vstack([bases[mask] for mask in sorted(bases) if mask >> r & 1])
             transfers = [rec.obs.transfers[r] for rec in slots]
-            assert agreement._disclose(target, transfers) == reference_disclose(target, transfers)
+            assert session_disclose(target, transfers) == reference_disclose(target, transfers)
         tall += max(p.n) > p.n_a
     assert tall >= 10
 
@@ -1014,27 +1056,24 @@ def test_disclosures_equal_dense_block_diagonal_solve():
     [({(3, 1)}, (3, 1)), ({(2, 1), (3, 1)}, (2, 1)), ({(3, 0), (2, 1)}, (2, 1))],
 )
 def test_disclosure_bail_names_the_first_failing_pair(monkeypatch, failing, reported):
-    # a terminal's subsets are solved together, terminal by terminal, yet the
-    # reason names the first failing (subset, member) in subset-major order
+    # every slot block of every (subset, member) is solved on its own, and
+    # the reason names the first failing pair in subset-major order
     p = P(101, 10, 6, [4, 4], 2)
     alloc, _ = solve_allocation_lp_planned(plan_dimensions(p))
     res = run_session(p, 3, alloc, np.random.default_rng(0))
     assert len(res.transcript.disclosures) == 4
     transfers = [[rec.obs.transfers[r] for rec in res.transcript.slots] for r in range(p.m)]
     bases = {mask: w @ block_diag(transfers[r]) for (mask, r), w in res.transcript.disclosures.items()}
-    original = agreement._disclose
+    original = agreement.solve_in_rowspan
 
-    def failing_disclose(target, trans):
-        r = next(r for r in range(p.m) if trans == transfers[r])
-        for mask, fail_r in failing:
-            b = bases[mask].arr
-            if fail_r == r and any(
-                np.array_equal(target.arr[i : i + len(b)], b) for i in range(target.rows - len(b) + 1)
-            ):
+    def failing_solve(target, basis):
+        # a failing pair fails in its last slot, after its other blocks solved
+        for mask, r in failing:
+            if basis == transfers[r][-1] and np.array_equal(target.arr, bases[mask].arr[:, -p.n_a :]):
                 return None
-        return original(target, trans)
+        return original(target, basis)
 
-    monkeypatch.setattr(agreement, "_disclose", failing_disclose)
+    monkeypatch.setattr(agreement, "solve_in_rowspan", failing_solve)
     again = run_session(p, 3, alloc, np.random.default_rng(0))
     assert again.audit.reasons == (f"subset {reported[0]} basis not in terminal {reported[1]} span",)
 
