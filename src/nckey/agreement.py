@@ -5,13 +5,12 @@ The protocol, per session of N slots; run_session calls one stage per step:
 1. _broadcast: the source broadcasts [I | M[t]] with M[t] uniform; every
    legitimate terminal publishes its transfer matrix, so the source learns
    each terminal's received subspace in source coordinates (dimension n_a).
-2. _exclusive_picks: one rref per slot and terminal of [F | J] (RowReduced)
-   gives the received subspace and the transform the disclosures reuse.
-   Each subset's common subspace must have its generic-position dimension
-   (plan_dimensions); then for each nonempty subset J the source picks, uniformly inside the common subspace, an
-   "exclusive" subspace of the planned dimension.  Only test oracles that can
-   see the eavesdropper's subspace build it by explicit complement
-   subtraction (build_exclusive_subspaces).
+2. _exclusive_picks: each subset's common subspace, from one rref per slot
+   and terminal of [F | J] (RowReduced), must have its generic-position
+   dimension (plan_dimensions); then for each nonempty subset J the source
+   picks, uniformly inside the common subspace, an "exclusive" subspace of
+   the planned dimension.  Only test oracles that can see the eavesdropper's
+   subspace build it by complement subtraction (build_exclusive_subspaces).
 3. Per-subset key shares are allocated, before the session, by a max-min LP
    over feasibility constraints: the total share of any collection of subsets
    is capped by the dimension those subsets' exclusive subspaces add beyond
@@ -431,7 +430,8 @@ def extract_secure_subspaces(
     independence only; independence from the eavesdropper then holds with
     probability 1 - O(1/q) and is checked by the session audit.
 
-    Independent picks certify every selection constraint at once, and
+    A member counted whole is its only pick of that dimension, taken with no
+    draw.  Independent picks certify every selection constraint at once, and
     feasible counts always admit them (Rado's theorem, matroid union), so the
     positive counts' cap table (_actual_caps) is consulted only after an
     impossible or failed pick, to tell bad luck from infeasible counts.
@@ -459,7 +459,11 @@ def extract_secure_subspaces(
 
     want = sum(counts.values())
     for attempt in range(MAX_EXTRACTION_TRIES):
-        picks = {mask: random_inside(family[mask], counts[mask], rng) for mask in masks}
+        picks = {
+            mask: family[mask] if counts[mask] == family[mask].dim
+            else random_inside(family[mask], counts[mask], rng)
+            for mask in masks
+        }
         if not want or _cap([picks[mask] for mask in allocated], eve) == want:
             return picks
         if attempt == 0 and len(allocated) <= MAX_ENUMERATED_SUBSETS:
@@ -715,8 +719,7 @@ def _exclusive_picks(received, plan: DimensionPlan, rng) -> list[dict[int, Subsp
     dimension inside its common subspace.
 
     Source-side view: received subspaces in source coordinates are the RREFs
-    of the published transfer matrices (``received[t][r]``, RowReduced);
-    [I | M] has full rank, so the coefficient map is faithful, and actual
+    of the published transfers (RowReduced), [I | M] having full rank; actual
     packets are never published.  Every common subspace off its planned
     dimension is reported before any pick is drawn.
     """
@@ -756,9 +759,9 @@ def _disclosures(received, picks: dict[int, Subspace]) -> dict[tuple[int, int], 
     basis B over every member terminal r's received rows, one slot block B_t
     at a time (C @ block_diag(F_t) == B exactly when C_t @ F_t == B_t), each
     a product with step 2's reduction of F_t (solve_in_rowspan on RowReduced):
-    the basic solution, also where F_t has dependent rows and C is not
-    unique.  F_t is public, so any valid C shows the eavesdropper the same B.
-    The first failing (subset, member) is reported, subsets first.
+    the basic solution, also where C is not unique.  F_t is public, so any
+    valid C shows the eavesdropper the same B.  The first failing (subset,
+    member) is reported, subsets first.
     """
     out = {}
     for mask, pick in picks.items():

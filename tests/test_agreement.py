@@ -447,8 +447,9 @@ def test_extract_postconditions_exact_mode():
 def test_quotient_extraction_matches_the_stacked_rank_reference(q):
     # with the eavesdropper's subspace given, extraction accepts and rejects
     # the same picks as a loop that ranks them stacked on the eavesdropper's
-    # basis, and leaves the generator in the same state; q = 2 rejects often
-    rejected = 0
+    # basis, drawing only the members not counted whole, and leaves the
+    # generator in the same state; q = 2 rejects often
+    rejected = whole = 0
     for seed in range(40):
         rng = np.random.default_rng(seed)
         fam, eve = _random_family(rng, q=q)
@@ -457,13 +458,40 @@ def test_quotient_extraction_matches_the_stacked_rank_reference(q):
         got = extract_secure_subspaces(fam, counts, eve, rng)
         want = sum(counts.values()) + eve.dim
         while True:
-            picks = {mask: random_inside(fam[mask], counts[mask], ref_rng) for mask in fam.masks()}
+            picks = {
+                mask: fam[mask] if counts[mask] == fam[mask].dim
+                else random_inside(fam[mask], counts[mask], ref_rng)
+                for mask in fam.masks()
+            }
             if rank(vstack([p.basis for p in picks.values()] + [eve.basis])) == want:
                 break
             rejected += 1
         assert got == picks
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+        whole += any(0 < counts[mask] == fam[mask].dim for mask in fam.masks())
     assert rejected >= (5 if q == 2 else 0)
+    assert whole >= 10
+
+
+def test_extract_takes_a_member_counted_whole_without_a_draw():
+    # a full count returns the member object itself and draws nothing: the
+    # generator ends where drawing only the partial picks, in mask order,
+    # leaves it; the members are independent, so the first draw is accepted
+    for q in (2, 101, 2**31 - 1):
+        ctx, rng = FieldCtx(q), np.random.default_rng(q)
+        rows = random_subspace(9, 7, ctx, rng).basis.arr
+        parts = {1: rows[:3], 2: rows[3:5], 3: rows[5:]}
+        fam = SubspaceFamily(2, {mask: span_of(MatrixFq(b, ctx)) for mask, b in parts.items()})
+        for counts in ({1: 3, 2: 1, 3: 2}, {1: 1, 2: 2, 3: 0}, {1: 3, 2: 2, 3: 2}, {1: 2, 2: 1, 3: 1}):
+            for eve in (None, zero_subspace(9, ctx)):
+                ref_rng = copy.deepcopy(rng)
+                picks = extract_secure_subspaces(fam, counts, eve, rng)
+                for mask in fam.masks():
+                    if counts[mask] == fam[mask].dim:
+                        assert picks[mask] is fam[mask]
+                    else:
+                        assert picks[mask] == random_inside(fam[mask], counts[mask], ref_rng)
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_extract_realistic_orthogonal_to_eavesdropper_whp():
