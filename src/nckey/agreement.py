@@ -756,21 +756,25 @@ def _extract(exclusive, counts: dict[int, int], m: int, rng) -> dict[int, Subspa
 
 def _disclosures(received, picks: dict[int, Subspace]) -> dict[tuple[int, int], MatrixFq]:
     """Step 4, public part: coefficients C expressing each subset's extracted
-    basis B over every member terminal r's received rows, one slot block B_t
-    at a time (C @ block_diag(F_t) == B exactly when C_t @ F_t == B_t), each
-    a product with step 2's reduction of F_t (solve_in_rowspan on RowReduced):
-    the basic solution, also where C is not unique.  F_t is public, so any
-    valid C shows the eavesdropper the same B.  The first failing (subset,
-    member) is reported, subsets first.
+    basis B over every member terminal r's received rows: C @ block_diag(F_t)
+    == B exactly when C_t @ F_t == B_t, so each slot block's nonzero rows take
+    one product with step 2's reduction of F_t (solve_in_rowspan on
+    RowReduced), for the basic solution; zero rows stay zero.  F_t is public,
+    so any valid C shows the eavesdropper the same B.  The first failing
+    (subset, member) is reported, subsets first.
     """
     out = {}
     for mask, pick in picks.items():
-        blocks = [_wrap(b, pick.ctx) for b in np.split(pick.basis.arr, len(received), axis=1)]
+        blocks = np.split(pick.basis.arr, len(received), axis=1)
         for r in mask_members(mask):
-            parts = [solve_in_rowspan(b, slot[r]) for b, slot in zip(blocks, received)]
-            if any(w is None for w in parts):
-                raise _Degenerate((f"subset {mask} basis not in terminal {r} span",))
-            out[(mask, r)] = hstack(parts)
+            w = np.zeros((pick.dim, len(received) * received[0][r].rows), dtype=np.int64)
+            for b, slot, part in zip(blocks, received, np.split(w, len(received), axis=1)):
+                live = b.any(axis=1)
+                c = solve_in_rowspan(_wrap(b[live], pick.ctx), slot[r])
+                if c is None:
+                    raise _Degenerate((f"subset {mask} basis not in terminal {r} span",))
+                part[live] = c.arr
+            out[(mask, r)] = _wrap(w, pick.ctx)
     return out
 
 

@@ -5,8 +5,8 @@ desk scale).  One forward elimination, ``_echelon``, and one back-substitution,
 ``_back_substitute``, serve them all: ``rank`` counts the forward pivots,
 ``rref`` runs both, ``right_kernel`` reads the RREF, and ``_solve`` eliminates
 ``[a | b]`` forward and back-substitutes b's columns only, for the basic
-solution of a @ X == b; ``solve_in_rowspan`` is ``_solve`` on the transposes,
-or one product against a ``RowReduced`` basis, whose rref it reuses.
+solution of a @ X == b; ``solve_in_rowspan`` reads it off the rref of
+``[basis | J]`` (``RowReduced``), which a caller can keep for many targets.
 Matrices are int64 numpy arrays with entries in [0, q), q < 2**31, so every
 product of two reduced scalars fits int64.  Arithmetic is exact integer
 arithmetic reduced mod q, in number formats chosen from q and the shape
@@ -460,12 +460,11 @@ class RowReduced(MatrixFq):
     __slots__ = ("echelon", "pivots", "transform")
 
     def __init__(self, f: MatrixFq):
-        n, width = f.shape
-        red, _, pivots = rref(_wrap(np.hstack([f.arr, np.eye(n, dtype=np.int64)[::-1]]), f.ctx))
-        r = sum(p < width for p in pivots)
+        red, _, pivots = rref(_wrap(np.hstack([f.arr, np.eye(f.rows, dtype=np.int64)[::-1]]), f.ctx))
+        r = sum(p < f.cols for p in pivots)
         self.ctx, self.arr, self.pivots = f.ctx, f.arr, pivots[:r]
-        self.echelon = _wrap(red.arr[:r, :width], f.ctx)
-        self.transform = _wrap(red.arr[:r, width:][:, ::-1], f.ctx)
+        self.echelon = _wrap(red.arr[:r, : f.cols], f.ctx)
+        self.transform = _wrap(red.arr[:r, f.cols :][:, ::-1], f.ctx)
 
 
 def solve_in_rowspan(target: MatrixFq, basis: MatrixFq) -> MatrixFq | None:
@@ -479,24 +478,19 @@ def solve_in_rowspan(target: MatrixFq, basis: MatrixFq) -> MatrixFq | None:
     the basic solution, supported on the earliest independent basis rows
     (each row independent of the rows before it), which span the basis.
     Over a block-diagonal basis that is the hstack of the per-block basic
-    solutions.
-
-    A RowReduced basis is not eliminated again: a target's pivot columns
-    are its coordinates over R, valid when they give its other columns too
-    (a zero quotient), and C is those coordinates times S.
+    solutions.  It is the target's pivot columns times the basis's transform
+    S (RowReduced), once they give its other columns too (a zero quotient);
+    a RowReduced basis is not eliminated again.
     """
     _check_same_ctx(target, basis)
     if target.cols != basis.cols:
         raise ValueError(f"column mismatch: target has {target.cols}, basis has {basis.cols}")
-    if not isinstance(basis, RowReduced):
-        x, _ = _solve(basis.transpose(), target.transpose())
-        return None if x is None else x.transpose()
-    k, pivots = basis.cols - len(basis.pivots), basis.pivots
+    basis = basis if isinstance(basis, RowReduced) else RowReduced(basis)
+    pivots, k = basis.pivots, basis.cols - len(basis.pivots)
     rest = np.hstack([np.delete(basis.echelon.arr, pivots, axis=1), basis.transform.arr])
     prod = _mul_mod(target.arr[:, pivots], rest, basis.ctx.q)
-    if not np.array_equal(prod[:, :k], np.delete(target.arr, pivots, axis=1)):
-        return None
-    return _wrap(prod[:, k:], basis.ctx)
+    inside = np.array_equal(prod[:, :k], np.delete(target.arr, pivots, axis=1))
+    return _wrap(prod[:, k:], basis.ctx) if inside else None
 
 
 def right_kernel(m: MatrixFq) -> MatrixFq:

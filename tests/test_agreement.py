@@ -34,6 +34,7 @@ from nckey.fieldmath import (
     FieldCtx,
     MatrixFq,
     RowReduced,
+    _solve,
     block_diag,
     hstack,
     random_matrix,
@@ -789,9 +790,9 @@ def reference_disclose(target, transfers):
 def test_reduced_transfer_gives_its_span_and_the_basic_solution(q, n_a, n_r, k, stray, seed):
     # one rref of [F | J] gives F's canonical basis R and S with S @ F == R,
     # S zero on F's rows that depend on earlier ones, so that a target's
-    # pivot columns times S is the basic solution; F is often tall
-    # (n_r > n_a) and rank-deficient, and a stray target row is usually
-    # outside the span
+    # pivot columns times S is the basic solution, as the transposed solve
+    # of [F^T | B^T] gives it; F is often tall (n_r > n_a) and
+    # rank-deficient, and a stray target row is usually outside the span
     ctx, rng = FieldCtx(q), np.random.default_rng(seed)
     inner = int(rng.integers(0, min(n_a, n_r) + 1))
     f = random_matrix(n_r, inner, ctx, rng) @ random_matrix(inner, n_a, ctx, rng)
@@ -800,10 +801,12 @@ def test_reduced_transfer_gives_its_span_and_the_basic_solution(q, n_a, n_r, k, 
     assert red.transform @ f == red.echelon
     assert not np.delete(red.transform.arr, rank_profile(f.transpose()), axis=1).any()
     target = random_matrix(k, n_r, ctx, rng) @ f
-    assert MatrixFq(target.arr[:, red.pivots], ctx) @ red.transform == solve_in_rowspan(target, f)
+    want, _ = _solve(f.transpose(), target.transpose())
+    assert MatrixFq(target.arr[:, red.pivots], ctx) @ red.transform == want.transpose()
     if stray:
         target = vstack([target, random_matrix(1, n_a, ctx, rng)])
-    assert solve_in_rowspan(target, red) == solve_in_rowspan(target, f)
+        want, _ = _solve(f.transpose(), target.transpose())
+    assert solve_in_rowspan(target, red) == (None if want is None else want.transpose())
 
 
 def session_disclose(target, transfers):
@@ -1097,7 +1100,8 @@ def test_disclosure_bail_names_the_first_failing_pair(monkeypatch, failing, repo
     def failing_solve(target, basis):
         # a failing pair fails in its last slot, after its other blocks solved
         for mask, r in failing:
-            if basis == transfers[r][-1] and np.array_equal(target.arr, bases[mask].arr[:, -p.n_a :]):
+            block = bases[mask].arr[:, -p.n_a :]
+            if basis == transfers[r][-1] and np.array_equal(target.arr, block[block.any(axis=1)]):
                 return None
         return original(target, basis)
 

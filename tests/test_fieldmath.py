@@ -366,9 +366,10 @@ def panelled_matrices(draw):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(panelled_matrices(), st.integers(0, 2**32 - 1))
 def test_panelled_elimination_matches_gauss_jordan(case, seed):
-    # solve_in_rowspan eliminates [m^T | target^T] with pivots limited to
-    # m^T's columns, so its limit often ends inside a panel; its targets are
-    # two rows in the span and one random row, usually outside it
+    # solve_in_rowspan reduces [m | J], J the anti-identity, whose pivots
+    # run on past m's columns into J's; its targets are two rows in the span
+    # and one random row, usually outside it (pivot limits that end inside
+    # a panel are _solve's, tested with the decode below)
     panel, m = case
     rng = np.random.default_rng(seed)
     target = vstack([random_matrix(2, m.rows, m.ctx, rng) @ m, random_matrix(1, m.cols, m.ctx, rng)])
