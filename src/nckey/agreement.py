@@ -31,8 +31,9 @@ The protocol, per session of N slots; run_session calls one stage per step:
    one-time-padding a linear combination code over the subset key blocks.
    The code is built deterministically, row by row, so that each terminal's
    rows have full column rank (_combination_code); at m <= 2 every row is a
-   unit vector and a terminal decodes by selection.  The pads are certified
-   (step 6), so the code does not bear on secrecy.
+   unit vector and a terminal decodes by selection, and otherwise by the
+   row-span solve of its kept rows.  The pads are certified (step 6), so
+   the code does not bear on secrecy.
 6. _audit: agreement and the zero-leakage certificate against the
    eavesdropper's complete view, in coefficient space (width N * n_a, not
    N * ell): the key vectors, which extraction made independent, leak
@@ -65,7 +66,6 @@ from .fieldmath import (
     FieldCtx,
     MatrixFq,
     RowReduced,
-    _solve,
     _wrap,
     hstack,
     mat_mul,
@@ -614,9 +614,11 @@ class SessionResult:
     def from_json_dict(cls, doc: dict) -> "SessionResult":
         """Load a schema-3 document, rebuilding each slot's source and received
         packets; ValueError on another schema, non-int params, a count, shape,
-        entry, subset or terminal out of range, or an audit off its keys: a
-        non-degenerate one must carry a true certificate and the agreement
-        of the rebuilt terminal copies with the subset and final keys."""
+        entry, subset or terminal out of range, a repeated disclosure or a
+        disclosed subset short of a member, or an audit off its keys: a
+        non-degenerate one must carry a true certificate, the disclosures of
+        exactly the subsets that ship keys, and the agreement of the rebuilt
+        terminal copies with the subset and final keys."""
         if doc.get("schema_version") != SCHEMA_VERSION:
             raise ValueError(f"unsupported transcript schema {doc.get('schema_version')}")
         pd = doc["params"]
@@ -638,8 +640,14 @@ class SessionResult:
         disclosures = {
             (d["subset"], d["terminal"]): _unmat(d["coeffs"], ctx) for d in pub["disclosures"]
         }
-        if not all(_is_mask(mask, params.m) and r in mask_members(mask) for mask, r in disclosures):
+        if not all(
+            _is_mask(mask, params.m) and type(r) is int and r in mask_members(mask) for mask, r in disclosures
+        ):
             raise ValueError("a disclosure's subset is out of range or lacks its terminal")
+        if len(disclosures) != len(pub["disclosures"]) or set(disclosures) != {
+            (mask, r) for mask, _ in disclosures for r in mask_members(mask)
+        }:
+            raise ValueError("a disclosure is repeated, or a disclosed subset lacks a member's")
         if any(w.cols != len(slots) * params.n[r] for (_, r), w in disclosures.items()):
             raise ValueError("a disclosure's width does not match its terminal's received rows")
         code, ciphers = (_unmat(pub[name], ctx) for name in ("multicast_code", "ciphers"))
@@ -659,12 +667,14 @@ class SessionResult:
         key_blocks = 0 if keys.final_key is None else keys.final_key.rows
         flags = [ad["subset_agreement"], ad["final_agreement"], ad["leakage_certificate"]]
         # A non-degenerate audit ran on the keys it ships with (none for an
-        # empty session): its agreement flags must be theirs, and it passed
-        # the certificate, since a failed one withholds the keys.
+        # empty session): its agreement flags must be theirs, it passed the
+        # certificate, since a failed one withholds the keys, and it disclosed
+        # exactly the subsets whose keys it ships.
         audited = [*_agreement(keys), True]
+        shipped = {mask for mask, _ in disclosures} == set(keys.subset_keys)
         if not (
             all(flag is None or type(flag) is bool for flag in flags)
-            and (ad["degenerate"] or flags == (audited if slots else [None] * 3))
+            and (ad["degenerate"] or shipped and flags == (audited if slots else [None] * 3))
             and isinstance(ad["reasons"], list) and all(type(r) is str for r in ad["reasons"])
             and ad["degenerate"] is bool(ad["reasons"])
             and (not ad["degenerate"] or keys == KeyShare(terminal_final=(None,) * params.m))
@@ -845,10 +855,11 @@ class _Receiver:
         """The key X with (kept code rows) @ X == their rows of ``sent``, this
         terminal's ciphers less its pads on its code rows ``rows``: while
         every kept row is a unit vector a selection in pivot order, and
-        otherwise one k x k solve."""
+        otherwise C^T for the C with C @ (kept rows)^T == (their rows)^T
+        (solve_in_rowspan), unique as the kept rows are k x k of full rank."""
         part = sent.arr[np.searchsorted(rows, self.kept)]
         if self.basis is not None:
-            return _solve(_wrap(code.arr[self.kept], code.ctx), _wrap(part, code.ctx))[0]
+            return solve_in_rowspan(_wrap(part.T, code.ctx), _wrap(code.arr[self.kept].T, code.ctx)).transpose()
         out = np.empty_like(part)
         out[self.pivots] = part
         return _wrap(out, code.ctx)
@@ -912,10 +923,11 @@ def _multicast(picks: dict[int, Subspace], keys: KeyShare, final: MatrixFq | Non
     The code is deterministic (_combination_code): each terminal's rows have
     full column rank, and it decodes its ciphers less its pads on the rows it
     kept, which must then reproduce all its ciphers.  At m <= 2 every row is
-    a unit vector, so decoding is a selection; otherwise it is one k x k
-    solve per terminal.  The code does not bear on secrecy: the pads are
-    certified uniform and independent of the eavesdropper's view (_audit), so
-    the ciphers are independent of the final key for any code.
+    a unit vector, so decoding is a selection; otherwise each terminal
+    solves for the key through the row span of its kept rows, transposed.
+    The code does not bear on secrecy: the pads are certified uniform and
+    independent of the eavesdropper's view (_audit), so the ciphers are
+    independent of the final key for any code.
     """
     if final is None:
         return None, None, replace(keys, terminal_final=(None,) * m)
@@ -1095,11 +1107,14 @@ def _mat(m: MatrixFq | None):
 
 
 def _unmat(doc, ctx: FieldCtx) -> MatrixFq | None:
-    """ValueError unless the entries are nested lists of exactly the declared
-    shape holding ints (not bools) in [0, q)."""
+    """ValueError unless ``doc`` is a {rows, cols, entries} object whose
+    entries are nested lists of exactly the declared shape holding ints (not
+    bools) in [0, q)."""
     if doc is None:
         return None
-    rows, cols, entries = doc["rows"], doc["cols"], doc["entries"]
+    if not isinstance(doc, dict):
+        raise ValueError(f"a matrix must be a {{rows, cols, entries}} object, got {type(doc).__name__}")
+    rows, cols, entries = (doc.get(key) for key in ("rows", "cols", "entries"))
     if not (
         all(type(n) is int and n >= 0 for n in (rows, cols))
         and isinstance(entries, list)

@@ -2,10 +2,9 @@
 
 All matrices at play are small and dense (packet counts and packet lengths at
 desk scale).  One forward elimination, ``_echelon``, and one back-substitution,
-``_back_substitute``, serve them all: ``rank`` counts the forward pivots,
-``rref`` runs both, ``right_kernel`` reads the RREF, and ``_solve`` eliminates
-``[a | b]`` forward and back-substitutes b's columns only, for the basic
-solution of a @ X == b; ``solve_in_rowspan`` reads it off the rref of
+``_back_substitute``, serve them all, each over the whole matrix: ``rank``
+counts the forward pivots, ``rref`` runs both, ``right_kernel`` reads the
+RREF, and ``solve_in_rowspan`` reads every basic solution off the rref of
 ``[basis | J]`` (``RowReduced``), which a caller can keep for many targets.
 Matrices are int64 numpy arrays with entries in [0, q), q < 2**31, so every
 product of two reduced scalars fits int64.  Arithmetic is exact integer
@@ -282,23 +281,21 @@ def _mul_mod(x: np.ndarray, y: np.ndarray, q: int) -> np.ndarray:
     return out
 
 
-def _echelon(a: np.ndarray, q: int, limit: int | None = None) -> list[int]:
+def _echelon(a: np.ndarray, q: int) -> list[int]:
     """In-place forward elimination to normalized row echelon form; returns
     the pivot columns in order.
 
-    Pivots are searched in the first ``limit`` columns (all by default) while
-    row operations span the full width, for augmented systems ``[a | b]``.
-    The pivot of each column is the first nonzero entry at or below the current
-    row, swapped into place; each pivot row is scaled to a leading 1 and
-    cleared from the rows below it only.
+    The pivot of each column is the first nonzero entry at or below the
+    current row, swapped into place; each pivot row is scaled to a leading 1
+    and cleared from the rows below it only.
 
-    The search columns are taken in panels.  Inside a panel the pivot loop
-    touches only the panel's columns plus one tracking column per pivot,
-    which record the panel's row operations in terms of its k pivot rows as
-    they stood when it began (A12 right of the panel).  At its end the pivot
-    rows carry the k x k transform M, new pivot rows = M @ A12, and each row
-    below carries -L21 @ M, L21 being its multipliers.  The columns right of
-    the panel then take the whole panel in one exact product,
+    The columns are taken in panels.  Inside a panel the pivot loop touches
+    only the panel's columns plus one tracking column per pivot, which record
+    the panel's row operations in terms of its k pivot rows as they stood
+    when it began (A12 right of the panel).  At its end the pivot rows carry
+    the k x k transform M, new pivot rows = M @ A12, and each row below
+    carries -L21 @ M, L21 being its multipliers.  The columns right of the
+    panel then take the whole panel in one exact product,
     [M ; -L21 @ M] @ A12 mod q (``_mul_mod``): its top rows are the pivot
     rows' T = M @ A12, and the rest is added to A22, that is A22 -= L21 @ T.
     Panels are ``_PANEL`` columns wide when the matrix is more than two
@@ -316,22 +313,21 @@ def _echelon(a: np.ndarray, q: int, limit: int | None = None) -> list[int]:
     and the whole array on return.
     """
     rows, width = a.shape
-    limit = width if limit is None else limit
     panel = _PANEL if width > 2 * _PANEL else max(width, 1)
     room = (2**63 - q) // ((q - 1) * (q - 1))
     pivots: list[int] = []
     r = 0
-    for c0 in range(0, limit, panel):
+    for c0 in range(0, width, panel):
         if r == rows:
             break
         c1 = min(c0 + panel, width)
         r0, w = r, c1 - c0
         # One tracking column per possible pivot, when columns trail the panel.
-        depth = min(min(c1, limit) - c0, rows - r0) if c1 < width else 0
+        depth = min(w, rows - r0) if c1 < width else 0
         blk = np.zeros((rows - r0, w + depth), dtype=np.int64)
         blk[:, :w] = a[r0:, c0:c1]
         lazy = 0
-        for c in range(c0, min(c1, limit)):
+        for c in range(c0, c1):
             if r == rows:
                 break
             i, j = r - r0, c - c0
@@ -369,32 +365,31 @@ def _echelon(a: np.ndarray, q: int, limit: int | None = None) -> list[int]:
     return pivots
 
 
-def _back_substitute(a: np.ndarray, pivots: list[int], q: int, start: int = 0) -> None:
+def _back_substitute(a: np.ndarray, pivots: list[int], q: int) -> None:
     """In-place back-substitution over an echelon form from ``_echelon``:
     each pivot column is cleared from the rows above, last pivot first, in
-    the columns from ``start`` (and the pivot) on.
+    the columns from the pivot on.
 
     Row i is already clear of every later pivot column when it clears its
     own, and no row operation reaches an earlier pivot column, so each
-    multiplier a[:i, c] is final, and reduced, when it is read.  Columns left
-    of ``start`` can therefore be skipped, as ``_solve`` does for a's
-    columns.  Updates are reduced lazily, as in ``_echelon``: the pivot row
-    is reduced before use, and the rows above it when ``room`` rank-1
-    updates have piled up, and every row on return.
+    multiplier a[:i, c] is final, and reduced, when it is read.  Row i is
+    zero left of its pivot, so no column left of it changes.  Updates are
+    reduced lazily, as in ``_echelon``: the pivot row is reduced before use,
+    and the rows above it when ``room`` rank-1 updates have piled up, and
+    every row on return.
     """
     room = (2**63 - q) // ((q - 1) * (q - 1))
     pending = 0
     for i in reversed(range(len(pivots))):
         c = pivots[i]
         if a[:i, c].any():
-            lo = max(c, start)
             if pending == room:
-                np.mod(a[:i, lo:], q, out=a[:i, lo:])
+                np.mod(a[:i, c:], q, out=a[:i, c:])
                 pending = 0
-            a[:i, lo:] -= a[:i, c, None] * np.mod(a[i, lo:], q)
+            a[:i, c:] -= a[:i, c, None] * np.mod(a[i, c:], q)
             pending += 1
     if pending:
-        np.mod(a[:, start:], q, out=a[:, start:])
+        np.mod(a, q, out=a)
 
 
 def rref(m: MatrixFq) -> tuple[MatrixFq, int, list[int]]:
@@ -421,32 +416,6 @@ def rank_profile(m: MatrixFq) -> list[int]:
     elimination, in order (the same pivots ``rref`` returns).  Column c is a
     pivot exactly when it is independent of the columns before it."""
     return _echelon(m.arr.copy(), m.ctx.q)
-
-
-def _solve(a: MatrixFq, b: MatrixFq) -> tuple[MatrixFq | None, int]:
-    """The basic solution X of a @ X == b, or None when there is no
-    solution, and the rank of ``a``.
-
-    The basic solution is zero outside a's pivot columns (its earliest
-    independent ones) and unique on them.  One forward elimination of
-    ``[a | b]`` with pivots in a's columns leaves a unit upper triangular
-    block beside the right-hand side.  The system is consistent exactly when
-    the rows past the rank are zero in b's columns, and back-substitution
-    then updates b's columns only.
-    """
-    _check_same_ctx(a, b)
-    if a.rows != b.rows:
-        raise ValueError(f"row mismatch: a has {a.rows}, b has {b.rows}")
-    q, n = a.ctx.q, a.cols
-    aug = np.hstack([a.arr, b.arr])
-    pivots = _echelon(aug, q, limit=n)
-    r = len(pivots)
-    if np.any(aug[r:, n:]):
-        return None, r
-    _back_substitute(aug, pivots, q, start=n)
-    x = np.zeros((n, b.cols), dtype=np.int64)
-    x[pivots] = aug[:r, n:]
-    return _wrap(x, a.ctx), r
 
 
 class RowReduced(MatrixFq):

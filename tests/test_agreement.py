@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nckey import agreement, simplex
+from nckey import agreement, fieldmath, simplex
 from nckey.agreement import (
     InfeasibleAllocationError,
     SubsetAllocation,
@@ -34,7 +34,6 @@ from nckey.fieldmath import (
     FieldCtx,
     MatrixFq,
     RowReduced,
-    _solve,
     block_diag,
     hstack,
     random_matrix,
@@ -54,6 +53,7 @@ from nckey.subspaces import (
     span_of,
     zero_subspace,
 )
+from test_fieldmath import reference_solve
 
 F2 = FieldCtx(2)
 F101 = FieldCtx(101)
@@ -790,9 +790,9 @@ def reference_disclose(target, transfers):
 def test_reduced_transfer_gives_its_span_and_the_basic_solution(q, n_a, n_r, k, stray, seed):
     # one rref of [F | J] gives F's canonical basis R and S with S @ F == R,
     # S zero on F's rows that depend on earlier ones, so that a target's
-    # pivot columns times S is the basic solution, as the transposed solve
-    # of [F^T | B^T] gives it; F is often tall (n_r > n_a) and
-    # rank-deficient, and a stray target row is usually outside the span
+    # pivot columns times S is the basic solution, as the Gauss-Jordan
+    # reference gives it; F is often tall (n_r > n_a) and rank-deficient,
+    # and a stray target row is usually outside the span
     ctx, rng = FieldCtx(q), np.random.default_rng(seed)
     inner = int(rng.integers(0, min(n_a, n_r) + 1))
     f = random_matrix(n_r, inner, ctx, rng) @ random_matrix(inner, n_a, ctx, rng)
@@ -801,12 +801,10 @@ def test_reduced_transfer_gives_its_span_and_the_basic_solution(q, n_a, n_r, k, 
     assert red.transform @ f == red.echelon
     assert not np.delete(red.transform.arr, rank_profile(f.transpose()), axis=1).any()
     target = random_matrix(k, n_r, ctx, rng) @ f
-    want, _ = _solve(f.transpose(), target.transpose())
-    assert MatrixFq(target.arr[:, red.pivots], ctx) @ red.transform == want.transpose()
+    assert MatrixFq(target.arr[:, red.pivots], ctx) @ red.transform == reference_solve(target, f)
     if stray:
         target = vstack([target, random_matrix(1, n_a, ctx, rng)])
-        want, _ = _solve(f.transpose(), target.transpose())
-    assert solve_in_rowspan(target, red) == (None if want is None else want.transpose())
+    assert solve_in_rowspan(target, red) == reference_solve(target, f)
 
 
 def session_disclose(target, transfers):
@@ -1110,8 +1108,8 @@ def test_disclosure_bail_names_the_first_failing_pair(monkeypatch, failing, repo
     assert again.audit.reasons == (f"subset {reported[0]} basis not in terminal {reported[1]} span",)
 
 
-def _multicast_inputs(dims: dict[int, int], ctx: FieldCtx, rng, width: int = 2):
-    picks = {mask: random_subspace(4, d, ctx, rng) for mask, d in dims.items()}
+def _multicast_inputs(dims: dict[int, int], ctx: FieldCtx, rng, width: int = 2, ambient: int = 4):
+    picks = {mask: random_subspace(ambient, d, ctx, rng) for mask, d in dims.items()}
     subset_keys = {mask: random_matrix(d, width, ctx, rng) for mask, d in dims.items()}
     copies = {
         (mask, r): k for mask, k in subset_keys.items() for r in agreement.mask_members(mask)
@@ -1129,10 +1127,8 @@ def test_multicast_code_has_full_rank_rows_for_every_terminal(m, q, monkeypatch)
     # the code is deterministic: each terminal's rows have full column rank
     # and decode the final key; at m <= 2 every row is a unit vector, so
     # decoding is a selection and no elimination runs
-    import nckey.fieldmath as fieldmath
-
     calls = []
-    for module, name in ((fieldmath, "_echelon"), (fieldmath, "_solve"), (agreement, "_solve")):
+    for module, name in ((fieldmath, "_echelon"), (agreement, "solve_in_rowspan")):
         original = getattr(module, name)
         monkeypatch.setattr(
             module, name, lambda *a, _f=original, _n=name, **kw: calls.append(_n) or _f(*a, **kw)
@@ -1187,6 +1183,31 @@ def test_multicast_triangle_takes_combination_rows_and_names_failures():
     with pytest.raises(agreement._Degenerate) as exc:
         agreement._multicast(picks, keys, random_matrix(5, 2, ctx, rng), 3)
     assert exc.value.args == ("no decodable combination code found",)
+
+
+@pytest.mark.parametrize("q", [2, 2**31 - 1])
+def test_wide_multicast_decode_runs_panels_and_equals_the_reference(q, monkeypatch):
+    # the triangle at 140 key blocks: terminal 0 holds the unit rows of 3 and
+    # 5 and decodes by selection; terminals 1 and 2 hold 6's combination
+    # rows and solve X^T over the row span of their kept rows^T, whose
+    # [basis | J] reduction is more than two panels wide; each solve equals
+    # the Gauss-Jordan basic solution, and every terminal decodes
+    solved = []
+    original = agreement.solve_in_rowspan
+
+    def spy(target, basis):
+        solved.append((target, basis, original(target, basis)))
+        return solved[-1][2]
+
+    monkeypatch.setattr(agreement, "solve_in_rowspan", spy)
+    ctx, rng = FieldCtx(q), np.random.default_rng(q)
+    picks, keys = _multicast_inputs({3: 70, 5: 70, 6: 75}, ctx, rng, ambient=75)
+    final = random_matrix(140, 2, ctx, rng)
+    _, _, out = agreement._multicast(picks, keys, final, 3)
+    assert out.terminal_final == (final,) * 3
+    assert [basis.shape for _, basis, _ in solved] == [(140, 140)] * 2 and 140 > 2 * fieldmath._PANEL
+    for target, basis, got in solved:
+        assert got == reference_solve(target, basis)
 
 
 def test_coefficient_certificate_equals_packet_certificate():
@@ -1466,8 +1487,20 @@ def test_session_transcript_load_refuses_schema_1_and_malformed_documents():
             lambda d: d["public_messages"]["disclosures"][0].__setitem__("terminal", 5),
             lambda d: d["public_messages"]["disclosures"][0].__setitem__("subset", 9),
             lambda d: d["public_messages"]["disclosures"][0].update(subset=1, terminal=1),
+            # terminal 1 as JSON true, which equals 1 as a dict key
+            lambda d: d["public_messages"]["disclosures"][1].update(terminal=True),
+            # a repeated (subset, terminal) entry
+            lambda d: d["public_messages"]["disclosures"].append(doc["public_messages"]["disclosures"][0]),
+            # subset 3 disclosed to terminal 0 only, shipping keys or not
+            lambda d: d["public_messages"]["disclosures"].pop(3),
+            lambda d: (withhold(d), d["public_messages"]["disclosures"].pop(3)),
+        ],
+        "a matrix must be a": [
+            lambda d: d["slots"][0].__setitem__("message", d["slots"][0]["message"]["entries"]),
+            lambda d: d["public_messages"].__setitem__("ciphers", 7),
         ],
         "matrix entries": [
+            lambda d: d["slots"][0]["message"].pop("rows"),
             lambda d: d["slots"][0]["message"]["entries"][0].__setitem__(0, entry + 101),
             lambda d: d["slots"][0]["message"].__setitem__("entries", [flat[:8], flat[8:]]),
             lambda d: d["slots"][1]["message"]["entries"][2].__setitem__(1, True),
@@ -1512,6 +1545,8 @@ def test_session_transcript_load_refuses_schema_1_and_malformed_documents():
             lambda d: (withhold(d), audit(degenerate=False)(d)),
             lambda d: (withhold(d), d["keys"]["subset_keys"].update({"1": doc["keys"]["subset_keys"]["1"]})),
             lambda d: (withhold(d), d["keys"]["terminal_final"].__setitem__(1, doc["keys"]["terminal_final"][1])),
+            # subset 1 ships its key, but none of its disclosures
+            lambda d: d["public_messages"]["disclosures"].pop(0),
         ],
     }
     for match, edits in cases.items():

@@ -11,7 +11,6 @@ from nckey import fieldmath
 from nckey.fieldmath import (
     FieldCtx,
     MatrixFq,
-    _solve,
     block_diag,
     hstack,
     identity,
@@ -368,8 +367,7 @@ def panelled_matrices(draw):
 def test_panelled_elimination_matches_gauss_jordan(case, seed):
     # solve_in_rowspan reduces [m | J], J the anti-identity, whose pivots
     # run on past m's columns into J's; its targets are two rows in the span
-    # and one random row, usually outside it (pivot limits that end inside
-    # a panel are _solve's, tested with the decode below)
+    # and one random row, usually outside it
     panel, m = case
     rng = np.random.default_rng(seed)
     target = vstack([random_matrix(2, m.rows, m.ctx, rng) @ m, random_matrix(1, m.cols, m.ctx, rng)])
@@ -439,10 +437,12 @@ def test_float_panels_at_the_largest_float_modulus():
     st.integers(0, 2**32 - 1),
 )
 def test_solve_rank_decides_whether_a_key_decodes(a, panel, width, stray, seed):
-    # a @ X == b for a planted X: the solve reports a's rank, and at full
-    # column rank it returns X itself; below it a kernel vector gives a second
-    # solution, so no key is decoded; a stray right-hand side is usually
-    # inconsistent; the solution is always the basic one
+    # a @ X == b for a planted X, solved as the multicast decode solves it,
+    # X^T through the row span of a^T, with the [a^T | J] reduction in
+    # panels: at full column rank it returns X itself; below it a kernel
+    # vector gives a second solution, so no key is decoded; a stray
+    # right-hand side is usually inconsistent; the solution is always the
+    # basic one
     rng = np.random.default_rng(seed)
     x = random_matrix(a.cols, width, a.ctx, rng)
     b = a @ x
@@ -450,15 +450,14 @@ def test_solve_rank_decides_whether_a_key_decodes(a, panel, width, stray, seed):
         b = MatrixFq(b.arr + rng.integers(0, a.ctx.q, size=b.shape), a.ctx)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fieldmath, "_PANEL", panel)
-        got, r = _solve(a, b)
-    assert r == reference_rref(a)[1]
-    witness = reference_solve(b.transpose(), a.transpose())
-    assert got == (None if witness is None else witness.transpose())
+        got = solve_in_rowspan(b.transpose(), a.transpose())
+    assert got == reference_solve(b.transpose(), a.transpose())
     if got is None:
         assert stray
         return
+    got = got.transpose()
     assert a @ got == b
-    if r == a.cols:
+    if reference_rref(a)[1] == a.cols:
         assert stray or got == x
     elif width:
         other = MatrixFq(got.arr + reference_kernel(a).arr[:1].T, a.ctx)
