@@ -19,8 +19,8 @@ The protocol, per session of N slots; run_session calls one stage per step:
    min(sum_S excl_J, n_a - n_e), a polymatroid rank (Edmonds 1970), so the
    singleton caps plus the full-collection budget imply every other cap and
    planning works for any m (DimensionPlan.caps).  Checks against actual
-   subspaces enumerate every selection of the subsets with a positive share
-   (_allocated), at most 7; sessions need no such table (steps 4 and 6).
+   subspaces rank each selection (_cap) of the subsets with a positive
+   share (_allocated), at most 7; sessions need no such table (steps 4, 6).
 4. _extract: slots are glued by direct sums; floor(N * share) basis vectors
    per subset are extracted so that everything is mutually independent
    (extract_secure_subspaces: the picks' joint rank is their own feasibility
@@ -50,7 +50,6 @@ _Degenerate with its reasons, and run_session catches it in one place.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import json
@@ -71,7 +70,6 @@ from .fieldmath import (
     mat_mul,
     random_matrix,
     rank,
-    rank_profile,
     solve_in_rowspan,
     vstack,
 )
@@ -177,33 +175,10 @@ def _cap(subs, base: Subspace | None) -> int:
     return extra + rank(quotient(vstack([s.basis for s in subs]), base))
 
 
-def _symmetric_chains(k: int) -> list[list[tuple[int, ...]]]:
-    """A symmetric chain decomposition of the subsets of range(k) (de Bruijn,
-    van Ebbenhorst Tengbergen and Kruyswijk, 1951): C(k, k // 2) chains, each
-    set one element larger than the one before, that cover every subset
-    once.  Adding element x turns a chain C_1 < ... < C_h into
-    C_1 < ... < C_h < C_h + x and C_1 + x < ... < C_(h-1) + x."""
-    chains = [[()]]
-    for x in range(k):
-        chains = [
-            grown
-            for c in chains
-            for grown in (c + [c[-1] + (x,)], [s + (x,) for s in c[:-1]])
-            if grown
-        ]
-    return chains
-
-
 def _actual_caps(family: SubspaceFamily, base: Subspace | None = None) -> dict[tuple[int, ...], int]:
     """Cap table of the actual subspaces: for every nonempty selection of the
     family's subsets (by size, then lexicographically), the dimension its
-    members add to ``base`` (to nothing when ``base`` is None).
-
-    One elimination per chain of a symmetric chain decomposition
-    (_symmetric_chains) gives the caps of all its selections: the chain's
-    bases, modulo ``base`` (quotient), are stacked in chain order and
-    transposed, and a selection's cap is the number of pivot columns inside
-    its prefix of rows (the column rank profile).
+    members add to ``base`` (to nothing when ``base`` is None), one _cap each.
 
     Raises:
         ValueError: for more than 7 members, where the 2^k - 1 selections are
@@ -215,22 +190,10 @@ def _actual_caps(family: SubspaceFamily, base: Subspace | None = None) -> dict[t
             f"actual-subspace constraints are enumerated only up to "
             f"{MAX_ENUMERATED_SUBSETS} subsets, got {len(masks)}"
         )
-    if not masks:
-        return {}
-    bases = [family[mask].basis for mask in masks]
-    if base is not None:
-        bases = [quotient(b, base) for b in bases]
-    caps = {}
-    for chain in _symmetric_chains(len(masks)):
-        order = list(chain[0]) + [min(set(b) - set(a)) for a, b in zip(chain, chain[1:])]
-        pivots = rank_profile(hstack([bases[i].transpose() for i in order]))
-        for sel in chain:
-            if sel:
-                caps[sel] = bisect.bisect_left(pivots, sum(bases[i].rows for i in sel))
     return {
-        tuple(masks[i] for i in sel): caps[sel]
+        sel: _cap([family[mask] for mask in sel], base)
         for k in range(1, len(masks) + 1)
-        for sel in itertools.combinations(range(len(masks)), k)
+        for sel in itertools.combinations(masks, k)
     }
 
 
@@ -433,8 +396,8 @@ def extract_secure_subspaces(
     A member counted whole is its only pick of that dimension, taken with no
     draw.  Independent picks certify every selection constraint at once, and
     feasible counts always admit them (Rado's theorem, matroid union), so the
-    positive counts' cap table (_actual_caps) is consulted only after an
-    impossible or failed pick, to tell bad luck from infeasible counts.
+    cap table of at most 7 positive counts (_actual_caps) is built only after
+    a failed first pick, to tell bad luck from infeasible counts.
 
     Raises:
         TypeError: if ``eve`` is neither None nor a Subspace.
@@ -618,72 +581,76 @@ class SessionResult:
         disclosed subset short of a member, or an audit off its keys: a
         non-degenerate one must carry a true certificate, the disclosures of
         exactly the subsets that ship keys, and the agreement of the rebuilt
-        terminal copies with the subset and final keys."""
-        if doc.get("schema_version") != SCHEMA_VERSION:
-            raise ValueError(f"unsupported transcript schema {doc.get('schema_version')}")
-        pd = doc["params"]
-        scalars = [pd[name] for name in ("q", "ell", "na", "ne")]
-        if not isinstance(pd["n"], list) or any(type(x) is not int for x in scalars + pd["n"]):
-            raise ValueError(f"params must be plain ints, got {pd}")
-        ctx = FieldCtx(pd["q"])
-        params = ChannelParams(ctx, pd["ell"], pd["na"], tuple(pd["n"]), pd["ne"])
-        want = [(n_r, params.n_a) for n_r in (*params.n, params.n_e)]
-        slots = []
-        for t, s in enumerate(doc["slots"]):
-            fs = [_unmat(f, ctx) for f in (*s["transfers"], s["eve_transfer"])]
-            if [f.shape for f in fs] != want:
-                raise ValueError(f"slot {t}: transfer shapes {[f.shape for f in fs]}, need {want}")
-            message = _unmat(s["message"], ctx)
-            source = make_source_matrix(message, params)
-            slots.append(SlotRecord(message, source, observe(source, fs[:-1], fs[-1])))
-        pub = doc["public_messages"]
-        disclosures = {
-            (d["subset"], d["terminal"]): _unmat(d["coeffs"], ctx) for d in pub["disclosures"]
-        }
-        if not all(
-            _is_mask(mask, params.m) and type(r) is int and r in mask_members(mask) for mask, r in disclosures
-        ):
-            raise ValueError("a disclosure's subset is out of range or lacks its terminal")
-        if len(disclosures) != len(pub["disclosures"]) or set(disclosures) != {
-            (mask, r) for mask, _ in disclosures for r in mask_members(mask)
-        }:
-            raise ValueError("a disclosure is repeated, or a disclosed subset lacks a member's")
-        if any(w.cols != len(slots) * params.n[r] for (_, r), w in disclosures.items()):
-            raise ValueError("a disclosure's width does not match its terminal's received rows")
-        code, ciphers = (_unmat(pub[name], ctx) for name in ("multicast_code", "ciphers"))
-        transcript = SessionTranscript(params, tuple(slots), disclosures, code, ciphers)
-        kd = doc["keys"]
-        if not all(_is_mask(int(mask), params.m) for mask in kd["subset_keys"]):
-            raise ValueError(f"subset key masks {sorted(kd['subset_keys'])} out of range")
-        if len(kd["terminal_final"]) != params.m:
-            raise ValueError(f"need {params.m} terminal final keys, got {len(kd['terminal_final'])}")
-        ad = {f.name: doc["audit"][f.name] for f in fields(AuditReport)}
-        keys = KeyShare(
-            {int(mask): _unmat(k, ctx) for mask, k in kd["subset_keys"].items()},
-            {} if ad["degenerate"] else _terminal_subset_keys(params, slots, disclosures),
-            _unmat(kd["final_key"], ctx),
-            tuple(_unmat(k, ctx) for k in kd["terminal_final"]),
-        )
-        key_blocks = 0 if keys.final_key is None else keys.final_key.rows
-        flags = [ad["subset_agreement"], ad["final_agreement"], ad["leakage_certificate"]]
-        # A non-degenerate audit ran on the keys it ships with (none for an
-        # empty session): its agreement flags must be theirs, it passed the
-        # certificate, since a failed one withholds the keys, and it disclosed
-        # exactly the subsets whose keys it ships.
-        audited = [*_agreement(keys), True]
-        shipped = {mask for mask, _ in disclosures} == set(keys.subset_keys)
-        if not (
-            all(flag is None or type(flag) is bool for flag in flags)
-            and (ad["degenerate"] or shipped and flags == (audited if slots else [None] * 3))
-            and isinstance(ad["reasons"], list) and all(type(r) is str for r in ad["reasons"])
-            and ad["degenerate"] is bool(ad["reasons"])
-            and (not ad["degenerate"] or keys == KeyShare(terminal_final=(None,) * params.m))
-            and type(ad["key_blocks"]) is int and ad["key_blocks"] == key_blocks
-            and ad["achieved_per_slot"] == str(Fraction(key_blocks, len(slots)) if slots else 0)
-        ):
-            raise ValueError(f"audit block {doc['audit']} disagrees with the keys it ships with")
-        ad.update(reasons=tuple(ad["reasons"]), achieved_per_slot=Fraction(ad["achieved_per_slot"]))
-        return cls(transcript, keys, AuditReport(**ad))
+        terminal copies with the subset and final keys; and a missing field,
+        or one of the wrong JSON type, anywhere else."""
+        try:
+            if doc.get("schema_version") != SCHEMA_VERSION:
+                raise ValueError(f"unsupported transcript schema {doc.get('schema_version')}")
+            pd = doc["params"]
+            scalars = [pd[name] for name in ("q", "ell", "na", "ne")]
+            if not isinstance(pd["n"], list) or any(type(x) is not int for x in scalars + pd["n"]):
+                raise ValueError(f"params must be plain ints, got {pd}")
+            ctx = FieldCtx(pd["q"])
+            params = ChannelParams(ctx, pd["ell"], pd["na"], tuple(pd["n"]), pd["ne"])
+            want = [(n_r, params.n_a) for n_r in (*params.n, params.n_e)]
+            slots = []
+            for t, s in enumerate(doc["slots"]):
+                fs = [_unmat(f, ctx) for f in (*s["transfers"], s["eve_transfer"])]
+                if [f.shape for f in fs] != want:
+                    raise ValueError(f"slot {t}: transfer shapes {[f.shape for f in fs]}, need {want}")
+                message = _unmat(s["message"], ctx)
+                source = make_source_matrix(message, params)
+                slots.append(SlotRecord(message, source, observe(source, fs[:-1], fs[-1])))
+            pub = doc["public_messages"]
+            disclosures = {
+                (d["subset"], d["terminal"]): _unmat(d["coeffs"], ctx) for d in pub["disclosures"]
+            }
+            if not all(
+                _is_mask(mask, params.m) and type(r) is int and r in mask_members(mask) for mask, r in disclosures
+            ):
+                raise ValueError("a disclosure's subset is out of range or lacks its terminal")
+            if len(disclosures) != len(pub["disclosures"]) or set(disclosures) != {
+                (mask, r) for mask, _ in disclosures for r in mask_members(mask)
+            }:
+                raise ValueError("a disclosure is repeated, or a disclosed subset lacks a member's")
+            if any(w.cols != len(slots) * params.n[r] for (_, r), w in disclosures.items()):
+                raise ValueError("a disclosure's width does not match its terminal's received rows")
+            code, ciphers = (_unmat(pub[name], ctx) for name in ("multicast_code", "ciphers"))
+            transcript = SessionTranscript(params, tuple(slots), disclosures, code, ciphers)
+            kd = doc["keys"]
+            if not all(_is_mask(int(mask), params.m) for mask in kd["subset_keys"]):
+                raise ValueError(f"subset key masks {sorted(kd['subset_keys'])} out of range")
+            if len(kd["terminal_final"]) != params.m:
+                raise ValueError(f"need {params.m} terminal final keys, got {len(kd['terminal_final'])}")
+            ad = {f.name: doc["audit"][f.name] for f in fields(AuditReport)}
+            keys = KeyShare(
+                {int(mask): _unmat(k, ctx) for mask, k in kd["subset_keys"].items()},
+                {} if ad["degenerate"] else _terminal_subset_keys(params, slots, disclosures),
+                _unmat(kd["final_key"], ctx),
+                tuple(_unmat(k, ctx) for k in kd["terminal_final"]),
+            )
+            key_blocks = 0 if keys.final_key is None else keys.final_key.rows
+            flags = [ad["subset_agreement"], ad["final_agreement"], ad["leakage_certificate"]]
+            # A non-degenerate audit ran on the keys it ships with (none for an
+            # empty session): its agreement flags must be theirs, it passed the
+            # certificate, since a failed one withholds the keys, and it disclosed
+            # exactly the subsets whose keys it ships.
+            audited = [*_agreement(keys), True]
+            shipped = {mask for mask, _ in disclosures} == set(keys.subset_keys)
+            if not (
+                all(flag is None or type(flag) is bool for flag in flags)
+                and (ad["degenerate"] or shipped and flags == (audited if slots else [None] * 3))
+                and isinstance(ad["reasons"], list) and all(type(r) is str for r in ad["reasons"])
+                and ad["degenerate"] is bool(ad["reasons"])
+                and (not ad["degenerate"] or keys == KeyShare(terminal_final=(None,) * params.m))
+                and type(ad["key_blocks"]) is int and ad["key_blocks"] == key_blocks
+                and ad["achieved_per_slot"] == str(Fraction(key_blocks, len(slots)) if slots else 0)
+            ):
+                raise ValueError(f"audit block {doc['audit']} disagrees with the keys it ships with")
+            ad.update(reasons=tuple(ad["reasons"]), achieved_per_slot=Fraction(ad["achieved_per_slot"]))
+            return cls(transcript, keys, AuditReport(**ad))
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ValueError(f"malformed transcript: {type(exc).__name__} {exc}") from exc
 
 
 def _terminal_subset_keys(

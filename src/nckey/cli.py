@@ -236,7 +236,7 @@ def cmd_simulate(cfg: dict, parser) -> dict:
         params = make_params(cfg, {})
     except ValueError as exc:
         parser.error(f"invalid parameters: {exc}")
-    for key in ("trials", "seed"):
+    for key in ("slots", "trials", "seed"):
         if cfg[key] < 0:
             parser.error(f"--{key} must be nonnegative, got {cfg[key]}")
     plan = plan_dimensions(params)

@@ -411,13 +411,6 @@ def rank(m: MatrixFq) -> int:
     return len(_echelon(m.arr.copy(), m.ctx.q))
 
 
-def rank_profile(m: MatrixFq) -> list[int]:
-    """Column rank profile of ``m``: the pivot columns of one forward
-    elimination, in order (the same pivots ``rref`` returns).  Column c is a
-    pivot exactly when it is independent of the columns before it."""
-    return _echelon(m.arr.copy(), m.ctx.q)
-
-
 class RowReduced(MatrixFq):
     """A matrix F with its row reduction, which ``solve_in_rowspan`` reuses.
     One rref of [F | J], J the anti-identity, has rows [R | S J] pivoting in

@@ -38,7 +38,7 @@ from nckey.fieldmath import (
     hstack,
     random_matrix,
     rank,
-    rank_profile,
+    rref,
     solve_in_rowspan,
     vstack,
     zeros,
@@ -407,6 +407,23 @@ def test_extract_refuses_infeasible():
     assert err.value.witness == (1,)
 
 
+def test_extract_diagnoses_a_pair_over_its_cap_after_the_first_failed_pick():
+    # subsets 1 and 2 share one line at q = 2: each singleton count fits, but
+    # the pair needs 2 of the 1 dimension it spans.  Up to 7 allocated
+    # subsets the cap table names that pair; among 8 it is not built, and
+    # the bounded loop ends without a witness.
+    line = [MatrixFq(np.eye(7, dtype=np.int64)[[i]], F2) for i in range(7)]
+    pair = SubspaceFamily(2, {1: span_of(line[0]), 2: span_of(line[0])})
+    for eve in (None, zero_subspace(7, F2)):
+        with pytest.raises(InfeasibleAllocationError) as err:
+            extract_secure_subspaces(pair, {1: 1, 2: 1}, eve, np.random.default_rng(0))
+        assert err.value.witness == (1, 2)
+        assert "selection (1, 2) needs 2 but only 1 is available" in str(err.value)
+    eight = SubspaceFamily(4, {mask: span_of(line[max(mask - 2, 0)]) for mask in range(1, 9)})
+    with pytest.raises(RuntimeError, match="no valid extraction found in 500 tries"):
+        extract_secure_subspaces(eight, dict.fromkeys(range(1, 9), 1), None, np.random.default_rng(0))
+
+
 def test_extract_refuses_counts_that_are_not_nonnegative_integers():
     rng = np.random.default_rng(8)
     fam, eve = _random_family(rng)
@@ -646,9 +663,9 @@ def families_and_bases(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(families_and_bases())
-def test_chain_caps_equal_the_per_selection_reference(case):
-    # one elimination per symmetric chain gives every selection's cap, in the
-    # same table order as ranking each selection on its own
+def test_actual_caps_equal_the_stacked_rank_reference(case):
+    # one _cap per selection (the largest member standing in for a missing
+    # base) gives the rank of the selection's stacked bases, in table order
     family, base = case
     got, want = agreement._actual_caps(family, base), reference_caps(family, base)
     assert got == want and list(got) == list(want)
@@ -673,19 +690,6 @@ def test_allocated_check_equals_the_full_table_check(case, data):
     alloc = data.draw(shares_on(family))
     full = agreement._check_against(alloc, reference_caps(family, eve))
     assert check_allocation_feasible(alloc, family, eve) == full
-
-
-@pytest.mark.parametrize("k", range(8))
-def test_chain_decomposition_is_symmetric_and_covers_each_selection_once(k):
-    chains = agreement._symmetric_chains(k)
-    sets = [sel for chain in chains for sel in chain]
-    assert sorted(sets) == sorted(itertools.chain.from_iterable(
-        itertools.combinations(range(k), size) for size in range(k + 1)
-    ))
-    assert len(chains) == math.comb(k, k // 2)
-    for chain in chains:
-        assert len(chain[0]) + len(chain[-1]) == k
-        assert all(len(b) == len(a) + 1 and set(a) < set(b) for a, b in zip(chain, chain[1:]))
 
 
 def reference_certificate(keys, eves):
@@ -799,7 +803,7 @@ def test_reduced_transfer_gives_its_span_and_the_basic_solution(q, n_a, n_r, k, 
     red = RowReduced(f)
     assert red == f and red.echelon == span_of(f).basis
     assert red.transform @ f == red.echelon
-    assert not np.delete(red.transform.arr, rank_profile(f.transpose()), axis=1).any()
+    assert not np.delete(red.transform.arr, rref(f.transpose())[2], axis=1).any()
     target = random_matrix(k, n_r, ctx, rng) @ f
     assert MatrixFq(target.arr[:, red.pivots], ctx) @ red.transform == reference_solve(target, f)
     if stray:
@@ -1547,6 +1551,20 @@ def test_session_transcript_load_refuses_schema_1_and_malformed_documents():
             lambda d: (withhold(d), d["keys"]["terminal_final"].__setitem__(1, doc["keys"]["terminal_final"][1])),
             # subset 1 ships its key, but none of its disclosures
             lambda d: d["public_messages"]["disclosures"].pop(0),
+        ],
+        # a field missing, or of the wrong JSON type, outside a matrix
+        "malformed transcript: TypeError": [
+            lambda d: d["public_messages"]["disclosures"].__setitem__(0, 5),
+            lambda d: d.update(slots=3),
+            lambda d: d["slots"][0].update(transfers=7),
+            lambda d: d["keys"].update(subset_keys=list(d["keys"]["subset_keys"].values())),
+            lambda d: d["keys"].update(terminal_final=3),
+        ],
+        "malformed transcript: KeyError": [
+            lambda d: d["public_messages"]["disclosures"][0].pop("coeffs"),
+            lambda d: d.pop("params"),
+            lambda d: d.pop("public_messages"),
+            lambda d: d["audit"].pop("key_blocks"),
         ],
     }
     for match, edits in cases.items():
