@@ -346,11 +346,11 @@ SIMULATE = ["simulate", "--q", "101", "--ell", "8", "--na", "4", "--n", "3", "--
     [
         (["--trials", "-3"], None, "--trials must be nonnegative"),
         (["--seed", "-1"], None, "--seed must be nonnegative"),
-        # with no trial, no session is left to refuse a negative slot count
-        (["--slots", "-3", "--trials", "0"], None, "--slots must be nonnegative"),
         ([], {"9": "1"}, "subset mask 9 out of range"),
         ([], {"1": "-1/2"}, "share for subset 1 is negative"),
         ([], {"1": float("inf")}, "cannot convert Infinity to integer ratio"),
+        # with no trial, no session is left to refuse a negative slot count
+        (["--slots", "-3", "--trials", "0"], None, "--slots must be nonnegative"),
     ],
 )
 def test_simulate_bad_input_is_a_usage_error(tmp_path, capsys, flags, allocation, message):
