@@ -7,10 +7,14 @@ The protocol, per session of N slots; run_session calls one stage per step:
    each terminal's received subspace in source coordinates (dimension n_a).
 2. _exclusive_picks: each subset's common subspace, from one rref per slot
    and terminal of [F | J] (RowReduced), must have its generic-position
-   dimension (plan_dimensions); then for each nonempty subset J the source
-   picks, uniformly inside the common subspace, an "exclusive" subspace of
-   the planned dimension.  Only test oracles that can see the eavesdropper's
-   subspace build it by complement subtraction (build_exclusive_subspaces).
+   dimension (plan_dimensions).  These rrefs draw nothing, so all slots'
+   are one stacked elimination per terminal shape (RowReduced.stack); the
+   intersections run slot by slot.  Then for each nonempty subset J the
+   source picks, uniformly inside the common subspace, an "exclusive"
+   subspace of the planned dimension, slot by slot, since each draw follows
+   the previous rank check.  Only test oracles that can see the
+   eavesdropper's subspace build it by complement subtraction
+   (build_exclusive_subspaces).
 3. Per-subset key shares are allocated, before the session, by a max-min LP
    over feasibility constraints: the total share of any collection of subsets
    is capped by the dimension those subsets' exclusive subspaces add beyond
@@ -41,7 +45,9 @@ The protocol, per session of N slots; run_session calls one stage per step:
    eavesdropper's slot subspaces (_leakage_certificate), and that rank also
    proves the counts feasible.  Rows inside one slot block are checked slot
    by slot, so only the rows that couple slots are ranked at session width,
-   as in extraction's rank.
+   as in extraction's rank.  The eavesdropper's slot spans, and then the
+   per-slot sums E_t + L_t, are each one stacked elimination over all slots
+   (spans_of), since they draw nothing.
 
 A degenerate session (a generic-position event failed, probability O(1/q),
 or a step found no solution) has its keys withheld: the stage raises
@@ -74,7 +80,7 @@ from .fieldmath import (
     vstack,
 )
 from .simplex import maximize
-from .subspaces import Subspace, SubspaceFamily, direct_sum, quotient, random_inside, span_of
+from .subspaces import Subspace, SubspaceFamily, direct_sum, quotient, random_inside, spans_of
 
 # Largest family whose 2^k - 1 selections are enumerated for actual subspaces.
 MAX_ENUMERATED_SUBSETS = 7
@@ -368,8 +374,11 @@ def solve_allocation_lp_planned(plan: DimensionPlan) -> tuple[SubsetAllocation, 
 
 
 class InfeasibleAllocationError(ValueError):
+    """A violated selection constraint: ``witness`` needs ``lhs`` but only
+    ``rhs`` is available (FeasibilityResult)."""
+
     def __init__(self, result: FeasibilityResult):
-        self.witness = result.witness
+        self.witness, self.lhs, self.rhs = result.witness, result.lhs, result.rhs
         super().__init__(
             f"allocation infeasible: selection {result.witness} needs {result.lhs} "
             f"but only {result.rhs} is available"
@@ -930,23 +939,19 @@ def _leakage_certificate(key_vectors: MatrixFq, eves: list[Subspace]) -> bool:
     is certify_zero_leakage(K, block_diag(E_t)).
 
     Rows nonzero in one slot block only (every row of a full pick) are
-    checked slot by slot: slot t's, L_t, must add their count to E_t.  The
-    other rows R must then keep their rank modulo the sums E_t + L_t, taken
-    one slot block at a time (quotient) and ranked once, since
+    checked slot by slot: slot t's, L_t, must add their count to E_t, the
+    sums E_t + L_t of all slots taken in one spans_of.  The other rows R
+    must then keep their rank modulo those sums, taken one slot block at a
+    time (quotient) and ranked once, since
     rank(K mod E) = sum_t rank(L_t mod E_t) + rank(R mod sum_t (E_t + L_t)).
     """
     ctx, width = key_vectors.ctx, eves[0].ambient_dim
     live = key_vectors.arr.reshape(key_vectors.rows, len(eves), width).any(axis=2)
     local = live.sum(axis=1) == 1
-    sums = []
-    for t, eve in enumerate(eves):
-        mine = key_vectors.arr[local & live[:, t], t * width : (t + 1) * width]
-        if len(mine):
-            grown = span_of(vstack([eve.basis, _wrap(mine, ctx)]))
-            if grown.dim != eve.dim + len(mine):
-                return False
-            eve = grown
-        sums.append(eve)
+    mine = [key_vectors.arr[local & live[:, t], t * width : (t + 1) * width] for t in range(len(eves))]
+    sums = spans_of(vstack([eve.basis, _wrap(rows, ctx)]) for eve, rows in zip(eves, mine))
+    if any(grown.dim != eve.dim + len(rows) for grown, eve, rows in zip(sums, eves, mine)):
+        return False
     rest = key_vectors.arr[~local]
     if not len(rest):
         return True
@@ -973,7 +978,7 @@ def _audit(slots, picks: dict[int, Subspace], keys: KeyShare) -> AuditReport:
     in its glued exclusive subspace and the key rows K keep full rank modulo
     E, so sum_S counts = rank(K_S mod E) <= dim(sum_S glued_J + E) - dim E.
     """
-    eves = [span_of(rec.obs.eve_transfer) for rec in slots]
+    eves = spans_of(rec.obs.eve_transfer for rec in slots)
     # Certified in coefficient space: the packets are these coefficients times
     # block_diag([I | M_t]), which has full row rank and so keeps every rank.
     cert = not picks or _leakage_certificate(vstack([pick.basis for pick in picks.values()]), eves)
@@ -1046,7 +1051,8 @@ def run_session(
     if n_slots == 0:
         return SessionResult(transcript, withheld, _unaudited())
     try:
-        received = [[RowReduced(f) for f in rec.obs.transfers] for rec in slots]
+        reduced = RowReduced.stack(f for rec in slots for f in rec.obs.transfers)
+        received = [reduced[t * m : (t + 1) * m] for t in range(n_slots)]
         exclusive = _exclusive_picks(received, plan, proto_rng)
         picks = _extract(exclusive, counts, m, proto_rng)
         disclosures = _disclosures(received, picks)

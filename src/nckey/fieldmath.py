@@ -1,11 +1,12 @@
 """Exact dense linear algebra over prime fields F_q.
 
 All matrices at play are small and dense (packet counts and packet lengths at
-desk scale).  One forward elimination, ``_echelon``, and one back-substitution,
-``_back_substitute``, serve them all, each over the whole matrix: ``rank``
-counts the forward pivots, ``rref`` runs both, ``right_kernel`` reads the
-RREF, and ``solve_in_rowspan`` reads every basic solution off the rref of
-``[basis | J]`` (``RowReduced``), which a caller can keep for many targets.
+desk scale).  One elimination, ``_echelon``, serves them all, over a stack of
+equal-shape matrices (a 2-D matrix is a stack of one): ``rank`` counts the
+pivots of its forward pass, ``rref`` and ``rref_stack`` take the reduced
+form, ``right_kernel`` reads the RREF, and ``solve_in_rowspan`` reads every
+basic solution off the rref of ``[basis | J]`` (``RowReduced``, or
+``RowReduced.stack`` for a list), which a caller can keep for many targets.
 Matrices are int64 numpy arrays with entries in [0, q), q < 2**31, so every
 product of two reduced scalars fits int64.  Arithmetic is exact integer
 arithmetic reduced mod q, in number formats chosen from q and the shape
@@ -17,11 +18,15 @@ alone:
   factor is split into b-bit limbs, b the widest with
   k (2**b - 1)(q - 1) < 2**53 (two 16-bit limbs at k = 64 and q = 2**31 - 1),
   stacked into one operand, and the limb blocks are recombined in int64.
-* ``_echelon`` eliminates in column panels of ``_PANEL`` columns, one
-  product per panel, when the matrix is more than two panels wide, at every
-  q; narrow matrices take one rank-1 update per pivot.  Its rank-1 updates,
-  like ``_back_substitute``'s, run in int64 and are reduced before pending
-  updates pass 2**63.
+  The split falls on the thinner factor: a tall left factor times a thin
+  right one is taken transposed.
+* ``_echelon`` eliminates a matrix more than two ``_PANEL`` panels wide on
+  its own, in column panels, one product per panel, at every q, and
+  back-substitutes it for a reduced form (``_back_substitute``).  Narrower
+  stacks take one Gauss-Jordan pass (``_gauss_jordan``), whose rank-1
+  update per pivot clears the pivot column below and, for a reduced form,
+  above, in every member whose pivot columns agree so far.  All rank-1
+  updates run in int64 and are reduced before pending updates pass 2**63.
 
 Every format gives the same pivots and the same bytes.  All randomness flows
 through caller-supplied ``numpy.random.Generator`` instances; nothing touches
@@ -239,6 +244,15 @@ def _residue(x: np.ndarray, q: int) -> np.ndarray:
     return np.mod(x, q, dtype=np.int64, casting="unsafe")
 
 
+def _limbs(k: int, largest: int, q: int) -> tuple[int, int]:
+    """(limbs, b): how many b-bit limbs a left factor whose largest entry is
+    ``largest`` takes in a k-term float64 product, b the widest with
+    k (2^b - 1)(q - 1) < 2^53; one limb when k largest (q - 1) < 2^53."""
+    top = (2**53 - 1) // (k * (q - 1))
+    b = (top + 1).bit_length() - 1
+    return (1 if top >= largest else -(-largest.bit_length() // b)), b
+
+
 def _mul_mod(x: np.ndarray, y: np.ndarray, q: int) -> np.ndarray:
     """x @ y mod q for int64 matrices with entries in [0, q), as a new int64
     matrix, exact through float64 BLAS products.
@@ -246,21 +260,26 @@ def _mul_mod(x: np.ndarray, y: np.ndarray, q: int) -> np.ndarray:
     A dot product of k terms of at most a (q-1) each, a being x's largest
     entry, is exact in float64 while k a (q-1) < 2^53, and is then one
     product (at every q when x is a 0/1 combination code).  Otherwise x is
-    split into b-bit limbs, b the widest with k (2^b - 1)(q - 1) < 2^53 (two
-    16-bit limbs at k = 64 and q = 2^31 - 1), stacked into one operand so
-    that each product is still one BLAS call.  The limb blocks of the result
-    are reduced and recombined Horner-style, acc = (acc << b) + p mod q,
-    which stays below 2^63.  k is taken in chunks of at most 2^16 - 1 terms,
-    which keeps b at 6 bits or more for every q < 2^31.
+    split into b-bit limbs (``_limbs``; two 16-bit limbs at k = 64 and
+    q = 2^31 - 1), stacked into one operand so that each product is still
+    one BLAS call.  The limb blocks of the result are reduced and recombined
+    Horner-style, acc = (acc << b) + p mod q, which stays below 2^63.  k is
+    taken in chunks of at most 2^16 - 1 terms, which keeps b at 6 bits or
+    more for every q < 2^31.
+
+    When x takes limbs and y^T would stack fewer limb rows (limbs times y's
+    columns against limbs times x's rows), the product is (y^T x^T)^T, so
+    that the limb split and the residue passes run on the thinner factor.
     """
-    rows, largest = x.shape[0], int(x.max(initial=0))
-    bits = largest.bit_length()
-    out = np.zeros((rows, y.shape[1]), dtype=np.int64)
-    for j in range(0, x.shape[1], 2**16 - 1):
+    rows, (inner, cols) = x.shape[0], y.shape
+    k, largest = min(inner, 2**16 - 1), int(x.max(initial=0))
+    split = _limbs(k, largest, q)[0] if inner else 1
+    if split > 1 and _limbs(k, int(y.max(initial=0)), q)[0] * cols < split * rows:
+        return np.ascontiguousarray(_mul_mod(y.T, x.T, q).T)
+    out = np.zeros((rows, cols), dtype=np.int64)
+    for j in range(0, inner, 2**16 - 1):
         part, rhs = x[:, j : j + 2**16 - 1], y[j : j + 2**16 - 1].astype(np.float64)
-        top = (2**53 - 1) // (part.shape[1] * (q - 1))
-        b = (top + 1).bit_length() - 1
-        limbs = 1 if top >= largest else -(-bits // b)
+        limbs, b = _limbs(part.shape[1], largest, q)
         if limbs > 1:
             part = np.vstack([(part >> (b * s)) & (2**b - 1) for s in reversed(range(limbs))])
         prod = part.astype(np.float64) @ rhs
@@ -281,26 +300,128 @@ def _mul_mod(x: np.ndarray, y: np.ndarray, q: int) -> np.ndarray:
     return out
 
 
-def _echelon(a: np.ndarray, q: int) -> list[int]:
-    """In-place forward elimination to normalized row echelon form; returns
-    the pivot columns in order.
+def _echelon(a: np.ndarray, q: int, full: bool = False) -> list[list[int]]:
+    """In-place elimination of a stack a[0], a[1], ... of equal-shape
+    matrices, ``a`` an int64 array (B, rows, cols); returns each member's
+    pivot columns in order.  With ``full`` every member becomes its unique
+    RREF, otherwise a normalized row echelon form (leading 1s, cleared
+    below only), which is all ``rank`` reads.
+
+    A member more than two ``_PANEL`` panels wide is eliminated on its own
+    in column panels (``_panels``), and back-substituted when ``full``
+    (``_back_substitute``).  Narrower stacks take one Gauss-Jordan pass
+    (``_gauss_jordan``), every member at once.
+    """
+    if a.shape[2] <= 2 * _PANEL:
+        return _gauss_jordan(a, q, full)
+    out = []
+    for m in a:
+        pivots = _panels(m, q)
+        if full:
+            _back_substitute(m, pivots, q)
+        out.append(pivots)
+    return out
+
+
+def _gauss_jordan(a: np.ndarray, q: int, full: bool) -> list[list[int]]:
+    """``_echelon`` of a stack in one pass over the columns: each pivot
+    column is cleared from the rows below its pivot, and with ``full`` from
+    the rows above too, in one rank-1 update.
+
+    The members run in lockstep, one update for all, while their pivot
+    columns agree: the pivot of a column is each member's first nonzero
+    entry at or below the current row, swapped into place by fancy indexing
+    and scaled to 1 by its inverse.  Where some members have a pivot in a
+    column and others do not, the stack splits into those two groups (a
+    copy of each), which go on alone, and each group is written back when
+    it runs out of rows or columns.  A group of one member (a 2-D matrix is
+    a stack of one, which never splits) takes the same steps on its 2-D
+    view, one axis fewer, so that a single matrix does not pay for the
+    stack's indexing.
+
+    Updates run in int64 and are reduced lazily: an update subtracts a
+    product of two reduced scalars, at most (q-1)^2, so ``room`` of them
+    fit between reductions (about 9e14 at q = 101, 2 at q = 2^31 - 1).  The
+    pivot column and pivot row are reduced before use, and the whole group
+    on its return.
+    """
+    batch, rows, width = a.shape
+    room = (2**63 - q) // ((q - 1) * (q - 1))
+    out: list[list[int]] = [[] for _ in range(batch)]
+    todo = [(np.arange(batch), a, [], 0, 0)]
+    while todo:
+        idx, g, pivots, c, lazy = todo.pop()
+        r = len(pivots)
+        v = g[0] if len(idx) == 1 else g
+        while c < width and r < rows:
+            lo = 0 if full else r
+            col = np.mod(v[..., lo:, c], q)
+            if np.count_nonzero(col[..., r - lo]) < len(idx):
+                has = np.logical_or.reduce(col[..., r - lo :], axis=-1)
+                found = np.count_nonzero(has)
+                if not found:
+                    c += 1
+                    continue
+                if found < len(idx):
+                    todo.append((idx[~has], g[~has], list(pivots), c + 1, lazy))
+                    idx, g, col = idx[has], g[has], col[has]
+                    v = g[0] if len(idx) == 1 else g
+                    col = col[0] if v.ndim == 2 else col
+                p = r + (col[..., r - lo :] != 0).argmax(axis=-1)
+                if v.ndim == 2:
+                    v[[r, p], c:] = v[[p, r], c:]
+                else:
+                    k = np.arange(len(idx))
+                    v[k, p, c:], v[:, r, c:] = v[:, r, c:], v[k, p, c:]
+                col = np.mod(v[..., lo:, c], q)
+            heads = col[..., r - lo]
+            row = v[..., r, c:]
+            np.mod(row, q, out=row)
+            if v.ndim == 2:
+                row *= pow(int(heads), -1, q)
+            else:
+                row *= np.array([pow(x, -1, q) for x in heads.tolist()])[:, None]
+            np.mod(row, q, out=row)
+            # The multipliers: col less the pivot row's entry.
+            if full:
+                col[..., r] = 0
+            else:
+                col, lo = col[..., 1:], r + 1
+            if np.count_nonzero(col):
+                live = v[..., lo:, c:]
+                if lazy == room:
+                    np.mod(live, q, out=live)
+                    lazy = 0
+                live -= col[..., :, None] * row[..., None, :]
+                lazy += 1
+            pivots.append(c)
+            r, c = r + 1, c + 1
+        np.mod(g, q, out=g)
+        if g is not a:
+            a[idx] = g
+        for i in idx:
+            out[i] = list(pivots)
+    return out
+
+
+def _panels(a: np.ndarray, q: int) -> list[int]:
+    """``_echelon``'s forward elimination of one wide 2-D matrix, in place;
+    returns the pivot columns in order.
 
     The pivot of each column is the first nonzero entry at or below the
     current row, swapped into place; each pivot row is scaled to a leading 1
     and cleared from the rows below it only.
 
-    The columns are taken in panels.  Inside a panel the pivot loop touches
-    only the panel's columns plus one tracking column per pivot, which record
-    the panel's row operations in terms of its k pivot rows as they stood
-    when it began (A12 right of the panel).  At its end the pivot rows carry
-    the k x k transform M, new pivot rows = M @ A12, and each row below
-    carries -L21 @ M, L21 being its multipliers.  The columns right of the
-    panel then take the whole panel in one exact product,
-    [M ; -L21 @ M] @ A12 mod q (``_mul_mod``): its top rows are the pivot
-    rows' T = M @ A12, and the rest is added to A22, that is A22 -= L21 @ T.
-    Panels are ``_PANEL`` columns wide when the matrix is more than two
-    panels wide, at every q; otherwise one panel spans the whole width, so
-    there is no trailing product.
+    The columns are taken in panels of ``_PANEL`` columns, at every q.
+    Inside a panel the pivot loop touches only the panel's columns plus one
+    tracking column per pivot, which record the panel's row operations in
+    terms of its k pivot rows as they stood when it began (A12 right of the
+    panel).  At its end the pivot rows carry the k x k transform M, new
+    pivot rows = M @ A12, and each row below carries -L21 @ M, L21 being its
+    multipliers.  The columns right of the panel then take the whole panel
+    in one exact product, [M ; -L21 @ M] @ A12 mod q (``_mul_mod``): its top
+    rows are the pivot rows' T = M @ A12, and the rest is added to A22, that
+    is A22 -= L21 @ T.  The last panel has no trailing product.
 
     The loop works on the int64 array itself, and updates are reduced
     lazily.  A rank-1 update subtracts a product of two reduced scalars, at
@@ -313,14 +434,13 @@ def _echelon(a: np.ndarray, q: int) -> list[int]:
     and the whole array on return.
     """
     rows, width = a.shape
-    panel = _PANEL if width > 2 * _PANEL else max(width, 1)
     room = (2**63 - q) // ((q - 1) * (q - 1))
     pivots: list[int] = []
     r = 0
-    for c0 in range(0, width, panel):
+    for c0 in range(0, width, _PANEL):
         if r == rows:
             break
-        c1 = min(c0 + panel, width)
+        c1 = min(c0 + _PANEL, width)
         r0, w = r, c1 - c0
         # One tracking column per possible pivot, when columns trail the panel.
         depth = min(w, rows - r0) if c1 < width else 0
@@ -366,7 +486,7 @@ def _echelon(a: np.ndarray, q: int) -> list[int]:
 
 
 def _back_substitute(a: np.ndarray, pivots: list[int], q: int) -> None:
-    """In-place back-substitution over an echelon form from ``_echelon``:
+    """In-place back-substitution over an echelon form from ``_panels``:
     each pivot column is cleared from the rows above, last pivot first, in
     the columns from the pivot on.
 
@@ -374,7 +494,7 @@ def _back_substitute(a: np.ndarray, pivots: list[int], q: int) -> None:
     own, and no row operation reaches an earlier pivot column, so each
     multiplier a[:i, c] is final, and reduced, when it is read.  Row i is
     zero left of its pivot, so no column left of it changes.  Updates are
-    reduced lazily, as in ``_echelon``: the pivot row is reduced before use,
+    reduced lazily, as in ``_panels``: the pivot row is reduced before use,
     and the rows above it when ``room`` rank-1 updates have piled up, and
     every row on return.
     """
@@ -392,6 +512,19 @@ def _back_substitute(a: np.ndarray, pivots: list[int], q: int) -> None:
         np.mod(a, q, out=a)
 
 
+def _rrefs(mats: list[MatrixFq], ctx: FieldCtx) -> list[tuple[MatrixFq, int, list[int]]]:
+    """``rref`` of each matrix, one ``_echelon`` stack per shape."""
+    out: list = [None] * len(mats)
+    shapes: dict[tuple[int, int], list[int]] = {}
+    for i, m in enumerate(mats):
+        shapes.setdefault(m.shape, []).append(i)
+    for idx in shapes.values():
+        a = np.stack([mats[i].arr for i in idx])
+        for i, red, pivots in zip(idx, a, _echelon(a, ctx.q, full=True)):
+            out[i] = (_wrap(red, ctx), len(pivots), pivots)
+    return out
+
+
 def rref(m: MatrixFq) -> tuple[MatrixFq, int, list[int]]:
     """Reduced row echelon form over F_q.
 
@@ -400,15 +533,23 @@ def rref(m: MatrixFq) -> tuple[MatrixFq, int, list[int]]:
         span as ``m``, rank is the number of nonzero rows of R, and
         pivot_cols lists the pivot column indices in order.
     """
-    a = m.arr.copy()
-    pivots = _echelon(a, m.ctx.q)
-    _back_substitute(a, pivots, m.ctx.q)
-    return _wrap(a, m.ctx), len(pivots), pivots
+    return _rrefs([m], m.ctx)[0]
+
+
+def rref_stack(mats) -> list[tuple[MatrixFq, int, list[int]]]:
+    """``rref`` of every matrix in ``mats``, over one field: the matrices of
+    each shape are eliminated together, as one stack.
+
+    Raises:
+        ValueError: On a field-context mismatch.
+    """
+    mats = list(mats)
+    return _rrefs(mats, _check_same_ctx(*mats)) if mats else []
 
 
 def rank(m: MatrixFq) -> int:
     """Rank of ``m`` over F_q: the pivot count of a forward elimination."""
-    return len(_echelon(m.arr.copy(), m.ctx.q))
+    return len(_echelon(m.arr[None].copy(), m.ctx.q)[0])
 
 
 class RowReduced(MatrixFq):
@@ -417,16 +558,29 @@ class RowReduced(MatrixFq):
     F's columns: R = RREF(F) and S @ F == R.  Its other rows, F's left kernel
     reversed, pivot on F's rows that depend on earlier ones, so S is zero
     there: the basic solution of X @ F == R (row rank profiles: Jeannerod,
-    Pernet and Storjohann, J. Symbolic Comput. 2013)."""
+    Pernet and Storjohann, J. Symbolic Comput. 2013).  ``RowReduced.stack``
+    reduces a list of matrices with one ``rref_stack``."""
 
     __slots__ = ("echelon", "pivots", "transform")
 
-    def __init__(self, f: MatrixFq):
-        red, _, pivots = rref(_wrap(np.hstack([f.arr, np.eye(f.rows, dtype=np.int64)[::-1]]), f.ctx))
+    def __init__(self, f: MatrixFq, reduced: tuple[MatrixFq, int, list[int]] | None = None):
+        """``reduced``, when given, must be the rref of [f | J] (``stack``)."""
+        red, _, pivots = reduced or rref(_anti_augmented(f))
         r = sum(p < f.cols for p in pivots)
         self.ctx, self.arr, self.pivots = f.ctx, f.arr, pivots[:r]
         self.echelon = _wrap(red.arr[:r, : f.cols], f.ctx)
         self.transform = _wrap(red.arr[:r, f.cols :][:, ::-1], f.ctx)
+
+    @classmethod
+    def stack(cls, fs) -> list["RowReduced"]:
+        """RowReduced of every matrix in ``fs``, over one field."""
+        fs = list(fs)
+        return [cls(f, red) for f, red in zip(fs, rref_stack(map(_anti_augmented, fs)))]
+
+
+def _anti_augmented(f: MatrixFq) -> MatrixFq:
+    """[f | J], J the anti-identity of f's row count."""
+    return _wrap(np.hstack([f.arr, np.eye(f.rows, dtype=np.int64)[::-1]]), f.ctx)
 
 
 def solve_in_rowspan(target: MatrixFq, basis: MatrixFq) -> MatrixFq | None:

@@ -25,6 +25,7 @@ from .fieldmath import (
     rank,
     right_kernel,
     rref,
+    rref_stack,
     vstack,
     zeros,
 )
@@ -111,6 +112,13 @@ def span_of(m: MatrixFq) -> Subspace:
     """Row span of a matrix as a canonical subspace."""
     red, r, _ = rref(m)
     return Subspace(_wrap(red.arr[:r], m.ctx), m.cols)
+
+
+def spans_of(mats) -> list[Subspace]:
+    """Row span of every matrix in ``mats``, over one field, from one
+    ``rref_stack``."""
+    mats = list(mats)
+    return [Subspace(_wrap(red.arr[:r], m.ctx), m.cols) for m, (red, r, _) in zip(mats, rref_stack(mats))]
 
 
 def quotient(rows: MatrixFq, sub: Subspace) -> MatrixFq:

@@ -417,8 +417,7 @@ def test_extract_diagnoses_a_pair_over_its_cap_after_the_first_failed_pick():
     for eve in (None, zero_subspace(7, F2)):
         with pytest.raises(InfeasibleAllocationError) as err:
             extract_secure_subspaces(pair, {1: 1, 2: 1}, eve, np.random.default_rng(0))
-        assert err.value.witness == (1, 2)
-        assert "selection (1, 2) needs 2 but only 1 is available" in str(err.value)
+        assert (err.value.witness, err.value.lhs, err.value.rhs) == ((1, 2), 2, 1)
     eight = SubspaceFamily(4, {mask: span_of(line[max(mask - 2, 0)]) for mask in range(1, 9)})
     with pytest.raises(RuntimeError, match="no valid extraction found in 500 tries"):
         extract_secure_subspaces(eight, dict.fromkeys(range(1, 9), 1), None, np.random.default_rng(0))
@@ -769,6 +768,37 @@ def test_slot_local_certificate_hand_cases():
         keys = MatrixFq(list(rows), ctx)
         assert agreement._leakage_certificate(keys, eves) == verdict
         assert reference_certificate(keys, eves) == verdict
+
+
+def test_slot_local_certificate_stacks_the_slot_sums_and_fails_on_one_deficient_slot(monkeypatch):
+    # four slots of F_5^3, each with one or two local key rows against an
+    # eavesdropper line: the sums E_t + L_t of all slots are one stacked
+    # elimination per shape (3 sums of 2 rows, 1 of 3 rows), and no rank
+    # follows, since no row couples slots.  Every slot adding its rows
+    # passes; one slot whose rows fall short (a row inside E_t, or two rows
+    # dependent modulo E_t) fails the whole certificate, wherever it sits
+    ctx = FieldCtx(5)
+    eves = [span_of(MatrixFq([row], ctx)) for row in ([1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1])]
+    good = [[[0, 1, 0]], [[1, 0, 0], [0, 0, 1]], [[1, 2, 3]], [[1, 0, 0]]]
+    deficient = {0: [[2, 0, 0]], 1: [[1, 0, 0], [1, 3, 0]], 2: [[0, 0, 2]], 3: [[3, 3, 3]]}
+
+    def keys(local):
+        rows = np.zeros((sum(map(len, local)), 12), dtype=np.int64)
+        i = 0
+        for t, block in enumerate(local):
+            rows[i : i + len(block), 3 * t : 3 * t + 3] = block
+            i += len(block)
+        return MatrixFq(rows, ctx)
+
+    calls = []
+    original = fieldmath._echelon
+    monkeypatch.setattr(fieldmath, "_echelon", lambda *a, **kw: calls.append(a[0].shape) or original(*a, **kw))
+    assert agreement._leakage_certificate(keys(good), eves)
+    assert calls == [(3, 2, 3), (1, 3, 3)]
+    assert reference_certificate(keys(good), eves)
+    for t, bad in deficient.items():
+        k = keys(good[:t] + [bad] + good[t + 1 :])
+        assert not agreement._leakage_certificate(k, eves) and not reference_certificate(k, eves)
 
 
 def reference_disclose(target, transfers):

@@ -11,6 +11,7 @@ from nckey import fieldmath
 from nckey.fieldmath import (
     FieldCtx,
     MatrixFq,
+    RowReduced,
     block_diag,
     hstack,
     identity,
@@ -20,6 +21,7 @@ from nckey.fieldmath import (
     rank,
     right_kernel,
     rref,
+    rref_stack,
     solve_in_rowspan,
     vstack,
     zeros,
@@ -511,6 +513,92 @@ def test_rank_at_large_modulus_reduces_before_int64_overflows():
     assert rref(low) == reference_rref(low)
 
 
+@st.composite
+def elimination_stacks(draw, qs=(2, 101, 2**31 - 1)):
+    """1-6 matrices of one shape over one field, mixing ranks: thin
+    products, possibly a zero matrix, a full-rank one ([I | R] or [I ; R])
+    and a copy of a member with one column zeroed, whose pivots then
+    diverge from that member's at or after that column; shuffled."""
+    ctx = FieldCtx(draw(st.sampled_from(qs)))
+    rows, cols = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mats = [
+        random_matrix(rows, inner, ctx, rng) @ random_matrix(inner, cols, ctx, rng)
+        for inner in draw(st.lists(st.integers(0, 9), min_size=1, max_size=3))
+    ]
+    if draw(st.booleans()):
+        mats.append(zeros(rows, cols, ctx))
+    if draw(st.booleans()):
+        k = min(rows, cols)
+        eye = identity(k, ctx)
+        rest = random_matrix(rows - k, cols, ctx, rng) if rows > k else random_matrix(k, cols - k, ctx, rng)
+        mats.append(vstack([hstack([eye, zeros(k, cols - k, ctx)]), rest]) if rows > k else hstack([eye, rest]))
+    if cols and draw(st.booleans()):
+        arr = mats[0].arr.copy()
+        arr[:, draw(st.integers(0, cols - 1))] = 0
+        mats.append(MatrixFq(arr, ctx))
+    return [mats[i] for i in rng.permutation(len(mats))]
+
+
+def check_stack(mats):
+    """rref_stack and the forward _echelon of the stack, member by member,
+    against the Gauss-Jordan reference: the same RREF, and a forward form
+    with the reference pivots, a leading 1 at each and zeros below it."""
+    want = [reference_rref(m) for m in mats]
+    assert rref_stack(mats) == want
+    a = np.stack([m.arr for m in mats])
+    pivots = fieldmath._echelon(a, mats[0].ctx.q)
+    for echelon, got, (_, r, ref) in zip(a, pivots, want):
+        assert got == ref
+        assert not echelon[r:].any()
+        for i, c in enumerate(got):
+            assert echelon[i, c] == 1 and not echelon[i + 1 :, c].any()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(elimination_stacks())
+def test_stacked_gauss_jordan_matches_the_reference_member_by_member(mats):
+    # one Gauss-Jordan pass for the whole stack (at most 9 columns, so no
+    # panels): members whose pivot columns differ split off and go on alone
+    check_stack(mats)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from([1, 2, 3]), elimination_stacks(qs=(2, 3, 101, 2**31 - 1)))
+def test_wide_stacks_take_panels_member_by_member(panel, mats):
+    # with _PANEL patched to 1-3 columns, stacks wider than two panels take
+    # the panel path one member at a time, back-substituted for rref_stack
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fieldmath, "_PANEL", panel)
+        check_stack(mats)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(low_rank_matrices())
+def test_rank_and_rref_are_stacks_of_one(m):
+    # a 2-D matrix is a stack of one: rank and rref equal the stacked results,
+    # alone or among other matrices of its own and of other shapes
+    alone = rref_stack([m])[0]
+    assert rref(m) == alone and rank(m) == alone[1]
+    others = [m.transpose(), vstack([m, m]), m]
+    assert rref_stack(others)[2] == alone
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(elimination_stacks(), st.integers(0, 2**32 - 1))
+def test_stacked_row_reduction_matches_the_per_matrix_one(mats, seed):
+    # RowReduced.stack reduces every [F | J] in one rref_stack: each member
+    # has the per-matrix echelon form, pivots and transform, and solves as
+    # the per-matrix reduction does
+    stacked = RowReduced.stack(mats)
+    rng = np.random.default_rng(seed)
+    for f, got in zip(mats, stacked):
+        want = RowReduced(f)
+        assert (got, got.echelon, got.pivots, got.transform) == (f, want.echelon, want.pivots, want.transform)
+        target = random_matrix(2, f.rows, f.ctx, rng) @ f
+        assert solve_in_rowspan(target, got) == solve_in_rowspan(target, want) == reference_solve(target, f)
+
+
 def test_rank_subadditive_with_equality_iff_trivial_intersection():
     rng = np.random.default_rng(23)
     ctx = FieldCtx(5)
@@ -606,6 +694,26 @@ def test_mat_mul_sizes_limbs_by_the_largest_left_entry(k):
         lhs[:, -1] = largest - 1 + largest % 2
         want = (lhs.astype(object) @ rhs.astype(object)) % q
         assert mat_mul(MatrixFq(lhs, ctx), MatrixFq(rhs, ctx)).tolist() == want.tolist()
+
+
+def test_mat_mul_splits_the_thinner_factor_into_limbs(monkeypatch):
+    # a tall left factor that needs limbs times a thin right one is taken as
+    # (y^T x^T)^T, so the limbs split the right factor (two _mul_mod calls);
+    # a 0/1 left factor needs no limbs and stays one product (one call); both
+    # equal Python integers
+    calls = []
+    original = fieldmath._mul_mod
+    monkeypatch.setattr(fieldmath, "_mul_mod", lambda x, y, q: calls.append(x.shape) or original(x, y, q))
+    for q in (FIRST_LIMB_Q, 2**31 - 1):
+        ctx, rng = FieldCtx(q), np.random.default_rng(q)
+        tall, thin = random_matrix(60, 300, ctx, rng), random_matrix(300, 3, ctx, rng)
+        code = MatrixFq(rng.integers(0, 2, size=(60, 300)), ctx)
+        for x, want_calls in ((tall, [(60, 300), (3, 300)]), (code, [(60, 300)])):
+            calls.clear()
+            want = (x.arr.astype(object) @ thin.arr.astype(object)) % q
+            got = mat_mul(x, thin)
+            assert got.tolist() == want.tolist() and got.arr.flags.c_contiguous
+            assert calls == want_calls
 
 
 def test_random_matrix_empty_and_deterministic():

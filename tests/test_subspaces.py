@@ -32,6 +32,7 @@ from nckey.subspaces import (
     random_subspace,
     span_of,
     spanning_matrix_count,
+    spans_of,
     subspaces_within,
     zero_subspace,
 )
@@ -63,6 +64,17 @@ def test_span_of_examples():
     s = span_of(MatrixFq([[1, 2], [2, 4]], F5))
     assert s.dim == 1
     assert s.basis.tolist() == [[1, 2]]
+
+
+def test_stacked_spans_equal_span_of_for_each_matrix():
+    # one rref_stack for the list, grouped by shape: mixed shapes and ranks
+    # (a zero matrix and a repeated row among them) give each span_of
+    for q in (2, 101, 2**31 - 1):
+        ctx, rng = FieldCtx(q), np.random.default_rng(q)
+        mats = [random_matrix(r, 5, ctx, rng) for r in (3, 0, 3, 7, 3)] + [zeros(3, 5, ctx)]
+        mats.append(vstack([mats[0], mats[0]]))
+        assert spans_of(mats) == [span_of(m) for m in mats]
+    assert spans_of([]) == []
 
 
 def test_sum_trivial_cases():
