@@ -9,11 +9,13 @@ The protocol, per session of N slots; run_session calls one stage per step:
    and terminal of [F | J] (RowReduced), must have its generic-position
    dimension (plan_dimensions).  These rrefs draw nothing, so all slots'
    are one stacked elimination per terminal shape (RowReduced.stack); the
-   intersections run slot by slot.  Then for each nonempty subset J the
-   source picks, uniformly inside the common subspace, an "exclusive"
-   subspace of the planned dimension, slot by slot, since each draw follows
-   the previous rank check.  Only test oracles that can see the
-   eavesdropper's subspace build it by complement subtraction
+   intersections run slot by slot, one elimination each.  Then for each
+   nonempty subset J the source picks, uniformly inside the common
+   subspace, an "exclusive" subspace of the planned dimension.  All slots'
+   picks are one list (random_picks): their draws are reduced together, and
+   a rank-deficient draw replays the generator from just after it, so every
+   pick is the one that drawing slot by slot gives.  Only test oracles that
+   can see the eavesdropper's subspace build it by complement subtraction
    (build_exclusive_subspaces).
 3. Per-subset key shares are allocated, before the session, by a max-min LP
    over feasibility constraints: the total share of any collection of subsets
@@ -28,9 +30,10 @@ The protocol, per session of N slots; run_session calls one stage per step:
 4. _extract: slots are glued by direct sums; floor(N * share) basis vectors
    per subset are extracted so that everything is mutually independent
    (extract_secure_subspaces: the picks' joint rank is their own feasibility
-   certificate, for any m).  _disclosures: coefficients published over the
-   public channel, one product per slot block with step 2's transforms, let
-   each member terminal reconstruct its subset keys exactly (_keys).
+   certificate, for any m; each attempt's picks are one random_picks list).
+   _disclosures: coefficients published over the public channel, one
+   product per slot block with step 2's transforms, let each member
+   terminal reconstruct its subset keys exactly (_keys).
 5. _multicast: a final common key is delivered to all terminals by
    one-time-padding a linear combination code over the subset key blocks.
    The code is built deterministically, row by row, so that each terminal's
@@ -80,7 +83,7 @@ from .fieldmath import (
     vstack,
 )
 from .simplex import maximize
-from .subspaces import Subspace, SubspaceFamily, direct_sum, quotient, random_inside, spans_of
+from .subspaces import Subspace, SubspaceFamily, direct_sum, quotient, random_picks, spans_of
 
 # Largest family whose 2^k - 1 selections are enumerated for actual subspaces.
 MAX_ENUMERATED_SUBSETS = 7
@@ -403,10 +406,12 @@ def extract_secure_subspaces(
     probability 1 - O(1/q) and is checked by the session audit.
 
     A member counted whole is its only pick of that dimension, taken with no
-    draw.  Independent picks certify every selection constraint at once, and
-    feasible counts always admit them (Rado's theorem, matroid union), so the
-    cap table of at most 7 positive counts (_actual_caps) is built only after
-    a failed first pick, to tell bad luck from infeasible counts.
+    draw; each attempt picks inside the other members in one random_picks
+    list, in mask order.  Independent picks certify every selection
+    constraint at once, and feasible counts always admit them (Rado's
+    theorem, matroid union), so the cap table of at most 7 positive counts
+    (_actual_caps) is built only after a failed first pick, to tell bad luck
+    from infeasible counts.
 
     Raises:
         TypeError: if ``eve`` is neither None nor a Subspace.
@@ -430,12 +435,10 @@ def extract_secure_subspaces(
         raise InfeasibleAllocationError(_check_against(counts, singletons))
 
     want = sum(counts.values())
+    partial = [mask for mask in masks if counts[mask] != family[mask].dim]
     for attempt in range(MAX_EXTRACTION_TRIES):
-        picks = {
-            mask: family[mask] if counts[mask] == family[mask].dim
-            else random_inside(family[mask], counts[mask], rng)
-            for mask in masks
-        }
+        drawn = dict(zip(partial, random_picks([(family[mask], counts[mask]) for mask in partial], rng)))
+        picks = {mask: drawn.get(mask, family[mask]) for mask in masks}
         if not want or _cap([picks[mask] for mask in allocated], eve) == want:
             return picks
         if attempt == 0 and len(allocated) <= MAX_ENUMERATED_SUBSETS:
@@ -707,7 +710,9 @@ def _exclusive_picks(received, plan: DimensionPlan, rng) -> list[dict[int, Subsp
     Source-side view: received subspaces in source coordinates are the RREFs
     of the published transfers (RowReduced), [I | M] having full rank; actual
     packets are never published.  Every common subspace off its planned
-    dimension is reported before any pick is drawn.
+    dimension is reported before any pick is drawn.  The picks of all slots
+    are one random_picks list, slot by slot and in mask order within a slot,
+    which draws as picking them one at a time in that order would.
     """
     masks = subset_masks(plan.m)
     commons, reasons = [], []
@@ -722,10 +727,9 @@ def _exclusive_picks(received, plan: DimensionPlan, rng) -> list[dict[int, Subsp
         commons.append(common)
     if reasons:
         raise _Degenerate(tuple(reasons))
-    return [
-        {mask: random_inside(common[mask], plan.exclusive_dims[mask], rng) for mask in masks}
-        for common in commons
-    ]
+    requests = [(common[mask], plan.exclusive_dims[mask]) for common in commons for mask in masks]
+    picks = iter(random_picks(requests, rng))
+    return [{mask: next(picks) for mask in masks} for _ in commons]
 
 
 def _extract(exclusive, counts: dict[int, int], m: int, rng) -> dict[int, Subspace]:

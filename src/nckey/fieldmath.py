@@ -4,7 +4,8 @@ All matrices at play are small and dense (packet counts and packet lengths at
 desk scale).  One elimination, ``_echelon``, serves them all, over a stack of
 equal-shape matrices (a 2-D matrix is a stack of one): ``rank`` counts the
 pivots of its forward pass, ``rref`` and ``rref_stack`` take the reduced
-form, ``right_kernel`` reads the RREF, and ``solve_in_rowspan`` reads every
+form, ``right_kernel`` reads the null space's RREF basis off the rref of
+the matrix with its columns reversed, and ``solve_in_rowspan`` reads every
 basic solution off the rref of ``[basis | J]`` (``RowReduced``, or
 ``RowReduced.stack`` for a list), which a caller can keep for many targets.
 Matrices are int64 numpy arrays with entries in [0, q), q < 2**31, so every
@@ -25,8 +26,10 @@ alone:
   back-substitutes it for a reduced form (``_back_substitute``).  Narrower
   stacks take one Gauss-Jordan pass (``_gauss_jordan``), whose rank-1
   update per pivot clears the pivot column below and, for a reduced form,
-  above, in every member whose pivot columns agree so far.  All rank-1
-  updates run in int64 and are reduced before pending updates pass 2**63.
+  above, in every member whose pivot columns agree so far.  Its updates run
+  in int32 when q < 2**15, where two or more pending updates stay below
+  2**31 (``_update_format``), and in int64 otherwise; the panel path's run
+  in int64.  Each format is reduced before pending updates pass its bound.
 
 Every format gives the same pivots and the same bytes.  All randomness flows
 through caller-supplied ``numpy.random.Generator`` instances; nothing touches
@@ -339,16 +342,18 @@ def _gauss_jordan(a: np.ndarray, q: int, full: bool) -> list[list[int]]:
     view, one axis fewer, so that a single matrix does not pay for the
     stack's indexing.
 
-    Updates run in int64 and are reduced lazily: an update subtracts a
-    product of two reduced scalars, at most (q-1)^2, so ``room`` of them
-    fit between reductions (about 9e14 at q = 101, 2 at q = 2^31 - 1).  The
-    pivot column and pivot row are reduced before use, and the whole group
-    on its return.
+    Updates are reduced lazily: an update subtracts a product of two
+    reduced scalars, at most (q-1)^2, so ``room`` of them fit between
+    reductions.  They run on an int32 copy of the stack when that leaves
+    room for two (``_update_format``: 214,748 at q = 101, 2 at q = 32749),
+    and on the int64 stack itself otherwise (2 at q = 2^31 - 1).  The pivot
+    column and pivot row are reduced before use, and the whole group on its
+    return, when it is written back to ``a``.
     """
     batch, rows, width = a.shape
-    room = (2**63 - q) // ((q - 1) * (q - 1))
+    word, room = _update_format(q)
     out: list[list[int]] = [[] for _ in range(batch)]
-    todo = [(np.arange(batch), a, [], 0, 0)]
+    todo = [(np.arange(batch), a if word is np.int64 else a.astype(word), [], 0, 0)]
     while todo:
         idx, g, pivots, c, lazy = todo.pop()
         r = len(pivots)
@@ -380,7 +385,7 @@ def _gauss_jordan(a: np.ndarray, q: int, full: bool) -> list[list[int]]:
             if v.ndim == 2:
                 row *= pow(int(heads), -1, q)
             else:
-                row *= np.array([pow(x, -1, q) for x in heads.tolist()])[:, None]
+                row *= np.array([pow(x, -1, q) for x in heads.tolist()], dtype=word)[:, None]
             np.mod(row, q, out=row)
             # The multipliers: col less the pivot row's entry.
             if full:
@@ -402,6 +407,14 @@ def _gauss_jordan(a: np.ndarray, q: int, full: bool) -> list[list[int]]:
         for i in idx:
             out[i] = list(pivots)
     return out
+
+
+def _update_format(q: int) -> tuple[type, int]:
+    """(word, room): the integer format of ``_gauss_jordan``'s updates and
+    how many rank-1 updates, each less than (q-1)^2, fit between reductions.
+    int32 while that leaves room for two (prime q < 2^15), int64 otherwise."""
+    room = (2**31 - q) // ((q - 1) * (q - 1))
+    return (np.int32, room) if room >= 2 else (np.int64, (2**63 - q) // ((q - 1) * (q - 1)))
 
 
 def _panels(a: np.ndarray, q: int) -> list[int]:
@@ -610,10 +623,17 @@ def solve_in_rowspan(target: MatrixFq, basis: MatrixFq) -> MatrixFq | None:
 
 
 def right_kernel(m: MatrixFq) -> MatrixFq:
-    """Basis (as rows) of the null space {x : m @ x = 0}."""
-    red, r, pivots = rref(m)
+    """The null space {x : m @ x = 0} as its RREF basis (rows), from one rref.
+
+    The rref is taken of m with its columns reversed.  There each free
+    column f gives the kernel vector that is 1 at f, zero at the other free
+    columns and nonzero elsewhere only in pivot columns left of f.  Reversed
+    back, with the rows in reverse order, each vector leads with the 1 at its
+    free column, and the other vectors are zero there: the reduced basis.
+    """
+    red, r, pivots = rref(_wrap(m.arr[:, ::-1], m.ctx))
     free = [c for c in range(m.cols) if c not in pivots]
     out = np.zeros((len(free), m.cols), dtype=np.int64)
     out[np.arange(len(free)), free] = 1
     out[:, pivots] = np.mod(-red.arr[:r, free].T, m.ctx.q)
-    return _wrap(out, m.ctx)
+    return _wrap(out[::-1, ::-1].copy(), m.ctx)

@@ -5,12 +5,18 @@ A subspace is represented by its unique RREF basis with zero rows dropped, so
 equal subspaces compare (and hash) bit-identically.  Every relation to a
 subspace reads off ``quotient``, vectors taken modulo its basis: containment
 is a zero quotient, intersection the left kernel of a quotient, and a pick
-avoids a subspace when its quotient keeps full rank.
+avoids a subspace when its quotient keeps full rank.  A product of two RREF
+bases is RREF, so an intersection (the kernel's RREF basis times a basis)
+and a pick (a reduced draw times a basis) need no elimination of their own.
+Uniform picks are drawn as a list (``random_picks``), whose draws are
+reduced together and which replays the generator from a rejected draw, so
+that a list picks exactly what its picks drawn one at a time would.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -57,10 +63,12 @@ class Subspace:
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """The combinations c @ self.basis that lie in ``other``: c runs over
-        the left kernel of self's basis modulo ``other`` (quotient)."""
+        the left kernel of self's basis modulo ``other`` (quotient), whose
+        RREF basis ``right_kernel`` returns, so that the product is already
+        the canonical basis (a product of two RREF bases is RREF)."""
         _check_compatible(self, other)
         coeffs = right_kernel(quotient(self.basis, other).transpose())
-        return span_of(mat_mul(coeffs, self.basis))
+        return Subspace(mat_mul(coeffs, self.basis), self.ambient_dim)
 
     def complement(self, other: "Subspace", rng: np.random.Generator | None = None) -> "Subspace":
         """A subspace U with U <= self, U independent of (self ∩ other), and
@@ -159,41 +167,94 @@ def full_space(ambient_dim: int, ctx: FieldCtx) -> Subspace:
 MAX_DRAWS = 1000
 
 
+def random_picks(requests, rng: np.random.Generator) -> list[Subspace]:
+    """For each (sub, dim) in ``requests``, over one field, a uniformly
+    random dim-dimensional subspace of ``sub``.
+
+    A pick draws dim x sub.dim coefficient matrices over sub's basis until
+    one has full rank, and returns the span of the combination: every valid
+    subspace has the same number of spanning matrices, so this is uniform
+    (see spanning_matrix_count).  A pick of dimension 0 draws nothing.  A
+    full-rank draw reduces to R in RREF, and R @ basis is already in RREF:
+    in the basis's pivot columns it equals R, and each row leads there.  A
+    pick of all of ``sub`` can only be ``sub``, and returns it.
+
+    The picks are those of drawing and reducing one request after another,
+    to the last byte and the generator's final state, but the pending
+    requests draw in rounds, and one ``rref_stack`` reduces a round's draws.
+    The requests before the first rank-deficient draw are accepted; the
+    generator goes back to its state just after that draw, and the next
+    round starts from the rejected request.  A round draws while the chance
+    that all its draws have full rank is at least 1/2, so that few draws are
+    drawn again where rejections are frequent (square draws at q = 2), and a
+    round takes every pending request where they are rare.
+
+    Raises:
+        ValueError: if some dim lies outside [0, sub.dim].
+        RuntimeError: if MAX_DRAWS draws for one pick all fail.
+    """
+    requests = list(requests)
+    for sub, dim in requests:
+        if not 0 <= dim <= sub.dim:
+            raise ValueError(f"cannot pick dim {dim} inside a dim-{sub.dim} subspace")
+    out = [zero_subspace(sub.ambient_dim, sub.ctx) if not dim else None for sub, dim in requests]
+    pending = [i for i, (_, dim) in enumerate(requests) if dim]
+    misses = [0] * len(requests)
+    while pending:
+        # after[k]: the generator's state after the k-th draw of this round
+        after, draws, chance = [], [], 1.0
+        for i in pending:
+            if chance < 0.5:
+                break
+            sub, dim = requests[i]
+            if draws:
+                after.append(rng.bit_generator.state)
+            draws.append(random_matrix(dim, sub.dim, sub.ctx, rng))
+            chance *= _full_rank_chance(dim, sub.dim, sub.ctx.q)
+        for k, (i, (red, r, _)) in enumerate(zip(pending, rref_stack(draws))):
+            sub, dim = requests[i]
+            if r < dim:
+                misses[i] += 1
+                if misses[i] == MAX_DRAWS:
+                    raise RuntimeError(f"no full-rank draw in {MAX_DRAWS} tries")
+                if k < len(after):
+                    rng.bit_generator.state = after[k]
+                pending = pending[k:]
+                break
+            out[i] = sub if dim == sub.dim else Subspace(mat_mul(red, sub.basis), sub.ambient_dim)
+        else:
+            pending = pending[len(draws) :]
+    return out
+
+
+def _full_rank_chance(rows: int, cols: int, q: int) -> float:
+    """The probability that a uniform rows x cols matrix over F_q has full
+    row rank: prod_{i < rows} (1 - q^(i - cols))."""
+    return math.prod(1 - q ** (i - cols) for i in range(rows))
+
+
 def random_inside(
     sub: Subspace, dim: int, rng: np.random.Generator, avoid: Subspace | None = None
 ) -> Subspace:
     """Uniformly random dim-dimensional subspace of ``sub`` meeting ``avoid``
     (a subspace of ``sub``, or None) only in zero.
 
-    Draws coefficient matrices over ``sub``'s basis until the combination has
-    full rank (with ``avoid``); this is uniform because every valid subspace
-    has the same number of spanning matrices (see spanning_matrix_count).
-    A pick of all of ``sub`` (dim == sub.dim, no ``avoid``) can only be
-    ``sub``: its square draws are checked by rank alone, and the first
-    full-rank one returns ``sub``, after the same draws as any other pick.
+    Without ``avoid`` this is a list of one ``random_picks`` request.  With
+    it, the draws over sub's basis are kept once their combination keeps
+    full rank modulo ``avoid``, which is uniform for the same reason.
     Raises RuntimeError if MAX_DRAWS draws all fail.
     """
-    free = sub.dim - (0 if avoid is None else avoid.dim)
+    if avoid is None:
+        return random_picks([(sub, dim)], rng)[0]
+    free = sub.dim - avoid.dim
     if not 0 <= dim <= free:
         raise ValueError(f"cannot pick dim {dim} inside a dim-{free} subspace")
     if dim == 0:
         return zero_subspace(sub.ambient_dim, sub.ctx)
     for _ in range(MAX_DRAWS):
-        coeff = random_matrix(dim, sub.dim, sub.ctx, rng)
-        if avoid is not None:
-            cand = mat_mul(coeff, sub.basis)
-            if rank(quotient(cand, avoid)) == dim:
-                return span_of(cand)
-        elif dim == sub.dim:
-            # A full-rank square draw has RREF I, and I @ basis is sub's.
-            if rank(coeff) == dim:
-                return sub
-        else:
-            red, r, _ = rref(coeff)
-            if r == dim:
-                # red @ basis is already in RREF: in the basis's pivot
-                # columns it equals red, and each row leads there.
-                return Subspace(mat_mul(red, sub.basis), sub.ambient_dim)
+        cand = mat_mul(random_matrix(dim, sub.dim, sub.ctx, rng), sub.basis)
+        if rank(quotient(cand, avoid)) == dim:
+            return span_of(cand)
     raise RuntimeError(f"no full-rank draw in {MAX_DRAWS} tries")
 
 
@@ -281,7 +342,7 @@ def subspaces_within(s: Subspace, max_dim: int | None = None):
     """Yield every subspace of ``s`` with dim <= max_dim, via its coordinate
     space: by dimension, then in ``iter_subspaces`` order of the coordinate
     bases.  ``coords.basis @ s.basis`` is already the canonical basis, with no
-    elimination: a product of two RREF bases is RREF (see ``random_inside``)."""
+    elimination: a product of two RREF bases is RREF (see ``random_picks``)."""
     top = s.dim if max_dim is None else min(max_dim, s.dim)
     for d in range(top + 1):
         for coords in iter_subspaces(s.dim, d, s.ctx):

@@ -263,8 +263,9 @@ def test_rank_against_minor_oracle():
 
 
 def reference_kernel(m: MatrixFq) -> MatrixFq:
-    """Null-space basis read off the Gauss-Jordan RREF: one row per free
-    column, 1 there and minus the RREF's free column at the pivots."""
+    """The null space's RREF basis: the basis read off the Gauss-Jordan RREF,
+    one row per free column, 1 there and minus the RREF's free column at
+    the pivots, itself reduced by Gauss-Jordan."""
     red, r, pivots = reference_rref(m)
     free = [c for c in range(m.cols) if c not in pivots]
     out = np.zeros((len(free), m.cols), dtype=np.int64)
@@ -272,7 +273,7 @@ def reference_kernel(m: MatrixFq) -> MatrixFq:
         out[i, f] = 1
         for row, c in enumerate(pivots):
             out[i, c] = -red.arr[row, f]
-    return MatrixFq(out, m.ctx)
+    return reference_rref(MatrixFq(out, m.ctx))[0]
 
 
 @functools.cache
@@ -322,6 +323,7 @@ def test_rank_forward_only_equals_rref_rank(m):
 def test_rref_and_right_kernel_match_gauss_jordan(m):
     assert rref(m) == reference_rref(m)
     k = right_kernel(m)
+    assert k == reference_rref(k)[0]
     assert k.shape == (m.cols - rank(m), m.cols)
     assert rank(k) == k.rows
     assert not np.any(mat_mul(m, k.transpose()).arr)
@@ -556,10 +558,14 @@ def check_stack(mats):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(elimination_stacks())
+@given(elimination_stacks(qs=(2, 101, 32749, 32771, 2**31 - 1)))
 def test_stacked_gauss_jordan_matches_the_reference_member_by_member(mats):
     # one Gauss-Jordan pass for the whole stack (at most 9 columns, so no
-    # panels): members whose pivot columns differ split off and go on alone
+    # panels): members whose pivot columns differ split off and go on alone;
+    # 32749, the largest prime whose updates run in int32, reduces after
+    # every second update, and 32771, the smallest above it, runs in int64
+    assert fieldmath._update_format(32749) == (np.int32, 2)
+    assert fieldmath._update_format(32771)[0] is np.int64
     check_stack(mats)
 
 

@@ -278,16 +278,50 @@ def test_full_dimension_pick_returns_sub_after_the_reference_draws(q):
     assert rejected >= (20 if q == 2 else 0)
 
 
+@pytest.mark.parametrize("q", [2, 2**31 - 1])
+def test_pick_lists_replay_the_one_at_a_time_draws(q):
+    # a list of picks draws every pending request before one rref_stack and
+    # replays from the first rank-deficient draw, so it returns the picks of
+    # drawing, reducing and keeping each request's first full-rank draw one
+    # request after another, and leaves the generator where that loop does;
+    # the lists mix dim 0, partial and full-dimension picks of several
+    # shapes, and at q = 2 a square draw is singular about 71% of the time
+    from nckey import subspaces
+
+    ctx = FieldCtx(q)
+    rejected = 0
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        subs = [random_subspace(7, int(rng.integers(0, 7)), ctx, rng) for _ in range(int(rng.integers(1, 10)))]
+        requests = [(sub, int(rng.choice([0, sub.dim, rng.integers(0, sub.dim + 1)]))) for sub in subs]
+        ref_rng = copy.deepcopy(rng)
+        got = subspaces.random_picks(requests, rng)
+        want = []
+        for sub, dim in requests:
+            pick = zero_subspace(7, ctx)
+            while dim:
+                red, r, _ = rref(random_matrix(dim, sub.dim, ctx, ref_rng))
+                if r == dim:
+                    pick = Subspace(mat_mul(red, sub.basis), 7)
+                    break
+                rejected += 1
+            want.append(pick)
+        assert got == want
+        assert all(pick is sub for pick, (sub, dim) in zip(got, requests) if dim == sub.dim > 0)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert rejected >= (40 if q == 2 else 0)
+
+
 def test_rejection_draws_are_bounded(monkeypatch):
     # a rank that never reports full rank must end every rejection loop
-    # (partial draws without avoid read the rank off rref; full-dimension
-    # draws and draws with avoid call rank)
+    # (picks without avoid, partial or full-dimension, read the rank off
+    # rref_stack; draws with avoid call rank)
     from nckey import subspaces
 
     rng = np.random.default_rng(4)
     a = random_subspace(4, 2, F5, rng)
     monkeypatch.setattr(subspaces, "rank", lambda m: -1)
-    monkeypatch.setattr(subspaces, "rref", lambda m: (m, -1, []))
+    monkeypatch.setattr(subspaces, "rref_stack", lambda mats: [(m, -1, []) for m in mats])
     with pytest.raises(RuntimeError, match="tries"):
         random_subspace(4, 2, F5, rng)
     with pytest.raises(RuntimeError, match="tries"):
