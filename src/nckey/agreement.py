@@ -27,13 +27,18 @@ The protocol, per session of N slots; run_session calls one stage per step:
    planning works for any m (DimensionPlan.caps).  Checks against actual
    subspaces rank each selection (_cap) of the subsets with a positive
    share (_allocated), at most 7; sessions need no such table (steps 4, 6).
-4. _extract: slots are glued by direct sums; floor(N * share) basis vectors
-   per subset are extracted so that everything is mutually independent
-   (extract_secure_subspaces: the picks' joint rank is their own feasibility
-   certificate, for any m; each attempt's picks are one random_picks list).
+4. _extract: slots are glued by direct sums, which keep their slot parts;
+   floor(N * share) basis vectors per subset are extracted so that
+   everything is mutually independent (extract_secure_subspaces: the
+   picks' joint rank is their own feasibility certificate, for any m; each
+   attempt's picks are one random_picks list, whose products run slot part
+   by slot part).  When the glued subspaces are independent slot by slot,
+   one stacked rank of at most n_a rows per slot, the picks need no joint
+   rank.  A whole pick is its glued subspace, so it keeps its parts too.
    _disclosures: coefficients published over the public channel, one
-   product per slot block with step 2's transforms, let each member
-   terminal reconstruct its subset keys exactly (_keys).
+   product per slot block with step 2's transforms (a whole pick's parts,
+   or a partial pick's column blocks), let each member terminal
+   reconstruct its subset keys exactly (_keys).
 5. _multicast: a final common key is delivered to all terminals by
    one-time-padding a linear combination code over the subset key blocks.
    The code is built deterministically, row by row, so that each terminal's
@@ -46,9 +51,9 @@ The protocol, per session of N slots; run_session calls one stage per step:
    N * ell): the key vectors, which extraction made independent, leak
    nothing exactly when they keep full row rank modulo the direct sum of the
    eavesdropper's slot subspaces (_leakage_certificate), and that rank also
-   proves the counts feasible.  Rows inside one slot block are checked slot
-   by slot, so only the rows that couple slots are ranked at session width,
-   as in extraction's rank.  The eavesdropper's slot spans, and then the
+   proves the counts feasible.  Whole picks' rows, their slot parts, are
+   checked slot by slot, so only the partial picks' rows are ranked at
+   session width.  The eavesdropper's slot spans, and then the
    per-slot sums E_t + L_t, are each one stacked elimination over all slots
    (spans_of), since they draw nothing.
 
@@ -79,6 +84,7 @@ from .fieldmath import (
     mat_mul,
     random_matrix,
     rank,
+    rank_stack,
     solve_in_rowspan,
     vstack,
 )
@@ -403,7 +409,13 @@ def extract_secure_subspaces(
     other and of the eavesdropper's subspace, exactly.  With ``eve`` None
     (the realistic mode: only its dimension is known) it certifies mutual
     independence only; independence from the eavesdropper then holds with
-    probability 1 - O(1/q) and is checked by the session audit.
+    probability 1 - O(1/q) and is checked by the session audit.  In that
+    mode, members with a positive count that are direct sums over one slot
+    layout (a session's glued subspaces) are first tested slot by slot
+    (_independent_by_slot): independent members make any picks inside them
+    independent, so the first picks are accepted without _cap, as _cap
+    would accept them.  Otherwise the test above runs, so the picks and the
+    draws are the same either way.
 
     A member counted whole is its only pick of that dimension, taken with no
     draw; each attempt picks inside the other members in one random_picks
@@ -436,16 +448,37 @@ def extract_secure_subspaces(
 
     want = sum(counts.values())
     partial = [mask for mask in masks if counts[mask] != family[mask].dim]
+    independent = eve is None and _independent_by_slot([allocated[mask] for mask in allocated])
     for attempt in range(MAX_EXTRACTION_TRIES):
         drawn = dict(zip(partial, random_picks([(family[mask], counts[mask]) for mask in partial], rng)))
         picks = {mask: drawn.get(mask, family[mask]) for mask in masks}
-        if not want or _cap([picks[mask] for mask in allocated], eve) == want:
+        if not want or independent or _cap([picks[mask] for mask in allocated], eve) == want:
             return picks
         if attempt == 0 and len(allocated) <= MAX_ENUMERATED_SUBSETS:
             feas = _check_against(counts, _actual_caps(allocated, eve))
             if not feas.ok:
                 raise InfeasibleAllocationError(feas)
     raise RuntimeError(f"no valid extraction found in {MAX_EXTRACTION_TRIES} tries")
+
+
+def _independent_by_slot(members: list[Subspace]) -> bool:
+    """Whether ``members``, direct sums over one slot layout (the same part
+    widths), are independent, tested slot by slot: a sum of direct sums is
+    the direct sum of the per-slot sums, so they are exactly when, in every
+    slot, the other members' parts add their dimension modulo the largest
+    member's part.  Those quotients are ranked in one ``rank_stack``.  False
+    for members of any other form, or no member."""
+    layouts = {None if s.parts is None else tuple(p.ambient_dim for p in s.parts) for s in members}
+    if len(layouts) != 1 or None in layouts:
+        return False
+    rows, need = [], []
+    for parts in zip(*(s.parts for s in members)):
+        parts = list(parts)
+        base = parts.pop(max(range(len(parts)), key=lambda i: parts[i].dim))
+        if parts:
+            rows.append(quotient(vstack([p.basis for p in parts]), base))
+            need.append(sum(p.dim for p in parts))
+    return rank_stack(rows) == need
 
 
 def certify_zero_leakage(key_vectors: MatrixFq, eve_matrix: MatrixFq) -> bool:
@@ -744,35 +777,51 @@ def _extract(exclusive, counts: dict[int, int], m: int, rng) -> dict[int, Subspa
     return {mask: pick for mask, pick in picks.items() if pick.dim}
 
 
+def _slot_blocks(pick: Subspace, n_slots: int) -> list[tuple[slice, MatrixFq]]:
+    """Per slot t, the rows of ``pick``'s basis B that may be nonzero in slot
+    block t, and that block B_t on them: a whole pick's parts, each on its
+    own rows, or every row of a partial pick's column blocks."""
+    if pick.parts is None:
+        return [(slice(None), _wrap(b, pick.ctx)) for b in np.split(pick.basis.arr, n_slots, axis=1)]
+    ends = np.cumsum([p.dim for p in pick.parts])
+    return [(slice(end - p.dim, end), p.basis) for end, p in zip(ends, pick.parts)]
+
+
 def _disclosures(received, picks: dict[int, Subspace]) -> dict[tuple[int, int], MatrixFq]:
     """Step 4, public part: coefficients C expressing each subset's extracted
     basis B over every member terminal r's received rows: C @ block_diag(F_t)
-    == B exactly when C_t @ F_t == B_t, so each slot block's nonzero rows take
-    one product with step 2's reduction of F_t (solve_in_rowspan on
-    RowReduced), for the basic solution; zero rows stay zero.  F_t is public,
-    so any valid C shows the eavesdropper the same B.  The first failing
-    (subset, member) is reported, subsets first.
+    == B exactly when C_t @ F_t == B_t, so each slot block's rows
+    (_slot_blocks) take one product with step 2's reduction of F_t
+    (solve_in_rowspan on RowReduced), for the basic solution, which is zero
+    on a zero row; the other rows stay zero.  F_t is public, so any valid C
+    shows the eavesdropper the same B.  The first failing (subset, member)
+    is reported, subsets first.
     """
     out = {}
     for mask, pick in picks.items():
-        blocks = np.split(pick.basis.arr, len(received), axis=1)
+        blocks = _slot_blocks(pick, len(received))
         for r in mask_members(mask):
             w = np.zeros((pick.dim, len(received) * received[0][r].rows), dtype=np.int64)
-            for b, slot, part in zip(blocks, received, np.split(w, len(received), axis=1)):
-                live = b.any(axis=1)
-                c = solve_in_rowspan(_wrap(b[live], pick.ctx), slot[r])
+            for (rows, b), slot, part in zip(blocks, received, np.split(w, len(received), axis=1)):
+                c = solve_in_rowspan(b, slot[r])
                 if c is None:
                     raise _Degenerate((f"subset {mask} basis not in terminal {r} span",))
-                part[live] = c.arr
+                part[rows] = c.arr
             out[(mask, r)] = _wrap(w, pick.ctx)
     return out
 
 
 def _keys(params: ChannelParams, slots, picks: dict[int, Subspace], disclosures) -> KeyShare:
     """Key symbols, one (ell - n_a)-symbol block per extracted basis vector,
-    and each member terminal's copy; no final key yet."""
+    B @ (the stacked messages M_t), a whole pick's one part by M_t at a
+    time, and each member terminal's copy; no final key yet."""
     m_stack = vstack([rec.message for rec in slots])
-    subset_keys = {mask: mat_mul(pick.basis, m_stack) for mask, pick in picks.items()}
+    subset_keys = {
+        mask: mat_mul(pick.basis, m_stack)
+        if pick.parts is None
+        else vstack([mat_mul(p.basis, rec.message) for p, rec in zip(pick.parts, slots)])
+        for mask, pick in picks.items()
+    }
     return KeyShare(subset_keys, _terminal_subset_keys(params, slots, disclosures))
 
 
@@ -807,14 +856,16 @@ class _Receiver:
             out = (out - self.basis[self.pivots.index(j)]) % self.q
         return out
 
-    def take_unit(self, j: int, row: int) -> None:
-        """Keep code row ``row``, the unit vector e_j, which lies outside the span."""
+    def take_units(self, cols: list[int], rows: list[int]) -> None:
+        """Keep code rows ``rows``, the unit vectors e_j for j in ``cols``,
+        which lie outside the span, one at a time."""
         if self.basis is None:
-            self.units[j] = True
-            self.pivots.append(j)
-            self.kept.append(row)
+            self.units[cols] = True
+            self.pivots += cols
+            self.kept += rows
         else:
-            self.take(self.unit_residue(j), row)
+            for j, row in zip(cols, rows):
+                self.take(self.unit_residue(j), row)
 
     def take(self, w: np.ndarray, row: int) -> None:
         """Keep code row ``row``, whose residue w (the row less its part on
@@ -860,18 +911,34 @@ def _combination_code(labels: list[int], k: int, m: int, q: int):
     short member is e_0.  At m <= 2 unit vectors always suffice: the private
     rows take prefixes of the coordinates, and the common rows the next free
     ones.
+
+    While every short member of a subset holds unit rows only, the rows
+    built one at a time would take the next free unit vectors in turn, so
+    the subset's next rows take them as one block, as many as the run of
+    its label and the free vectors allow.  A short member's missing rank
+    bounds the free vectors, since its span holds its unit rows only, so
+    no member fills up inside a block.
     """
     receivers = [_Receiver(k, q) for _ in range(m)]
     code = np.zeros((len(labels), k), dtype=np.int64)
-    for i, mask in enumerate(labels):
+    i = 0
+    while i < len(labels):
+        mask = labels[i]
         short = [receivers[r] for r in mask_members(mask) if len(receivers[r].pivots) < k]
         insides = [rec.inside() for rec in short]
         free = ~np.logical_or.reduce(insides) if short else np.ones(k, dtype=bool)
         if free.any():
-            j = int(np.argmax(free))
-            code[i, j] = 1
+            run = 1
+            if all(rec.basis is None for rec in short):
+                while i + run < len(labels) and labels[i + run] == mask:
+                    run += 1
+                run = min(run, np.count_nonzero(free))
+            cols = np.flatnonzero(free)[:run].tolist() if short else [0] * run
+            rows = list(range(i, i + run))
+            code[rows, cols] = 1
             for rec in short:
-                rec.take_unit(j, i)
+                rec.take_units(cols, rows)
+            i += run
             continue
         # u_s: the first unit vector outside short member s's span.  The
         # residues of v on the short members' spans are linear in v, so they
@@ -891,6 +958,7 @@ def _combination_code(labels: list[int], k: int, m: int, q: int):
         for rec, w in zip(short, res):
             if w.any():
                 rec.take(w, i)
+        i += 1
     return code, receivers
 
 
@@ -932,37 +1000,33 @@ def _multicast(picks: dict[int, Subspace], keys: KeyShare, final: MatrixFq | Non
     return code, ciphers, replace(keys, final_key=final, terminal_final=tuple(decoded))
 
 
-def _leakage_certificate(key_vectors: MatrixFq, eves: list[Subspace]) -> bool:
-    """Zero-leakage certificate of extracted key vectors, in session
+def _leakage_certificate(local: list[list[MatrixFq]], coupled: list[MatrixFq], eves: list[Subspace]) -> bool:
+    """Zero-leakage certificate of extracted key vectors K, in session
     coordinates, against the eavesdropper's span E, the direct sum of the
-    slot subspaces ``eves``: the key vectors K keep all their rows' rank
-    modulo E.
+    slot subspaces ``eves``: K keeps all its rows' rank modulo E.
 
     That holds exactly when rank K = K.rows and span K meets span E only in
     zero.  Extraction certifies the first, so on extracted picks the verdict
     is certify_zero_leakage(K, block_diag(E_t)).
 
-    Rows nonzero in one slot block only (every row of a full pick) are
-    checked slot by slot: slot t's, L_t, must add their count to E_t, the
-    sums E_t + L_t of all slots taken in one spans_of.  The other rows R
-    must then keep their rank modulo those sums, taken one slot block at a
-    time (quotient) and ranked once, since
+    K is given split into ``local`` rows, L_t nonzero in slot block t only
+    and given in slot coordinates (whole picks' parts), and the ``coupled``
+    rows R, in session coordinates, each a list of blocks of rows.  Each
+    L_t must add its count to E_t, the sums E_t + L_t of all slots taken in
+    one spans_of.  R must then keep its rank modulo those sums, taken one
+    slot block at a time (quotient) and ranked once, since
     rank(K mod E) = sum_t rank(L_t mod E_t) + rank(R mod sum_t (E_t + L_t)).
+    Any such split of K's rows, a row nonzero in one block counted on
+    either side, gives the same verdict.
     """
-    ctx, width = key_vectors.ctx, eves[0].ambient_dim
-    live = key_vectors.arr.reshape(key_vectors.rows, len(eves), width).any(axis=2)
-    local = live.sum(axis=1) == 1
-    mine = [key_vectors.arr[local & live[:, t], t * width : (t + 1) * width] for t in range(len(eves))]
-    sums = spans_of(vstack([eve.basis, _wrap(rows, ctx)]) for eve, rows in zip(eves, mine))
-    if any(grown.dim != eve.dim + len(rows) for grown, eve, rows in zip(sums, eves, mine)):
+    sums = spans_of(vstack([eve.basis, *rows]) for eve, rows in zip(eves, local))
+    if any(grown.dim != eve.dim + sum(b.rows for b in rows) for grown, eve, rows in zip(sums, eves, local)):
         return False
-    rest = key_vectors.arr[~local]
-    if not len(rest):
+    if not coupled:
         return True
-    blocks = [
-        quotient(_wrap(rest[:, t * width : (t + 1) * width], ctx), eve) for t, eve in enumerate(sums)
-    ]
-    return rank(hstack(blocks)) == len(rest)
+    rest = vstack(coupled)
+    blocks = np.split(rest.arr, len(eves), axis=1)
+    return rank(hstack([quotient(_wrap(b, rest.ctx), eve) for b, eve in zip(blocks, sums)])) == rest.rows
 
 
 def _agreement(keys: KeyShare) -> tuple[bool, bool]:
@@ -985,7 +1049,11 @@ def _audit(slots, picks: dict[int, Subspace], keys: KeyShare) -> AuditReport:
     eves = spans_of(rec.obs.eve_transfer for rec in slots)
     # Certified in coefficient space: the packets are these coefficients times
     # block_diag([I | M_t]), which has full row rank and so keeps every rank.
-    cert = not picks or _leakage_certificate(vstack([pick.basis for pick in picks.values()]), eves)
+    # Whole picks' rows are local to their parts' slots, partial picks' coupled.
+    whole = [pick.parts for pick in picks.values() if pick.parts is not None]
+    local = [[parts[t].basis for parts in whole] for t in range(len(slots))]
+    coupled = [pick.basis for pick in picks.values() if pick.parts is None]
+    cert = not picks or _leakage_certificate(local, coupled, eves)
     key_blocks = 0 if keys.final_key is None or not cert else keys.final_key.rows
     subset_agreement, final_agreement = _agreement(keys)
     audit = AuditReport(

@@ -2,8 +2,9 @@
 
 All matrices at play are small and dense (packet counts and packet lengths at
 desk scale).  One elimination, ``_echelon``, serves them all, over a stack of
-equal-shape matrices (a 2-D matrix is a stack of one): ``rank`` counts the
-pivots of its forward pass, ``rref`` and ``rref_stack`` take the reduced
+equal-shape matrices (a 2-D matrix is a stack of one): ``rank`` and
+``rank_stack`` count the pivots of its forward pass, which works on one
+copy of a read-only matrix, ``rref`` and ``rref_stack`` take the reduced
 form, ``right_kernel`` reads the null space's RREF basis off the rref of
 the matrix with its columns reversed, and ``solve_in_rowspan`` reads every
 basic solution off the rref of ``[basis | J]`` (``RowReduced``, or
@@ -313,12 +314,15 @@ def _echelon(a: np.ndarray, q: int, full: bool = False) -> list[list[int]]:
     A member more than two ``_PANEL`` panels wide is eliminated on its own
     in column panels (``_panels``), and back-substituted when ``full``
     (``_back_substitute``).  Narrower stacks take one Gauss-Jordan pass
-    (``_gauss_jordan``), every member at once.
+    (``_gauss_jordan``), every member at once.  A read-only stack (a
+    MatrixFq's array, as ``rank`` passes it) is eliminated on one copy,
+    which is not written back.
     """
     if a.shape[2] <= 2 * _PANEL:
         return _gauss_jordan(a, q, full)
     out = []
     for m in a:
+        m = m if m.flags.writeable else m.copy()
         pivots = _panels(m, q)
         if full:
             _back_substitute(m, pivots, q)
@@ -346,14 +350,16 @@ def _gauss_jordan(a: np.ndarray, q: int, full: bool) -> list[list[int]]:
     reduced scalars, at most (q-1)^2, so ``room`` of them fit between
     reductions.  They run on an int32 copy of the stack when that leaves
     room for two (``_update_format``: 214,748 at q = 101, 2 at q = 32749),
-    and on the int64 stack itself otherwise (2 at q = 2^31 - 1).  The pivot
-    column and pivot row are reduced before use, and the whole group on its
-    return, when it is written back to ``a``.
+    and on the int64 stack itself otherwise (2 at q = 2^31 - 1), or on an
+    int64 copy when it is read-only.  The pivot column and pivot row are
+    reduced before use, and the whole group on its return, when it is
+    written back to a writable ``a``.
     """
     batch, rows, width = a.shape
     word, room = _update_format(q)
+    keep = a.flags.writeable
     out: list[list[int]] = [[] for _ in range(batch)]
-    todo = [(np.arange(batch), a if word is np.int64 else a.astype(word), [], 0, 0)]
+    todo = [(np.arange(batch), a if word is np.int64 and keep else a.astype(word), [], 0, 0)]
     while todo:
         idx, g, pivots, c, lazy = todo.pop()
         r = len(pivots)
@@ -401,9 +407,10 @@ def _gauss_jordan(a: np.ndarray, q: int, full: bool) -> list[list[int]]:
                 lazy += 1
             pivots.append(c)
             r, c = r + 1, c + 1
-        np.mod(g, q, out=g)
-        if g is not a:
-            a[idx] = g
+        if keep:
+            np.mod(g, q, out=g)
+            if g is not a:
+                a[idx] = g
         for i in idx:
             out[i] = list(pivots)
     return out
@@ -525,17 +532,23 @@ def _back_substitute(a: np.ndarray, pivots: list[int], q: int) -> None:
         np.mod(a, q, out=a)
 
 
-def _rrefs(mats: list[MatrixFq], ctx: FieldCtx) -> list[tuple[MatrixFq, int, list[int]]]:
-    """``rref`` of each matrix, one ``_echelon`` stack per shape."""
+def _by_shape(mats: list[MatrixFq], q: int, full: bool) -> list[tuple[np.ndarray, list[int]]]:
+    """``_echelon`` of each matrix, one stack per shape: its form and pivot
+    columns, in the order of ``mats``."""
     out: list = [None] * len(mats)
     shapes: dict[tuple[int, int], list[int]] = {}
     for i, m in enumerate(mats):
         shapes.setdefault(m.shape, []).append(i)
     for idx in shapes.values():
         a = np.stack([mats[i].arr for i in idx])
-        for i, red, pivots in zip(idx, a, _echelon(a, ctx.q, full=True)):
-            out[i] = (_wrap(red, ctx), len(pivots), pivots)
+        for i, red, pivots in zip(idx, a, _echelon(a, q, full)):
+            out[i] = (red, pivots)
     return out
+
+
+def _rrefs(mats: list[MatrixFq], ctx: FieldCtx) -> list[tuple[MatrixFq, int, list[int]]]:
+    """``rref`` of each matrix, one ``_echelon`` stack per shape."""
+    return [(_wrap(red, ctx), len(pivots), pivots) for red, pivots in _by_shape(mats, ctx.q, True)]
 
 
 def rref(m: MatrixFq) -> tuple[MatrixFq, int, list[int]]:
@@ -561,8 +574,16 @@ def rref_stack(mats) -> list[tuple[MatrixFq, int, list[int]]]:
 
 
 def rank(m: MatrixFq) -> int:
-    """Rank of ``m`` over F_q: the pivot count of a forward elimination."""
-    return len(_echelon(m.arr[None].copy(), m.ctx.q)[0])
+    """Rank of ``m`` over F_q: the pivot count of a forward elimination, on
+    one copy of m's read-only array."""
+    return len(_echelon(m.arr[None], m.ctx.q)[0])
+
+
+def rank_stack(mats) -> list[int]:
+    """``rank`` of every matrix in ``mats``, over one field: the matrices of
+    each shape take one forward elimination, as one stack."""
+    mats = list(mats)
+    return [len(pivots) for _, pivots in _by_shape(mats, _check_same_ctx(*mats).q, False)] if mats else []
 
 
 class RowReduced(MatrixFq):

@@ -11,6 +11,13 @@ and a pick (a reduced draw times a basis) need no elimination of their own.
 Uniform picks are drawn as a list (``random_picks``), whose draws are
 reduced together and which replays the generator from a rejected draw, so
 that a list picks exactly what its picks drawn one at a time would.
+
+An external direct sum (``direct_sum``) keeps its parts, and makes its
+block-diagonal basis only when that is read.  A quotient modulo it, and a
+pick's product of coefficients with its basis, are taken part by part,
+since a block-diagonal basis pivots block by block; the arrays are those of
+the dense basis.  A session glues its slots this way, so its subspaces stay
+N blocks of slot width.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from .fieldmath import (
     _mul_mod,
     _wrap,
     block_diag,
+    hstack,
     mat_mul,
     random_matrix,
     rank,
@@ -38,20 +46,33 @@ from .fieldmath import (
 
 
 class Subspace:
-    """A subspace of F_q^ambient_dim held as a canonical RREF basis."""
+    """A subspace of F_q^ambient_dim held as a canonical RREF basis.
 
-    __slots__ = ("ctx", "ambient_dim", "basis")
+    An external direct sum (``direct_sum``) keeps its summands as ``parts``
+    (None for any other subspace) and builds its block-diagonal basis only
+    when ``basis`` is first read; ``quotient`` and ``random_picks`` work on
+    it part by part.
+    """
+
+    __slots__ = ("ctx", "ambient_dim", "parts", "_basis")
 
     def __init__(self, basis: MatrixFq, ambient_dim: int):
         if basis.cols != ambient_dim:
             raise ValueError(f"basis has {basis.cols} columns, ambient dim is {ambient_dim}")
         self.ctx = basis.ctx
         self.ambient_dim = ambient_dim
-        self.basis = basis
+        self.parts = None
+        self._basis = basis
+
+    @property
+    def basis(self) -> MatrixFq:
+        if self._basis is None:
+            self._basis = block_diag([p.basis for p in self.parts])
+        return self._basis
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return self.basis.rows if self.parts is None else sum(p.dim for p in self.parts)
 
     def contains(self, other: "Subspace") -> bool:
         _check_compatible(self, other)
@@ -141,6 +162,10 @@ def quotient(rows: MatrixFq, sub: Subspace) -> MatrixFq:
     """
     if rows.ctx != sub.ctx or rows.cols != sub.ambient_dim:
         raise ValueError(f"{rows.cols}-column rows over {rows.ctx} do not live in {sub!r}")
+    if sub.parts is not None:
+        # A block-diagonal basis pivots, and leaves columns free, block by block.
+        blocks = np.split(rows.arr, np.cumsum([p.ambient_dim for p in sub.parts])[:-1], axis=1)
+        return hstack([quotient(_wrap(b, sub.ctx), p) for b, p in zip(blocks, sub.parts)])
     if sub.dim == 0:
         return rows
     q, basis = sub.ctx.q, sub.basis.arr
@@ -221,10 +246,19 @@ def random_picks(requests, rng: np.random.Generator) -> list[Subspace]:
                     rng.bit_generator.state = after[k]
                 pending = pending[k:]
                 break
-            out[i] = sub if dim == sub.dim else Subspace(mat_mul(red, sub.basis), sub.ambient_dim)
+            out[i] = sub if dim == sub.dim else Subspace(_combination(red, sub), sub.ambient_dim)
         else:
             pending = pending[len(draws) :]
     return out
+
+
+def _combination(coeffs: MatrixFq, sub: Subspace) -> MatrixFq:
+    """coeffs @ sub.basis; over a direct sum, one product per part: the
+    coefficient columns of its basis rows times its basis."""
+    if sub.parts is None:
+        return mat_mul(coeffs, sub.basis)
+    blocks = np.split(coeffs.arr, np.cumsum([p.dim for p in sub.parts])[:-1], axis=1)
+    return hstack([mat_mul(_wrap(b, sub.ctx), p.basis) for b, p in zip(blocks, sub.parts)])
 
 
 def _full_rank_chance(rows: int, cols: int, q: int) -> float:
@@ -266,9 +300,15 @@ def random_subspace(ambient_dim: int, dim: int, ctx: FieldCtx, rng: np.random.Ge
 
 
 def direct_sum(*parts: Subspace) -> Subspace:
-    """External direct sum: block-diagonal bases in the summed ambient dimension."""
-    # Block-diagonal stacking of RREF bases is already in RREF.
-    return Subspace(block_diag([p.basis for p in parts]), sum(p.ambient_dim for p in parts))
+    """External direct sum in the summed ambient dimension, which keeps its
+    ``parts``; its basis, built when first read, is the block-diagonal
+    stacking of theirs, which is already in RREF."""
+    if len({p.ctx for p in parts}) != 1:
+        raise ValueError(f"a direct sum needs parts over one field, got {[p.ctx for p in parts]}")
+    out = object.__new__(Subspace)
+    out.ctx, out.ambient_dim = parts[0].ctx, sum(p.ambient_dim for p in parts)
+    out.parts, out._basis = tuple(parts), None
+    return out
 
 
 def spanning_matrix_count(n: int, d: int, ctx: FieldCtx) -> int:

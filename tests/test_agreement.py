@@ -2,6 +2,7 @@ import copy
 import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nckey import agreement, fieldmath, simplex
+from nckey import agreement, fieldmath, simplex, subspaces
 from nckey.agreement import (
     InfeasibleAllocationError,
     SubsetAllocation,
@@ -511,6 +512,52 @@ def test_extract_takes_a_member_counted_whole_without_a_draw():
                 assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+def _slot_exclusive(ctx, slots, rng, dependent=None):
+    """Per slot of F^4, exclusive parts of dims 1, 1 and 2 for subsets 1, 2
+    and 3; in slot ``dependent`` subset 1's part lies inside subset 3's."""
+    exclusive = []
+    for t in range(slots):
+        ex = {mask: random_subspace(4, dim, ctx, rng) for mask, dim in ((1, 1), (2, 1), (3, 2))}
+        if t == dependent:
+            ex[1] = span_of(MatrixFq(ex[3].basis.arr[:1], ctx))
+        exclusive.append(ex)
+    return exclusive
+
+
+@pytest.mark.parametrize("q", [2, 101])
+def test_extract_accepts_by_slot_only_when_every_slot_is_independent(q, monkeypatch):
+    # glued direct sums whose parts are independent in every slot need no
+    # session-width _cap: the first picks are accepted as they are.  One
+    # dependent slot (forced, or by chance at q = 2) falls back to today's
+    # loop.  Either way the picks, or the error, and the generator's final
+    # state equal those of the same members with dense block-diagonal bases
+    calls = []
+    original = agreement._cap
+    monkeypatch.setattr(agreement, "_cap", lambda *a: calls.append(1) or original(*a))
+    ctx, seen = FieldCtx(q), Counter()
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        exclusive = _slot_exclusive(ctx, 2, rng, dependent=1 if seed % 4 == 0 else None)
+        glued = {mask: direct_sum(*(ex[mask] for ex in exclusive)) for mask in (1, 2, 3)}
+        dense = {mask: Subspace(block_diag([ex[mask].basis for ex in exclusive]), 8) for mask in glued}
+        counts = {1: 1, 2: 1, 3: 4} if seed % 2 else {1: 2, 2: 1, 3: 2}
+        independent = agreement._independent_by_slot(list(glued.values()))
+        assert independent == (rank(vstack([sub.basis for sub in dense.values()])) == 8)
+        out = []
+        for fam, r in ((glued, rng), (dense, copy.deepcopy(rng))):
+            calls.clear()
+            try:
+                out.append((extract_secure_subspaces(SubspaceFamily(2, fam), counts, None, r), len(calls)))
+            except (InfeasibleAllocationError, RuntimeError) as exc:
+                out.append((type(exc), len(calls)))
+        (got, got_calls), (want, want_calls) = out
+        assert got == want and rng.bit_generator.state == r.bit_generator.state
+        assert want_calls >= 1 and (got_calls == 0 if independent else got_calls == want_calls)
+        seen[independent, seed % 4 == 0] += 1
+    assert not seen[True, True] and seen[False, True] == 25
+    assert seen[True, False] >= (5 if q == 2 else 70) and seen[False, False] >= (5 if q == 2 else 0)
+
+
 def test_extract_realistic_orthogonal_to_eavesdropper_whp():
     # the realistic mode never sees the eavesdropper; rank additivity against
     # it must still hold in >= 95% of 1000 seeded draws at q=101
@@ -579,7 +626,7 @@ def test_quotient_certificate_equals_certify_zero_leakage(case):
     # when it has full row rank and certify_zero_leakage holds; extraction
     # certifies the full row rank, so on sessions the two verdicts agree
     keys, eve, eves = case
-    cert = agreement._leakage_certificate(keys, eves)
+    cert = certificate(keys, eves)
     assert cert == (rank(keys) == keys.rows and certify_zero_leakage(keys, eve))
 
 
@@ -588,9 +635,9 @@ def test_quotient_certificate_hand_cases():
     # its view passes; a key inside it fails, and so do dependent key rows
     ctx = FieldCtx(3)
     eve = [span_of(MatrixFq([[1, 0, 0]], ctx)), zero_subspace(3, ctx)]
-    assert agreement._leakage_certificate(MatrixFq([[0, 1, 0, 1, 0, 0]], ctx), eve)
-    assert not agreement._leakage_certificate(MatrixFq([[2, 0, 0, 0, 0, 0]], ctx), eve)
-    assert not agreement._leakage_certificate(MatrixFq([[0, 1, 0, 0, 0, 0]] * 2, ctx), eve)
+    assert certificate(MatrixFq([[0, 1, 0, 1, 0, 0]], ctx), eve)
+    assert not certificate(MatrixFq([[2, 0, 0, 0, 0, 0]], ctx), eve)
+    assert not certificate(MatrixFq([[0, 1, 0, 0, 0, 0]] * 2, ctx), eve)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -691,6 +738,22 @@ def test_allocated_check_equals_the_full_table_check(case, data):
     assert check_allocation_feasible(alloc, family, eve) == full
 
 
+def certificate(keys, eves, moved=()):
+    """_leakage_certificate of the key rows ``keys``, split into the rows
+    nonzero in one slot block only, each given to its slot, and the others;
+    the rows at the indices ``moved`` join the others even when local."""
+    width = eves[0].ambient_dim
+    live = keys.arr.reshape(keys.rows, len(eves), width).any(axis=2)
+    local = live.sum(axis=1) == 1
+    local[list(moved)] = False
+    slot_rows = [
+        [MatrixFq(keys.arr[local & live[:, t], t * width : (t + 1) * width].reshape(-1, width), keys.ctx)]
+        for t in range(len(eves))
+    ]
+    coupled = [MatrixFq(keys.arr[~local], keys.ctx)] if not local.all() else []
+    return agreement._leakage_certificate(slot_rows, coupled, eves)
+
+
 def reference_certificate(keys, eves):
     """The certificate as one rank of all key rows modulo the per-slot
     eavesdropper spans, side by side."""
@@ -743,7 +806,11 @@ def test_slot_local_certificate_equals_the_full_quotient_rank(case):
     # local rows checked slot by slot, then the coupling rows modulo the
     # per-slot sums, give the verdict of ranking every row modulo E
     keys, eves = case
-    assert agreement._leakage_certificate(keys, eves) == reference_certificate(keys, eves)
+    verdict = reference_certificate(keys, eves)
+    assert certificate(keys, eves) == verdict
+    # any split of the local rows between the two sides gives that verdict
+    assert certificate(keys, eves, moved=range(0, keys.rows, 2)) == verdict
+    assert certificate(keys, eves, moved=range(keys.rows)) == verdict
 
 
 def test_slot_local_certificate_hand_cases():
@@ -766,7 +833,7 @@ def test_slot_local_certificate_hand_cases():
     }
     for rows, verdict in cases.items():
         keys = MatrixFq(list(rows), ctx)
-        assert agreement._leakage_certificate(keys, eves) == verdict
+        assert certificate(keys, eves) == verdict
         assert reference_certificate(keys, eves) == verdict
 
 
@@ -793,12 +860,12 @@ def test_slot_local_certificate_stacks_the_slot_sums_and_fails_on_one_deficient_
     calls = []
     original = fieldmath._echelon
     monkeypatch.setattr(fieldmath, "_echelon", lambda *a, **kw: calls.append(a[0].shape) or original(*a, **kw))
-    assert agreement._leakage_certificate(keys(good), eves)
+    assert certificate(keys(good), eves)
     assert calls == [(3, 2, 3), (1, 3, 3)]
     assert reference_certificate(keys(good), eves)
     for t, bad in deficient.items():
         k = keys(good[:t] + [bad] + good[t + 1 :])
-        assert not agreement._leakage_certificate(k, eves) and not reference_certificate(k, eves)
+        assert not certificate(k, eves) and not reference_certificate(k, eves)
 
 
 def reference_disclose(target, transfers):
@@ -1217,6 +1284,86 @@ def test_multicast_triangle_takes_combination_rows_and_names_failures():
     with pytest.raises(agreement._Degenerate) as exc:
         agreement._multicast(picks, keys, random_matrix(5, 2, ctx, rng), 3)
     assert exc.value.args == ("no decodable combination code found",)
+
+
+def reference_combination_code(labels, k, m, q):
+    """_combination_code built one row at a time, every row as the docstring
+    describes it."""
+    receivers = [agreement._Receiver(k, q) for _ in range(m)]
+    code = np.zeros((len(labels), k), dtype=np.int64)
+    for i, mask in enumerate(labels):
+        short = [receivers[r] for r in agreement.mask_members(mask) if len(receivers[r].pivots) < k]
+        insides = [rec.inside() for rec in short]
+        free = ~np.logical_or.reduce(insides) if short else np.ones(k, dtype=bool)
+        if free.any():
+            j = int(np.argmax(free))
+            code[i, j] = 1
+            for rec in short:
+                rec.take_units([j], [i])
+            continue
+        firsts = [int(np.argmin(inside)) for inside in insides]
+        v = np.zeros(k, dtype=np.int64)
+        v[firsts[0]] = 1
+        res = [rec.unit_residue(firsts[0]) for rec in short]
+        for s in range(1, len(short)):
+            du = [rec.unit_residue(firsts[s]) for rec in short]
+            checked = list(zip(res[: s + 1], du))
+            outside = (lam for lam in range(q) if all(((w + lam * d) % q).any() for w, d in checked))
+            lam = next(outside, 0)
+            v[firsts[s]] = (v[firsts[s]] + lam) % q
+            res = [(w + lam * d) % q for w, d in zip(res, du)]
+        code[i] = v
+        for rec, w in zip(short, res):
+            if w.any():
+                rec.take(w, i)
+    return code, receivers
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([1, 2, 3, 4]),
+    st.sampled_from([2, 3, 101]),
+    st.lists(st.tuples(st.integers(1, 15), st.integers(0, 8)), min_size=1, max_size=8),
+    st.integers(0, 2**32 - 1),
+)
+def test_combination_code_in_runs_equals_the_row_by_row_builder(m, q, runs, seed):
+    # runs of one label, in mask order as sessions give them or repeated and
+    # interleaved, against a k up to the largest terminal total: the code
+    # whose unit rows come a block at a time equals the row-by-row one, and
+    # so does every terminal's state
+    rng = np.random.default_rng(seed)
+    labels = [min(mask, 2**m - 1) for mask, length in runs for _ in range(length)]
+    if seed % 2:
+        labels.sort()
+    totals = [sum(mask >> r & 1 for mask in labels) for r in range(m)]
+    if not max(totals):
+        return
+    k = int(rng.integers(1, max(totals) + 1))
+    code, receivers = agreement._combination_code(labels, k, m, q)
+    want, reference = reference_combination_code(labels, k, m, q)
+    assert np.array_equal(code, want)
+    for got, ref in zip(receivers, reference):
+        assert (got.pivots, got.kept) == (ref.pivots, ref.kept)
+        assert np.array_equal(got.units, ref.units)
+        assert (got.basis is None and ref.basis is None) or np.array_equal(got.basis, ref.basis)
+
+
+def test_paper_session_takes_no_session_width_products(monkeypatch):
+    # a paper-shape N=8 session (q=101, seed 1): the partial picks multiply
+    # their coefficients slot part by slot part, and extraction accepts its
+    # picks slot by slot, so neither the 60 x 120 by 120 x 480 pick products
+    # nor the 120 x 240 by 240 x 240 quotient of the session-width _cap runs
+    shapes = []
+    original = fieldmath._mul_mod
+    spy = lambda x, y, q: shapes.append((x.shape, y.shape)) or original(x, y, q)
+    monkeypatch.setattr(fieldmath, "_mul_mod", spy)
+    monkeypatch.setattr(subspaces, "_mul_mod", spy)
+    p = P(101, 70, 60, [45, 45], 15)
+    alloc, _ = solve_allocation_lp_planned(plan_dimensions(p))
+    res = run_session(p, 8, alloc, np.random.default_rng(1))
+    assert not res.audit.degenerate and res.audit.key_blocks == 300
+    assert ((60, 15), (15, 60)) in shapes
+    assert ((120, 240), (240, 240)) not in shapes and ((60, 120), (120, 480)) not in shapes
 
 
 @pytest.mark.parametrize("q", [2, 2**31 - 1])

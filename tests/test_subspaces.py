@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nckey.bounds import generic_dims
-from nckey import fieldmath
+from nckey import fieldmath, subspaces
 from nckey.fieldmath import (
     FieldCtx,
     MatrixFq,
+    block_diag,
     identity,
     mat_mul,
     random_matrix,
@@ -29,6 +30,7 @@ from nckey.subspaces import (
     iter_all_subspaces,
     iter_subspaces,
     quotient,
+    random_picks,
     random_subspace,
     span_of,
     spanning_matrix_count,
@@ -445,6 +447,37 @@ def test_direct_sum():
         a = random_subspace(4, int(rng.integers(0, 5)), F5, rng)
         b = random_subspace(3, int(rng.integers(0, 4)), F5, rng)
         assert direct_sum(a, b).dim == a.dim + b.dim
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([2, 3, 101, 2**31 - 1]),
+    st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=4),
+    st.integers(0, 4),
+    st.integers(0, 2**32 - 1),
+)
+def test_direct_sum_quotients_and_picks_equal_the_block_diagonal_ones(q, shapes, rows, seed):
+    # a direct sum keeps its parts: quotients modulo it, coefficient products
+    # over its basis and uniform picks inside it, all taken part by part,
+    # equal those over its dense block-diagonal basis (the same draws), with
+    # no dense basis built; read on demand, that basis is the block-diagonal one
+    ctx, rng = FieldCtx(q), np.random.default_rng(seed)
+    parts = [random_subspace(n, min(d, n), ctx, rng) for n, d in shapes]
+    summed = direct_sum(*parts)
+    dense = Subspace(block_diag([p.basis for p in parts]), summed.ambient_dim)
+    assert summed.parts == tuple(parts) and summed.dim == dense.dim
+    vectors = random_matrix(rows, summed.ambient_dim, ctx, rng)
+    assert quotient(vectors, summed) == quotient(vectors, dense)
+    coeffs = random_matrix(rows, summed.dim, ctx, rng)
+    assert subspaces._combination(coeffs, summed) == mat_mul(coeffs, dense.basis)
+    requests = [(summed, int(rng.integers(0, summed.dim + 1))) for _ in range(3)]
+    state = rng.bit_generator.state
+    got = random_picks(requests, rng)
+    after, rng.bit_generator.state = rng.bit_generator.state, state
+    want = random_picks([(dense, dim) for _, dim in requests], rng)
+    assert after == rng.bit_generator.state
+    assert summed._basis is None
+    assert got == want and summed.basis == dense.basis
 
 
 def test_spanning_matrix_count():
