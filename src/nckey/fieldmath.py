@@ -22,15 +22,15 @@ alone:
   stacked into one operand, and the limb blocks are recombined in int64.
   The split falls on the thinner factor: a tall left factor times a thin
   right one is taken transposed.
-* ``_echelon`` eliminates a matrix more than two ``_PANEL`` panels wide on
-  its own, in column panels, one product per panel, at every q, and
-  back-substitutes it for a reduced form (``_back_substitute``).  Narrower
-  stacks take one Gauss-Jordan pass (``_gauss_jordan``), whose rank-1
-  update per pivot clears the pivot column below and, for a reduced form,
-  above, in every member whose pivot columns agree so far.  Its updates run
+* ``_echelon`` takes one Gauss-Jordan pass over a stack at every width:
+  its rank-1 update per pivot clears the pivot column below and, for a
+  reduced form, above, in every member whose pivot columns agree so far.
+  While more than two ``_PANEL`` panels of columns are left, the pivots
+  update one panel of columns at a time, and one product per panel
+  carries its row operations to the columns right of it.  The updates run
   in int32 when q < 2**15, where two or more pending updates stay below
-  2**31 (``_update_format``), and in int64 otherwise; the panel path's run
-  in int64.  Each format is reduced before pending updates pass its bound.
+  2**31 (``_update_format``), and in int64 otherwise.  Each format is
+  reduced before pending updates pass its bound.
 
 Every format gives the same pivots and the same bytes.  All randomness flows
 through caller-supplied ``numpy.random.Generator`` instances; nothing touches
@@ -259,7 +259,8 @@ def _limbs(k: int, largest: int, q: int) -> tuple[int, int]:
 
 def _mul_mod(x: np.ndarray, y: np.ndarray, q: int) -> np.ndarray:
     """x @ y mod q for int64 matrices with entries in [0, q), as a new int64
-    matrix, exact through float64 BLAS products.
+    matrix, exact through float64 BLAS products; stacks (B, rows, inner) @
+    (B, inner, cols) multiply member by member.
 
     A dot product of k terms of at most a (q-1) each, a being x's largest
     entry, is exact in float64 while k a (q-1) < 2^53, and is then one
@@ -275,27 +276,27 @@ def _mul_mod(x: np.ndarray, y: np.ndarray, q: int) -> np.ndarray:
     columns against limbs times x's rows), the product is (y^T x^T)^T, so
     that the limb split and the residue passes run on the thinner factor.
     """
-    rows, (inner, cols) = x.shape[0], y.shape
+    rows, (inner, cols) = x.shape[-2], y.shape[-2:]
     k, largest = min(inner, 2**16 - 1), int(x.max(initial=0))
     split = _limbs(k, largest, q)[0] if inner else 1
     if split > 1 and _limbs(k, int(y.max(initial=0)), q)[0] * cols < split * rows:
-        return np.ascontiguousarray(_mul_mod(y.T, x.T, q).T)
-    out = np.zeros((rows, cols), dtype=np.int64)
+        return np.ascontiguousarray(_mul_mod(y.swapaxes(-1, -2), x.swapaxes(-1, -2), q).swapaxes(-1, -2))
+    out = np.zeros((*x.shape[:-2], rows, cols), dtype=np.int64)
     for j in range(0, inner, 2**16 - 1):
-        part, rhs = x[:, j : j + 2**16 - 1], y[j : j + 2**16 - 1].astype(np.float64)
-        limbs, b = _limbs(part.shape[1], largest, q)
+        part, rhs = x[..., j : j + 2**16 - 1], y[..., j : j + 2**16 - 1, :].astype(np.float64)
+        limbs, b = _limbs(part.shape[-1], largest, q)
         if limbs > 1:
-            part = np.vstack([(part >> (b * s)) & (2**b - 1) for s in reversed(range(limbs))])
+            part = np.concatenate([(part >> (b * s)) & (2**b - 1) for s in reversed(range(limbs))], axis=-2)
         prod = part.astype(np.float64) @ rhs
         # Reduced in place, a panel of rows at a time, so that no temporary
         # is as large as the product.
         res = prod.view(np.int64)
-        for i in range(0, len(prod), _PANEL):
-            res[i : i + _PANEL] = _residue(prod[i : i + _PANEL], q)
-        acc = res[:rows]
+        for i in range(0, prod.shape[-2], _PANEL):
+            res[..., i : i + _PANEL, :] = _residue(prod[..., i : i + _PANEL, :], q)
+        acc = res[..., :rows, :]
         for s in range(1, limbs):
             acc <<= b
-            acc += res[s * rows : (s + 1) * rows]
+            acc += res[..., s * rows : (s + 1) * rows, :]
             np.mod(acc, q, out=acc)
         if j:
             acc += out
@@ -311,49 +312,43 @@ def _echelon(a: np.ndarray, q: int, full: bool = False) -> list[list[int]]:
     RREF, otherwise a normalized row echelon form (leading 1s, cleared
     below only), which is all ``rank`` reads.
 
-    A member more than two ``_PANEL`` panels wide is eliminated on its own
-    in column panels (``_panels``), and back-substituted when ``full``
-    (``_back_substitute``).  Narrower stacks take one Gauss-Jordan pass
-    (``_gauss_jordan``), every member at once.  A read-only stack (a
-    MatrixFq's array, as ``rank`` passes it) is eliminated on one copy,
-    which is not written back.
-    """
-    if a.shape[2] <= 2 * _PANEL:
-        return _gauss_jordan(a, q, full)
-    out = []
-    for m in a:
-        m = m if m.flags.writeable else m.copy()
-        pivots = _panels(m, q)
-        if full:
-            _back_substitute(m, pivots, q)
-        out.append(pivots)
-    return out
+    One Gauss-Jordan pass over the columns: each pivot column is cleared
+    from the rows below its pivot, and with ``full`` from the rows above
+    too, in one rank-1 update.  The members run in lockstep, one update for
+    all, while their pivot columns agree: the pivot of a column is each
+    member's first nonzero entry at or below the current row, swapped into
+    place by fancy indexing and scaled to 1 by its inverse.  Where some
+    members have a pivot in a column and others do not, the stack splits
+    into those two groups (a copy of each), which go on alone, and each
+    group is written back when it runs out of rows or columns.  A group of
+    one member (a 2-D matrix is a stack of one, which never splits) takes
+    the same steps on its 2-D view, one axis fewer, so that a single matrix
+    does not pay for the stack's indexing.
 
-
-def _gauss_jordan(a: np.ndarray, q: int, full: bool) -> list[list[int]]:
-    """``_echelon`` of a stack in one pass over the columns: each pivot
-    column is cleared from the rows below its pivot, and with ``full`` from
-    the rows above too, in one rank-1 update.
-
-    The members run in lockstep, one update for all, while their pivot
-    columns agree: the pivot of a column is each member's first nonzero
-    entry at or below the current row, swapped into place by fancy indexing
-    and scaled to 1 by its inverse.  Where some members have a pivot in a
-    column and others do not, the stack splits into those two groups (a
-    copy of each), which go on alone, and each group is written back when
-    it runs out of rows or columns.  A group of one member (a 2-D matrix is
-    a stack of one, which never splits) takes the same steps on its 2-D
-    view, one axis fewer, so that a single matrix does not pay for the
-    stack's indexing.
+    The columns are taken in panels.  While more than two ``_PANEL`` panels
+    are left, the pivot loop runs on a copy of the next ``_PANEL`` columns,
+    from the panel's first pivot row down (every row with ``full``), plus
+    one tracking column per pivot, which records the panel's row operations
+    in terms of its k pivot rows as they stood when it began (A12, right of
+    the panel).  At its end (``_trail``) each row's trailing columns gain
+    its tracking row times A12, and the pivot rows, whose tracking rows
+    include themselves, take that product alone: one exact product for the
+    whole group.  A group that splits off inside a panel closes the panel
+    first and starts a new one.  The last one or two panels' worth of
+    columns, and so every stack at most two panels wide, are one panel
+    worked on in the stack itself, with no tracking columns and no product.
 
     Updates are reduced lazily: an update subtracts a product of two
     reduced scalars, at most (q-1)^2, so ``room`` of them fit between
     reductions.  They run on an int32 copy of the stack when that leaves
     room for two (``_update_format``: 214,748 at q = 101, 2 at q = 32749),
     and on the int64 stack itself otherwise (2 at q = 2^31 - 1), or on an
-    int64 copy when it is read-only.  The pivot column and pivot row are
-    reduced before use, and the whole group on its return, when it is
-    written back to a writable ``a``.
+    int64 copy when it is read-only, which is not written back.  The pivot
+    column and pivot row are reduced before use, a panel's copy when it is
+    taken and written back, A12 before its product, and the whole group on
+    its return, when it is written back to a writable ``a``.  The trailing
+    columns only gain reduced products, so they stay below q times the
+    panel count plus one until a panel reads them.
     """
     batch, rows, width = a.shape
     word, room = _update_format(q)
@@ -362,31 +357,58 @@ def _gauss_jordan(a: np.ndarray, q: int, full: bool) -> list[list[int]]:
     todo = [(np.arange(batch), a if word is np.int64 and keep else a.astype(word), [], 0, 0)]
     while todo:
         idx, g, pivots, c, lazy = todo.pop()
-        r = len(pivots)
-        v = g[0] if len(idx) == 1 else g
+        r, c1, blk = len(pivots), c, None
         while c < width and r < rows:
-            lo = 0 if full else r
-            col = np.mod(v[..., lo:, c], q)
-            if np.count_nonzero(col[..., r - lo]) < len(idx):
-                has = np.logical_or.reduce(col[..., r - lo :], axis=-1)
+            if c == c1:
+                if blk is not None:
+                    _trail(g, blk, q, r0, r, c0, c1)
+                c0, r0, top = c, r, 0 if full else r
+                c1, blk, end = width, None, None
+                if width - c > 2 * _PANEL:
+                    c1 = c + _PANEL
+                    blk = np.zeros((len(idx), rows - top, _PANEL + min(_PANEL, rows - r)), word)
+                    np.mod(g[:, top:, c0:c1], q, out=blk[..., :_PANEL])
+                    lazy = 0
+                # The block the pivot loop works on, and its offsets in g.
+                b, dr, dc = (g, 0, 0) if blk is None else (blk, top, c0)
+                v = b[0] if len(idx) == 1 else b
+            i, j = r - dr, c - dc
+            lo = 0 if full else i
+            col = np.mod(v[..., lo:, j], q)
+            if np.count_nonzero(col[..., i - lo]) < len(idx):
+                has = np.logical_or.reduce(col[..., i - lo :], axis=-1)
                 found = np.count_nonzero(has)
                 if not found:
                     c += 1
                     continue
                 if found < len(idx):
-                    todo.append((idx[~has], g[~has], list(pivots), c + 1, lazy))
+                    rest = g[~has]
+                    if blk is not None:
+                        _trail(rest, blk[~has], q, r0, r, c0, c1)
+                    todo.append((idx[~has], rest, list(pivots), c + 1, 0 if blk is not None else lazy))
                     idx, g, col = idx[has], g[has], col[has]
-                    v = g[0] if len(idx) == 1 else g
+                    blk = None if blk is None else blk[has]
+                    b = g if blk is None else blk
+                    v = b[0] if len(idx) == 1 else b
                     col = col[0] if v.ndim == 2 else col
-                p = r + (col[..., r - lo :] != 0).argmax(axis=-1)
+                # The swap, in the block and in g's columns right of it.
+                p = i + (col[..., i - lo :] != 0).argmax(axis=-1)
                 if v.ndim == 2:
-                    v[[r, p], c:] = v[[p, r], c:]
+                    v[[i, p], j:] = v[[p, i], j:]
+                    if blk is not None:
+                        g[0, [r, p + dr], c1:] = g[0, [p + dr, r], c1:]
                 else:
                     k = np.arange(len(idx))
-                    v[k, p, c:], v[:, r, c:] = v[:, r, c:], v[k, p, c:]
-                col = np.mod(v[..., lo:, c], q)
-            heads = col[..., r - lo]
-            row = v[..., r, c:]
+                    v[k, p, j:], v[:, i, j:] = v[:, i, j:], v[k, p, j:]
+                    if blk is not None:
+                        g[k, p + dr, c1:], g[:, r, c1:] = g[:, r, c1:], g[k, p + dr, c1:]
+                col = np.mod(v[..., lo:, j], q)
+            if blk is not None:
+                # The pivot row's own tracking entry; later ones are still zero.
+                end = _PANEL + r - r0 + 1
+                v[..., i, end - 1] = 1
+            heads = col[..., i - lo]
+            row = v[..., i, j:end]
             np.mod(row, q, out=row)
             if v.ndim == 2:
                 row *= pow(int(heads), -1, q)
@@ -395,11 +417,11 @@ def _gauss_jordan(a: np.ndarray, q: int, full: bool) -> list[list[int]]:
             np.mod(row, q, out=row)
             # The multipliers: col less the pivot row's entry.
             if full:
-                col[..., r] = 0
+                col[..., i] = 0
             else:
-                col, lo = col[..., 1:], r + 1
+                col, lo = col[..., 1:], i + 1
             if np.count_nonzero(col):
-                live = v[..., lo:, c:]
+                live = v[..., lo:, j:end]
                 if lazy == room:
                     np.mod(live, q, out=live)
                     lazy = 0
@@ -407,6 +429,8 @@ def _gauss_jordan(a: np.ndarray, q: int, full: bool) -> list[list[int]]:
                 lazy += 1
             pivots.append(c)
             r, c = r + 1, c + 1
+        if blk is not None:
+            _trail(g, blk, q, r0, r, c0, c1)
         if keep:
             np.mod(g, q, out=g)
             if g is not a:
@@ -416,120 +440,26 @@ def _gauss_jordan(a: np.ndarray, q: int, full: bool) -> list[list[int]]:
     return out
 
 
+def _trail(g: np.ndarray, blk: np.ndarray, q: int, r0: int, r: int, c0: int, c1: int) -> None:
+    """Closes one of ``_echelon``'s panels, columns c0:c1 with pivot rows
+    r0:r, on its stack ``g``: writes the panel block ``blk`` back into g,
+    reduced, and adds its tracking rows times A12, g's pivot rows right of
+    the panel, to those rows' trailing columns, in one product
+    (``_mul_mod``); the pivot rows take the product alone."""
+    top = g.shape[1] - blk.shape[1]
+    np.mod(blk[..., : c1 - c0], q, out=g[:, top:, c0:c1])
+    if r > r0:
+        a12 = _residue(g[:, r0:r, c1:], q)
+        g[:, r0:r, c1:] = 0
+        g[:, top:, c1:] += _mul_mod(_residue(blk[..., c1 - c0 : c1 - c0 + r - r0], q), a12, q)
+
+
 def _update_format(q: int) -> tuple[type, int]:
-    """(word, room): the integer format of ``_gauss_jordan``'s updates and
-    how many rank-1 updates, each less than (q-1)^2, fit between reductions.
+    """(word, room): the integer format of ``_echelon``'s updates and how
+    many rank-1 updates, each less than (q-1)^2, fit between reductions.
     int32 while that leaves room for two (prime q < 2^15), int64 otherwise."""
     room = (2**31 - q) // ((q - 1) * (q - 1))
     return (np.int32, room) if room >= 2 else (np.int64, (2**63 - q) // ((q - 1) * (q - 1)))
-
-
-def _panels(a: np.ndarray, q: int) -> list[int]:
-    """``_echelon``'s forward elimination of one wide 2-D matrix, in place;
-    returns the pivot columns in order.
-
-    The pivot of each column is the first nonzero entry at or below the
-    current row, swapped into place; each pivot row is scaled to a leading 1
-    and cleared from the rows below it only.
-
-    The columns are taken in panels of ``_PANEL`` columns, at every q.
-    Inside a panel the pivot loop touches only the panel's columns plus one
-    tracking column per pivot, which record the panel's row operations in
-    terms of its k pivot rows as they stood when it began (A12 right of the
-    panel).  At its end the pivot rows carry the k x k transform M, new
-    pivot rows = M @ A12, and each row below carries -L21 @ M, L21 being its
-    multipliers.  The columns right of the panel then take the whole panel
-    in one exact product, [M ; -L21 @ M] @ A12 mod q (``_mul_mod``): its top
-    rows are the pivot rows' T = M @ A12, and the rest is added to A22, that
-    is A22 -= L21 @ T.  The last panel has no trailing product.
-
-    The loop works on the int64 array itself, and updates are reduced
-    lazily.  A rank-1 update subtracts a product of two reduced scalars, at
-    most (q-1)^2, so ``room`` of them fit between reductions (about 9e14 at
-    q = 101, 2 at q = 2^31 - 1), and the loop reduces the rows below the
-    pivot when room runs out.  The columns right of a panel only ever gain
-    its reduced product, less than q, so they stay below q times the panel
-    count plus one until a panel reads them.  Pivot columns, A12 and the
-    live part of each pivot row (from its pivot on) are reduced before use,
-    and the whole array on return.
-    """
-    rows, width = a.shape
-    room = (2**63 - q) // ((q - 1) * (q - 1))
-    pivots: list[int] = []
-    r = 0
-    for c0 in range(0, width, _PANEL):
-        if r == rows:
-            break
-        c1 = min(c0 + _PANEL, width)
-        r0, w = r, c1 - c0
-        # One tracking column per possible pivot, when columns trail the panel.
-        depth = min(w, rows - r0) if c1 < width else 0
-        blk = np.zeros((rows - r0, w + depth), dtype=np.int64)
-        blk[:, :w] = a[r0:, c0:c1]
-        lazy = 0
-        for c in range(c0, c1):
-            if r == rows:
-                break
-            i, j = r - r0, c - c0
-            col = _residue(blk[i:, j], q)
-            nz = col.nonzero()[0]
-            if nz.size == 0:
-                continue
-            p = i + int(nz[0])
-            if p != i:
-                blk[[i, p]] = blk[[p, i]]
-                a[[r, r0 + p], c1:] = a[[r0 + p, r], c1:]
-                col[[0, p - i]] = col[[p - i, 0]]
-            if depth:
-                blk[i, w + i] = 1
-            # Tracking columns past w + i are still zero in every row, and the
-            # pivot row is zero mod q left of j.
-            end = w + i + 1 if depth else w
-            blk[i, j:end] = np.mod(_residue(blk[i, j:end], q) * pow(int(col[0]), -1, q), q)
-            if nz.size > 1:
-                if lazy == room:
-                    blk[i + 1 :] = _residue(blk[i + 1 :], q)
-                    lazy = 0
-                blk[i + 1 :, j:end] -= col[1:, None] * blk[i, j:end]
-                lazy += 1
-            pivots.append(c)
-            r += 1
-        a[r0:, c0:c1] = blk[:, :w]
-        k = r - r0
-        if depth and k:
-            prod = _mul_mod(_residue(blk[:, w : w + k], q), _residue(a[r0:r, c1:], q), q)
-            a[r0:r, c1:] = prod[:k]
-            a[r:, c1:] += prod[k:]
-            del prod
-    np.mod(a, q, out=a)
-    return pivots
-
-
-def _back_substitute(a: np.ndarray, pivots: list[int], q: int) -> None:
-    """In-place back-substitution over an echelon form from ``_panels``:
-    each pivot column is cleared from the rows above, last pivot first, in
-    the columns from the pivot on.
-
-    Row i is already clear of every later pivot column when it clears its
-    own, and no row operation reaches an earlier pivot column, so each
-    multiplier a[:i, c] is final, and reduced, when it is read.  Row i is
-    zero left of its pivot, so no column left of it changes.  Updates are
-    reduced lazily, as in ``_panels``: the pivot row is reduced before use,
-    and the rows above it when ``room`` rank-1 updates have piled up, and
-    every row on return.
-    """
-    room = (2**63 - q) // ((q - 1) * (q - 1))
-    pending = 0
-    for i in reversed(range(len(pivots))):
-        c = pivots[i]
-        if a[:i, c].any():
-            if pending == room:
-                np.mod(a[:i, c:], q, out=a[:i, c:])
-                pending = 0
-            a[:i, c:] -= a[:i, c, None] * np.mod(a[i, c:], q)
-            pending += 1
-    if pending:
-        np.mod(a, q, out=a)
 
 
 def _by_shape(mats: list[MatrixFq], q: int, full: bool) -> list[tuple[np.ndarray, list[int]]]:

@@ -403,16 +403,17 @@ def test_default_panels_match_gauss_jordan():
 
 
 def test_float_panels_at_the_largest_float_modulus():
-    # an all-(q-1) matrix, a random one, and L @ U built so that every panel
+    # an all-(q-1) matrix, a random one, and L @ U built so that a trailing
     # product is as large as it gets: L is 1 on the diagonal and below each
     # diagonal panel block, U is 1 on the diagonal and q-1 right of each
-    # pivot's panel, so each panel's transform is the identity, its tracking
-    # columns are all q-1, and every dot product of [M ; -L21 @ M] @ A12 sums
-    # a full panel of (q-1)^2 terms: just below 2^53 in one float64 product
-    # at the largest float modulus.  L @ U runs past that bound too, where
-    # panel products take two 12-bit limbs at the next prime and two 16-bit
-    # ones at 2^31 - 1, and where the rank-1 updates inside a panel reduce
-    # every other pivot
+    # pivot's panel, so the first panel's transform is the identity, the
+    # tracking rows below it are all q-1, and every dot product of its
+    # [tracking] @ A12 sums a full panel of (q-1)^2 terms: just below 2^53
+    # in one float64 product at the largest float modulus, which a spy on
+    # _mul_mod checks.  L @ U runs past that bound too, where the product
+    # takes two 12-bit limbs at the next prime and two 16-bit ones at
+    # 2^31 - 1, and where the rank-1 updates inside a panel reduce every
+    # other pivot
     w = fieldmath._PANEL
     ctx = FieldCtx(largest_float_q(w))
     top = MatrixFq(np.full((40, 3 * w), ctx.q - 1), ctx)
@@ -423,12 +424,20 @@ def test_float_panels_at_the_largest_float_modulus():
     assert rref(m) == reference_rref(m)
     rows, cols = np.arange(3 * w + 8)[:, None], np.arange(5 * w)[None, :]
     lower = np.where(rows // w > rows.T // w, 1, 0) + np.eye(3 * w + 8, dtype=np.int64)
+    original = fieldmath._mul_mod
     for q in (ctx.q, FIRST_LIMB_Q, 2**31 - 1):
         ctx = FieldCtx(q)
         upper = np.where(cols // w > rows // w, q - 1, 0) + np.eye(3 * w + 8, 5 * w, dtype=np.int64)
         m = MatrixFq(lower, ctx) @ MatrixFq(upper, ctx)
-        assert rref(m) == reference_rref(m)
-        assert rank(m) == m.rows
+        products = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fieldmath, "_mul_mod", lambda x, y, q: products.append((x, y)) or original(x, y, q))
+            assert rref(m) == reference_rref(m)
+            assert rank(m) == min(m.shape)
+        if q == largest_float_q(w):
+            assert fieldmath._limbs(w, q - 1, q)[0] == 1
+            sums = [int((x @ y).max(initial=0)) for x, y in products if x.shape[-1] == w]
+            assert max(sums) == w * (q - 1) ** 2 < 2**53
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -570,10 +579,13 @@ def test_stacked_gauss_jordan_matches_the_reference_member_by_member(mats):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.sampled_from([1, 2, 3]), elimination_stacks(qs=(2, 3, 101, 2**31 - 1)))
+@given(st.sampled_from([1, 2, 3]), elimination_stacks(qs=(2, 3, 101, 32749, 32771, 2**31 - 1)))
 def test_wide_stacks_take_panels_member_by_member(panel, mats):
-    # with _PANEL patched to 1-3 columns, stacks wider than two panels take
-    # the panel path one member at a time, back-substituted for rref_stack
+    # with _PANEL patched to 1-3 columns, stacks wider than two panels run
+    # in lockstep through panels with tracking columns, one trailing product
+    # per panel for the whole group, and split where their members' pivot
+    # columns differ; at 32749 the tracking columns are int32 with room for
+    # two updates, and 32771 is the first prime whose updates run in int64
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fieldmath, "_PANEL", panel)
         check_stack(mats)

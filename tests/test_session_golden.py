@@ -5,8 +5,9 @@ and audit must stay byte-identical.  Each digest is a sha256 over the
 session's ``to_json_dict()`` plus every terminal's reconstructed subset keys.
 The cases cover the README shape, an m=3 shape, a large prime, a shape with
 more key rows than field elements, a shape with more received packets than
-source packets (n_r > n_a, where disclosures are not unique), and q=2, 3 and
-7 shapes whose seeds hit every reason a session bails out for.
+source packets (n_r > n_a, where disclosures are not unique), q=2, 3 and
+7 shapes whose seeds hit every reason a session bails out for, and the
+paper's shape at N=16, whose eliminations are wider than two column panels.
 
 A second digest set, ``session_protocol_digests.json``, hashes only the
 protocol's outputs as int64 arrays with their shapes (messages, transfers,
@@ -49,6 +50,13 @@ CASES = {
     "bigq": (2**31 - 1, 10, 6, (4, 4), 2, 3, range(3)),
     # n_r > n_a: disclosures are not unique, so they pin which solution is chosen
     "tall": (3, 8, 4, (6, 5), 1, 2, range(32)),
+    # the paper shape at N=16, at a small, a large and the smallest prime:
+    # eliminations wider than two column panels (in each, a stack of the
+    # extraction's two 120 x 240 RREFs and a 240 x 240 certificate rank; at
+    # q=2 also a 240 x 480 joint rank)
+    "paper16": (101, 70, 60, (45, 45), 15, 16, range(1)),
+    "paper16-bigq": (2**31 - 1, 70, 60, (45, 45), 15, 16, range(1)),
+    "paper16-q2": (2, 70, 60, (45, 45), 15, 16, range(1)),
 }
 
 BAIL_KINDS = ("common dim", "extraction failed", "leakage certificate")
@@ -144,7 +152,7 @@ def test_session_digests_match_golden(sessions):
 def test_session_protocol_digests_match_golden(sessions):
     want = json.loads(PROTOCOL_DATA.read_text())
     assert protocol_digests(sessions) == want
-    assert sum(len(runs) for runs in want.values()) == 151
+    assert sum(len(runs) for runs in want.values()) == 154
 
 
 def test_golden_sessions_reload_exactly(sessions):
