@@ -32,9 +32,10 @@ The protocol, per session of N slots; run_session calls one stage per step:
    everything is mutually independent (extract_secure_subspaces: the
    picks' joint rank is their own feasibility certificate, for any m; each
    attempt's picks are one random_picks list, whose products run slot part
-   by slot part).  When the glued subspaces are independent slot by slot,
-   one stacked rank of at most n_a rows per slot, the picks need no joint
-   rank.  A whole pick is its glued subspace, so it keeps its parts too.
+   by slot part).  When the glued subspaces themselves are independent
+   (_cap, slot by slot: one stacked rank of at most n_a rows per slot), the
+   picks need no joint rank.  A whole pick is its glued subspace, so it
+   keeps its parts too.
    _disclosures: coefficients published over the public channel, one
    product per slot block with step 2's transforms (a whole pick's parts,
    or a partial pick's column blocks), let each member terminal
@@ -50,12 +51,11 @@ The protocol, per session of N slots; run_session calls one stage per step:
    eavesdropper's complete view, in coefficient space (width N * n_a, not
    N * ell): the key vectors, which extraction made independent, leak
    nothing exactly when they keep full row rank modulo the direct sum of the
-   eavesdropper's slot subspaces (_leakage_certificate), and that rank also
-   proves the counts feasible.  Whole picks' rows, their slot parts, are
-   checked slot by slot, so only the partial picks' rows are ranked at
-   session width.  The eavesdropper's slot spans, and then the
-   per-slot sums E_t + L_t, are each one stacked elimination over all slots
-   (spans_of), since they draw nothing.
+   eavesdropper's slot subspaces (_cap), and that rank also proves the
+   counts feasible.  Whole picks, direct sums too, are ranked slot by slot,
+   so only the partial picks' rows are ranked at session width.  The
+   eavesdropper's slot spans, and then the per-slot sums E_t + L_t, are
+   each one stacked elimination over all slots (spans_of).
 
 A degenerate session (a generic-position event failed, probability O(1/q),
 or a step found no solution) has its keys withheld: the stage raises
@@ -80,7 +80,6 @@ from .fieldmath import (
     MatrixFq,
     RowReduced,
     _wrap,
-    hstack,
     mat_mul,
     random_matrix,
     rank,
@@ -173,21 +172,49 @@ def _as_allocation(alloc, m: int) -> SubsetAllocation:
     return alloc if isinstance(alloc, SubsetAllocation) else SubsetAllocation(m, alloc)
 
 
-def _cap(subs, base: Subspace | None) -> int:
-    """Dimension the subspaces ``subs`` add to ``base``: one forward-only
-    rank of their stacked bases modulo ``base`` (quotient).
+def _largest(subs: list[Subspace]) -> Subspace:
+    """Remove and return the first subspace of the largest dimension."""
+    return subs.pop(max(range(len(subs)), key=lambda i: subs[i].dim))
 
-    When ``base`` is None the largest subspace takes its place: its RREF
-    basis has independent rows, so it adds its whole dimension, and the
-    others add the rank of their bases modulo it.
+
+def _cap(subs, base: Subspace | None) -> int:
+    """Dimension the subspaces ``subs`` add to ``base`` (to nothing when
+    ``base`` is None): the rank of their stacked bases modulo ``base``.
+
+    Direct sums over base's slot layout (with no base, the first direct
+    sum's) are local, and every other subspace is dense.  A sum of direct
+    sums is the direct sum of its slot sums, so local subspaces are ranked
+    slot by slot.  With no base, each slot's largest local part stands in
+    for it, or, with no local subspace, the largest subspace: an RREF basis
+    has independent rows, so a stand-in adds its whole dimension.
+
+    With local subspaces only, each slot's parts modulo base's part
+    (quotient) are ranked, all slots' in one ``rank_stack``.  With dense
+    ones too, each slot's sum, base's part plus the local parts, comes from
+    one ``spans_of`` (a slot with nothing more keeps base's part), and the
+    dense bases add their rank modulo the direct sum of those sums.
     """
     subs, extra = list(subs), 0
-    if base is None:
-        base = subs.pop(max(range(len(subs)), key=lambda i: subs[i].dim))
+    widths = lambda s: s.parts and tuple(p.ambient_dim for p in s.parts)
+    layout = next(filter(None, map(widths, subs)), None) if base is None else widths(base)
+    local, dense = [], []
+    for s in subs:
+        (local if layout and widths(s) == layout else dense).append(s)
+    if local:
+        slots = [list(parts) for parts in zip(*(s.parts for s in local))]
+        bases = [_largest(parts) for parts in slots] if base is None else list(base.parts)
+        extra = sum(b.dim for b in bases) if base is None else 0
+        live = [t for t, parts in enumerate(slots) if any(p.dim for p in parts)]
+        if not dense:
+            return extra + sum(rank_stack(quotient(vstack([p.basis for p in slots[t]]), bases[t]) for t in live))
+        for t, grown in zip(live, spans_of(vstack([bases[t].basis, *(p.basis for p in slots[t])]) for t in live)):
+            extra += grown.dim - bases[t].dim
+            bases[t] = grown
+        base = direct_sum(*bases)
+    elif base is None:
+        base = _largest(dense)
         extra = base.dim
-    if not subs:
-        return extra
-    return extra + rank(quotient(vstack([s.basis for s in subs]), base))
+    return extra + (rank(quotient(vstack([s.basis for s in dense]), base)) if dense else 0)
 
 
 def _actual_caps(family: SubspaceFamily, base: Subspace | None = None) -> dict[tuple[int, ...], int]:
@@ -409,13 +436,11 @@ def extract_secure_subspaces(
     other and of the eavesdropper's subspace, exactly.  With ``eve`` None
     (the realistic mode: only its dimension is known) it certifies mutual
     independence only; independence from the eavesdropper then holds with
-    probability 1 - O(1/q) and is checked by the session audit.  In that
-    mode, members with a positive count that are direct sums over one slot
-    layout (a session's glued subspaces) are first tested slot by slot
-    (_independent_by_slot): independent members make any picks inside them
-    independent, so the first picks are accepted without _cap, as _cap
-    would accept them.  Otherwise the test above runs, so the picks and the
-    draws are the same either way.
+    probability 1 - O(1/q) and is checked by the session audit.  The
+    members with a positive count take the test first (slot by slot for a
+    session's glued subspaces): if they pass, any picks inside them do, so
+    the first picks are accepted as the test would accept them, with the
+    same draws.
 
     A member counted whole is its only pick of that dimension, taken with no
     draw; each attempt picks inside the other members in one random_picks
@@ -448,37 +473,18 @@ def extract_secure_subspaces(
 
     want = sum(counts.values())
     partial = [mask for mask in masks if counts[mask] != family[mask].dim]
-    independent = eve is None and _independent_by_slot([allocated[mask] for mask in allocated])
+    members = [allocated[mask] for mask in allocated]
+    independent = not want or _cap(members, eve) == sum(s.dim for s in members)
     for attempt in range(MAX_EXTRACTION_TRIES):
         drawn = dict(zip(partial, random_picks([(family[mask], counts[mask]) for mask in partial], rng)))
         picks = {mask: drawn.get(mask, family[mask]) for mask in masks}
-        if not want or independent or _cap([picks[mask] for mask in allocated], eve) == want:
+        if independent or _cap([picks[mask] for mask in allocated], eve) == want:
             return picks
         if attempt == 0 and len(allocated) <= MAX_ENUMERATED_SUBSETS:
             feas = _check_against(counts, _actual_caps(allocated, eve))
             if not feas.ok:
                 raise InfeasibleAllocationError(feas)
     raise RuntimeError(f"no valid extraction found in {MAX_EXTRACTION_TRIES} tries")
-
-
-def _independent_by_slot(members: list[Subspace]) -> bool:
-    """Whether ``members``, direct sums over one slot layout (the same part
-    widths), are independent, tested slot by slot: a sum of direct sums is
-    the direct sum of the per-slot sums, so they are exactly when, in every
-    slot, the other members' parts add their dimension modulo the largest
-    member's part.  Those quotients are ranked in one ``rank_stack``.  False
-    for members of any other form, or no member."""
-    layouts = {None if s.parts is None else tuple(p.ambient_dim for p in s.parts) for s in members}
-    if len(layouts) != 1 or None in layouts:
-        return False
-    rows, need = [], []
-    for parts in zip(*(s.parts for s in members)):
-        parts = list(parts)
-        base = parts.pop(max(range(len(parts)), key=lambda i: parts[i].dim))
-        if parts:
-            rows.append(quotient(vstack([p.basis for p in parts]), base))
-            need.append(sum(p.dim for p in parts))
-    return rank_stack(rows) == need
 
 
 def certify_zero_leakage(key_vectors: MatrixFq, eve_matrix: MatrixFq) -> bool:
@@ -1000,35 +1006,6 @@ def _multicast(picks: dict[int, Subspace], keys: KeyShare, final: MatrixFq | Non
     return code, ciphers, replace(keys, final_key=final, terminal_final=tuple(decoded))
 
 
-def _leakage_certificate(local: list[list[MatrixFq]], coupled: list[MatrixFq], eves: list[Subspace]) -> bool:
-    """Zero-leakage certificate of extracted key vectors K, in session
-    coordinates, against the eavesdropper's span E, the direct sum of the
-    slot subspaces ``eves``: K keeps all its rows' rank modulo E.
-
-    That holds exactly when rank K = K.rows and span K meets span E only in
-    zero.  Extraction certifies the first, so on extracted picks the verdict
-    is certify_zero_leakage(K, block_diag(E_t)).
-
-    K is given split into ``local`` rows, L_t nonzero in slot block t only
-    and given in slot coordinates (whole picks' parts), and the ``coupled``
-    rows R, in session coordinates, each a list of blocks of rows.  Each
-    L_t must add its count to E_t, the sums E_t + L_t of all slots taken in
-    one spans_of.  R must then keep its rank modulo those sums, taken one
-    slot block at a time (quotient) and ranked once, since
-    rank(K mod E) = sum_t rank(L_t mod E_t) + rank(R mod sum_t (E_t + L_t)).
-    Any such split of K's rows, a row nonzero in one block counted on
-    either side, gives the same verdict.
-    """
-    sums = spans_of(vstack([eve.basis, *rows]) for eve, rows in zip(eves, local))
-    if any(grown.dim != eve.dim + sum(b.rows for b in rows) for grown, eve, rows in zip(sums, eves, local)):
-        return False
-    if not coupled:
-        return True
-    rest = vstack(coupled)
-    blocks = np.split(rest.arr, len(eves), axis=1)
-    return rank(hstack([quotient(_wrap(b, rest.ctx), eve) for b, eve in zip(blocks, sums)])) == rest.rows
-
-
 def _agreement(keys: KeyShare) -> tuple[bool, bool]:
     """Subset agreement (every terminal's copy equals its subset key) and final
     agreement (every terminal's decoding equals the final key)."""
@@ -1040,20 +1017,18 @@ def _agreement(keys: KeyShare) -> tuple[bool, bool]:
 
 def _audit(slots, picks: dict[int, Subspace], keys: KeyShare) -> AuditReport:
     """Audit (harness-side omniscience): subset and final agreement, and the
-    zero-leakage certificate modulo the direct sum E of the eavesdropper's
-    slot subspaces (_leakage_certificate); a failed one withholds the keys
-    and raises its report.  A passing one proves feasibility: each pick lies
-    in its glued exclusive subspace and the key rows K keep full rank modulo
+    zero-leakage certificate: the picks add their whole dimension to the
+    direct sum E of the eavesdropper's slot subspaces (_cap).  That holds
+    exactly when the key rows K have full row rank and meet span E only in
+    zero, certify_zero_leakage(K, block_diag(E_t)).  A failed one withholds
+    the keys and raises its report.  A passing one proves feasibility: each
+    pick lies in its glued exclusive subspace and K keeps full rank modulo
     E, so sum_S counts = rank(K_S mod E) <= dim(sum_S glued_J + E) - dim E.
     """
     eves = spans_of(rec.obs.eve_transfer for rec in slots)
     # Certified in coefficient space: the packets are these coefficients times
     # block_diag([I | M_t]), which has full row rank and so keeps every rank.
-    # Whole picks' rows are local to their parts' slots, partial picks' coupled.
-    whole = [pick.parts for pick in picks.values() if pick.parts is not None]
-    local = [[parts[t].basis for parts in whole] for t in range(len(slots))]
-    coupled = [pick.basis for pick in picks.values() if pick.parts is None]
-    cert = not picks or _leakage_certificate(local, coupled, eves)
+    cert = _cap(picks.values(), direct_sum(*eves)) == sum(pick.dim for pick in picks.values())
     key_blocks = 0 if keys.final_key is None or not cert else keys.final_key.rows
     subset_agreement, final_agreement = _agreement(keys)
     audit = AuditReport(

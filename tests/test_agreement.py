@@ -512,50 +512,58 @@ def test_extract_takes_a_member_counted_whole_without_a_draw():
                 assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-def _slot_exclusive(ctx, slots, rng, dependent=None):
-    """Per slot of F^4, exclusive parts of dims 1, 1 and 2 for subsets 1, 2
-    and 3; in slot ``dependent`` subset 1's part lies inside subset 3's."""
+def _slot_exclusive(ctx, slots, rng, dependent=None, width=4):
+    """Per slot of F^width, exclusive parts of dims 1, 1 and 2 for subsets 1,
+    2 and 3; in slot ``dependent`` subset 1's part lies inside subset 3's."""
     exclusive = []
     for t in range(slots):
-        ex = {mask: random_subspace(4, dim, ctx, rng) for mask, dim in ((1, 1), (2, 1), (3, 2))}
+        ex = {mask: random_subspace(width, dim, ctx, rng) for mask, dim in ((1, 1), (2, 1), (3, 2))}
         if t == dependent:
             ex[1] = span_of(MatrixFq(ex[3].basis.arr[:1], ctx))
         exclusive.append(ex)
     return exclusive
 
 
-@pytest.mark.parametrize("q", [2, 101])
-def test_extract_accepts_by_slot_only_when_every_slot_is_independent(q, monkeypatch):
-    # glued direct sums whose parts are independent in every slot need no
-    # session-width _cap: the first picks are accepted as they are.  One
-    # dependent slot (forced, or by chance at q = 2) falls back to today's
-    # loop.  Either way the picks, or the error, and the generator's final
-    # state equal those of the same members with dense block-diagonal bases
+@pytest.mark.parametrize(
+    "q, with_eve", [(2, False), (101, False), (2, True), (101, True)], ids=["2", "101", "2-eve", "101-eve"]
+)
+def test_extract_accepts_by_slot_only_when_every_slot_is_independent(q, with_eve, monkeypatch):
+    # the member test is one _cap of the glued direct sums, slot by slot,
+    # against nothing or against an eavesdropper line per slot (a direct
+    # sum too): members that pass it are accepted with their first picks,
+    # after that one _cap.  One dependent slot (forced, or by chance at
+    # q = 2) falls back to the loop.  Either way the picks, or the error,
+    # the generator's final state and the _cap count equal those of the
+    # same members, and eavesdropper, with dense block-diagonal bases
     calls = []
     original = agreement._cap
     monkeypatch.setattr(agreement, "_cap", lambda *a: calls.append(1) or original(*a))
-    ctx, seen = FieldCtx(q), Counter()
+    ctx, seen, width = FieldCtx(q), Counter(), 5 if with_eve else 4
     for seed in range(100):
         rng = np.random.default_rng(seed)
-        exclusive = _slot_exclusive(ctx, 2, rng, dependent=1 if seed % 4 == 0 else None)
+        exclusive = _slot_exclusive(ctx, 2, rng, dependent=1 if seed % 4 == 0 else None, width=width)
+        lines = [random_subspace(width, 1, ctx, rng) for _ in exclusive] if with_eve else []
         glued = {mask: direct_sum(*(ex[mask] for ex in exclusive)) for mask in (1, 2, 3)}
-        dense = {mask: Subspace(block_diag([ex[mask].basis for ex in exclusive]), 8) for mask in glued}
+        dense = {mask: Subspace(block_diag([ex[mask].basis for ex in exclusive]), 2 * width) for mask in glued}
+        eve = direct_sum(*lines) if lines else None
+        dense_eve = Subspace(block_diag([line.basis for line in lines]), 2 * width) if lines else None
         counts = {1: 1, 2: 1, 3: 4} if seed % 2 else {1: 2, 2: 1, 3: 2}
-        independent = agreement._independent_by_slot(list(glued.values()))
-        assert independent == (rank(vstack([sub.basis for sub in dense.values()])) == 8)
+        stacked = vstack([sub.basis for sub in dense.values()] + ([dense_eve.basis] if lines else []))
+        independent = rank(stacked) == stacked.rows
         out = []
-        for fam, r in ((glued, rng), (dense, copy.deepcopy(rng))):
+        for fam, view, r in ((glued, eve, rng), (dense, dense_eve, copy.deepcopy(rng))):
             calls.clear()
             try:
-                out.append((extract_secure_subspaces(SubspaceFamily(2, fam), counts, None, r), len(calls)))
+                out.append((extract_secure_subspaces(SubspaceFamily(2, fam), counts, view, r), len(calls)))
             except (InfeasibleAllocationError, RuntimeError) as exc:
                 out.append((type(exc), len(calls)))
         (got, got_calls), (want, want_calls) = out
         assert got == want and rng.bit_generator.state == r.bit_generator.state
-        assert want_calls >= 1 and (got_calls == 0 if independent else got_calls == want_calls)
+        assert got_calls == want_calls >= 1 and (got_calls == 1 if independent else got_calls > 1)
         seen[independent, seed % 4 == 0] += 1
     assert not seen[True, True] and seen[False, True] == 25
-    assert seen[True, False] >= (5 if q == 2 else 70) and seen[False, False] >= (5 if q == 2 else 0)
+    assert seen[True, False] >= (70 if q == 101 else 3 if with_eve else 5)
+    assert seen[False, False] >= (5 if q == 2 else 0)
 
 
 def test_extract_realistic_orthogonal_to_eavesdropper_whp():
@@ -640,6 +648,37 @@ def test_quotient_certificate_hand_cases():
     assert not certificate(MatrixFq([[0, 1, 0, 0, 0, 0]] * 2, ctx), eve)
 
 
+@st.composite
+def direct_sums_and_bases(draw):
+    """Subspaces of one ambient space: direct sums over a slot layout (one
+    slot possible), others over a second layout, copies of a direct sum
+    (fully dependent), and dense subspaces, in any order and with parts of
+    any dimension, zero included; with a base that is None, dense, or a
+    direct sum over either layout."""
+    ctx = FieldCtx(draw(st.sampled_from([2, 3, 101, 2**31 - 1])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layout = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    ambient = sum(layout)
+    others = [other for other in (layout[::-1], [ambient], [1] * ambient) if other != layout]
+    second = draw(st.sampled_from(others)) if others else layout
+
+    def glued(widths):
+        return direct_sum(*(random_subspace(w, draw(st.integers(0, w)), ctx, rng) for w in widths))
+
+    few = st.sampled_from([0, 0, 1, 2])
+    subs = [glued(layout) for _ in range(draw(st.integers(0, 3)))]
+    subs += [glued(second) for _ in range(draw(few))]
+    subs += [random_subspace(ambient, draw(st.integers(0, ambient)), ctx, rng) for _ in range(draw(few))]
+    if subs and subs[0].parts is not None and draw(st.booleans()):
+        subs.append(direct_sum(*subs[0].parts))
+    subs = draw(st.permutations(subs)) or [glued(layout)]
+    kind = draw(st.sampled_from(["none", "dense", "sum", "sum"]))
+    if kind == "dense":
+        rows, inner = draw(st.integers(0, ambient + 1)), draw(st.integers(0, ambient))
+        return subs, span_of(random_matrix(rows, inner, ctx, rng) @ random_matrix(inner, ambient, ctx, rng))
+    return subs, glued(draw(st.sampled_from([layout, layout, second]))) if kind == "sum" else None
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     st.sampled_from([2, 3, 101, 2**31 - 1]),
@@ -647,12 +686,16 @@ def test_quotient_certificate_hand_cases():
     st.lists(st.integers(0, 5), min_size=1, max_size=3),
     st.integers(0, 9),
     st.integers(0, 2**32 - 1),
+    direct_sums_and_bases(),
 )
-def test_quotient_cap_equals_the_stacked_rank(q, ambient, dims, eve_rows, seed):
+def test_quotient_cap_equals_the_stacked_rank(q, ambient, dims, eve_rows, seed, slot_case):
     # the dimension a selection adds to a base, taken modulo the base, is the
     # rank of the selection's bases stacked on the base's, less the base's;
     # with no base, the largest basis (often the appended sum, not the first
-    # subspace) counts whole and the others modulo it
+    # subspace) counts whole and the others modulo it.  Direct sums over the
+    # base's slot layout (or the first direct sum's) are ranked slot by slot,
+    # each slot's largest part standing in for a missing base, and the
+    # others at full width: the same dimension
     ctx, rng = FieldCtx(q), np.random.default_rng(seed)
     base = span_of(random_matrix(eve_rows, ambient, ctx, rng))
     subs = [random_subspace(ambient, min(d, ambient), ctx, rng) for d in dims]
@@ -661,6 +704,9 @@ def test_quotient_cap_equals_the_stacked_rank(q, ambient, dims, eve_rows, seed):
     stacked = rank(vstack([sub.basis for sub in subs] + [base.basis])) - base.dim
     assert agreement._cap(subs, base) == stacked
     assert agreement._cap(subs, None) == rank(vstack([sub.basis for sub in subs]))
+    subs, base = slot_case
+    stacked = vstack([sub.basis for sub in subs] + ([] if base is None else [base.basis]))
+    assert agreement._cap(subs, base) == rank(stacked) - (0 if base is None else base.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -738,20 +784,29 @@ def test_allocated_check_equals_the_full_table_check(case, data):
     assert check_allocation_feasible(alloc, family, eve) == full
 
 
-def certificate(keys, eves, moved=()):
-    """_leakage_certificate of the key rows ``keys``, split into the rows
-    nonzero in one slot block only, each given to its slot, and the others;
-    the rows at the indices ``moved`` join the others even when local."""
+def certificate_inputs(keys, eves, moved=()):
+    """The key rows ``keys`` as _cap's subspaces and base: the rows nonzero
+    in one slot block only, a direct sum of their slot spans, and the others
+    one span (none when every row is local), against the direct sum of the
+    eavesdropper's slot spans ``eves``; the rows at the indices ``moved``
+    join the others even when local."""
     width = eves[0].ambient_dim
     live = keys.arr.reshape(keys.rows, len(eves), width).any(axis=2)
     local = live.sum(axis=1) == 1
     local[list(moved)] = False
-    slot_rows = [
-        [MatrixFq(keys.arr[local & live[:, t], t * width : (t + 1) * width].reshape(-1, width), keys.ctx)]
+    slot_spans = [
+        span_of(MatrixFq(keys.arr[local & live[:, t], t * width : (t + 1) * width].reshape(-1, width), keys.ctx))
         for t in range(len(eves))
     ]
-    coupled = [MatrixFq(keys.arr[~local], keys.ctx)] if not local.all() else []
-    return agreement._leakage_certificate(slot_rows, coupled, eves)
+    coupled = [span_of(MatrixFq(keys.arr[~local], keys.ctx))] if not local.all() else []
+    return [direct_sum(*slot_spans), *coupled], direct_sum(*eves)
+
+
+def certificate(keys, eves, moved=()):
+    """The certificate through _cap: the key rows add their count to the
+    eavesdropper's span, so dependent or zero rows, which shrink a span,
+    fail it."""
+    return agreement._cap(*certificate_inputs(keys, eves, moved)) == keys.rows
 
 
 def reference_certificate(keys, eves):
@@ -839,11 +894,12 @@ def test_slot_local_certificate_hand_cases():
 
 def test_slot_local_certificate_stacks_the_slot_sums_and_fails_on_one_deficient_slot(monkeypatch):
     # four slots of F_5^3, each with one or two local key rows against an
-    # eavesdropper line: the sums E_t + L_t of all slots are one stacked
-    # elimination per shape (3 sums of 2 rows, 1 of 3 rows), and no rank
-    # follows, since no row couples slots.  Every slot adding its rows
-    # passes; one slot whose rows fall short (a row inside E_t, or two rows
-    # dependent modulo E_t) fails the whole certificate, wherever it sits
+    # eavesdropper line: _cap takes every slot's rows modulo its line, and
+    # ranks them as one stacked elimination per shape (3 slots of 1 x 2, 1
+    # of 2 x 2), with no elimination at session width, since no row couples
+    # slots.  Every slot adding its rows passes; one slot whose rows fall
+    # short (a row inside E_t, or two rows dependent modulo E_t) fails the
+    # whole certificate, wherever it sits
     ctx = FieldCtx(5)
     eves = [span_of(MatrixFq([row], ctx)) for row in ([1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1])]
     good = [[[0, 1, 0]], [[1, 0, 0], [0, 0, 1]], [[1, 2, 3]], [[1, 0, 0]]]
@@ -857,12 +913,14 @@ def test_slot_local_certificate_stacks_the_slot_sums_and_fails_on_one_deficient_
             i += len(block)
         return MatrixFq(rows, ctx)
 
+    subs, base = certificate_inputs(keys(good), eves)
     calls = []
     original = fieldmath._echelon
     monkeypatch.setattr(fieldmath, "_echelon", lambda *a, **kw: calls.append(a[0].shape) or original(*a, **kw))
-    assert certificate(keys(good), eves)
-    assert calls == [(3, 2, 3), (1, 3, 3)]
-    assert reference_certificate(keys(good), eves)
+    assert agreement._cap(subs, base) == keys(good).rows
+    monkeypatch.undo()
+    assert calls == [(3, 1, 2), (1, 2, 2)]
+    assert certificate(keys(good), eves) and reference_certificate(keys(good), eves)
     for t, bad in deficient.items():
         k = keys(good[:t] + [bad] + good[t + 1 :])
         assert not certificate(k, eves) and not reference_certificate(k, eves)
