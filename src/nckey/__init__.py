@@ -32,8 +32,6 @@ from .bounds import (
 )
 from .agreement import (
     SubsetAllocation,
-    build_exclusive_subspaces,
-    certify_zero_leakage,
     check_allocation_feasible,
     extract_secure_subspaces,
     plan_dimensions,

@@ -14,9 +14,9 @@ The protocol, per session of N slots; run_session calls one stage per step:
    subspace, an "exclusive" subspace of the planned dimension.  All slots'
    picks are one list (random_picks): their draws are reduced together, and
    a rank-deficient draw replays the generator from just after it, so every
-   pick is the one that drawing slot by slot gives.  Only test oracles that
-   can see the eavesdropper's subspace build it by complement subtraction
-   (build_exclusive_subspaces).
+   pick is the one that drawing slot by slot gives.  The omniscient
+   construction by complement subtraction, which needs the eavesdropper's
+   subspace, is a test reference (tests/references.py).
 3. Per-subset key shares are allocated, before the session, by a max-min LP
    over feasibility constraints: the total share of any collection of subsets
    is capped by the dimension those subsets' exclusive subspaces add beyond
@@ -67,8 +67,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import math
-from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
 from fractions import Fraction
 
@@ -333,29 +331,6 @@ def check_allocation_feasible_planned(alloc, plan: DimensionPlan) -> Feasibility
     return _check_against(_as_allocation(alloc, plan.m), plan.caps)
 
 
-def build_exclusive_subspaces(
-    received, eve: Subspace, rng: np.random.Generator | None = None
-) -> SubspaceFamily:
-    """For each nonempty subset J, subtract from the subset's common subspace
-    everything it shares with non-members and with the eavesdropper.
-
-    This is the omniscient construction (it consumes the eavesdropper's
-    subspace), used by test oracles and audits; the protocol itself plans
-    dimensions and samples uniformly instead.
-    """
-    received = list(received)
-    m = len(received)
-    out: dict[int, Subspace] = {}
-    for mask in subset_masks(m):
-        common = _common_subspace(received, mask)
-        shared = eve.intersect(common)
-        for i in range(m):
-            if not mask >> i & 1:
-                shared = shared + received[i].intersect(common)
-        out[mask] = common.complement(shared, rng)
-    return SubspaceFamily(m, out)
-
-
 def _common_subspace(received, mask: int) -> Subspace:
     """A subset's common subspace: its members' received subspaces intersected
     in member order."""
@@ -485,58 +460,6 @@ def extract_secure_subspaces(
             if not feas.ok:
                 raise InfeasibleAllocationError(feas)
     raise RuntimeError(f"no valid extraction found in {MAX_EXTRACTION_TRIES} tries")
-
-
-def certify_zero_leakage(key_vectors: MatrixFq, eve_matrix: MatrixFq) -> bool:
-    """Rank-additivity certificate: the key vectors' span and the
-    eavesdropper's span meet only in zero, which makes uniformly padded key
-    symbols exactly independent of the eavesdropper's observations."""
-    if key_vectors.rows == 0 or eve_matrix.rows == 0:
-        return True
-    return rank(vstack([key_vectors, eve_matrix])) == rank(key_vectors) + rank(eve_matrix)
-
-
-def exhaustive_leakage_check(
-    key_coeffs: MatrixFq, eve_coeffs: MatrixFq, ell: int
-) -> tuple[bool, float]:
-    """Enumerate every message block M and test the key vectors' joint
-    distribution against the eavesdropper's observation, exactly.
-
-    The source sends [I | M]; key vectors are key_coeffs @ [I | M] and the
-    eavesdropper sees eve_coeffs @ [I | M].  Returns (independent, mi_bits)
-    where ``independent`` is an exact conditional-distribution equality check
-    over all M, and mi_bits the (float) mutual information.
-
-    Gated to tiny instances: q^(n_a * (ell - n_a)) <= 2**16 message blocks.
-    """
-    ctx = key_coeffs.ctx
-    if eve_coeffs.ctx != ctx:
-        raise ValueError("field mismatch between key and eavesdropper coefficients")
-    n_a = key_coeffs.cols
-    if eve_coeffs.cols != n_a:
-        raise ValueError("coefficient widths must agree")
-    if ell <= n_a:
-        raise ValueError(f"packet length {ell} must exceed the packet count {n_a}")
-    n_cells = n_a * (ell - n_a)
-    total = ctx.q**n_cells
-    if total > 2**16:
-        raise OverflowError(f"message space {ctx.q}^{n_cells} too large to enumerate")
-
-    counts, y_counts, e_counts = Counter(), Counter(), Counter()
-    for values in itertools.product(range(ctx.q), repeat=n_cells):
-        m_block = MatrixFq(np.array(values, dtype=np.int64).reshape(n_a, ell - n_a), ctx)
-        x_a = np.hstack([np.eye(n_a, dtype=np.int64), m_block.arr])
-        y = np.mod(key_coeffs.arr @ x_a, ctx.q).tobytes()
-        e = np.mod(eve_coeffs.arr @ x_a, ctx.q).tobytes()
-        counts[(y, e)] += 1
-        y_counts[y] += 1
-        e_counts[e] += 1
-
-    independent = all(c * total == y_counts[y] * e_counts[e] for (y, e), c in counts.items())
-    mi = 0.0
-    for (y, e), c in counts.items():
-        mi += (c / total) * math.log2((c * total) / (y_counts[y] * e_counts[e]))
-    return independent, max(mi, 0.0)
 
 
 # --------------------------------------------------------------------------
@@ -1020,10 +943,11 @@ def _audit(slots, picks: dict[int, Subspace], keys: KeyShare) -> AuditReport:
     zero-leakage certificate: the picks add their whole dimension to the
     direct sum E of the eavesdropper's slot subspaces (_cap).  That holds
     exactly when the key rows K have full row rank and meet span E only in
-    zero, certify_zero_leakage(K, block_diag(E_t)).  A failed one withholds
-    the keys and raises its report.  A passing one proves feasibility: each
-    pick lies in its glued exclusive subspace and K keeps full rank modulo
-    E, so sum_S counts = rank(K_S mod E) <= dim(sum_S glued_J + E) - dim E.
+    zero: rank [K; block_diag(E_t)] = rows(K) + dim E.  A failed one
+    withholds the keys and raises its report.  A passing one proves
+    feasibility: each pick lies in its glued exclusive subspace and K keeps
+    full rank modulo E, so sum_S counts = rank(K_S mod E) <=
+    dim(sum_S glued_J + E) - dim E.
     """
     eves = spans_of(rec.obs.eve_transfer for rec in slots)
     # Certified in coefficient space: the packets are these coefficients times

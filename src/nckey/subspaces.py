@@ -4,13 +4,15 @@ complements, uniform sampling, direct sums, and Grassmannian counting.
 A subspace is represented by its unique RREF basis with zero rows dropped, so
 equal subspaces compare (and hash) bit-identically.  Every relation to a
 subspace reads off ``quotient``, vectors taken modulo its basis: containment
-is a zero quotient, intersection the left kernel of a quotient, and a pick
-avoids a subspace when its quotient keeps full rank.  A product of two RREF
-bases is RREF, so an intersection (the kernel's RREF basis times a basis)
-and a pick (a reduced draw times a basis) need no elimination of their own.
-Uniform picks are drawn as a list (``random_picks``), whose draws are
-reduced together and which replays the generator from a rejected draw, so
-that a list picks exactly what its picks drawn one at a time would.
+is a zero quotient, and intersection the left kernel of a quotient.  A
+product of two RREF bases is RREF, so an intersection (the kernel's RREF
+basis times a basis) and a pick (a reduced draw times a basis) need no
+elimination of their own.  Uniform picks are drawn as a list
+(``random_picks``), whose draws are reduced together and which replays the
+generator from a rejected draw, so that a list picks exactly what its picks
+drawn one at a time would.  A uniform complement is drawn with no rejection:
+it is the graph of a uniform linear map from a fixed complement into the
+intersection (``Subspace.complement``).
 
 An external direct sum (``direct_sum``) keeps its parts, and makes its
 block-diagonal basis only when that is read.  A quotient modulo it, and a
@@ -36,7 +38,6 @@ from .fieldmath import (
     hstack,
     mat_mul,
     random_matrix,
-    rank,
     right_kernel,
     rref,
     rref_stack,
@@ -92,18 +93,19 @@ class Subspace:
         return Subspace(mat_mul(coeffs, self.basis), self.ambient_dim)
 
     def complement(self, other: "Subspace", rng: np.random.Generator | None = None) -> "Subspace":
-        """A subspace U with U <= self, U independent of (self ∩ other), and
-        U + (self ∩ other) = self.
+        """A subspace U with U <= self, U independent of W = self ∩ other, and
+        U + W = self.
 
-        The result is not unique.  With rng=None the choice is deterministic
-        (pivot completion: keep the basis rows of self whose pivot columns are
-        not pivot columns of the intersection).  With an rng the result is
-        uniform over all valid complements, by rejection sampling.
+        The result is not unique.  With rng=None it is the pivot completion
+        C0: the basis rows of self whose pivot columns are not pivot columns
+        of W.  With an rng it is uniform over all valid complements, which
+        are the graphs of the linear maps from C0 into W: the row spans of
+        C0 + X @ W.basis, each for exactly one k x dim W matrix X.  So one
+        uniform X gives a uniform complement, with no rank test; when k or
+        dim W is 0 the complement is unique and nothing is drawn.
         """
         inter = self.intersect(other)
         k = self.dim - inter.dim
-        if rng is not None:
-            return random_inside(self, k, rng, avoid=inter)
         if k == 0:
             return zero_subspace(self.ambient_dim, self.ctx)
         if inter.dim == 0:
@@ -113,8 +115,11 @@ class Subspace:
         # the container's pivots, so the completion below is well defined.
         piv_self = np.argmax(self.basis.arr != 0, axis=1)
         piv_inter = np.argmax(inter.basis.arr != 0, axis=1)
-        sel = MatrixFq(self.basis.arr[~np.isin(piv_self, piv_inter)], self.ctx)
-        return Subspace(sel, self.ambient_dim)
+        sel = self.basis.arr[~np.isin(piv_self, piv_inter)]
+        if rng is None:
+            return Subspace(MatrixFq(sel, self.ctx), self.ambient_dim)
+        graph = mat_mul(random_matrix(k, inter.dim, self.ctx, rng), inter.basis)
+        return span_of(MatrixFq(sel + graph.arr, self.ctx))
 
     def __eq__(self, other):
         return (
@@ -267,36 +272,11 @@ def _full_rank_chance(rows: int, cols: int, q: int) -> float:
     return math.prod(1 - q ** (i - cols) for i in range(rows))
 
 
-def random_inside(
-    sub: Subspace, dim: int, rng: np.random.Generator, avoid: Subspace | None = None
-) -> Subspace:
-    """Uniformly random dim-dimensional subspace of ``sub`` meeting ``avoid``
-    (a subspace of ``sub``, or None) only in zero.
-
-    Without ``avoid`` this is a list of one ``random_picks`` request.  With
-    it, the draws over sub's basis are kept once their combination keeps
-    full rank modulo ``avoid``, which is uniform for the same reason.
-    Raises RuntimeError if MAX_DRAWS draws all fail.
-    """
-    if avoid is None:
-        return random_picks([(sub, dim)], rng)[0]
-    free = sub.dim - avoid.dim
-    if not 0 <= dim <= free:
-        raise ValueError(f"cannot pick dim {dim} inside a dim-{free} subspace")
-    if dim == 0:
-        return zero_subspace(sub.ambient_dim, sub.ctx)
-    for _ in range(MAX_DRAWS):
-        cand = mat_mul(random_matrix(dim, sub.dim, sub.ctx, rng), sub.basis)
-        if rank(quotient(cand, avoid)) == dim:
-            return span_of(cand)
-    raise RuntimeError(f"no full-rank draw in {MAX_DRAWS} tries")
-
-
 def random_subspace(ambient_dim: int, dim: int, ctx: FieldCtx, rng: np.random.Generator) -> Subspace:
     """Uniformly random dim-dimensional subspace of F_q^ambient_dim."""
     if not 0 <= dim <= ambient_dim:
         raise ValueError(f"dim must lie in [0, {ambient_dim}], got {dim}")
-    return random_inside(full_space(ambient_dim, ctx), dim, rng)
+    return random_picks([(full_space(ambient_dim, ctx), dim)], rng)[0]
 
 
 def direct_sum(*parts: Subspace) -> Subspace:

@@ -8,13 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from nckey.agreement import (
-    certify_zero_leakage,
-    exhaustive_leakage_check,
-    plan_dimensions,
-    run_session,
-    solve_allocation_lp_planned,
-)
+from nckey.agreement import plan_dimensions, run_session, solve_allocation_lp_planned
 from nckey.bounds import (
     asymptotic_cmi_coefficient,
     best_uniform_input_cmi,
@@ -25,6 +19,7 @@ from nckey.channel import ChannelParams, matrix_transition_prob, subspace_transi
 from nckey.cli import main as cli_main
 from nckey.fieldmath import FieldCtx, MatrixFq
 from nckey.subspaces import random_subspace, span_of
+from references import certify_zero_leakage, exhaustive_leakage_check
 
 DATA = Path(__file__).parent / "data"
 

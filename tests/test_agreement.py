@@ -16,11 +16,8 @@ from nckey.agreement import (
     InfeasibleAllocationError,
     SubsetAllocation,
     _solve_maxmin,
-    build_exclusive_subspaces,
-    certify_zero_leakage,
     check_allocation_feasible,
     check_allocation_feasible_planned,
-    exhaustive_leakage_check,
     extract_secure_subspaces,
     plan_dimensions,
     plan_from_dims,
@@ -49,11 +46,12 @@ from nckey.subspaces import (
     SubspaceFamily,
     direct_sum,
     quotient,
-    random_inside,
+    random_picks,
     random_subspace,
     span_of,
     zero_subspace,
 )
+from references import build_exclusive_subspaces, certify_zero_leakage, exhaustive_leakage_check
 from test_fieldmath import reference_solve
 
 F2 = FieldCtx(2)
@@ -478,7 +476,7 @@ def test_quotient_extraction_matches_the_stacked_rank_reference(q):
         while True:
             picks = {
                 mask: fam[mask] if counts[mask] == fam[mask].dim
-                else random_inside(fam[mask], counts[mask], ref_rng)
+                else random_picks([(fam[mask], counts[mask])], ref_rng)[0]
                 for mask in fam.masks()
             }
             if rank(vstack([p.basis for p in picks.values()] + [eve.basis])) == want:
@@ -508,7 +506,7 @@ def test_extract_takes_a_member_counted_whole_without_a_draw():
                     if counts[mask] == fam[mask].dim:
                         assert picks[mask] is fam[mask]
                     else:
-                        assert picks[mask] == random_inside(fam[mask], counts[mask], ref_rng)
+                        assert picks[mask] == random_picks([(fam[mask], counts[mask])], ref_rng)[0]
                 assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 

@@ -1,5 +1,6 @@
 import copy
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -232,6 +233,40 @@ def test_complement_random_uniform_over_complements():
         assert abs(counts.get(u, 0) - n / 2) <= 5 * sigma
 
 
+class _FixedDraw:
+    """A generator stand-in whose one ``integers`` call returns ``values``
+    in the requested shape."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def integers(self, low, high, size, dtype):
+        return np.array(self.values, dtype=dtype).reshape(size)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("shared", [1, 2])
+def test_complement_graphs_hit_every_complement_once(q, shared):
+    # a 3-dimensional subspace of F_q^4 against one meeting it in dimension
+    # ``shared``: over every draw X, the random complement hits each
+    # complement of the intersection exactly once, so its law is exactly
+    # uniform
+    ctx, rng = FieldCtx(q), np.random.default_rng(q + shared)
+    sub = random_subspace(4, 3, ctx, rng)
+    other = random_picks([(sub, shared)], rng)[0] + _pivot_complement(sub)
+    inter = sub.intersect(other)
+    assert inter.dim == shared
+    k = sub.dim - shared
+    complements = [
+        u for u in subspaces_within(sub, k) if u.dim == k and u.intersect(inter).dim == 0 and u + inter == sub
+    ]
+    assert len(complements) == q ** (k * shared)
+    hits = Counter(
+        sub.complement(other, _FixedDraw(x)) for x in itertools.product(range(q), repeat=k * shared)
+    )
+    assert hits == Counter(complements)
+
+
 def test_random_subspace_bounds():
     rng = np.random.default_rng(1)
     assert random_subspace(4, 0, F2, rng).dim == 0
@@ -260,15 +295,13 @@ def test_full_dimension_pick_returns_sub_after_the_reference_draws(q):
     # a pick of all of sub returns sub itself, and leaves the generator where
     # the draw-and-rref loop of a partial pick would: singular square draws
     # (frequent at q = 2) are redrawn, full-rank ones reduce to I
-    from nckey import subspaces
-
     ctx = FieldCtx(q)
     rejected = 0
     for seed in range(40):
         rng = np.random.default_rng(seed)
         sub = random_subspace(7, int(rng.integers(1, 6)), ctx, rng)
         ref_rng = copy.deepcopy(rng)
-        got = subspaces.random_inside(sub, sub.dim, rng)
+        got = random_picks([(sub, sub.dim)], rng)[0]
         while True:
             red, r, _ = rref(random_matrix(sub.dim, sub.dim, ctx, ref_rng))
             if r == sub.dim:
@@ -315,23 +348,20 @@ def test_pick_lists_replay_the_one_at_a_time_draws(q):
 
 
 def test_rejection_draws_are_bounded(monkeypatch):
-    # a rank that never reports full rank must end every rejection loop
-    # (picks without avoid, partial or full-dimension, read the rank off
-    # rref_stack; draws with avoid call rank)
+    # a rank that never reports full rank must end the rejection loop of
+    # random_picks (partial and full-dimension picks read the rank off
+    # rref_stack); a random complement has no loop to bound
     from nckey import subspaces
 
     rng = np.random.default_rng(4)
     a = random_subspace(4, 2, F5, rng)
-    monkeypatch.setattr(subspaces, "rank", lambda m: -1)
     monkeypatch.setattr(subspaces, "rref_stack", lambda mats: [(m, -1, []) for m in mats])
     with pytest.raises(RuntimeError, match="tries"):
         random_subspace(4, 2, F5, rng)
     with pytest.raises(RuntimeError, match="tries"):
-        subspaces.random_inside(a, 1, rng)
+        random_picks([(a, 1)], rng)
     with pytest.raises(RuntimeError, match="tries"):
-        subspaces.random_inside(a, 2, rng)
-    with pytest.raises(RuntimeError, match="tries"):
-        full_space(4, F5).complement(a, rng)
+        random_picks([(a, 2)], rng)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -406,30 +436,30 @@ def test_quotient_intersect_and_contains_equal_the_stacked_references(q, ambient
 
 @pytest.mark.parametrize("q", [2, 3, 101, 2**31 - 1])
 def test_quotient_avoiding_pick_matches_the_stacked_rank_reference(q):
-    # a pick that avoids a subspace draws, accepts and rejects exactly as a
-    # loop that ranks each candidate stacked on the avoided basis, and leaves
-    # the generator in the same state; small dimensions make q = 2 reject
-    from nckey import subspaces
-
+    # a random complement of W = sub ∩ other is the span of C0 + X @ W.basis,
+    # C0 the deterministic complement and X one uniform draw: it replays from
+    # a copied generator, leaves it in the same state, and meets ``other``
+    # only in zero by the stacked rank
     ctx = FieldCtx(q)
-    rejected = 0
+    graphs = 0
     for seed in range(40):
         rng = np.random.default_rng(seed)
         sub = random_subspace(6, int(rng.integers(1, 6)), ctx, rng)
-        avoid = span_of(random_matrix(int(rng.integers(0, sub.dim)), sub.dim, ctx, rng) @ sub.basis)
-        dim = int(rng.integers(0, sub.dim - avoid.dim + 1))
+        inside = random_matrix(int(rng.integers(0, sub.dim + 1)), sub.dim, ctx, rng) @ sub.basis
+        other = span_of(vstack([inside, random_matrix(int(rng.integers(0, 3)), 6, ctx, rng)]))
+        inter, c0 = sub.intersect(other), sub.complement(other)
         ref_rng = copy.deepcopy(rng)
-        got = subspaces.random_inside(sub, dim, rng, avoid=avoid)
-        want = zero_subspace(6, ctx)
-        while dim:
-            cand = random_matrix(dim, sub.dim, ctx, ref_rng) @ sub.basis
-            if rank(vstack([cand, avoid.basis])) == dim + avoid.dim:
-                want = span_of(cand)
-                break
-            rejected += 1
+        got = sub.complement(other, rng)
+        want = c0
+        if c0.dim and inter.dim:
+            graph = random_matrix(c0.dim, inter.dim, ctx, ref_rng) @ inter.basis
+            want = span_of(MatrixFq(c0.basis.arr + graph.arr, ctx))
+            graphs += 1
         assert got == want
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-    assert rejected >= (10 if q == 2 else 0)
+        assert rank(vstack([got.basis, other.basis])) == got.dim + other.dim
+        assert got.dim == sub.dim - inter.dim
+    assert graphs >= 10
 
 
 def test_direct_sum():
