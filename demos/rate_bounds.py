@@ -18,8 +18,8 @@ for nb in (15, 45):
     print(f"{'ne':>4} {'upper':>8} {'lower':>8}")
     for ne in range(0, 61, 5):
         p = ChannelParams(ctx, 70, 60, (nb, nb), ne)
-        up = upper_bound(p).coefficient
-        low = three_terminal_rate(p).absolute(p)
+        up = upper_bound(p)
+        low = three_terminal_rate(p)
         print(f"{ne:>4} {str(up):>8} {str(low):>8}")
 
 # With a single receiving terminal the two bounds coincide: the secret-key
@@ -28,7 +28,7 @@ print("\nsingle terminal, n_a=8, n_b=5, ell=12:")
 print(f"{'ne':>4} {'upper(reduced)':>14} {'lower':>8}")
 for ne in range(0, 9):
     p = ChannelParams(ctx, 12, 8, (5,), ne)
-    low = two_terminal_rate(p).coefficient
+    low = two_terminal_rate(p)
     reduced = max(1, min(8, 5 + ne))
-    up = upper_bound(ChannelParams(ctx, 12, reduced, (5,), ne)).coefficient
+    up = upper_bound(ChannelParams(ctx, 12, reduced, (5,), ne))
     print(f"{ne:>4} {str(up):>14} {str(low):>8}")

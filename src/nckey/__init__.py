@@ -22,7 +22,6 @@ from .channel import (
     subspace_transition_prob,
 )
 from .bounds import (
-    RateExpression,
     exact_cmi_oracle,
     generic_dims,
     no_feedback_two_terminal_rate,

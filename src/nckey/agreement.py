@@ -26,7 +26,11 @@ The protocol, per session of N slots; run_session calls one stage per step:
    singleton caps plus the full-collection budget imply every other cap and
    planning works for any m (DimensionPlan.caps).  Checks against actual
    subspaces rank each selection (_cap) of the subsets with a positive
-   share (_allocated), at most 7; sessions need no such table (steps 4, 6).
+   share (_allocated), at most 7.  A session builds this table only when
+   its first picks fail the joint rank: extraction (step 4) then looks for
+   a violated selection to report as its witness (all 4 golden extraction
+   failures end so, e.g. "selection (2, 3) needs 5 but only 4 is
+   available").  Otherwise steps 4 and 6 certify the counts.
 4. _extract: slots are glued by direct sums, which keep their slot parts;
    floor(N * share) basis vectors per subset are extracted so that
    everything is mutually independent (extract_secure_subspaces: the
@@ -555,8 +559,11 @@ class SessionResult:
         disclosed subset short of a member, or an audit off its keys: a
         non-degenerate one must carry a true certificate, the disclosures of
         exactly the subsets that ship keys, and the agreement of the rebuilt
-        terminal copies with the subset and final keys; and a missing field,
-        or one of the wrong JSON type, anywhere else."""
+        terminal copies with the subset and final keys; a code and ciphers
+        not both null or not of one row per disclosed key row, or, with a
+        final key, ciphers other than code @ final key + the subset keys
+        stacked in mask order; and a missing field, or one of the wrong JSON
+        type, anywhere else."""
         try:
             if doc.get("schema_version") != SCHEMA_VERSION:
                 raise ValueError(f"unsupported transcript schema {doc.get('schema_version')}")
@@ -621,6 +628,20 @@ class SessionResult:
                 and ad["achieved_per_slot"] == str(Fraction(key_blocks, len(slots)) if slots else 0)
             ):
                 raise ValueError(f"audit block {doc['audit']} disagrees with the keys it ships with")
+            # The code has one row per disclosed key row, and the ciphers are
+            # the final key through the code padded with the subset keys.
+            disclosed = sum({mask: w.rows for (mask, _), w in disclosures.items()}.values())
+            if (code is None) != (ciphers is None) or code is not None and not code.rows == ciphers.rows == disclosed:
+                raise ValueError(f"the code and the ciphers need one row per disclosed key row ({disclosed}) or none")
+            final = keys.final_key
+            if final is not None:
+                pads = vstack(keys.subset_keys[mask] for mask in sorted(keys.subset_keys)) if keys.subset_keys else None
+                if not (
+                    code is not None and code.cols == final.rows and pads is not None
+                    and pads.shape == ciphers.shape == (code.rows, final.cols)
+                    and _ciphers(code, final, pads) == ciphers
+                ):
+                    raise ValueError("the ciphers are not the code times the final key padded with the subset keys")
             ad.update(reasons=tuple(ad["reasons"]), achieved_per_slot=Fraction(ad["achieved_per_slot"]))
             return cls(transcript, keys, AuditReport(**ad))
         except (AttributeError, KeyError, TypeError) as exc:
@@ -915,8 +936,7 @@ def _multicast(picks: dict[int, Subspace], keys: KeyShare, final: MatrixFq | Non
     if any(len(rec.pivots) < key_blocks for rec in receivers):
         raise _Degenerate(("no decodable combination code found",))
     code = _wrap(code, ctx)
-    pads = vstack(list(keys.subset_keys.values()))
-    ciphers = _wrap((mat_mul(code, final).arr + pads.arr) % ctx.q, ctx)
+    ciphers = _ciphers(code, final, vstack(list(keys.subset_keys.values())))
     decoded = []
     for r, rec in enumerate(receivers):
         rows = [i for i, mask in enumerate(labels) if mask >> r & 1]
@@ -927,6 +947,12 @@ def _multicast(picks: dict[int, Subspace], keys: KeyShare, final: MatrixFq | Non
             raise _Degenerate((f"terminal {r} could not decode the combination code",))
         decoded.append(key)
     return code, ciphers, replace(keys, final_key=final, terminal_final=tuple(decoded))
+
+
+def _ciphers(code: MatrixFq, final: MatrixFq, pads: MatrixFq) -> MatrixFq:
+    """code @ final + pads, the pads being the subset keys stacked in mask
+    order."""
+    return _wrap((mat_mul(code, final).arr + pads.arr) % final.ctx.q, final.ctx)
 
 
 def _agreement(keys: KeyShare) -> tuple[bool, bool]:

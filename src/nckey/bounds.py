@@ -1,53 +1,26 @@
 """Closed-form secret-key rate bounds plus an exact conditional mutual
 information oracle that checks the asymptotic formulas at any field size.
 
-All bound formulas are rational in the channel counts, so rates are carried as
-exact Fraction coefficients of log q.  The oracle counts subspace
-configurations by dimension, since its inputs are uniform over one dimension;
-its law is integer weights over one common denominator, and only the final
-log sum is floating point.
+All bound formulas are rational in the channel counts, so every rate is one
+exact Fraction: its coefficient of log q per slot (divide by ell - n_a for the
+rate per (ell - n_a) log q).  The oracle counts subspace configurations by
+dimension, since its inputs are uniform over one dimension; its law is integer
+weights over one common denominator, and only the final log sum is floating
+point.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .channel import ChannelParams
 from .subspaces import gaussian_binomial, spanning_matrix_count
 
-ABSOLUTE = "absolute"
-PER_DOF = "per_dof"  # per (ell - n_a) * log q
-
 
 def _pos(x: int) -> int:
     return x if x > 0 else 0
-
-
-@dataclass(frozen=True)
-class RateExpression:
-    """A rate as coefficient * log q, tagged with its normalization."""
-
-    coefficient: Fraction
-    normalization: str
-
-    def __post_init__(self):
-        if self.normalization not in (ABSOLUTE, PER_DOF):
-            raise ValueError(f"unknown normalization {self.normalization!r}")
-        if self.coefficient < 0:
-            raise ValueError(f"rate coefficient must be nonnegative, got {self.coefficient}")
-
-    def absolute(self, params: ChannelParams) -> Fraction:
-        if self.normalization == ABSOLUTE:
-            return self.coefficient
-        return self.coefficient * (params.ell - params.n_a)
-
-    def per_dof(self, params: ChannelParams) -> Fraction:
-        if self.normalization == PER_DOF:
-            return self.coefficient
-        return self.coefficient / (params.ell - params.n_a)
 
 
 def _cut(params: ChannelParams, n_i: int) -> tuple[int, int]:
@@ -57,14 +30,14 @@ def _cut(params: ChannelParams, n_i: int) -> tuple[int, int]:
     return cut, _pos(cut - params.n_e) * (params.ell - cut)
 
 
-def upper_bound(params: ChannelParams) -> RateExpression:
+def upper_bound(params: ChannelParams) -> Fraction:
     """min over terminals i of (min[n_a, n_i+n_e] - n_e)(ell - min[n_a, n_i+n_e]);
     zero when the eavesdropper matches the source (n_e >= n_a).  It also bounds
     sources of injected rank below the cut only when 2 cut <= ell + n_e + 1."""
-    return RateExpression(Fraction(min(_cut(params, n_i)[1] for n_i in params.n)), ABSOLUTE)
+    return Fraction(min(_cut(params, n_i)[1] for n_i in params.n))
 
 
-def two_terminal_rate(params: ChannelParams) -> RateExpression:
+def two_terminal_rate(params: ChannelParams) -> Fraction:
     """Single-receiver achievable rate with the source reduced to
     n_a' = min(n_a, n_b+n_e) injected packets; matches upper_bound at n_a',
     so this is the m=1 capacity when 2 n_a' <= ell + n_e + 1 (a lower
@@ -74,7 +47,7 @@ def two_terminal_rate(params: ChannelParams) -> RateExpression:
     return upper_bound(params)
 
 
-def no_feedback_two_terminal_rate(params: ChannelParams) -> RateExpression:
+def no_feedback_two_terminal_rate(params: ChannelParams) -> Fraction:
     """Single-receiver capacity when public discussion is not available:
     [n_b - n_e]^+ (ell - n_b); positive only if n_b > n_e."""
     if params.m != 1:
@@ -82,7 +55,7 @@ def no_feedback_two_terminal_rate(params: ChannelParams) -> RateExpression:
     n_b = params.n[0]
     if n_b > params.n_a or params.n_e > params.n_a:
         raise ValueError("no_feedback rate assumes n_b <= n_a and n_e <= n_a")
-    return RateExpression(Fraction(_pos(n_b - params.n_e) * (params.ell - n_b)), ABSOLUTE)
+    return Fraction(_pos(n_b - params.n_e) * (params.ell - n_b))
 
 
 def symmetric_pair_dims(params: ChannelParams) -> tuple[int, int]:
@@ -102,15 +75,12 @@ def symmetric_pair_dims(params: ChannelParams) -> tuple[int, int]:
     return u_single, u_shared
 
 
-def three_terminal_rate(params: ChannelParams) -> RateExpression:
-    """Symmetric two-receiver achievable rate, normalized per (ell-n_a) log q:
-    min[u_single + u_shared, (n_a + u_shared - n_e) / 2]."""
+def three_terminal_rate(params: ChannelParams) -> Fraction:
+    """Symmetric two-receiver achievable rate: (ell - n_a) times the per-dof
+    closed form min[u_single + u_shared, (n_a + u_shared - n_e) / 2]."""
     u_single, u_shared = symmetric_pair_dims(params)
-    coeff = min(
-        Fraction(u_single + u_shared),
-        Fraction(params.n_a + u_shared - params.n_e, 2),
-    )
-    return RateExpression(coeff, PER_DOF)
+    per_dof = min(Fraction(u_single + u_shared), Fraction(params.n_a + u_shared - params.n_e, 2))
+    return per_dof * (params.ell - params.n_a)
 
 
 def generic_dims(dims, ambient: int) -> tuple[int, int]:

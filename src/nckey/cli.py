@@ -165,11 +165,11 @@ def make_params(cfg: dict, overrides: dict) -> ChannelParams:
 
 
 def _lower_bound(params: ChannelParams) -> tuple[Fraction, str]:
-    """Absolute lower-bound coefficient and the method used."""
+    """Lower-bound coefficient of log q per slot and the method used."""
     if params.m == 1:
-        return two_terminal_rate(params).absolute(params), "two_terminal"
+        return two_terminal_rate(params), "two_terminal"
     if params.m == 2 and params.n[0] == params.n[1] and params.n[0] <= params.n_a and params.n_e <= params.n_a:
-        return three_terminal_rate(params).absolute(params), "closed_form_symmetric"
+        return three_terminal_rate(params), "closed_form_symmetric"
     _, value = solve_allocation_lp_planned(plan_dimensions(params))
     return value * (params.ell - params.n_a), "allocation_lp"
 
@@ -193,41 +193,29 @@ def _sweep_points(cfg: dict, parser):
 
 
 def cmd_bounds(cfg: dict, parser) -> dict:
+    """Each sweep point's row twice: coefficients of log q per slot, then per
+    (ell - n_a) log q."""
     rows = []
     for sweep_cols, params in _sweep_points(cfg, parser):
         upper = upper_bound(params)
-        lower_abs, method = _lower_bound(params)
-        dof = params.ell - params.n_a
+        lower, method = _lower_bound(params)
         binding_cut, _ = min((_cut(params, n_i) for n_i in params.n), key=lambda c: c[1])
-        mismatch = binding_cut != params.n_a
-        common = {
-            **sweep_cols,
-            "q": params.ctx.q,
-            "ell": params.ell,
-            "na": params.n_a,
-            "n": ";".join(str(x) for x in params.n),
-            "ne": params.n_e,
-        }
-        rows.append(
-            {
-                **common,
-                "normalization": "absolute",
-                "upper_coeff": str(upper.coefficient),
-                "lower_coeff": str(lower_abs),
-                "lower_method": method,
-                "norm_mismatch": mismatch,
-            }
-        )
-        rows.append(
-            {
-                **common,
-                "normalization": "per_dof",
-                "upper_coeff": str(upper.coefficient / dof),
-                "lower_coeff": str(lower_abs / dof),
-                "lower_method": method,
-                "norm_mismatch": mismatch,
-            }
-        )
+        for normalization, scale in (("absolute", 1), ("per_dof", params.ell - params.n_a)):
+            rows.append(
+                {
+                    **sweep_cols,
+                    "q": params.ctx.q,
+                    "ell": params.ell,
+                    "na": params.n_a,
+                    "n": ";".join(str(x) for x in params.n),
+                    "ne": params.n_e,
+                    "normalization": normalization,
+                    "upper_coeff": str(upper / scale),
+                    "lower_coeff": str(lower / scale),
+                    "lower_method": method,
+                    "norm_mismatch": binding_cut != params.n_a,
+                }
+            )
     return {"rows": rows}
 
 

@@ -250,7 +250,7 @@ def test_lp_matches_symmetric_closed_form_on_planned_grid():
                 p = P(101, n_a + 1, n_a, [n_b, n_b], n_e)
                 plan = plan_dimensions(p)
                 alloc, value = solve_allocation_lp_planned(plan)
-                assert value == three_terminal_rate(p).coefficient, (n_a, n_b, n_e)
+                assert value == three_terminal_rate(p) / (p.ell - p.n_a), (n_a, n_b, n_e)
                 assert check_allocation_feasible_planned(alloc, plan).ok
 
 
@@ -343,7 +343,7 @@ def test_lp_matches_actual_subspaces_whp():
     # sampled instances agree with the planned/closed-form value w.h.p.
     rng = np.random.default_rng(47)
     p = P(101, 10, 6, [4, 4], 2)
-    want = three_terminal_rate(p).coefficient
+    want = three_terminal_rate(p) / (p.ell - p.n_a)
     hits = 0
     trials = 200
     for _ in range(trials):
@@ -1496,7 +1496,7 @@ def test_session_large_symmetric_setup():
     # more rows than field elements, with unit vectors.
     p = P(101, 70, 60, [15, 15], 20)
     alloc, value = solve_allocation_lp_planned(plan_dimensions(p))
-    assert value == three_terminal_rate(p).coefficient == 15
+    assert value == three_terminal_rate(p) / (p.ell - p.n_a) == 15
     for seed in (3, 4, 5):
         res = run_session(p, 4, alloc, np.random.default_rng(seed))
         if res.audit.degenerate:
@@ -1838,9 +1838,27 @@ def test_session_transcript_load_checks_the_agreement_flags_and_the_certificate(
     for name, edit in tampered.items():
         with pytest.raises(ValueError, match="audit block"):
             load(broken(edit))
-    # flags that report the shipped keys' disagreement are consistent
+    # nor are the public code and ciphers: the ciphers must be the code times
+    # the final key, padded with the subset keys stacked in mask order, and a
+    # code comes with its ciphers
+    tampered_public = {
+        "a cipher entry": lambda d: bump(d["public_messages"]["ciphers"]),
+        "a code entry": lambda d: bump(d["public_messages"]["multicast_code"]),
+        "null ciphers": lambda d: d["public_messages"].update(ciphers=None),
+    }
+    for name, edit in tampered_public.items():
+        with pytest.raises(ValueError, match="ciphers"):
+            load(broken(edit))
+    # flags that report the shipped keys' disagreement are consistent; the
+    # bumped subset key pads the first cipher row, which moves with it
     flagged = load(
-        broken(lambda d: (bump(d["keys"]["subset_keys"]["1"]), d["audit"].update(subset_agreement=False)))
+        broken(
+            lambda d: (
+                bump(d["keys"]["subset_keys"]["1"]),
+                bump(d["public_messages"]["ciphers"]),
+                d["audit"].update(subset_agreement=False),
+            )
+        )
     )
     assert flagged.audit.subset_agreement is False
     # an empty session ran no audit, so it carries no flags

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from nckey.bounds import (
-    RateExpression,
     asymptotic_cmi_coefficient,
     best_uniform_input_cmi,
     exact_cmi_oracle,
     generic_dims,
     no_feedback_two_terminal_rate,
+    symmetric_pair_dims,
     three_terminal_rate,
     two_terminal_rate,
     upper_bound,
@@ -37,12 +37,12 @@ def P(q, ell, na, n, ne):
 
 def test_upper_bound_examples():
     # an all-powerful eavesdropper kills the rate
-    assert upper_bound(P(101, 9, 4, [3], 4)).coefficient == 0
+    assert upper_bound(P(101, 9, 4, [3], 4)) == 0
     # no eavesdropper, single receiver with n_b <= n_a
     p = P(101, 9, 4, [3], 0)
-    assert upper_bound(p).coefficient == 3 * (9 - 3)
+    assert upper_bound(p) == 3 * (9 - 3)
     # the two symmetric example setups
-    assert upper_bound(P(101, 70, 60, [15, 15], 10)).coefficient == 15 * 45 == 675
+    assert upper_bound(P(101, 70, 60, [15, 15], 10)) == 15 * 45 == 675
 
 
 def test_upper_bound_min_over_receivers():
@@ -51,13 +51,13 @@ def test_upper_bound_min_over_receivers():
         (min(6, ni + 1) - 1) * (12 - min(6, ni + 1))
         for ni in (2, 5)
     ]
-    assert upper_bound(p).coefficient == min(per)
+    assert upper_bound(p) == min(per)
 
 
 def test_two_terminal_examples():
-    assert two_terminal_rate(P(101, 9, 4, [2], 4)).coefficient == 0
+    assert two_terminal_rate(P(101, 9, 4, [2], 4)) == 0
     p = P(101, 8, 4, [2], 1)
-    assert two_terminal_rate(p).coefficient == (3 - 1) * (8 - 3) == 10
+    assert two_terminal_rate(p) == (3 - 1) * (8 - 3) == 10
     with pytest.raises(ValueError):
         two_terminal_rate(P(101, 8, 4, [2, 2], 1))
 
@@ -72,21 +72,22 @@ def test_two_terminal_equals_upper_bound_after_reduction():
                     p = P(101, ell, n_a, [n_b], n_e)
                     reduced = max(1, min(n_a, n_b + n_e))
                     p_red = P(101, ell, reduced, [n_b], n_e)
-                    assert two_terminal_rate(p).coefficient == upper_bound(p_red).coefficient
+                    assert two_terminal_rate(p) == upper_bound(p_red)
 
 
 def test_no_feedback_rate():
-    assert no_feedback_two_terminal_rate(P(101, 8, 4, [2], 2)).coefficient == 0
+    assert no_feedback_two_terminal_rate(P(101, 8, 4, [2], 2)) == 0
     p = P(101, 8, 4, [2], 1)
-    assert no_feedback_two_terminal_rate(p).coefficient == 1 * (8 - 2) == 6
+    assert no_feedback_two_terminal_rate(p) == 1 * (8 - 2) == 6
     # public discussion strictly helps here
-    assert two_terminal_rate(p).coefficient == 10 > 6
+    assert two_terminal_rate(p) == 10 > 6
 
 
 def test_three_terminal_examples():
-    assert three_terminal_rate(P(101, 70, 60, [15, 15], 20)).coefficient == 15
-    assert three_terminal_rate(P(101, 70, 60, [45, 45], 0)).coefficient == 45
-    assert three_terminal_rate(P(101, 70, 60, [45, 45], 60)).coefficient == 0
+    # per slot: (ell - n_a) = 10 times the per-dof closed form
+    assert three_terminal_rate(P(101, 70, 60, [15, 15], 20)) == 15 * 10
+    assert three_terminal_rate(P(101, 70, 60, [45, 45], 0)) == 45 * 10
+    assert three_terminal_rate(P(101, 70, 60, [45, 45], 60)) == 0
     with pytest.raises(ValueError):
         three_terminal_rate(P(101, 70, 60, [45, 30], 0))
 
@@ -97,21 +98,23 @@ def test_three_terminal_below_upper_bound():
             for n_e in range(0, n_a + 1):
                 for ell in range(n_a + 1, n_a + 7):
                     p = P(101, ell, n_a, [n_b, n_b], n_e)
-                    low = three_terminal_rate(p).absolute(p)
-                    up = upper_bound(p).coefficient
+                    low = three_terminal_rate(p)
+                    up = upper_bound(p)
                     assert low <= up, (n_a, n_b, n_e, ell, low, up)
 
 
 def test_rate_expression_normalization():
+    # every rate is one Fraction, the coefficient of log q per slot; the
+    # symmetric closed form is (ell - n_a) times its per-dof value
     p = P(101, 8, 4, [2], 1)
-    r = RateExpression(Fraction(10), "absolute")
-    assert r.per_dof(p) == Fraction(10, 4)
-    r2 = RateExpression(Fraction(5, 2), "per_dof")
-    assert r2.absolute(p) == 10
-    with pytest.raises(ValueError):
-        RateExpression(Fraction(-1), "absolute")
-    with pytest.raises(ValueError):
-        RateExpression(Fraction(1), "weird")
+    for rate in (upper_bound, two_terminal_rate, no_feedback_two_terminal_rate):
+        assert type(rate(p)) is Fraction
+    for n_b, n_e in ((3, 1), (2, 0), (4, 4)):
+        p = P(101, 9, 5, [n_b, n_b], n_e)
+        assert type(upper_bound(p)) is Fraction and type(three_terminal_rate(p)) is Fraction
+        u_single, u_shared = symmetric_pair_dims(p)
+        per_dof = min(Fraction(u_single + u_shared), Fraction(p.n_a + u_shared - p.n_e, 2))
+        assert three_terminal_rate(p) / (p.ell - p.n_a) == per_dof
 
 
 def test_generic_dims_examples():
