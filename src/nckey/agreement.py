@@ -555,15 +555,18 @@ class SessionResult:
     def from_json_dict(cls, doc: dict) -> "SessionResult":
         """Load a schema-3 document, rebuilding each slot's source and received
         packets; ValueError on another schema, non-int params, a count, shape,
-        entry, subset or terminal out of range, a repeated disclosure or a
-        disclosed subset short of a member, or an audit off its keys: a
-        non-degenerate one must carry a true certificate, the disclosures of
-        exactly the subsets that ship keys, and the agreement of the rebuilt
-        terminal copies with the subset and final keys; a code and ciphers
-        not both null or not of one row per disclosed key row, or, with a
-        final key, ciphers other than code @ final key + the subset keys
-        stacked in mask order; and a missing field, or one of the wrong JSON
-        type, anywhere else."""
+        entry, subset or terminal out of range, a subset key mask not written
+        as its decimal int, a repeated disclosure or a disclosed subset short
+        of a member, or an audit off its keys: a non-degenerate one must
+        carry a true certificate, the disclosures of exactly the subsets that
+        ship keys, and the agreement of the rebuilt terminal copies with the
+        subset and final keys; a code and ciphers not both null or not of one
+        row per disclosed key row, or, with a final key, ciphers other than
+        code @ final key + the subset keys stacked in mask order; a code other
+        than the combination code that the disclosed subsets' row counts
+        rebuild (_combination_code, with k = min_r sum_{J containing r}
+        rows_J); and a missing field, or one of the wrong JSON type, anywhere
+        else."""
         try:
             if doc.get("schema_version") != SCHEMA_VERSION:
                 raise ValueError(f"unsupported transcript schema {doc.get('schema_version')}")
@@ -599,8 +602,8 @@ class SessionResult:
             code, ciphers = (_unmat(pub[name], ctx) for name in ("multicast_code", "ciphers"))
             transcript = SessionTranscript(params, tuple(slots), disclosures, code, ciphers)
             kd = doc["keys"]
-            if not all(_is_mask(int(mask), params.m) for mask in kd["subset_keys"]):
-                raise ValueError(f"subset key masks {sorted(kd['subset_keys'])} out of range")
+            if not set(kd["subset_keys"]) <= {str(mask) for mask in subset_masks(params.m)}:
+                raise ValueError(f"subset key masks {sorted(kd['subset_keys'])} out of range or not canonical")
             if len(kd["terminal_final"]) != params.m:
                 raise ValueError(f"need {params.m} terminal final keys, got {len(kd['terminal_final'])}")
             ad = {f.name: doc["audit"][f.name] for f in fields(AuditReport)}
@@ -630,7 +633,8 @@ class SessionResult:
                 raise ValueError(f"audit block {doc['audit']} disagrees with the keys it ships with")
             # The code has one row per disclosed key row, and the ciphers are
             # the final key through the code padded with the subset keys.
-            disclosed = sum({mask: w.rows for (mask, _), w in disclosures.items()}.values())
+            rows = {mask: w.rows for (mask, _), w in disclosures.items()}
+            disclosed = sum(rows.values())
             if (code is None) != (ciphers is None) or code is not None and not code.rows == ciphers.rows == disclosed:
                 raise ValueError(f"the code and the ciphers need one row per disclosed key row ({disclosed}) or none")
             final = keys.final_key
@@ -642,6 +646,12 @@ class SessionResult:
                     and _ciphers(code, final, pads) == ciphers
                 ):
                     raise ValueError("the ciphers are not the code times the final key padded with the subset keys")
+            # The code is a function of the disclosed subsets' row counts.
+            if code is not None:
+                labels = [mask for mask in sorted(rows) for _ in range(rows[mask])]
+                k = min(sum(n for mask, n in rows.items() if mask >> r & 1) for r in range(params.m))
+                if not k or not np.array_equal(code.arr, _combination_code(labels, k, params.m, ctx.q)[0]):
+                    raise ValueError("the code is not the combination code of the disclosed subsets' rows")
             ad.update(reasons=tuple(ad["reasons"]), achieved_per_slot=Fraction(ad["achieved_per_slot"]))
             return cls(transcript, keys, AuditReport(**ad))
         except (AttributeError, KeyError, TypeError) as exc:

@@ -26,6 +26,7 @@ from nckey.fieldmath import (
     vstack,
     zeros,
 )
+from references import reference_rref, reference_solve
 
 F2 = FieldCtx(2)
 F5 = FieldCtx(5)
@@ -52,64 +53,6 @@ def minor_rank_oracle(m: MatrixFq) -> int:
                 if det(list(rows), list(cols)) % m.ctx.q != 0:
                     return k
     return 0
-
-
-def reference_eliminate(arr: np.ndarray, q: int, pivot_col_limit: int | None = None):
-    """In-place Gauss-Jordan reduction; returns pivot column list.
-
-    The reference for the forward-only kernel: each pivot clears its column
-    in every other row and the whole array is reduced after every update.
-    Pivot search can be limited to the first ``pivot_col_limit`` columns while
-    row operations still apply to the full width (for augmented systems).
-    """
-    rows, cols = arr.shape
-    limit = cols if pivot_col_limit is None else pivot_col_limit
-    pivots: list[int] = []
-    r = 0
-    for c in range(limit):
-        if r == rows:
-            break
-        nz = np.nonzero(arr[r:, c])[0]
-        if nz.size == 0:
-            continue
-        p = r + int(nz[0])
-        if p != r:
-            arr[[r, p]] = arr[[p, r]]
-        inv = pow(int(arr[r, c]), -1, q)
-        arr[r] = np.mod(arr[r] * inv, q)
-        col = arr[:, c].copy()
-        col[r] = 0
-        if np.any(col):
-            arr -= np.outer(col, arr[r])
-            np.mod(arr, q, out=arr)
-        pivots.append(c)
-        r += 1
-    return pivots
-
-
-def reference_rref(m: MatrixFq):
-    a = m.arr.copy()
-    pivots = reference_eliminate(a, m.ctx.q)
-    return MatrixFq(a, m.ctx), len(pivots), pivots
-
-
-def reference_solve(target: MatrixFq, basis: MatrixFq):
-    """The basic solution C of C @ basis == target, or None outside the row
-    span: zero except on the earliest independent basis rows, where it is
-    the unique Gauss-Jordan solution.
-
-    Those rows each raise the rank of the rows before them; Gauss-Jordan on
-    basis^T counts that rank column by column, so they are its pivots.
-    """
-    ctx = target.ctx
-    kept = reference_rref(basis.transpose())[2]
-    aug = np.hstack([basis.arr[kept].T, target.arr.T])
-    reference_eliminate(aug, ctx.q, pivot_col_limit=len(kept))
-    if np.any(aug[len(kept) :, len(kept) :]):
-        return None
-    out = np.zeros((target.rows, basis.rows), dtype=np.int64)
-    out[:, kept] = aug[: len(kept), len(kept) :].T
-    return MatrixFq(out, ctx)
 
 
 def reference_is_prime(n: int) -> bool:

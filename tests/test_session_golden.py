@@ -16,6 +16,13 @@ of the transcript format regenerates the first set and leaves it untouched.
 Every session is also reloaded from its JSON, which stores no source or
 received packets, and must give the same protocol digest and packets.
 
+The digests fix bytes; ``reference_session`` (``tests/references.py``)
+fixes what they mean.  Built the slow, obvious way with the same draws, it
+must give the same JSON and terminal subset keys on every golden session
+outside the three paper16 cases and on small random shapes (below), and on
+eight allocated subsets at m = 4 (``test_agreement.py``).  Regenerated
+digests must first pass those reference-session tests.
+
 Regenerate (only for an intended, documented output change) with
 ``PYTHONPATH=src python tests/test_session_golden.py > tests/data/session_digests.json``
 or, for the protocol digests,
@@ -29,10 +36,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nckey.agreement import plan_dimensions, run_session, solve_allocation_lp_planned
 from nckey.channel import ChannelParams
 from nckey.fieldmath import FieldCtx
+from references import reference_session
 
 DATA = Path(__file__).parent / "data" / "session_digests.json"
 PROTOCOL_DATA = Path(__file__).parent / "data" / "session_protocol_digests.json"
@@ -119,10 +129,14 @@ def run_sessions() -> list:
     return out
 
 
+def _session_json(result) -> str:
+    return json.dumps(_session_doc(result), sort_keys=True)
+
+
 def format_digests(sessions) -> dict:
     out = {}
     for name, seed, result in sessions:
-        text = json.dumps(_session_doc(result), sort_keys=True)
+        text = _session_json(result)
         out.setdefault(name, {})[seed] = [_outcome(result), hashlib.sha256(text.encode()).hexdigest()]
     return out
 
@@ -165,6 +179,43 @@ def test_golden_sessions_reload_exactly(sessions):
             assert rec.source == old.source
             assert rec.obs.received == old.obs.received
             assert rec.obs.eve_received == old.obs.eve_received
+
+
+def test_golden_sessions_equal_the_reference_session(sessions):
+    # the paper16 shapes are left out: at session width the reference's
+    # Gauss-Jordan eliminations take minutes there
+    checked = 0
+    for name, seed, result in sessions:
+        if name.startswith("paper16"):
+            continue
+        q, ell, n_a, n, n_e, slots, _ = CASES[name]
+        params = ChannelParams(FieldCtx(q), ell, n_a, n, n_e)
+        alloc, _ = solve_allocation_lp_planned(plan_dimensions(params))
+        want = reference_session(params, slots, alloc, np.random.default_rng(int(seed)))
+        assert _session_json(result) == _session_json(want), (name, seed)
+        checked += 1
+    assert checked == 151
+
+
+@st.composite
+def small_sessions(draw):
+    """(params, slots, seed): m <= 4 terminals, q at the field-size extremes
+    (small q, where sessions bail out, twice as likely), N <= 4 slots (rarely
+    none), n_a <= 7, ell <= n_a + 3, n_i <= n_a + 1 and n_e <= n_a."""
+    ctx = FieldCtx(draw(st.sampled_from([2, 2, 3, 3, 101, 2**31 - 1])))
+    n_a, m = draw(st.integers(1, 7)), draw(st.integers(1, 4))
+    n = draw(st.lists(st.integers(0, n_a + 1), min_size=m, max_size=m))
+    params = ChannelParams(ctx, n_a + draw(st.integers(1, 3)), n_a, tuple(n), draw(st.integers(0, n_a)))
+    return params, draw(st.sampled_from([0, 1, 2, 2, 3, 3, 4, 4, 4])), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(small_sessions())
+def test_small_sessions_equal_the_reference_session(case):
+    params, slots, seed = case
+    alloc, _ = solve_allocation_lp_planned(plan_dimensions(params))
+    got = run_session(params, slots, alloc, np.random.default_rng(seed))
+    assert _session_json(got) == _session_json(reference_session(params, slots, alloc, np.random.default_rng(seed)))
 
 
 if __name__ == "__main__":
