@@ -90,7 +90,7 @@ from .fieldmath import (
     vstack,
 )
 from .simplex import maximize
-from .subspaces import Subspace, SubspaceFamily, direct_sum, quotient, random_picks, spans_of
+from .subspaces import Subspace, SubspaceFamily, direct_sum, quotient, random_picks, spans_of, zero_subspace
 
 # Largest family whose 2^k - 1 selections are enumerated for actual subspaces.
 MAX_ENUMERATED_SUBSETS = 7
@@ -174,55 +174,49 @@ def _as_allocation(alloc, m: int) -> SubsetAllocation:
     return alloc if isinstance(alloc, SubsetAllocation) else SubsetAllocation(m, alloc)
 
 
-def _largest(subs: list[Subspace]) -> Subspace:
-    """Remove and return the first subspace of the largest dimension."""
-    return subs.pop(max(range(len(subs)), key=lambda i: subs[i].dim))
+def _cap(subs, base: Subspace) -> int:
+    """Dimension the subspaces ``subs`` add to ``base``: the rank of their
+    stacked bases modulo ``base``.
 
-
-def _cap(subs, base: Subspace | None) -> int:
-    """Dimension the subspaces ``subs`` add to ``base`` (to nothing when
-    ``base`` is None): the rank of their stacked bases modulo ``base``.
-
-    Direct sums over base's slot layout (with no base, the first direct
-    sum's) are local, and every other subspace is dense.  A sum of direct
-    sums is the direct sum of its slot sums, so local subspaces are ranked
-    slot by slot.  With no base, each slot's largest local part stands in
-    for it, or, with no local subspace, the largest subspace: an RREF basis
-    has independent rows, so a stand-in adds its whole dimension.
-
-    With local subspaces only, each slot's parts modulo base's part
-    (quotient) are ranked, all slots' in one ``rank_stack``.  With dense
-    ones too, each slot's sum, base's part plus the local parts, comes from
-    one ``spans_of`` (a slot with nothing more keeps base's part), and the
-    dense bases add their rank modulo the direct sum of those sums.
+    Direct sums over base's slot layout are local, and every other subspace
+    is dense.  A sum of direct sums is the direct sum of its slot sums, so
+    local subspaces are ranked slot by slot.  With local subspaces only,
+    each slot's parts modulo base's part (quotient) are ranked, all slots'
+    in one ``rank_stack``.  With dense ones too, each slot's sum, base's part
+    plus the local parts, comes from one ``spans_of`` (a slot with nothing
+    more keeps base's part), and the dense bases add their rank modulo the
+    direct sum of those sums.
     """
     subs, extra = list(subs), 0
     widths = lambda s: s.parts and tuple(p.ambient_dim for p in s.parts)
-    layout = next(filter(None, map(widths, subs)), None) if base is None else widths(base)
+    layout = widths(base)
     local, dense = [], []
     for s in subs:
         (local if layout and widths(s) == layout else dense).append(s)
     if local:
-        slots = [list(parts) for parts in zip(*(s.parts for s in local))]
-        bases = [_largest(parts) for parts in slots] if base is None else list(base.parts)
-        extra = sum(b.dim for b in bases) if base is None else 0
+        slots, bases = list(zip(*(s.parts for s in local))), list(base.parts)
         live = [t for t, parts in enumerate(slots) if any(p.dim for p in parts)]
         if not dense:
-            return extra + sum(rank_stack(quotient(vstack([p.basis for p in slots[t]]), bases[t]) for t in live))
+            return sum(rank_stack(quotient(vstack([p.basis for p in slots[t]]), bases[t]) for t in live))
         for t, grown in zip(live, spans_of(vstack([bases[t].basis, *(p.basis for p in slots[t])]) for t in live)):
             extra += grown.dim - bases[t].dim
             bases[t] = grown
         base = direct_sum(*bases)
-    elif base is None:
-        base = _largest(dense)
-        extra = base.dim
     return extra + (rank(quotient(vstack([s.basis for s in dense]), base)) if dense else 0)
 
 
-def _actual_caps(family: SubspaceFamily, base: Subspace | None = None) -> dict[tuple[int, ...], int]:
+def _zero_like(sub: Subspace) -> Subspace:
+    """The zero subspace in ``sub``'s layout: a direct sum of zero parts over
+    its slots when it is a direct sum, one zero subspace otherwise."""
+    if sub.parts is None:
+        return zero_subspace(sub.ambient_dim, sub.ctx)
+    return direct_sum(*(zero_subspace(p.ambient_dim, p.ctx) for p in sub.parts))
+
+
+def _actual_caps(family: SubspaceFamily, base: Subspace) -> dict[tuple[int, ...], int]:
     """Cap table of the actual subspaces: for every nonempty selection of the
     family's subsets (by size, then lexicographically), the dimension its
-    members add to ``base`` (to nothing when ``base`` is None), one _cap each.
+    members add to ``base``, one _cap each.
 
     Raises:
         ValueError: for more than 7 members, where the 2^k - 1 selections are
@@ -410,7 +404,8 @@ def extract_secure_subspaces(
     picks are mutually independent.
 
     Both modes take one acceptance test: the picks add their total dimension
-    to ``eve``'s subspace, or to nothing when ``eve`` is None (_cap).  With
+    to ``eve``'s subspace, or, when ``eve`` is None, to the zero subspace in
+    the layout of the family's members (_cap).  With
     ``eve`` a Subspace (test mode) that certifies them independent of each
     other and of the eavesdropper's subspace, exactly.  With ``eve`` None
     (the realistic mode: only its dimension is known) it certifies mutual
@@ -444,23 +439,24 @@ def extract_secure_subspaces(
     allocated = _allocated(alloc, family)
     masks = family.masks()
     counts = {mask: int(alloc[mask]) for mask in masks}
+    base = eve if eve is not None or not masks else _zero_like(family[masks[0]])
     if any(counts[mask] > family[mask].dim for mask in masks):
         # An impossible pick violates its singleton cap, and singletons lead
         # the table order, so the first violated singleton is the witness.
-        singletons = {(mask,): _cap([family[mask]], eve) for mask in masks}
+        singletons = {(mask,): _cap([family[mask]], base) for mask in masks}
         raise InfeasibleAllocationError(_check_against(counts, singletons))
 
     want = sum(counts.values())
     partial = [mask for mask in masks if counts[mask] != family[mask].dim]
     members = [allocated[mask] for mask in allocated]
-    independent = not want or _cap(members, eve) == sum(s.dim for s in members)
+    independent = not want or _cap(members, base) == sum(s.dim for s in members)
     for attempt in range(MAX_EXTRACTION_TRIES):
         drawn = dict(zip(partial, random_picks([(family[mask], counts[mask]) for mask in partial], rng)))
         picks = {mask: drawn.get(mask, family[mask]) for mask in masks}
-        if independent or _cap([picks[mask] for mask in allocated], eve) == want:
+        if independent or _cap([picks[mask] for mask in allocated], base) == want:
             return picks
         if attempt == 0 and len(allocated) <= MAX_ENUMERATED_SUBSETS:
-            feas = _check_against(counts, _actual_caps(allocated, eve))
+            feas = _check_against(counts, _actual_caps(allocated, base))
             if not feas.ok:
                 raise InfeasibleAllocationError(feas)
     raise RuntimeError(f"no valid extraction found in {MAX_EXTRACTION_TRIES} tries")

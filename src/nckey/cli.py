@@ -22,6 +22,7 @@ from .agreement import (
     plan_dimensions,
     run_session,
     solve_allocation_lp_planned,
+    subset_masks,
 )
 from .bounds import (
     _cut,
@@ -229,10 +230,17 @@ def cmd_simulate(cfg: dict, parser) -> dict:
             parser.error(f"--{key} must be nonnegative, got {cfg[key]}")
     plan = plan_dimensions(params)
     if cfg["allocation"] is not None:
+        # One spelling per subset, str(mask) as in a transcript: " 3", "03"
+        # and "+3" would all read as mask 3 under config hashes that differ.
+        masks = {str(mask): mask for mask in subset_masks(params.m)}
+        for key in cfg["allocation"]:
+            if key not in masks:
+                parser.error(
+                    f"invalid allocation: subset mask {key} out of range or not canonical "
+                    f"for m={params.m} (key {key!r})"
+                )
         try:
-            alloc = SubsetAllocation(
-                params.m, {int(k): Fraction(v) for k, v in cfg["allocation"].items()}
-            )
+            alloc = SubsetAllocation(params.m, {masks[k]: Fraction(v) for k, v in cfg["allocation"].items()})
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
             parser.error(f"invalid allocation: {exc}")
         lp_value = None

@@ -1,13 +1,25 @@
-"""Reference oracles that only the tests call: Gauss-Jordan elimination
-and what it gives plainly (the RREF and the basic solution of a row-span
-system), the combination code built one row at a time, the omniscient
-exclusive subspaces, the rank-additivity leakage certificate and its
-exhaustive check, and ``reference_session``, a whole session built the
-slow, obvious way at session width.  That session takes from ``nckey`` only
-what must match: the draws (``random_matrix``, ``make_source_matrix``,
-``broadcast_slot``), ``plan_dimensions``, the result dataclasses and the
-constants ``MAX_DRAWS``, ``MAX_EXTRACTION_TRIES`` and
-``MAX_ENUMERATED_SUBSETS``."""
+"""Reference oracles that only the tests call, so that no kernel is
+checked against itself.
+
+The kernel references are Gauss-Jordan elimination (``reference_eliminate``)
+and what it gives plainly: the RREF (``reference_rref``), a row span's
+canonical basis and its rank (``reference_span``, ``reference_rank``), the
+null space's RREF basis (``reference_kernel``), the basic solution of a
+row-span system (``reference_solve``) and the Zassenhaus intersection
+(``reference_intersect``).  Every ``fieldmath`` and ``subspaces`` fast path
+is checked against them.  Built on them are the combination code one row at
+a time, the omniscient exclusive subspaces, the rank-additivity leakage
+certificate and its exhaustive check, and ``reference_session``, a whole
+session built the slow, obvious way at session width.
+
+From ``nckey`` this module takes only what must match, and no kernel: the
+draws (``random_matrix``, ``make_source_matrix``, ``broadcast_slot``),
+``plan_dimensions``, the result dataclasses (``AuditReport``, ``KeyShare``,
+``SessionResult``, ``SessionTranscript``, ``SlotRecord``), the constants
+``MAX_DRAWS``, ``MAX_EXTRACTION_TRIES`` and ``MAX_ENUMERATED_SUBSETS``, and
+the types ``MatrixFq``, ``Subspace`` and ``SubspaceFamily``.  Only
+``build_exclusive_subspaces`` calls the subspace operations, through the
+methods of the subspaces it is given."""
 
 import functools
 import itertools
@@ -90,14 +102,38 @@ def reference_solve(target: MatrixFq, basis: MatrixFq):
     return MatrixFq(out, ctx)
 
 
-def _span(a: np.ndarray, q: int) -> np.ndarray:
+def reference_span(a: np.ndarray, q: int) -> np.ndarray:
     """The canonical basis of a's row span: its RREF, zero rows dropped."""
     a = a.copy()
     return a[: len(reference_eliminate(a, q))]
 
 
-def _rank(a: np.ndarray, q: int) -> int:
-    return len(_span(a, q))
+def reference_rank(a: np.ndarray, q: int) -> int:
+    return len(reference_span(a, q))
+
+
+def reference_intersect(spans, q: int) -> np.ndarray:
+    """Zassenhaus, pair by pair: in the RREF of [[a, a], [b, 0]], the rows
+    zero in their left half span a ∩ b in their right half."""
+    out, n = spans[0], spans[0].shape[1]
+    for b in spans[1:]:
+        red = reference_span(np.block([[out, out], [b, np.zeros_like(b)]]), q)
+        out = reference_span(red[~red[:, :n].any(axis=1), n:], q)
+    return out
+
+
+def reference_kernel(m: MatrixFq) -> MatrixFq:
+    """The null space's RREF basis: the basis read off the Gauss-Jordan RREF,
+    one row per free column, 1 there and minus the RREF's free column at
+    the pivots, itself reduced by Gauss-Jordan."""
+    red, r, pivots = reference_rref(m)
+    free = [c for c in range(m.cols) if c not in pivots]
+    out = np.zeros((len(free), m.cols), dtype=np.int64)
+    for i, f in enumerate(free):
+        out[i, f] = 1
+        for row, c in enumerate(pivots):
+            out[i, c] = -red.arr[row, f]
+    return reference_rref(MatrixFq(out, m.ctx))[0]
 
 
 def _product(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
@@ -137,7 +173,7 @@ def reference_combination_code(labels, k: int, m: int, q: int):
     units = np.eye(k, dtype=np.int64)
 
     def outside(r, v):
-        return _rank(np.vstack([forms[r], v]), q) > len(forms[r])
+        return reference_rank(np.vstack([forms[r], v]), q) > len(forms[r])
 
     for i, mask in enumerate(labels):
         short = [r for r in _members(mask) if len(kept[r]) < k]
@@ -159,7 +195,7 @@ def reference_combination_code(labels, k: int, m: int, q: int):
         for r in short:
             if outside(r, v):
                 kept[r].append(i)
-                forms[r] = _span(np.vstack([forms[r], v]), q)
+                forms[r] = reference_span(np.vstack([forms[r], v]), q)
     return code, kept
 
 
@@ -170,19 +206,9 @@ def _pick(basis: np.ndarray, dim: int, ctx, rng) -> np.ndarray:
         return np.zeros((0, basis.shape[1]), dtype=np.int64)
     for _ in range(MAX_DRAWS):
         draw = random_matrix(dim, len(basis), ctx, rng).arr
-        if _rank(draw, ctx.q) == dim:
-            return _span(_product(draw, basis, ctx.q), ctx.q)
+        if reference_rank(draw, ctx.q) == dim:
+            return reference_span(_product(draw, basis, ctx.q), ctx.q)
     raise RuntimeError(f"no full-rank draw in {MAX_DRAWS} tries")
-
-
-def _intersect(spans, q: int) -> np.ndarray:
-    """Zassenhaus, pair by pair: in the RREF of [[a, a], [b, 0]], the rows
-    zero in their left half span a ∩ b in their right half."""
-    out, n = spans[0], spans[0].shape[1]
-    for b in spans[1:]:
-        red = _span(np.block([[out, out], [b, np.zeros_like(b)]]), q)
-        out = _span(red[~red[:, :n].any(axis=1), n:], q)
-    return out
 
 
 def _extract(glued: dict, counts: dict, ctx, rng) -> dict:
@@ -193,13 +219,13 @@ def _extract(glued: dict, counts: dict, ctx, rng) -> dict:
     allocated = [mask for mask in glued if counts[mask]]
     for attempt in range(MAX_EXTRACTION_TRIES):
         picks = {mask: b if counts[mask] == len(b) else _pick(b, counts[mask], ctx, rng) for mask, b in glued.items()}
-        if _rank(np.vstack(list(picks.values())), ctx.q) == sum(counts.values()):
+        if reference_rank(np.vstack(list(picks.values())), ctx.q) == sum(counts.values()):
             return {mask: b for mask, b in picks.items() if len(b)}
         if attempt == 0 and len(allocated) <= MAX_ENUMERATED_SUBSETS:
             for size in range(1, len(allocated) + 1):
                 for sel in itertools.combinations(allocated, size):
                     need = sum(counts[mask] for mask in sel)
-                    cap = _rank(np.vstack([glued[mask] for mask in sel]), ctx.q)
+                    cap = reference_rank(np.vstack([glued[mask] for mask in sel]), ctx.q)
                     if need > cap:
                         raise RuntimeError(
                             f"allocation infeasible: selection {sel} needs {need} but only {cap} is available"
@@ -234,8 +260,8 @@ def reference_session(params, n_slots: int, alloc, rng: np.random.Generator) -> 
         return SessionResult(SessionTranscript(params, slots), withheld, unaudited)
 
     # Each subset's common subspace per slot, then its exclusive pick.
-    spans = [[_span(f.arr, q) for f in rec.obs.transfers] for rec in slots]
-    commons = [{mask: _intersect([s[r] for r in _members(mask)], q) for mask in masks} for s in spans]
+    spans = [[reference_span(f.arr, q) for f in rec.obs.transfers] for rec in slots]
+    commons = [{mask: reference_intersect([s[r] for r in _members(mask)], q) for mask in masks} for s in spans]
     bad = [
         f"slot {t}: subset {mask} common dim {len(common[mask])} != planned {plan.inter_dims[mask]}"
         for t, common in enumerate(commons)
@@ -274,7 +300,7 @@ def reference_session(params, n_slots: int, alloc, rng: np.random.Generator) -> 
         code = reference_combination_code(labels, key_blocks, m, q)[0]
         ciphers = (_product(code, final.arr, q) + np.vstack([k.arr for k in subset_keys.values()])) % q
         rows = [[i for i, mask in enumerate(labels) if mask >> r & 1] for r in range(m)]
-        if any(_rank(code[own], q) < key_blocks for own in rows):
+        if any(reference_rank(code[own], q) < key_blocks for own in rows):
             return degenerate("no decodable combination code found")
         for r, own in enumerate(rows):
             pads = np.vstack([copies[(mask, r)].arr for mask in picks if mask >> r & 1])
@@ -293,7 +319,7 @@ def reference_session(params, n_slots: int, alloc, rng: np.random.Generator) -> 
     packets = _block_diag(x.arr for x in sources)
     eve = MatrixFq(_product(_block_diag(rec.obs.eve_transfer.arr for rec in slots), packets, q), ctx)
     key_packets = MatrixFq(_product(key_rows, packets, q), ctx)
-    cert = _rank(key_rows, q) == len(key_rows) and certify_zero_leakage(key_packets, eve)
+    cert = reference_rank(key_rows, q) == len(key_rows) and certify_zero_leakage(key_packets, eve)
     flags = (all(copies[(mask, r)] == subset_keys[mask] for mask, r in copies), all(k == final for k in decoded), cert)
     if not cert:
         return degenerate("leakage certificate failed, keys withheld", transcript=transcript, flags=flags)
@@ -332,7 +358,7 @@ def certify_zero_leakage(key_vectors: MatrixFq, eve_matrix: MatrixFq) -> bool:
         return True
     q = key_vectors.ctx.q
     stacked = np.vstack([key_vectors.arr, eve_matrix.arr])
-    return _rank(stacked, q) == _rank(key_vectors.arr, q) + _rank(eve_matrix.arr, q)
+    return reference_rank(stacked, q) == reference_rank(key_vectors.arr, q) + reference_rank(eve_matrix.arr, q)
 
 
 def exhaustive_leakage_check(

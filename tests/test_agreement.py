@@ -35,7 +35,6 @@ from nckey.fieldmath import (
     block_diag,
     random_matrix,
     rank,
-    rref,
     solve_in_rowspan,
     vstack,
     zeros,
@@ -44,7 +43,6 @@ from nckey.subspaces import (
     Subspace,
     SubspaceFamily,
     direct_sum,
-    quotient,
     random_picks,
     random_subspace,
     span_of,
@@ -55,6 +53,7 @@ from references import (
     certify_zero_leakage,
     exhaustive_leakage_check,
     reference_combination_code,
+    reference_rank,
     reference_rref,
     reference_session,
     reference_solve,
@@ -609,8 +608,8 @@ def direct_sums_and_bases(draw):
     """Subspaces of one ambient space: direct sums over a slot layout (one
     slot possible), others over a second layout, copies of a direct sum
     (fully dependent), and dense subspaces, in any order and with parts of
-    any dimension, zero included; with a base that is None, dense, or a
-    direct sum over either layout."""
+    any dimension, zero included; with a base that is the zero subspace in
+    the first layout, dense, or a direct sum over either layout."""
     ctx = FieldCtx(draw(st.sampled_from([2, 3, 101, 2**31 - 1])))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     layout = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
@@ -628,11 +627,13 @@ def direct_sums_and_bases(draw):
     if subs and subs[0].parts is not None and draw(st.booleans()):
         subs.append(direct_sum(*subs[0].parts))
     subs = draw(st.permutations(subs)) or [glued(layout)]
-    kind = draw(st.sampled_from(["none", "dense", "sum", "sum"]))
+    kind = draw(st.sampled_from(["zero", "dense", "sum", "sum"]))
     if kind == "dense":
         rows, inner = draw(st.integers(0, ambient + 1)), draw(st.integers(0, ambient))
         return subs, span_of(random_matrix(rows, inner, ctx, rng) @ random_matrix(inner, ambient, ctx, rng))
-    return subs, glued(draw(st.sampled_from([layout, layout, second]))) if kind == "sum" else None
+    if kind == "zero":
+        return subs, direct_sum(*(zero_subspace(w, ctx) for w in layout))
+    return subs, glued(draw(st.sampled_from([layout, layout, second])))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -646,23 +647,19 @@ def direct_sums_and_bases(draw):
 )
 def test_quotient_cap_equals_the_stacked_rank(q, ambient, dims, eve_rows, seed, slot_case):
     # the dimension a selection adds to a base, taken modulo the base, is the
-    # rank of the selection's bases stacked on the base's, less the base's;
-    # with no base, the largest basis (often the appended sum, not the first
-    # subspace) counts whole and the others modulo it.  Direct sums over the
-    # base's slot layout (or the first direct sum's) are ranked slot by slot,
-    # each slot's largest part standing in for a missing base, and the
-    # others at full width: the same dimension
+    # rank of the selection's bases stacked on the base's, less the base's,
+    # by Gauss-Jordan; against a zero base, the rank of the stacked bases.
+    # Direct sums over the base's slot layout are ranked slot by slot, and
+    # the others at full width: the same dimension
     ctx, rng = FieldCtx(q), np.random.default_rng(seed)
     base = span_of(random_matrix(eve_rows, ambient, ctx, rng))
     subs = [random_subspace(ambient, min(d, ambient), ctx, rng) for d in dims]
     if len(subs) > 1:
         subs.append(subs[0] + subs[1])
-    stacked = rank(vstack([sub.basis for sub in subs] + [base.basis])) - base.dim
-    assert agreement._cap(subs, base) == stacked
-    assert agreement._cap(subs, None) == rank(vstack([sub.basis for sub in subs]))
+    for b in (base, zero_subspace(ambient, ctx)):
+        assert agreement._cap(subs, b) == reference_added(subs, b)
     subs, base = slot_case
-    stacked = vstack([sub.basis for sub in subs] + ([] if base is None else [base.basis]))
-    assert agreement._cap(subs, base) == rank(stacked) - (0 if base is None else base.dim)
+    assert agreement._cap(subs, base) == reference_added(subs, base)
 
 
 # ---------------------------------------------------------------------------
@@ -672,23 +669,29 @@ def test_quotient_cap_equals_the_stacked_rank(q, ambient, dims, eve_rows, seed, 
 FIELD_EXTREMES = [2, 101, 2**31 - 1]
 
 
+def reference_added(subs, base) -> int:
+    """The rank that the subspaces' bases add to ``base``'s, by Gauss-Jordan:
+    the rank of them all stacked, less the rank of ``base``'s basis."""
+    q, bottom = base.ctx.q, base.basis.arr
+    return reference_rank(np.vstack([bottom, *(s.basis.arr for s in subs)]), q) - reference_rank(bottom, q)
+
+
 def reference_caps(family, base):
-    """The cap table one selection at a time: the rank of each selection's
-    stacked bases, taken modulo ``base`` (by size, then lexicographically)."""
+    """The cap table one selection at a time: what each selection's members
+    add to ``base`` (by size, then lexicographically)."""
     masks = family.masks()
-    table = {}
-    for k in range(1, len(masks) + 1):
-        for sel in itertools.combinations(masks, k):
-            stacked = vstack([family[mask].basis for mask in sel])
-            table[sel] = rank(stacked if base is None else quotient(stacked, base))
-    return table
+    return {
+        sel: reference_added([family[mask] for mask in sel], base)
+        for k in range(1, len(masks) + 1)
+        for sel in itertools.combinations(masks, k)
+    }
 
 
 @st.composite
 def families_and_bases(draw):
     """A family on some of the 2^m - 1 subsets, m <= 3, with members of any
     dimension (zero included), some of them sums or copies of the others
-    (fully dependent), and a rank-deficient base or none."""
+    (fully dependent), and a rank-deficient base or the zero subspace."""
     ctx = FieldCtx(draw(st.sampled_from(FIELD_EXTREMES)))
     m, ambient = draw(st.integers(1, 3)), draw(st.integers(1, 7))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -702,7 +705,7 @@ def families_and_bases(draw):
         else:
             dim = 0 if kind == "zero" else draw(st.integers(0, ambient))
             members[mask] = random_subspace(ambient, dim, ctx, rng)
-    base = None
+    base = zero_subspace(ambient, ctx)
     if draw(st.booleans()):
         rows, inner = draw(st.integers(0, ambient + 1)), draw(st.integers(0, ambient))
         base = span_of(random_matrix(rows, inner, ctx, rng) @ random_matrix(inner, ambient, ctx, rng))
@@ -712,8 +715,8 @@ def families_and_bases(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(families_and_bases())
 def test_actual_caps_equal_the_stacked_rank_reference(case):
-    # one _cap per selection (the largest member standing in for a missing
-    # base) gives the rank of the selection's stacked bases, in table order
+    # one _cap per selection gives the rank that the selection's stacked
+    # bases add to the base, in table order
     family, base = case
     got, want = agreement._actual_caps(family, base), reference_caps(family, base)
     assert got == want and list(got) == list(want)
@@ -732,9 +735,7 @@ def test_allocated_check_equals_the_full_table_check(case, data):
     # the check over the subsets with a positive share returns the full
     # table's first violation (a zero share only ever shrinks a violated
     # selection), with the same witness, lhs and rhs
-    family, base = case
-    first = family[family.masks()[0]]
-    eve = base if base is not None else zero_subspace(first.ambient_dim, first.ctx)
+    family, eve = case
     alloc = data.draw(shares_on(family))
     full = agreement._check_against(alloc, reference_caps(family, eve))
     assert check_allocation_feasible(alloc, family, eve) == full
@@ -780,16 +781,17 @@ def test_slot_local_certificate_stacks_the_slot_sums_and_fails_on_one_deficient_
 def test_reduced_transfer_gives_its_span_and_the_basic_solution(q, n_a, n_r, k, stray, seed):
     # one rref of [F | J] gives F's canonical basis R and S with S @ F == R,
     # S zero on F's rows that depend on earlier ones, so that a target's
-    # pivot columns times S is the basic solution, as the Gauss-Jordan
-    # reference gives it; F is often tall (n_r > n_a) and rank-deficient,
+    # pivot columns times S is the basic solution, all as the Gauss-Jordan
+    # references give them; F is often tall (n_r > n_a) and rank-deficient,
     # and a stray target row is usually outside the span
     ctx, rng = FieldCtx(q), np.random.default_rng(seed)
     inner = int(rng.integers(0, min(n_a, n_r) + 1))
     f = random_matrix(n_r, inner, ctx, rng) @ random_matrix(inner, n_a, ctx, rng)
     red = RowReduced(f)
-    assert red == f and red.echelon == span_of(f).basis
+    echelon, r, pivots = reference_rref(f)
+    assert red == f and (red.echelon.tolist(), red.pivots) == (echelon.tolist()[:r], pivots)
     assert red.transform @ f == red.echelon
-    assert not np.delete(red.transform.arr, rref(f.transpose())[2], axis=1).any()
+    assert not np.delete(red.transform.arr, reference_rref(f.transpose())[2], axis=1).any()
     target = random_matrix(k, n_r, ctx, rng) @ f
     assert MatrixFq(target.arr[:, red.pivots], ctx) @ red.transform == reference_solve(target, f)
     if stray:
@@ -934,7 +936,7 @@ def _record_cap_tables(monkeypatch):
     calls = []
     real = agreement._actual_caps
 
-    def spy(family, base=None):
+    def spy(family, base):
         table = real(family, base)
         calls.append((family, base, table))
         return table

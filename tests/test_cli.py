@@ -351,10 +351,19 @@ SIMULATE = ["simulate", "--q", "101", "--ell", "8", "--na", "4", "--n", "3", "--
         ([], {"1": float("inf")}, "cannot convert Infinity to integer ratio"),
         # with no trial, no session is left to refuse a negative slot count
         (["--slots", "-3", "--trials", "0"], None, "--slots must be nonnegative"),
+        # a mask has one spelling, str(mask), so that one allocation has one
+        # config hash, and a second spelling cannot override the first
+        (["--n", "4", "4"], {" 3": "1/4"}, "not canonical for m=2 (key ' 3')"),
+        (["--n", "4", "4"], {"03": "1/4"}, "not canonical for m=2 (key '03')"),
+        (["--n", "4", "4"], {"+3": "1/4"}, "not canonical for m=2 (key '+3')"),
+        (["--n", "4", "4"], {"0_3": "1/4"}, "not canonical for m=2 (key '0_3')"),
+        (["--n", "4", "4"], {"1_1": "1/4"}, "not canonical for m=2 (key '1_1')"),
+        (["--n", "4", "4"], {"3": "1/4", "03": "1/2"}, "not canonical for m=2 (key '03')"),
     ],
 )
 def test_simulate_bad_input_is_a_usage_error(tmp_path, capsys, flags, allocation, message):
-    # outside input that run_session or numpy would refuse with a traceback
+    # outside input that run_session or numpy would refuse with a traceback,
+    # or that would run under a second spelling
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"allocation": allocation, "slots": 2, "trials": 2}))
     with pytest.raises(SystemExit) as exc:

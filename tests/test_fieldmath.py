@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import itertools
 import math
@@ -19,6 +20,7 @@ from nckey.fieldmath import (
     mat_mul,
     random_matrix,
     rank,
+    rank_stack,
     right_kernel,
     rref,
     rref_stack,
@@ -26,7 +28,7 @@ from nckey.fieldmath import (
     vstack,
     zeros,
 )
-from references import reference_rref, reference_solve
+from references import reference_kernel, reference_rref, reference_solve
 
 F2 = FieldCtx(2)
 F5 = FieldCtx(5)
@@ -205,20 +207,6 @@ def test_rank_against_minor_oracle():
         assert rank(m) == minor_rank_oracle(m)
 
 
-def reference_kernel(m: MatrixFq) -> MatrixFq:
-    """The null space's RREF basis: the basis read off the Gauss-Jordan RREF,
-    one row per free column, 1 there and minus the RREF's free column at
-    the pivots, itself reduced by Gauss-Jordan."""
-    red, r, pivots = reference_rref(m)
-    free = [c for c in range(m.cols) if c not in pivots]
-    out = np.zeros((len(free), m.cols), dtype=np.int64)
-    for i, f in enumerate(free):
-        out[i, f] = 1
-        for row, c in enumerate(pivots):
-            out[i, c] = -red.arr[row, f]
-    return reference_rref(MatrixFq(out, m.ctx))[0]
-
-
 @functools.cache
 def largest_float_q(panel: int) -> int:
     """The largest prime whose panel products, ``panel`` terms of at most
@@ -241,90 +229,211 @@ FIRST_LIMB_Q = next_prime(largest_float_q(64))
 
 
 @st.composite
-def low_rank_matrices(draw, qs=(2, 3, 101, 2**31 - 1)):
-    """Products of thin random factors at the field-size extremes, from 0-row
-    and 0-column shapes through tall, wide and rank-deficient ones."""
-    ctx = FieldCtx(draw(st.sampled_from(qs)))
-    rows, cols = draw(st.integers(0, 14)), draw(st.integers(0, 14))
-    inner = draw(st.integers(0, 14))
+def kernel_cases(draw, panels=(1, 2, 3, 64)):
+    """A panel width from ``panels``: 1-3 columns, so that small matrices
+    span several panels, or the default 64, so that they span none; a field
+    on each side of every format bound: 32749, the largest prime whose
+    updates run in int32 (two of them between reductions), 32771, the
+    smallest above it, and largest_float_q(panel), the largest whose panel
+    products are one float64 product.  Over it a stack of 1-6 matrices of
+    one shape: L @ U, full rank, whose multipliers and pivot rows are all
+    q - 1, so that every update is as large as it gets; 0-3 thin products;
+    possibly a zero matrix; and possibly a copy of a member with one column
+    zeroed, whose pivots diverge from that member's there.  All get 0-2
+    leading zero rows (which force row swaps) and up to 3 zero columns, and
+    are shuffled.  Each member has a target of rows in its span and a last
+    row that may be a stray random one, usually outside it; and a planted X
+    of 0-3 columns decodes through each member.  Only the panel, the field
+    and the shape are drawn by hypothesis; the rest comes from a seeded
+    generator, which keeps each example cheap to draw."""
+    panel = draw(st.sampled_from(panels))
+    ctx = FieldCtx(draw(st.sampled_from([2, 3, 101, 32749, 32771, largest_float_q(panel), 2**31 - 1])))
+    rows, cols = draw(st.integers(0, 9)), draw(st.integers(0, 9))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return random_matrix(rows, inner, ctx, rng) @ random_matrix(inner, cols, ctx, rng)
+    lower = np.tril(np.full((rows, rows), ctx.q - 1), -1) + np.eye(rows, dtype=np.int64)
+    upper = np.triu(np.full((rows, cols), ctx.q - 1), 1) + np.eye(rows, cols, dtype=np.int64)
+    mats = [MatrixFq(lower, ctx) @ MatrixFq(upper, ctx)] + [
+        random_matrix(rows, inner, ctx, rng) @ random_matrix(inner, cols, ctx, rng)
+        for inner in rng.integers(0, 10, size=rng.integers(0, 4))
+    ]
+    if not rng.integers(3):
+        mats.append(zeros(rows, cols, ctx))
+    if cols and not rng.integers(3):
+        arr = mats[rng.integers(len(mats))].arr.copy()
+        arr[:, rng.integers(cols)] = 0
+        mats.append(MatrixFq(arr, ctx))
+    gaps, lead = rng.integers(0, cols + 1, size=rng.integers(0, 4)), rng.integers(0, 3)
+    mats = [MatrixFq(np.pad(np.insert(m.arr, gaps, 0, axis=1), ((lead, 0), (0, 0))), ctx) for m in mats]
+    mats = [mats[i] for i in rng.permutation(len(mats))]
+    k, width = rng.integers(0, 4, size=2)
+    targets = [
+        vstack([random_matrix(k, m.rows, ctx, rng) @ m, random_matrix(1, m.cols, ctx, rng) if rng.integers(2) else
+                random_matrix(1, m.rows, ctx, rng) @ m])
+        for m in mats
+    ]
+    return panel, mats, targets, random_matrix(cols + len(gaps), width, ctx, rng)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(low_rank_matrices())
-def test_rank_forward_only_equals_rref_rank(m):
-    # rank takes one forward elimination, and rref's pivots are the column
-    # rank profile (q = 2, 3, 101 and 2^31 - 1)
-    assert rank(m) == reference_rref(m)[1]
-    assert rank(m.transpose()) == rank(m)
-    assert rref(m)[2] == reference_rref(m)[2]
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(low_rank_matrices())
-def test_rref_and_right_kernel_match_gauss_jordan(m):
-    assert rref(m) == reference_rref(m)
-    k = right_kernel(m)
-    assert k == reference_rref(k)[0]
-    assert k.shape == (m.cols - rank(m), m.cols)
-    assert rank(k) == k.rows
-    assert not np.any(mat_mul(m, k.transpose()).arr)
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(
-    low_rank_matrices(),
-    st.integers(0, 3),
-    st.integers(0, 4),
-    st.booleans(),
-    st.integers(0, 2**32 - 1),
-)
-def test_solve_in_rowspan_returns_the_gauss_jordan_witness(m, lead, k, stray, seed):
-    # m's rows are often dependent, so C is not unique: the witness must be
-    # the basic solution, also behind a zero-row prefix (never a pivot); a
-    # stray random target row is usually outside the span
-    basis = vstack([zeros(lead, m.cols, m.ctx), m])
-    rng = np.random.default_rng(seed)
-    target = random_matrix(k, basis.rows, m.ctx, rng) @ basis
-    if stray:
-        target = vstack([target, random_matrix(1, m.cols, m.ctx, rng)])
-    got = solve_in_rowspan(target, basis)
-    assert got == reference_solve(target, basis)
-    assert got is None or got @ basis == target
-
-
-@st.composite
-def panelled_matrices(draw):
-    """A panel width of 1-3 columns, so that small matrices span several
-    panels, and a matrix with zero columns and 0-2 leading zero rows (which
-    force row swaps), over fields on both sides of the float64 bound: panel
-    products are one float64 product up to largest_float_q(panel) and limb
-    products above it."""
-    panel = draw(st.sampled_from([1, 2, 3]))
-    m = draw(low_rank_matrices(qs=(2, 3, 101, largest_float_q(panel), 2**31 - 1)))
-    arr = np.insert(m.arr, draw(st.lists(st.integers(0, m.cols), max_size=3)), 0, axis=1)
-    arr = np.vstack([np.zeros((draw(st.integers(0, 2)), arr.shape[1]), dtype=np.int64), arr])
-    return panel, MatrixFq(arr, m.ctx)
-
-
-@settings(max_examples=400, deadline=None, derandomize=True)
-@given(panelled_matrices(), st.integers(0, 2**32 - 1))
-def test_panelled_elimination_matches_gauss_jordan(case, seed):
-    # solve_in_rowspan reduces [m | J], J the anti-identity, whose pivots
-    # run on past m's columns into J's; its targets are two rows in the span
-    # and one random row, usually outside it
-    panel, m = case
-    rng = np.random.default_rng(seed)
-    target = vstack([random_matrix(2, m.rows, m.ctx, rng) @ m, random_matrix(1, m.cols, m.ctx, rng)])
+@contextlib.contextmanager
+def panel_width(panel: int):
+    """Eliminate in panels of ``panel`` columns inside the block."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fieldmath, "_PANEL", panel)
-        got = rank(m), rref(m), solve_in_rowspan(target, m), right_kernel(m)
-    want = reference_rref(m)
-    assert got[0] == want[1]
-    assert got[1] == want
-    assert got[2] == reference_solve(target, m)
-    assert got[3] == reference_kernel(m)
+        yield
+
+
+def check_stack(mats):
+    """rref_stack and the forward _echelon of the stack, member by member,
+    against the Gauss-Jordan reference: the same RREF, and a forward form
+    with the reference pivots, a leading 1 at each and zeros below it."""
+    want = [reference_rref(m) for m in mats]
+    assert rref_stack(mats) == want
+    forms = np.stack([m.arr for m in mats])
+    for echelon, pivots, (_, r, ref) in zip(forms, fieldmath._echelon(forms, mats[0].ctx.q), want):
+        assert pivots == ref and not echelon[r:].any()
+        assert all(echelon[i, c] == 1 and not echelon[i + 1 :, c].any() for i, c in enumerate(pivots))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(kernel_cases(panels=(64,)))
+def test_rank_forward_only_equals_rref_rank(case):
+    # rank takes one forward elimination, and rref's pivots are the column
+    # rank profile; the transpose has the same rank
+    _, mats, _, _ = case
+    for m in mats:
+        _, r, pivots = reference_rref(m)
+        assert rank(m) == rank(m.transpose()) == r
+        assert rref(m)[2] == pivots
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(kernel_cases(panels=(64,)))
+def test_rref_and_right_kernel_match_gauss_jordan(case):
+    # the RREF and the null space's RREF basis
+    _, mats, _, _ = case
+    for m in mats:
+        assert rref(m) == reference_rref(m)
+        assert right_kernel(m) == reference_kernel(m)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(kernel_cases(panels=(64,)))
+def test_solve_in_rowspan_returns_the_gauss_jordan_witness(case):
+    # the members' rows are often dependent, so C is not unique: the witness
+    # must be the basic solution, also behind leading zero rows (never a
+    # pivot); a stray target row is usually outside the span
+    _, mats, targets, _ = case
+    for m, target in zip(mats, targets):
+        got = solve_in_rowspan(target, m)
+        assert got == reference_solve(target, m)
+        assert got is None or got @ m == target
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(kernel_cases(panels=(1, 2, 3)))
+def test_panelled_elimination_matches_gauss_jordan(case):
+    # with panels of 1-3 columns: solve_in_rowspan reduces [m | J], J the
+    # anti-identity, whose pivots run on past m's columns into J's
+    panel, mats, targets, _ = case
+    with panel_width(panel):
+        for m, target in zip(mats, targets):
+            want = reference_rref(m)
+            assert (rank(m), rref(m)) == (want[1], want)
+            assert solve_in_rowspan(target, m) == reference_solve(target, m)
+            assert right_kernel(m) == reference_kernel(m)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(kernel_cases())
+def test_solve_rank_decides_whether_a_key_decodes(case):
+    # a @ X == b for a planted X, solved as the multicast decode solves it,
+    # X^T through the row span of a^T, at the drawn panel width: at full
+    # column rank it returns X itself; below it a kernel vector gives a
+    # second solution, so no key is decoded; the solution is always the
+    # basic one
+    panel, mats, _, x = case
+    with panel_width(panel):
+        for a in mats:
+            b = a @ x
+            got = solve_in_rowspan(b.transpose(), a.transpose())
+            assert got == reference_solve(b.transpose(), a.transpose())
+            if reference_rref(a)[1] == a.cols:
+                assert got.transpose() == x
+            elif x.cols:
+                other = MatrixFq(got.arr.T + reference_kernel(a).arr[:1].T, a.ctx)
+                assert a @ other == b and other != got.transpose()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(kernel_cases())
+def test_block_diagonal_solve_is_the_hstack_of_block_solves(case):
+    # the basic solution over block_diag is each block's basic solution of
+    # its own target columns, side by side (None when any block has none)
+    panel, mats, targets, _ = case
+    solves = [reference_solve(t, m) for t, m in zip(targets, mats)]
+    with panel_width(panel):
+        got = solve_in_rowspan(hstack(targets), block_diag(mats))
+    assert got == (None if None in solves else hstack(solves))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(kernel_cases(panels=(64,)))
+def test_stacked_gauss_jordan_matches_the_reference_member_by_member(case):
+    # one Gauss-Jordan pass for the whole stack (at most 12 columns, so no
+    # panels): members whose pivot columns differ split off and go on alone;
+    # 32749, the largest prime whose updates run in int32, reduces after
+    # every second update, and 32771, the smallest above it, runs in int64
+    assert fieldmath._update_format(32749) == (np.int32, 2)
+    assert fieldmath._update_format(32771)[0] is np.int64
+    check_stack(case[1])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(kernel_cases(panels=(1, 2, 3)))
+def test_wide_stacks_take_panels_member_by_member(case):
+    # with panels of 1-3 columns, stacks wider than two panels run in
+    # lockstep through panels with tracking columns, one trailing product
+    # per panel for the whole group, and split where their members' pivot
+    # columns differ; at 32749 the tracking columns are int32 with room for
+    # two updates
+    panel, mats, _, _ = case
+    with panel_width(panel):
+        check_stack(mats)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(kernel_cases())
+def test_rank_and_rref_are_stacks_of_one(case):
+    # a 2-D matrix is a stack of one: rank and rref equal the stacked
+    # results, alone or in one stack with the members' transposes (two
+    # shapes)
+    panel, mats, _, _ = case
+    both = [f for m in mats for f in (m, m.transpose())]
+    want = [reference_rref(f) for f in both]
+    with panel_width(panel):
+        for m, alone in zip(mats, want[::2]):
+            assert rref(m) == rref_stack([m])[0] == alone and rank(m) == alone[1]
+        assert rref_stack(both) == want
+        assert rank_stack(both) == [red[1] for red in want]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(kernel_cases())
+def test_stacked_row_reduction_matches_the_per_matrix_one(case):
+    # RowReduced alone and RowReduced.stack, every [F | J] in one
+    # rref_stack: the Gauss-Jordan echelon form and pivots, S @ F == R, S
+    # zero off F's earliest independent rows (the transpose's pivots), and
+    # the basic solution of each target
+    panel, mats, targets, _ = case
+    with panel_width(panel):
+        stacked = RowReduced.stack(mats)
+        for m, target, got_stacked in zip(mats, targets, stacked):
+            red, r, pivots = reference_rref(m)
+            for got in (RowReduced(m), got_stacked):
+                assert got == m and (got.echelon.tolist(), got.pivots) == (red.tolist()[:r], pivots)
+                assert got.transform @ m == got.echelon
+                assert not np.delete(got.transform.arr, reference_rref(m.transpose())[2], axis=1).any()
+                assert solve_in_rowspan(target, got) == reference_solve(target, m)
 
 
 def test_default_panels_match_gauss_jordan():
@@ -383,76 +492,6 @@ def test_float_panels_at_the_largest_float_modulus():
             assert max(sums) == w * (q - 1) ** 2 < 2**53
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(
-    low_rank_matrices(),
-    st.sampled_from([1, 2, 3, 64]),
-    st.integers(0, 4),
-    st.booleans(),
-    st.integers(0, 2**32 - 1),
-)
-def test_solve_rank_decides_whether_a_key_decodes(a, panel, width, stray, seed):
-    # a @ X == b for a planted X, solved as the multicast decode solves it,
-    # X^T through the row span of a^T, with the [a^T | J] reduction in
-    # panels: at full column rank it returns X itself; below it a kernel
-    # vector gives a second solution, so no key is decoded; a stray
-    # right-hand side is usually inconsistent; the solution is always the
-    # basic one
-    rng = np.random.default_rng(seed)
-    x = random_matrix(a.cols, width, a.ctx, rng)
-    b = a @ x
-    if stray and a.rows:
-        b = MatrixFq(b.arr + rng.integers(0, a.ctx.q, size=b.shape), a.ctx)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fieldmath, "_PANEL", panel)
-        got = solve_in_rowspan(b.transpose(), a.transpose())
-    assert got == reference_solve(b.transpose(), a.transpose())
-    if got is None:
-        assert stray
-        return
-    got = got.transpose()
-    assert a @ got == b
-    if reference_rref(a)[1] == a.cols:
-        assert stray or got == x
-    elif width:
-        other = MatrixFq(got.arr + reference_kernel(a).arr[:1].T, a.ctx)
-        assert a @ other == b and other != got
-
-
-@st.composite
-def block_systems(draw):
-    """1-3 blocks over one field, with dependent rows (thin factors and a
-    repeated row), and a target: rows in the block-diagonal span, then
-    possibly a stray random row."""
-    q = draw(st.sampled_from([2, 3, 101, 2**31 - 1]))
-    blocks = []
-    for _ in range(draw(st.integers(1, 3))):
-        m = draw(low_rank_matrices(qs=(q,)))
-        if m.rows and draw(st.booleans()):
-            m = vstack([m, MatrixFq(m.arr[-1:], m.ctx)])
-        blocks.append(m)
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    basis = block_diag(blocks)
-    target = random_matrix(draw(st.integers(0, 4)), basis.rows, basis.ctx, rng) @ basis
-    if draw(st.booleans()):
-        target = vstack([target, random_matrix(1, basis.cols, basis.ctx, rng)])
-    return blocks, target
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(block_systems())
-def test_block_diagonal_solve_is_the_hstack_of_block_solves(case):
-    # the basic solution over block_diag is each block's basic solution of
-    # its own target columns, side by side (None when any block has none)
-    blocks, target = case
-    per, col = [], 0
-    for m in blocks:
-        per.append(solve_in_rowspan(MatrixFq(target.arr[:, col : col + m.cols], m.ctx), m))
-        col += m.cols
-    got = solve_in_rowspan(target, block_diag(blocks))
-    assert got == (None if any(w is None for w in per) else hstack(per))
-
-
 def test_rank_at_large_modulus_reduces_before_int64_overflows():
     # at q = 2^31 - 1 only two lazy trailing updates fit in int64 between full
     # reductions, so a 40 x 40 elimination reduces the trailing block often;
@@ -465,99 +504,6 @@ def test_rank_at_large_modulus_reduces_before_int64_overflows():
     low = random_matrix(40, 25, ctx, rng) @ random_matrix(25, 40, ctx, rng)
     assert rank(low) == reference_rref(low)[1] == 25
     assert rref(low) == reference_rref(low)
-
-
-@st.composite
-def elimination_stacks(draw, qs=(2, 101, 2**31 - 1)):
-    """1-6 matrices of one shape over one field, mixing ranks: thin
-    products, possibly a zero matrix, a full-rank one ([I | R] or [I ; R])
-    and a copy of a member with one column zeroed, whose pivots then
-    diverge from that member's at or after that column; shuffled."""
-    ctx = FieldCtx(draw(st.sampled_from(qs)))
-    rows, cols = draw(st.integers(0, 9)), draw(st.integers(0, 9))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    mats = [
-        random_matrix(rows, inner, ctx, rng) @ random_matrix(inner, cols, ctx, rng)
-        for inner in draw(st.lists(st.integers(0, 9), min_size=1, max_size=3))
-    ]
-    if draw(st.booleans()):
-        mats.append(zeros(rows, cols, ctx))
-    if draw(st.booleans()):
-        k = min(rows, cols)
-        eye = identity(k, ctx)
-        rest = random_matrix(rows - k, cols, ctx, rng) if rows > k else random_matrix(k, cols - k, ctx, rng)
-        mats.append(vstack([hstack([eye, zeros(k, cols - k, ctx)]), rest]) if rows > k else hstack([eye, rest]))
-    if cols and draw(st.booleans()):
-        arr = mats[0].arr.copy()
-        arr[:, draw(st.integers(0, cols - 1))] = 0
-        mats.append(MatrixFq(arr, ctx))
-    return [mats[i] for i in rng.permutation(len(mats))]
-
-
-def check_stack(mats):
-    """rref_stack and the forward _echelon of the stack, member by member,
-    against the Gauss-Jordan reference: the same RREF, and a forward form
-    with the reference pivots, a leading 1 at each and zeros below it."""
-    want = [reference_rref(m) for m in mats]
-    assert rref_stack(mats) == want
-    a = np.stack([m.arr for m in mats])
-    pivots = fieldmath._echelon(a, mats[0].ctx.q)
-    for echelon, got, (_, r, ref) in zip(a, pivots, want):
-        assert got == ref
-        assert not echelon[r:].any()
-        for i, c in enumerate(got):
-            assert echelon[i, c] == 1 and not echelon[i + 1 :, c].any()
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(elimination_stacks(qs=(2, 101, 32749, 32771, 2**31 - 1)))
-def test_stacked_gauss_jordan_matches_the_reference_member_by_member(mats):
-    # one Gauss-Jordan pass for the whole stack (at most 9 columns, so no
-    # panels): members whose pivot columns differ split off and go on alone;
-    # 32749, the largest prime whose updates run in int32, reduces after
-    # every second update, and 32771, the smallest above it, runs in int64
-    assert fieldmath._update_format(32749) == (np.int32, 2)
-    assert fieldmath._update_format(32771)[0] is np.int64
-    check_stack(mats)
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.sampled_from([1, 2, 3]), elimination_stacks(qs=(2, 3, 101, 32749, 32771, 2**31 - 1)))
-def test_wide_stacks_take_panels_member_by_member(panel, mats):
-    # with _PANEL patched to 1-3 columns, stacks wider than two panels run
-    # in lockstep through panels with tracking columns, one trailing product
-    # per panel for the whole group, and split where their members' pivot
-    # columns differ; at 32749 the tracking columns are int32 with room for
-    # two updates, and 32771 is the first prime whose updates run in int64
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fieldmath, "_PANEL", panel)
-        check_stack(mats)
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(low_rank_matrices())
-def test_rank_and_rref_are_stacks_of_one(m):
-    # a 2-D matrix is a stack of one: rank and rref equal the stacked results,
-    # alone or among other matrices of its own and of other shapes
-    alone = rref_stack([m])[0]
-    assert rref(m) == alone and rank(m) == alone[1]
-    others = [m.transpose(), vstack([m, m]), m]
-    assert rref_stack(others)[2] == alone
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(elimination_stacks(), st.integers(0, 2**32 - 1))
-def test_stacked_row_reduction_matches_the_per_matrix_one(mats, seed):
-    # RowReduced.stack reduces every [F | J] in one rref_stack: each member
-    # has the per-matrix echelon form, pivots and transform, and solves as
-    # the per-matrix reduction does
-    stacked = RowReduced.stack(mats)
-    rng = np.random.default_rng(seed)
-    for f, got in zip(mats, stacked):
-        want = RowReduced(f)
-        assert (got, got.echelon, got.pivots, got.transform) == (f, want.echelon, want.pivots, want.transform)
-        target = random_matrix(2, f.rows, f.ctx, rng) @ f
-        assert solve_in_rowspan(target, got) == solve_in_rowspan(target, want) == reference_solve(target, f)
 
 
 def test_rank_subadditive_with_equality_iff_trivial_intersection():

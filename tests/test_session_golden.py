@@ -29,6 +29,7 @@ or, for the protocol digests,
 ``PYTHONPATH=src python tests/test_session_golden.py --protocol > tests/data/session_protocol_digests.json``.
 """
 
+import ast
 import hashlib
 import json
 import sys
@@ -216,6 +217,26 @@ def test_small_sessions_equal_the_reference_session(case):
     alloc, _ = solve_allocation_lp_planned(plan_dimensions(params))
     got = run_session(params, slots, alloc, np.random.default_rng(seed))
     assert _session_json(got) == _session_json(reference_session(params, slots, alloc, np.random.default_rng(seed)))
+
+
+def test_references_take_no_kernel_from_nckey():
+    # the references check the kernels, so they take from nckey only what
+    # must match, every name of it listed in their docstring, and no kernel
+    tree = ast.parse((Path(__file__).parent / "references.py").read_text())
+    assert not any(isinstance(node, ast.Import) and "nckey" in ast.unparse(node) for node in ast.walk(tree))
+    imported = {
+        a.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("nckey")
+        for a in node.names
+    }
+    assert imported == {
+        "random_matrix", "make_source_matrix", "broadcast_slot", "plan_dimensions",
+        "AuditReport", "KeyShare", "SessionResult", "SessionTranscript", "SlotRecord",
+        "MAX_DRAWS", "MAX_EXTRACTION_TRIES", "MAX_ENUMERATED_SUBSETS", "MatrixFq", "Subspace", "SubspaceFamily",
+    }
+    assert imported.isdisjoint({"rank", "rref", "quotient", "right_kernel", "solve_in_rowspan", "mat_mul", "_echelon"})
+    assert all(f"``{name}``" in ast.get_docstring(tree) for name in imported)
 
 
 if __name__ == "__main__":

@@ -18,7 +18,6 @@ from nckey.fieldmath import (
     random_matrix,
     rank,
     rref,
-    right_kernel,
     vstack,
     zeros,
 )
@@ -39,6 +38,7 @@ from nckey.subspaces import (
     subspaces_within,
     zero_subspace,
 )
+from references import reference_intersect, reference_rank, reference_span
 
 F2 = FieldCtx(2)
 F3 = FieldCtx(3)
@@ -67,17 +67,6 @@ def test_span_of_examples():
     s = span_of(MatrixFq([[1, 2], [2, 4]], F5))
     assert s.dim == 1
     assert s.basis.tolist() == [[1, 2]]
-
-
-def test_stacked_spans_equal_span_of_for_each_matrix():
-    # one rref_stack for the list, grouped by shape: mixed shapes and ranks
-    # (a zero matrix and a repeated row among them) give each span_of
-    for q in (2, 101, 2**31 - 1):
-        ctx, rng = FieldCtx(q), np.random.default_rng(q)
-        mats = [random_matrix(r, 5, ctx, rng) for r in (3, 0, 3, 7, 3)] + [zeros(3, 5, ctx)]
-        mats.append(vstack([mats[0], mats[0]]))
-        assert spans_of(mats) == [span_of(m) for m in mats]
-    assert spans_of([]) == []
 
 
 def test_sum_trivial_cases():
@@ -364,74 +353,126 @@ def test_rejection_draws_are_bounded(monkeypatch):
         random_picks([(a, 2)], rng)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(
-    st.sampled_from([2, 3, 101, 2**31 - 1]),
-    st.integers(0, 9),
-    st.integers(0, 8),
-    st.integers(0, 4),
-    st.integers(0, 6),
-    st.integers(0, 2**32 - 1),
-)
-def test_quotient_rank_is_the_rank_added_to_the_subspace(q, ambient, rows, inside, spread, seed):
-    # rows modulo S keep exactly the rank they add to S, rows inside S map to
-    # zero, and the quotient's width is ambient - dim S
-    ctx, rng = FieldCtx(q), np.random.default_rng(seed)
-    sub = span_of(random_matrix(spread, ambient, ctx, rng))
-    x = vstack(
-        [random_matrix(rows, ambient, ctx, rng), random_matrix(inside, sub.dim, ctx, rng) @ sub.basis]
-    )
-    image = quotient(x, sub)
-    assert image.shape == (rows + inside, ambient - sub.dim)
-    assert rank(image) == rank(vstack([x, sub.basis])) - sub.dim
-    assert not quotient(MatrixFq(x.arr[rows:], ctx), sub).arr.any()
-
-
-def reference_intersect(a: Subspace, b: Subspace) -> Subspace:
-    """The kernel method: left-null vectors of a's basis stacked on -b's
-    split into coordinates over each basis; a's half spans a ∩ b."""
-    if a.dim == 0 or b.dim == 0:
-        return zero_subspace(a.ambient_dim, a.ctx)
-    stacked = vstack([a.basis, MatrixFq(-b.basis.arr, a.ctx)])
-    left_null = right_kernel(stacked.transpose())
-    if left_null.rows == 0:
-        return zero_subspace(a.ambient_dim, a.ctx)
-    return span_of(MatrixFq(left_null.arr[:, : a.dim], a.ctx) @ a.basis)
-
-
-def reference_contains(a: Subspace, b: Subspace) -> bool:
-    """b <= a exactly when stacking b's basis on a's adds no rank."""
-    return b.dim == 0 or rank(vstack([a.basis, b.basis])) == a.dim
-
-
 def _pivot_complement(sub: Subspace) -> Subspace:
-    """The unit vectors off sub's pivot columns, which span a complement of
-    sub in the whole space."""
+    """The unit vectors off sub's pivot columns (each basis row's first
+    nonzero entry), which span a complement of sub in the whole space."""
     free = np.ones(sub.ambient_dim, dtype=bool)
-    free[rref(sub.basis)[2]] = False
+    free[[np.flatnonzero(row)[0] for row in sub.basis.arr]] = False
     return Subspace(MatrixFq(np.eye(sub.ambient_dim, dtype=np.int64)[free], sub.ctx), sub.ambient_dim)
 
 
+@st.composite
+def subspace_cases(draw):
+    """Matrices over F_q^n, n the width of a layout of 1-3 slots of 0-3
+    columns: two that span U and V, which share a random part, and one per
+    slot, a thin product of that slot's width, which spans a part of a
+    direct sum; and a generator for the rows and draws taken against them.
+    Only the field is drawn by hypothesis; the rest comes from a seeded
+    generator, which keeps each example cheap to draw."""
+    ctx = FieldCtx(draw(st.sampled_from([2, 3, 101, 2**31 - 1])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layout = rng.integers(0, 4, size=rng.integers(1, 4))
+    n = int(layout.sum())
+    shared = random_matrix(rng.integers(0, 4), n, ctx, rng)
+    spanning = [vstack([shared, random_matrix(rng.integers(0, 5), n, ctx, rng)]) for _ in range(2)]
+    slots = [
+        random_matrix(rng.integers(0, 4), inner, ctx, rng) @ random_matrix(inner, width, ctx, rng)
+        for width, inner in zip(layout, rng.integers(0, 4, size=3))
+    ]
+    return spanning, slots, rng
+
+
+def case_spans(spanning, slots):
+    """The case's matrices, U's, V's, the slots' and U and V's stacked, with
+    their spans by Gauss-Jordan."""
+    ctx = spanning[0].ctx
+    mats = [*spanning, *slots, vstack(spanning)]
+    return mats, [Subspace(MatrixFq(reference_span(m.arr, ctx.q), ctx), m.cols) for m in mats]
+
+
+def dense_subspaces(u, v, total):
+    """U, V, the zero space, U + V, the full space and a complement of U."""
+    n, ctx = u.ambient_dim, u.ctx
+    return [u, v, zero_subspace(n, ctx), total, full_space(n, ctx), _pivot_complement(u)]
+
+
+def check_quotient(sub, ref, rows, rng):
+    """Rows modulo ``sub``, and rows inside it after them: the width is
+    ambient - dim, the rows keep exactly the rank they add to ``ref``'s
+    basis (by Gauss-Jordan), and the rows inside map to zero."""
+    ctx, q = sub.ctx, sub.ctx.q
+    inside = subspaces._combination(random_matrix(2, sub.dim, ctx, rng), sub)
+    image = quotient(vstack([rows, inside]), sub)
+    assert image.shape == (rows.rows + 2, sub.ambient_dim - ref.dim) and not image.arr[rows.rows :].any()
+    assert reference_rank(image.arr, q) == reference_rank(np.vstack([rows.arr, ref.basis.arr]), q) - ref.dim
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(
-    st.sampled_from([2, 3, 101, 2**31 - 1]),
-    st.integers(0, 9),
-    st.integers(0, 4),
-    st.integers(0, 5),
-    st.integers(0, 5),
-    st.integers(0, 2**32 - 1),
-)
-def test_quotient_intersect_and_contains_equal_the_stacked_references(q, ambient, shared, du, dv, seed):
-    # U and V share a random part; against them: the zero space, U itself,
-    # U + V above U, the full space, and a complement of U
-    ctx, rng = FieldCtx(q), np.random.default_rng(seed)
-    common = random_matrix(shared, ambient, ctx, rng)
-    u, v = (span_of(vstack([common, random_matrix(d, ambient, ctx, rng)])) for d in (du, dv))
-    others = [v, zero_subspace(ambient, ctx), u, u + v, full_space(ambient, ctx), _pivot_complement(u)]
-    for a, b in itertools.product([u] + others, others):
-        assert a.intersect(b) == reference_intersect(a, b)
-        assert a.contains(b) == reference_contains(a, b)
+@given(subspace_cases())
+def test_stacked_spans_equal_span_of_for_each_matrix(case):
+    # one rref_stack for the list, grouped by shape: mixed shapes and ranks
+    # give each span_of, the Gauss-Jordan span; U + V spans the stacked rows
+    spanning, slots, _ = case
+    mats, spans = case_spans(spanning, slots)
+    assert [span_of(m) for m in mats] == spans_of(mats) == spans
+    assert spans[0] + spans[1] == spans[-1]
+    assert spans_of([]) == []
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(subspace_cases())
+def test_quotient_rank_is_the_rank_added_to_the_subspace(case):
+    # modulo U, V, the zero space, U + V, the full space and a complement
+    # of U
+    spanning, slots, rng = case
+    u, v, *_, total = case_spans(spanning, slots)[1]
+    rows = random_matrix(3, u.ambient_dim, u.ctx, rng)
+    for sub in dense_subspaces(u, v, total):
+        check_quotient(sub, sub, rows, rng)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(subspace_cases())
+def test_quotient_intersect_and_contains_equal_the_stacked_references(case):
+    # U against V, the zero space, U itself, U + V, the full space, a
+    # complement of U and a direct sum, both ways: intersect by Zassenhaus,
+    # contains by the rank of the stacked bases
+    spanning, slots, _ = case
+    u, v, *parts, total = case_spans(spanning, slots)[1]
+    q, n = u.ctx.q, u.ambient_dim
+    for sub in dense_subspaces(u, v, total) + [direct_sum(*parts)]:
+        meet = Subspace(MatrixFq(reference_intersect([u.basis.arr, sub.basis.arr], q), u.ctx), n)
+        joint = reference_rank(np.vstack([u.basis.arr, sub.basis.arr]), q)
+        assert u.intersect(sub) == sub.intersect(u) == meet
+        assert (u.contains(sub), sub.contains(u)) == (joint == u.dim, joint == sub.dim)
     assert u.intersect(_pivot_complement(u)).dim == 0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(subspace_cases())
+def test_direct_sum_quotients_and_picks_equal_the_block_diagonal_ones(case):
+    # a direct sum keeps its parts: quotients modulo it, coefficient products
+    # over its basis and uniform picks inside it, all taken part by part,
+    # equal those over its dense block-diagonal basis (the same draws, to
+    # the same generator state), with no dense basis built; read on demand,
+    # that basis is the block-diagonal one
+    spanning, slots, rng = case
+    _, _, *parts, _ = case_spans(spanning, slots)[1]
+    summed = direct_sum(*parts)
+    ctx, q, n = summed.ctx, summed.ctx.q, summed.ambient_dim
+    twin = Subspace(block_diag([p.basis for p in parts]), n)
+    assert summed.parts == tuple(parts) and summed.dim == twin.dim
+    check_quotient(summed, twin, random_matrix(3, n, ctx, rng), rng)
+    coeffs = random_matrix(3, summed.dim, ctx, rng)
+    want = (coeffs.arr.astype(object) @ twin.basis.arr.astype(object)) % q
+    assert subspaces._combination(coeffs, summed).tolist() == want.tolist()
+    requests = [(summed, int(rng.integers(0, summed.dim + 1))) for _ in range(3)]
+    state = rng.bit_generator.state
+    picks = random_picks(requests, rng)
+    after, rng.bit_generator.state = rng.bit_generator.state, state
+    assert summed._basis is None
+    assert picks == random_picks([(twin, dim) for _, dim in requests], rng) and rng.bit_generator.state == after
+    assert summed.basis == twin.basis
 
 
 @pytest.mark.parametrize("q", [2, 3, 101, 2**31 - 1])
@@ -477,37 +518,6 @@ def test_direct_sum():
         a = random_subspace(4, int(rng.integers(0, 5)), F5, rng)
         b = random_subspace(3, int(rng.integers(0, 4)), F5, rng)
         assert direct_sum(a, b).dim == a.dim + b.dim
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(
-    st.sampled_from([2, 3, 101, 2**31 - 1]),
-    st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=4),
-    st.integers(0, 4),
-    st.integers(0, 2**32 - 1),
-)
-def test_direct_sum_quotients_and_picks_equal_the_block_diagonal_ones(q, shapes, rows, seed):
-    # a direct sum keeps its parts: quotients modulo it, coefficient products
-    # over its basis and uniform picks inside it, all taken part by part,
-    # equal those over its dense block-diagonal basis (the same draws), with
-    # no dense basis built; read on demand, that basis is the block-diagonal one
-    ctx, rng = FieldCtx(q), np.random.default_rng(seed)
-    parts = [random_subspace(n, min(d, n), ctx, rng) for n, d in shapes]
-    summed = direct_sum(*parts)
-    dense = Subspace(block_diag([p.basis for p in parts]), summed.ambient_dim)
-    assert summed.parts == tuple(parts) and summed.dim == dense.dim
-    vectors = random_matrix(rows, summed.ambient_dim, ctx, rng)
-    assert quotient(vectors, summed) == quotient(vectors, dense)
-    coeffs = random_matrix(rows, summed.dim, ctx, rng)
-    assert subspaces._combination(coeffs, summed) == mat_mul(coeffs, dense.basis)
-    requests = [(summed, int(rng.integers(0, summed.dim + 1))) for _ in range(3)]
-    state = rng.bit_generator.state
-    got = random_picks(requests, rng)
-    after, rng.bit_generator.state = rng.bit_generator.state, state
-    want = random_picks([(dense, dim) for _, dim in requests], rng)
-    assert after == rng.bit_generator.state
-    assert summed._basis is None
-    assert got == want and summed.basis == dense.basis
 
 
 def test_spanning_matrix_count():
