@@ -114,9 +114,11 @@ def mask_members(mask: int) -> list[int]:
 class SubsetAllocation:
     """Per-subset key-share allocation, in units of (ell - n_a) log q per slot.
 
-    Shares are nonnegative rationals keyed by subset bitmask; missing subsets
-    get zero.  Feasibility against a family of exclusive subspaces is checked
-    by check_allocation_feasible, never assumed.
+    Shares are nonnegative rationals keyed by subset bitmask, an integer
+    (not a bool, and not a string, which has more than one spelling of a
+    mask); missing subsets get zero.  Feasibility against a family of
+    exclusive subspaces is checked by check_allocation_feasible, never
+    assumed.
     """
 
     __slots__ = ("m", "shares")
@@ -126,6 +128,8 @@ class SubsetAllocation:
             raise ValueError(f"terminal count must lie in [1, 16], got {m}")
         out: dict[int, Fraction] = {mask: Fraction(0) for mask in subset_masks(m)}
         for mask, value in dict(shares).items():
+            if isinstance(mask, bool) or not isinstance(mask, (int, np.integer)):
+                raise TypeError(f"subset mask must be an integer, got {mask!r}")
             mask = int(mask)
             if mask not in out:
                 raise ValueError(f"subset mask {mask} out of range for m={m}")

@@ -60,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ne", type=int, help="eavesdropper observations per slot")
         p.add_argument(
             "--sweep",
-            help=f"<var>:<lo>:<hi> inclusive integer sweep; var in {SWEEP_VARS} "
+            help=f"<var>:<lo>:<hi> inclusive integer sweep (bounds, oracle); var in {SWEEP_VARS} "
             "(nb sets every terminal count; non-prime q values below 2**31 are skipped)",
         )
         p.add_argument("--slots", type=int, help="slots per session (simulate)")
@@ -84,6 +84,14 @@ DEFAULTS = {
     "format": "csv",
     "out": None,
     "allocation": None,
+}
+
+# The inputs each command does not read: given, they would only move the
+# config hash.
+UNREAD = {
+    "bounds": ("slots", "trials", "allocation"),
+    "simulate": ("sweep",),
+    "oracle": ("slots", "trials", "allocation"),
 }
 
 
@@ -126,6 +134,9 @@ def resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
         parser.error(f"allocation must map subsets to numbers or strings, got {alloc!r}")
     if cfg["format"] not in ("csv", "json"):
         parser.error(f"format must be 'csv' or 'json', got {cfg['format']!r}")
+    for key in UNREAD[args.command]:
+        if cfg[key] != DEFAULTS[key]:
+            parser.error(f"{args.command} does not read {key}, got {cfg[key]!r}")
     return cfg
 
 
@@ -243,6 +254,16 @@ def cmd_simulate(cfg: dict, parser) -> dict:
             alloc = SubsetAllocation(params.m, {masks[k]: Fraction(v) for k, v in cfg["allocation"].items()})
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
             parser.error(f"invalid allocation: {exc}")
+        # A float reads as its binary value, 0.3 as 5404319552844595/18014398509481984.
+        for key, v in cfg["allocation"].items():
+            if type(v) is float:
+                parser.error(
+                    f"invalid allocation: share {v!r} for subset {key} is a float; "
+                    f'write it exactly, as the string "{Fraction(repr(v))}"'
+                )
+        # One spelling per allocation in the config hash: each given share as
+        # str(Fraction), so that "1/2" and "2/4" hash alike.
+        cfg["allocation"] = {key: str(alloc[masks[key]]) for key in cfg["allocation"]}
         lp_value = None
     else:
         alloc, lp_value = solve_allocation_lp_planned(plan)

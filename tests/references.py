@@ -10,7 +10,9 @@ row-span system (``reference_solve``) and the Zassenhaus intersection
 is checked against them.  Built on them are the combination code one row at
 a time, the omniscient exclusive subspaces, the rank-additivity leakage
 certificate and its exhaustive check, and ``reference_session``, a whole
-session built the slow, obvious way at session width.
+session built the slow, obvious way at session width.  Exact laws come from
+a generator stand-in that serves every draw (``DrawSequence``, ``draw_law``)
+and the meet law in plain ints (``gaussian``, ``meet_count``, ``dims_law``).
 
 From ``nckey`` this module takes only what must match, and no kernel: the
 draws (``random_matrix``, ``make_source_matrix``, ``broadcast_slot``),
@@ -134,6 +136,92 @@ def reference_kernel(m: MatrixFq) -> MatrixFq:
         for row, c in enumerate(pivots):
             out[i, c] = -red.arr[row, f]
     return reference_rref(MatrixFq(out, m.ctx))[0]
+
+
+class Refused(Exception):
+    """A draw that a ``DrawSequence`` does not serve."""
+
+
+class DrawSequence:
+    """A generator stand-in that serves the given draws, in turn, to
+    ``integers(0, q, size, dtype)`` calls, and refuses a draw past them or a
+    replay (``bit_generator.state`` set back).  So a rejection sampler raises
+    ``Refused`` on a rejected draw, and its outputs over every accepted
+    sequence, which are its draws conditioned on acceptance, give its law
+    exactly (``draw_law``)."""
+
+    def __init__(self, q: int, draws):
+        self.q, self.draws, self.served, self.bit_generator = q, list(draws), 0, self
+
+    def _replay(self, _):
+        raise Refused("a rejected draw is replayed")
+
+    state = property(lambda self: self.served, _replay)
+
+    def integers(self, low, high, size, dtype):
+        if (low, high) != (0, self.q):
+            raise ValueError(f"a draw from [{low}, {high}) where [0, {self.q}) is served")
+        if self.served == len(self.draws):
+            raise Refused(f"a draw past the {len(self.draws)} given")
+        self.served += 1
+        return np.array(self.draws[self.served - 1], dtype=dtype).reshape(size)
+
+
+def draw_law(sample, q: int, sizes) -> Counter:
+    """How many sequences of draws, of the given entry counts with entries in
+    [0, q), make ``sample(rng)`` give each output: the sequences it refuses
+    are left out, and an accepted one must take every draw."""
+    law = Counter()
+    for values in itertools.product(range(q), repeat=sum(sizes)):
+        rng = DrawSequence(q, np.split(np.array(values, dtype=np.int64), np.cumsum(sizes)[:-1]))
+        try:
+            out = sample(rng)
+        except Refused:
+            continue
+        if rng.served != len(sizes):
+            raise ValueError(f"an accepted sequence took {rng.served} of {len(sizes)} draws")
+        law[out] += 1
+    return law
+
+
+@functools.cache
+def gaussian(n: int, k: int, q: int) -> int:
+    """The number of k-dimensional subspaces of F_q^n; 0 unless 0 <= k <= n."""
+    if not 0 <= k <= n:
+        return 0
+    return math.prod(q**n - q**i for i in range(k)) // math.prod(q**k - q**i for i in range(k))
+
+
+def meet_count(n: int, d1: int, d2: int, j: int, q: int) -> int:
+    """How many d2-subspaces of F_q^n meet a fixed d1-subspace A in exactly j
+    dimensions: G(d1, j) q^((d1 - j)(d2 - j)) G(n - d1, d2 - j).  The meet J
+    is one of G(d1, j) subspaces of A, and modulo J the subspace misses A/J:
+    it is the graph of one of q^((d1 - j)(d2 - j)) maps into A/J from one of
+    G(n - d1, d2 - j) subspaces of a complement of A."""
+    if not 0 <= j <= min(d1, d2):
+        return 0
+    return gaussian(d1, j, q) * q ** ((d1 - j) * (d2 - j)) * gaussian(n - d1, d2 - j, q)
+
+
+def dims_law(dims, n: int, q: int, law=None) -> Counter:
+    """The law of (dim of the sum Y, dim of the intersection X) of independent
+    uniform subspaces of F_q^n of the given dimensions, as counts over their
+    choices, joined to those of ``law`` (by default a fixed subspace of the
+    first dimension: any gives the same law).  A uniform d-subspace C meets
+    Y in y and X in x dimensions for meet_count(b, a, y, x)
+    meet_count(n - y, b - y, d - y, 0) of its choices, b = dim Y and
+    a = dim X: Z = C ∩ Y meets X in x, and modulo Z, C misses Y."""
+    if law is None:
+        law, dims = Counter({(dims[0], dims[0]): 1}), dims[1:]
+    for d in dims:
+        step = Counter()
+        for (b, a), weight in law.items():
+            for y, x in itertools.product(range(d + 1), repeat=2):
+                count = meet_count(b, a, y, x, q) * meet_count(n - y, b - y, d - y, 0, q)
+                if count:
+                    step[b + d - y, x] += weight * count
+        law = step
+    return law
 
 
 def _product(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:

@@ -1,8 +1,11 @@
-"""Acceptance suite: each criterion runs at its stated tolerance and prints
-one pass/fail line (run with -s to see them on success)."""
+"""Acceptance suite: one test per criterion, each printing a pass/fail line
+(run with -s to see them on success).  Criteria 1-5 and 7 are exact or
+exhaustive; criterion 6 audits 100 seeded sessions.  Each line shows the
+criterion's wall-clock time, which no verdict reads: the benchmark gates time."""
 
 import itertools
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,16 +20,18 @@ from nckey.bounds import (
 )
 from nckey.channel import ChannelParams, matrix_transition_prob, subspace_transition_prob
 from nckey.cli import main as cli_main
-from nckey.fieldmath import FieldCtx, MatrixFq
-from nckey.subspaces import random_subspace, span_of
-from references import certify_zero_leakage, exhaustive_leakage_check
+from nckey.fieldmath import FieldCtx, MatrixFq, rank
+from nckey.subspaces import span_of
+from references import certify_zero_leakage, dims_law, exhaustive_leakage_check
 
 DATA = Path(__file__).parent / "data"
 
 
-def _report(num: int, name: str, ok: bool, detail: str = ""):
-    status = "PASS" if ok else "FAIL"
-    print(f"criterion {num} [{status}] {name} {detail}".rstrip())
+def _report(num: int, name: str, ok: bool, t0: float, detail: str = ""):
+    """Print the criterion's line, with its wall-clock time since t0, and
+    assert its verdict, which does not read that time."""
+    detail = f"({detail}{', ' if detail else ''}{time.perf_counter() - t0:.2f}s)"
+    print(f"criterion {num} [{'PASS' if ok else 'FAIL'}] {name} {detail}")
     assert ok, f"criterion {num} failed: {name} {detail}"
 
 
@@ -50,13 +55,7 @@ def test_criterion_1_single_receiver_capacity_match():
                     _, value = solve_allocation_lp_planned(plan)
                     ok &= upper_bound(p) == value * (ell - reduced)
                     checked += 1
-    elapsed = time.perf_counter() - t0
-    _report(
-        1,
-        "m=1 lower equals upper bound after source reduction",
-        ok and elapsed < 1.0,
-        f"({checked} grid points, {elapsed:.2f}s)",
-    )
+    _report(1, "m=1 lower equals upper bound after source reduction", ok, t0, f"{checked} grid points")
 
 
 def _upper_formula(na, ns, ne, ell):
@@ -111,44 +110,23 @@ def test_criterion_2_symmetric_lp_matches_closed_form(tmp_path):
                 ok &= Fraction(r[idx["upper_coeff"]]) == Fraction(upper_abs, 10)
                 ok &= Fraction(r[idx["lower_coeff"]]) == lower_norm
             checked += 1
-    elapsed = time.perf_counter() - t0
-    _report(
-        2,
-        "m=2 allocation LP equals symmetric closed form (grid + golden sweeps)",
-        ok and elapsed < 10.0,
-        f"({checked} checks, {elapsed:.2f}s)",
-    )
+    _report(2, "m=2 allocation LP equals symmetric closed form (grid + golden sweeps)", ok, t0, f"{checked} checks")
 
 
-def _generic_stats(q: int, n: int, trials: int, seed: int) -> float:
-    rng = np.random.default_rng(seed)
-    ctx = FieldCtx(q)
-    hits = 0
-    for trial in range(trials):
-        k = 2 + trial % 2
-        dims = [int(rng.integers(0, n + 1)) for _ in range(k)]
-        subs = [random_subspace(n, d, ctx, rng) for d in dims]
-        total = subs[0]
-        inter = subs[0]
-        for s in subs[1:]:
-            total = total + s
-            inter = inter.intersect(s)
-        want_sum, want_int = generic_dims(dims, n)
-        hits += total.dim == want_sum and inter.dim == want_int
-    return hits / trials
+def _generic_chance(q: int, n: int) -> Fraction:
+    """The probability that 2 or 3 (each half the time) independent uniform
+    subspaces of F_q^n, each of a uniform dimension in [0, n], are in generic
+    position, exactly by the meet law (``dims_law``)."""
+    laws = {dims: dims_law(dims, n, q) for k in (2, 3) for dims in itertools.product(range(n + 1), repeat=k)}
+    return sum(Fraction(law[generic_dims(d, n)], sum(law.values()) * 2 * (n + 1) ** len(d)) for d, law in laws.items())
 
 
 def test_criterion_3_generic_position_statistics():
     t0 = time.perf_counter()
-    freq_101 = _generic_stats(101, 8, 1000, seed=101)
-    freq_1009 = _generic_stats(1009, 8, 1000, seed=1009)
-    elapsed = time.perf_counter() - t0
-    _report(
-        3,
-        "generic-position dimension predictions hold w.h.p.",
-        freq_101 >= 0.95 and freq_1009 >= 0.99 and elapsed < 10.0,
-        f"(q=101: {freq_101:.3f}, q=1009: {freq_1009:.3f}, {elapsed:.2f}s)",
-    )
+    chance_101, chance_1009 = _generic_chance(101, 8), _generic_chance(1009, 8)
+    _report(3, "generic-position dimension predictions hold w.h.p. (exact probability)",
+            chance_101 >= Fraction(95, 100) and chance_1009 >= Fraction(99, 100), t0,
+            f"q=101: {float(chance_101):.4f}, q=1009: {float(chance_1009):.4f}")
 
 
 def test_criterion_4_exhaustive_secrecy():
@@ -171,13 +149,8 @@ def test_criterion_4_exhaustive_secrecy():
                     certified += 1
                 else:
                     rejected += 1
-    elapsed = time.perf_counter() - t0
-    _report(
-        4,
-        "rank certificate implies exactly zero leakage (exhaustive)",
-        ok and certified > 0 and rejected > 0 and elapsed < 30.0,
-        f"({certified} certified, {rejected} rejected, {elapsed:.2f}s)",
-    )
+    _report(4, "rank certificate implies exactly zero leakage (exhaustive)", ok and certified > 0 and rejected > 0,
+            t0, f"{certified} certified, {rejected} rejected")
 
 
 def test_criterion_5_oracle_trend():
@@ -190,16 +163,14 @@ def test_criterion_5_oracle_trend():
         p = _params(q, 3, 2, [1], 1)
         cmi, _ = best_uniform_input_cmi(p)
         normalized.append(cmi / math.log(q))
-    elapsed = time.perf_counter() - t0
     ok = (
         coeff == 1
         and normalized[0] <= normalized[1] <= normalized[2]
         and all(v <= coeff for v in normalized)
         and normalized[2] >= 0.85 * coeff
-        and elapsed < 300.0
     )
     vals = ", ".join(f"{v:.4f}" for v in normalized)
-    _report(5, "exact CMI trend toward the asymptotic coefficient", ok, f"([{vals}], {elapsed:.2f}s)")
+    _report(5, "exact CMI trend toward the asymptotic coefficient", ok, t0, f"[{vals}]")
 
 
 def test_criterion_6_end_to_end_sessions():
@@ -223,58 +194,30 @@ def test_criterion_6_end_to_end_sessions():
         ok &= bool(a.subset_agreement and a.final_agreement)
         ok &= bool(a.leakage_certificate)
         ok &= a.achieved_per_slot == want
-    elapsed = time.perf_counter() - t0
-    _report(
-        6,
-        "end-to-end sessions: agreement, zero-leakage certificate, rate",
-        ok and degenerate <= 5 and elapsed < 60.0,
-        f"(lp value {lp_value}, degenerate {degenerate}/100, {elapsed:.2f}s)",
-    )
+    _report(6, "end-to-end sessions: agreement, zero-leakage certificate, rate", ok and degenerate <= 5, t0,
+            f"lp value {lp_value}, degenerate {degenerate}/100")
 
 
 def test_criterion_7_channel_law_consistency():
     t0 = time.perf_counter()
     ctx = FieldCtx(2)
-    ok = True
-    mats = [
-        MatrixFq(np.array(e, dtype=np.int64).reshape(2, 3), ctx)
-        for e in itertools.product(range(2), repeat=6)
-    ]
-    outs = {
-        n_r: [
-            MatrixFq(np.array(e, dtype=np.int64).reshape(n_r, 3), ctx)
-            for e in itertools.product(range(2), repeat=n_r * 3)
-        ]
-        for n_r in (1, 2)
-    }
-    transfers = {
-        n_r: [
-            MatrixFq(np.array(e, dtype=np.int64).reshape(n_r, 2), ctx)
-            for e in itertools.product(range(2), repeat=n_r * 2)
-        ]
-        for n_r in (1, 2)
-    }
-    for x_a in mats:
-        for n_r in (1, 2):
-            total = sum(matrix_transition_prob(x_r, x_a, n_r) for x_r in outs[n_r])
-            ok &= total == 1
-    from nckey.fieldmath import rank as _rank
 
-    for x_a in mats:
-        if _rank(x_a) != 2:
-            continue
-        pi_a = span_of(x_a)
+    def matrices(rows, cols):
+        return [
+            MatrixFq(np.array(e, dtype=np.int64).reshape(rows, cols), ctx)
+            for e in itertools.product(range(2), repeat=rows * cols)
+        ]
+
+    outs = {n_r: matrices(n_r, 3) for n_r in (1, 2)}
+    transfers = {n_r: matrices(n_r, 2) for n_r in (1, 2)}
+    ok = True
+    for x_a in matrices(2, 3):
         for n_r in (1, 2):
-            induced: dict = {}
-            for f in transfers[n_r]:
-                pi = span_of(f @ x_a)
-                induced[pi] = induced.get(pi, Fraction(0)) + Fraction(1, 2 ** (n_r * 2))
-            for pi, prob in induced.items():
-                ok &= prob == subspace_transition_prob(pi, pi_a, n_r)
-    elapsed = time.perf_counter() - t0
-    _report(
-        7,
-        "matrix channel law sums to one and induces the subspace law",
-        ok and elapsed < 10.0,
-        f"({elapsed:.2f}s)",
-    )
+            ok &= sum(matrix_transition_prob(x_r, x_a, n_r) for x_r in outs[n_r]) == 1
+            # full-rank sources: the matrix law pushed through row spans is
+            # the subspace law
+            if rank(x_a) == 2:
+                induced = Counter(span_of(f @ x_a) for f in transfers[n_r])
+                pi_a, scale = span_of(x_a), 2 ** (n_r * 2)
+                ok &= all(Fraction(c, scale) == subspace_transition_prob(pi, pi_a, n_r) for pi, c in induced.items())
+    _report(7, "matrix channel law sums to one and induces the subspace law", ok, t0)

@@ -1,4 +1,5 @@
 import copy
+import functools
 import itertools
 import json
 import math
@@ -43,6 +44,7 @@ from nckey.subspaces import (
     Subspace,
     SubspaceFamily,
     direct_sum,
+    iter_subspaces,
     random_picks,
     random_subspace,
     span_of,
@@ -51,7 +53,10 @@ from nckey.subspaces import (
 from references import (
     build_exclusive_subspaces,
     certify_zero_leakage,
+    draw_law,
     exhaustive_leakage_check,
+    gaussian,
+    meet_count,
     reference_combination_code,
     reference_rank,
     reference_rref,
@@ -108,18 +113,29 @@ def test_exclusive_postconditions():
             assert u.dim == common.dim - shared.dim
 
 
+@functools.cache
+def _plane_configurations(q: int):
+    """Every configuration of two planes of F_q^3, the first fixed, and an
+    eavesdropper line, as (omniscient exclusive family, line)."""
+    ctx = FieldCtx(q)
+    first, lines = span_of(MatrixFq([[0, 1, 0], [0, 0, 1]], ctx)), list(iter_subspaces(3, 1, ctx))
+    return [(build_exclusive_subspaces([first, pi], eve), eve) for pi in iter_subspaces(3, 2, ctx) for eve in lines]
+
+
 def test_exclusive_dims_match_generic_plan_whp():
-    # 1000 seeded draws at q=101, n_a=6, dims (3,3) with a dim-2 eavesdropper
-    rng = np.random.default_rng(123)
-    plan = plan_from_dims(6, [3, 3], 2)
-    hits = 0
-    trials = 1000
-    for _ in range(trials):
-        pis = [random_subspace(6, 3, F101, rng) for _ in range(2)]
-        eve = random_subspace(6, 2, F101, rng)
-        fam = build_exclusive_subspaces(pis, eve, rng)
-        hits += all(fam[mask].dim == plan.exclusive_dims[mask] for mask in fam.masks())
-    assert hits / trials >= 0.95
+    # two planes of F_q^3 and an eavesdropper line: the exclusive dims match
+    # the generic plan exactly when the planes meet in a line (meet_count)
+    # and the eavesdropper's line lies in neither plane, which leaves
+    # G(3, 1) - 2 G(2, 1) + 1 = q (q - 1) lines
+    plan = plan_from_dims(3, [2, 2], 1)
+    generic = {
+        q: Fraction(meet_count(3, 2, 2, 1, q) * q * (q - 1), gaussian(3, 2, q) * gaussian(3, 1, q)) for q in (2, 3, 101)
+    }
+    for q in (2, 3):
+        families = [fam for fam, _ in _plane_configurations(q)]
+        hits = sum(all(fam[mask].dim == plan.exclusive_dims[mask] for mask in fam.masks()) for fam in families)
+        assert Fraction(hits, len(families)) == generic[q]
+    assert generic[101] >= Fraction(95, 100)
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +234,11 @@ def test_allocation_validation():
         SubsetAllocation(2, {1: -1})
     with pytest.raises(ValueError):
         SubsetAllocation(2, {4: 1})
+    # a string or bool mask would read as an int, and " 1" and "01" as one mask
+    for shares in ({"3": "1/4", "03": "1/2", " 1": "1/8"}, {True: 1}, {np.bool_(True): 1}):
+        with pytest.raises(TypeError, match="subset mask must be an integer"):
+            SubsetAllocation(2, shares)
+    assert SubsetAllocation(2, {np.int64(3): 1})[3] == 1
     alloc = SubsetAllocation(2, {1: Fraction(1, 2), 3: 2})
     assert alloc.floor_scaled(4) == {1: 2, 2: 0, 3: 8}
     assert alloc.terminal_total(0) == Fraction(5, 2)
@@ -345,19 +366,15 @@ def test_lp_solution_feasible_and_unimprovable():
 
 
 def test_lp_matches_actual_subspaces_whp():
-    # sampled instances agree with the planned/closed-form value w.h.p.
-    rng = np.random.default_rng(47)
-    p = P(101, 10, 6, [4, 4], 2)
-    want = three_terminal_rate(p) / (p.ell - p.n_a)
-    hits = 0
-    trials = 200
-    for _ in range(trials):
-        pis = [random_subspace(6, 4, F101, rng) for _ in range(2)]
-        eve = random_subspace(6, 2, F101, rng)
-        fam = build_exclusive_subspaces(pis, eve, rng)
-        _, value = solve_allocation_lp(fam, eve)
-        hits += value == want
-    assert hits / trials >= 0.95
+    # the LP on the actual subspaces gives the closed-form value exactly
+    # where the exclusive dims match the plan, a share that
+    # test_exclusive_dims_match_generic_plan_whp counts
+    for q in (2, 3):
+        p = P(q, 7, 3, [2, 2], 1)
+        want, plan = three_terminal_rate(p) / (p.ell - p.n_a), plan_dimensions(p)
+        for fam, eve in _plane_configurations(q):
+            generic = all(fam[mask].dim == plan.exclusive_dims[mask] for mask in fam.masks())
+            assert (solve_allocation_lp(fam, eve)[1] == want) == generic
 
 
 def test_lp_partial_family_gives_absent_subsets_zero():
@@ -570,26 +587,27 @@ def test_extract_accepts_by_slot_only_when_every_slot_is_independent(q, with_eve
 
 
 def test_extract_realistic_orthogonal_to_eavesdropper_whp():
-    # the realistic mode never sees the eavesdropper; rank additivity against
-    # it must still hold in >= 95% of 1000 seeded draws at q=101
-    rng = np.random.default_rng(1234)
-    p = P(101, 10, 6, [4, 4], 2)
-    plan = plan_dimensions(p)
-    alloc, _ = solve_allocation_lp_planned(plan)
-    counts = alloc.floor_scaled(1)
-    hits = 0
-    trials = 1000
-    for _ in range(trials):
-        pis = [random_subspace(6, 4, F101, rng) for _ in range(2)]
-        eve = random_subspace(6, 2, F101, rng)
-        try:
-            fam = build_exclusive_subspaces(pis, eve, rng)
+    # the realistic mode never sees the eavesdropper; over every draw of its
+    # picks, rank additivity against it holds with probability q / (q + 1):
+    # modulo U3 the eavesdropper's view is the graph of a map from U1 onto
+    # U2, and the line picked in U2 must miss the image of the one in U1, a
+    # meet law inside U2
+    for q in (2, 3):
+        ctx, eye = FieldCtx(q), np.eye(6, dtype=np.int64)
+        pis = [span_of(MatrixFq(eye[:4], ctx)), span_of(MatrixFq(eye[2:], ctx))]
+        eve = span_of(MatrixFq([[1, 0, 1, 0, 1, 0], [0, 1, 0, 1, 0, 1]], ctx))
+        fam = build_exclusive_subspaces(pis, eve)
+        counts = solve_allocation_lp_planned(plan_dimensions(P(q, 10, 6, [4, 4], 2)))[0].floor_scaled(1)
+        # U1, U2 and U3 = pi_1 ∩ pi_2 are planes, as planned
+        assert counts == {1: 1, 2: 1, 3: 2} and [fam[mask].dim for mask in fam.masks()] == [2, 2, 2]
+
+        def certified(rng):
             picks = extract_secure_subspaces(fam, counts, None, rng)
-        except (InfeasibleAllocationError, RuntimeError):
-            continue
-        stacked = vstack([picks[mask].basis for mask in fam.masks() if counts[mask]])
-        hits += certify_zero_leakage(stacked, eve.basis)
-    assert hits / trials >= 0.95
+            return certify_zero_leakage(vstack([picks[mask].basis for mask in fam.masks()]), eve.basis)
+
+        lines, gl = gaussian(2, 1, q), q - 1  # |GL_1(q)| draws give each line
+        assert draw_law(certified, q, [2, 2]) == {True: lines * meet_count(2, 1, 1, 0, q) * gl**2, False: lines * gl**2}
+    assert Fraction(meet_count(2, 1, 1, 0, 101), gaussian(2, 1, 101)) >= Fraction(95, 100)
 
 
 # ---------------------------------------------------------------------------

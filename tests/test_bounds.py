@@ -1,7 +1,7 @@
+import itertools
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from nckey.bounds import (
@@ -22,13 +22,12 @@ from nckey.subspaces import (
     gaussian_binomial,
     iter_all_subspaces,
     iter_subspaces,
-    random_subspace,
     span_of,
     spanning_matrix_count,
 )
+from references import dims_law
 
 F2 = FieldCtx(2)
-F101 = FieldCtx(101)
 
 
 def P(q, ell, na, n, ne):
@@ -126,16 +125,11 @@ def test_generic_dims_examples():
 
 
 def test_generic_dims_match_sampling_at_large_q():
-    rng = np.random.default_rng(61)
-    hits = 0
-    trials = 200
-    for _ in range(trials):
-        d1, d2 = rng.integers(0, 4, size=2)
-        a = random_subspace(3, int(d1), F101, rng)
-        b = random_subspace(3, int(d2), F101, rng)
-        want_sum, want_int = generic_dims([int(d1), int(d2)], 3)
-        hits += (a + b).dim == want_sum and a.intersect(b).dim == want_int
-    assert hits / trials > 0.9
+    # exactly, by the meet law: at q = 101 two uniform subspaces of F_q^3 of
+    # any dims are in generic position with probability above 0.9
+    for dims in itertools.product(range(4), repeat=2):
+        law = dims_law(dims, 3, 101)
+        assert law[generic_dims(dims, 3)] * 10 > sum(law.values()) * 9
 
 
 def uniform_dim_distribution(ell: int, dim: int, ctx: FieldCtx) -> dict[Subspace, Fraction]:

@@ -329,6 +329,9 @@ def test_simulate_explicit_allocation_from_config(tmp_path):
     raw = run_cli(["simulate", "--config", str(cfg), "--format", "json"], tmp_path, "ok.json")
     doc = json.loads(raw)
     assert doc["summary"]["allocation"] == {"1": "2"}
+    for share in ("4/2", 2):  # the config hash reads the resolved share: the same bytes
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "allocation": {"1": share}}))
+        assert run_cli(["simulate", "--config", str(cfg), "--format", "json"], tmp_path, "again.json") == raw
     # an over-greedy request is refused with a witness before any session runs
     cfg.write_text(json.dumps({
         "q": 101, "ell": 8, "na": 4, "n": [3], "ne": 1,
@@ -359,6 +362,10 @@ SIMULATE = ["simulate", "--q", "101", "--ell", "8", "--na", "4", "--n", "3", "--
         (["--n", "4", "4"], {"0_3": "1/4"}, "not canonical for m=2 (key '0_3')"),
         (["--n", "4", "4"], {"1_1": "1/4"}, "not canonical for m=2 (key '1_1')"),
         (["--n", "4", "4"], {"3": "1/4", "03": "1/2"}, "not canonical for m=2 (key '03')"),
+        # a float share is its binary value, just below 3/10 here
+        (["--n", "4", "4"], {"3": 0.3}, 'share 0.3 for subset 3 is a float; write it exactly, as the string "3/10"'),
+        # simulate runs one point, so a sweep would only move the config hash
+        (["--sweep", "ne:0:3"], None, "simulate does not read sweep, got 'ne:0:3'"),
     ],
 )
 def test_simulate_bad_input_is_a_usage_error(tmp_path, capsys, flags, allocation, message):
@@ -370,6 +377,24 @@ def test_simulate_bad_input_is_a_usage_error(tmp_path, capsys, flags, allocation
         main(SIMULATE + ["--config", str(cfg)] + flags)
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("bounds", {"allocation": {"1": "1/2"}}, "bounds does not read allocation, got {'1': '1/2'}"),
+        ("oracle", {"allocation": {"1": "1/2"}}, "oracle does not read allocation"),
+        ("bounds", {"slots": 8}, "bounds does not read slots, got 8"),
+        ("oracle", {"trials": 3}, "oracle does not read trials, got 3"),
+    ],
+)
+def test_input_a_command_does_not_read_is_a_usage_error(tmp_path, capsys, command, config, message):
+    # given, it would only print the same rows under another config hash
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"q": 2, "ell": 3, "na": 2, "n": [1], "ne": 1, **config}))
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg)])
+    assert exc.value.code == 2 and message in capsys.readouterr().err
 
 
 def test_non_integer_sweep_bound_is_a_usage_error(capsys):

@@ -28,7 +28,7 @@ from nckey.fieldmath import (
     vstack,
     zeros,
 )
-from references import reference_kernel, reference_rref, reference_solve
+from references import DrawSequence, reference_kernel, reference_rref, reference_solve
 
 F2 = FieldCtx(2)
 F5 = FieldCtx(5)
@@ -632,12 +632,13 @@ def test_random_matrix_empty_and_deterministic():
 
 
 def test_random_matrix_uniform_binomial():
-    rng = np.random.default_rng(77)
-    n = 10_000
-    ones = sum(int(random_matrix(1, 1, F2, rng).arr[0, 0]) for _ in range(n))
-    # 5 sigma band around n/2 for a fair coin
-    sigma = (n * 0.25) ** 0.5
-    assert abs(ones - n / 2) <= 5 * sigma
+    # a matrix is one integers(0, q, (rows, cols), int64) draw, served as
+    # is: the contract every exact law of the draws rests on
+    for q in (2, 7, 2**31 - 1):
+        values = [-i % q for i in range(6)]
+        rng = DrawSequence(q, [values])
+        m = random_matrix(2, 3, FieldCtx(q), rng)
+        assert m.arr.dtype == np.int64 and m.tolist() == [values[:3], values[3:]] and rng.served == 1
 
 
 def test_solve_in_rowspan_trivial():

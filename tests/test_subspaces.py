@@ -1,5 +1,6 @@
 import copy
 import itertools
+import math
 from collections import Counter
 
 import numpy as np
@@ -38,7 +39,7 @@ from nckey.subspaces import (
     subspaces_within,
     zero_subspace,
 )
-from references import reference_intersect, reference_rank, reference_span
+from references import dims_law, draw_law, reference_intersect, reference_rank, reference_span
 
 F2 = FieldCtx(2)
 F3 = FieldCtx(3)
@@ -202,37 +203,6 @@ def test_complement_deterministic_is_pure_function():
     assert a.complement(b) == a.complement(b)
 
 
-def test_complement_random_uniform_over_complements():
-    # in F_2^2 the complements of <e1> are <e2> and <e1+e2>
-    full = full_space(2, F2)
-    e1 = span_of(MatrixFq([[1, 0]], F2))
-    expected = {
-        span_of(MatrixFq([[0, 1]], F2)),
-        span_of(MatrixFq([[1, 1]], F2)),
-    }
-    rng = np.random.default_rng(55)
-    counts = {}
-    n = 10_000
-    for _ in range(n):
-        u = full.complement(e1, rng)
-        assert u in expected
-        counts[u] = counts.get(u, 0) + 1
-    sigma = (n * 0.25) ** 0.5
-    for u in expected:
-        assert abs(counts.get(u, 0) - n / 2) <= 5 * sigma
-
-
-class _FixedDraw:
-    """A generator stand-in whose one ``integers`` call returns ``values``
-    in the requested shape."""
-
-    def __init__(self, values):
-        self.values = values
-
-    def integers(self, low, high, size, dtype):
-        return np.array(self.values, dtype=dtype).reshape(size)
-
-
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("shared", [1, 2])
 def test_complement_graphs_hit_every_complement_once(q, shared):
@@ -250,10 +220,7 @@ def test_complement_graphs_hit_every_complement_once(q, shared):
         u for u in subspaces_within(sub, k) if u.dim == k and u.intersect(inter).dim == 0 and u + inter == sub
     ]
     assert len(complements) == q ** (k * shared)
-    hits = Counter(
-        sub.complement(other, _FixedDraw(x)) for x in itertools.product(range(q), repeat=k * shared)
-    )
-    assert hits == Counter(complements)
+    assert draw_law(lambda rng: sub.complement(other, rng), q, [k * shared]) == Counter(complements)
 
 
 def test_random_subspace_bounds():
@@ -265,18 +232,22 @@ def test_random_subspace_bounds():
 
 
 def test_random_subspace_uniform():
-    # 7 lines in F_2^3, each hit ~1/7 of the time
-    rng = np.random.default_rng(99)
-    lines = list(iter_subspaces(3, 1, F2))
-    assert len(lines) == 7
-    n = 100_000
-    counts = {s: 0 for s in lines}
-    for _ in range(n):
-        counts[random_subspace(3, 1, F2, rng)] += 1
-    p = 1 / 7
-    sigma = (n * p * (1 - p)) ** 0.5
-    for s, c in counts.items():
-        assert abs(c - n * p) <= 5 * sigma
+    # Law 1: of the q^(kn) draws of k x n coefficients over an n-dimensional
+    # subspace S, exactly |GL_k(q)| pick each k-subspace of S, and the rest
+    # are refused; S is F_q^n (random_subspace), a subspace of F_q^(n+1) or
+    # a direct sum, whose k-subspaces are images of the coordinate ones
+    for q, n, k in ((2, 3, 1), (2, 4, 2), (3, 3, 1), (3, 4, 2), (2, 5, 2)):
+        ctx, rng = FieldCtx(q), np.random.default_rng(q * n + k)
+        inside = random_subspace(n + 1, n, ctx, rng)
+        summed = direct_sum(random_subspace(n - 1, n // 2, ctx, rng), random_subspace(n - 1, n - n // 2, ctx, rng))
+        gl = math.prod(q**k - q**i for i in range(k))
+        for sub, sample in (
+            (full_space(n, ctx), lambda rng: random_subspace(n, k, ctx, rng)),
+            (inside, lambda rng: random_picks([(inside, k)], rng)[0]),
+            (summed, lambda rng: random_picks([(summed, k)], rng)[0]),
+        ):
+            images = (reference_span(c.basis.arr @ sub.basis.arr % q, q) for c in iter_subspaces(n, k, ctx))
+            assert draw_law(sample, q, [k * n]) == {Subspace(MatrixFq(im, ctx), sub.ambient_dim): gl for im in images}
 
 
 @pytest.mark.parametrize("q", [2, 3, 101, 2**31 - 1])
@@ -576,46 +547,35 @@ def test_subspaces_within_are_canonical_without_elimination(ctx):
                 assert got == want
 
 
-def _generic_trial(rng, ctx, n, k, fix_first=False):
-    dims = [int(rng.integers(0, n + 1)) for _ in range(k)]
-    subs = [random_subspace(n, d, ctx, rng) for d in dims]
-    if fix_first:
-        # a fixed (deterministic) subspace in the first slot
-        subs[0] = span_of(MatrixFq(np.eye(dims[0], n, dtype=np.int64), ctx))
-    total = subs[0]
-    inter = subs[0]
-    for s in subs[1:]:
-        total = total + s
-        inter = inter.intersect(s)
-    want_sum, want_int = generic_dims(dims, n)
-    return total.dim == want_sum and inter.dim == want_int
-
-
 def test_generic_position_frequencies_across_q():
-    """Sum/intersection dims of independent uniform subspaces follow the
-    generic-position formulas with failure rate O(1/q)."""
-    n, trials = 6, 400
-    freqs = {}
-    for q in (2, 3, 5, 11, 101):
-        rng = np.random.default_rng(q * 7919)
-        ctx = FieldCtx(q)
-        hits = sum(
-            _generic_trial(rng, ctx, n, k) for k in (2, 3) for _ in range(trials // 2)
-        )
-        freqs[q] = hits / trials
-    # bounded constant c with failure <= c/q across all tested q
-    assert all((1 - f) * q <= 3.0 for q, f in freqs.items()), freqs
-    assert freqs[101] > 0.95, freqs
+    """Sum/intersection dims of independent uniform subspaces of F_q^6 follow
+    the generic-position formulas with failure O(1/q), exactly by the meet
+    law.  Each subspace that joins meets the sum and the intersection so
+    far; a meet passes its generic dimension with probability at most
+    1/(q - 1), the expected number of lines in it (or in the meet of the
+    orthogonal complements), and k subspaces take 2k - 3 meets."""
+    n = 6
+    for q, k in itertools.product((2, 3, 5, 11, 101), (2, 3)):
+        for dims in itertools.product(range(n + 1), repeat=k):
+            law = dims_law(dims, n, q)
+            total = math.prod(gaussian_binomial(n, d, FieldCtx(q)) for d in dims[1:])
+            assert sum(law.values()) == total
+            assert (total - law[generic_dims(dims, n)]) * (q - 1) <= (2 * k - 3) * total
 
 
 def test_generic_position_fixed_subspace_variant():
-    n, trials = 6, 400
-    rng = np.random.default_rng(4242)
-    ctx = FieldCtx(101)
-    hits = sum(
-        _generic_trial(rng, ctx, n, k, fix_first=True) for k in (2, 3) for _ in range(trials // 2)
-    )
-    assert hits / trials > 0.95
+    # Law 2: a fixed d1-subspace meets the d2-subspaces of F_q^n, every one
+    # enumerated, in j dimensions for G(d1, j) q^((d1 - j)(d2 - j))
+    # G(n - d1, d2 - j) of them; and a third subspace meets the sum and the
+    # intersection of two fixed ones as dims_law counts
+    for q, n, d1, d2 in ((2, 4, 2, 2), (3, 4, 2, 2), (2, 5, 2, 3), (2, 5, 3, 3), (3, 4, 1, 3)):
+        fixed = random_subspace(n, d1, ctx := FieldCtx(q), np.random.default_rng(n * d1 + d2))
+        seen = Counter(((fixed + s).dim, fixed.intersect(s).dim) for s in iter_subspaces(n, d2, ctx))
+        assert seen == dims_law([d1, d2], n, q)
+    a, b = (span_of(MatrixFq(np.eye(4, dtype=np.int64)[rows], F2)) for rows in ([0, 1], [1, 2]))
+    for d in range(5):
+        seen = Counter(((a + b + c).dim, a.intersect(b).intersect(c).dim) for c in iter_subspaces(4, d, F2))
+        assert seen == dims_law([d], 4, 2, Counter({(3, 1): 1}))
 
 
 def test_subspace_family_validation():
