@@ -43,14 +43,18 @@ The protocol, per session of N slots; run_session calls one stage per step:
    _disclosures: coefficients published over the public channel, one
    product per slot block with step 2's transforms (a whole pick's parts,
    or a partial pick's column blocks), let each member terminal
-   reconstruct its subset keys exactly (_keys).
+   reconstruct its subset keys exactly (_keys).  The keys and the
+   terminals' copies are products per slot too (_slot_products), so no
+   session product is wider than one slot.
 5. _multicast: a final common key is delivered to all terminals by
    one-time-padding a linear combination code over the subset key blocks.
    The code is built deterministically, row by row, so that each terminal's
    rows have full column rank (_combination_code); at m <= 2 every row is a
    unit vector and a terminal decodes by selection, and otherwise by the
-   row-span solve of its kept rows.  The pads are certified (step 6), so
-   the code does not bear on secrecy.
+   row-span solve of its kept rows.  A code row has at most m nonzeros, and
+   the ciphers and each decode check multiply through them (_code_product),
+   at m <= 2 a gather.  The pads are certified (step 6), so the code does
+   not bear on secrecy.
 6. _audit: agreement and the zero-leakage certificate against the
    eavesdropper's complete view, in coefficient space (width N * n_a, not
    N * ell): the key vectors, which extraction made independent, leak
@@ -658,16 +662,30 @@ class SessionResult:
             raise ValueError(f"malformed transcript: {type(exc).__name__} {exc}") from exc
 
 
+def _slot_products(x: MatrixFq, ys: list[MatrixFq]) -> MatrixFq:
+    """sum_t X_t @ ys[t], X_t the t-th of len(ys) equal column blocks of x:
+    one product per slot, of X_t's nonzero rows only (a whole pick's part,
+    or the rows a disclosure gives it), so that no product is wider than a
+    slot."""
+    q, out = x.ctx.q, np.zeros((x.rows, ys[0].cols), dtype=np.int64)
+    for block, y in zip(np.split(x.arr, len(ys), axis=1), ys):
+        rows = np.flatnonzero(block.any(axis=1))
+        if rows.size:
+            out[rows] = (out[rows] + mat_mul(_wrap(block[rows], x.ctx), y).arr) % q
+    return _wrap(out, x.ctx)
+
+
 def _terminal_subset_keys(
     params: ChannelParams, slots, disclosures: dict[tuple[int, int], MatrixFq]
 ) -> dict[tuple[int, int], MatrixFq]:
     """Terminal r's copy of a subset key is sum_t w_t F_{r,t} M_t: its
-    disclosure times the stacked message columns of its received packets."""
+    disclosure's slot blocks times the message columns of its received
+    packets, slot by slot (_slot_products)."""
     m_parts = {
-        r: vstack([MatrixFq(rec.obs.received[r].arr[:, params.n_a :], params.ctx) for rec in slots])
+        r: [_wrap(rec.obs.received[r].arr[:, params.n_a :], params.ctx) for rec in slots]
         for r in sorted({r for _, r in disclosures})
     }
-    return {(mask, r): mat_mul(w, m_parts[r]) for (mask, r), w in disclosures.items()}
+    return {(mask, r): _slot_products(w, m_parts[r]) for (mask, r), w in disclosures.items()}
 
 
 def _unaudited(reasons: tuple[str, ...] = ()) -> AuditReport:
@@ -773,13 +791,14 @@ def _disclosures(received, picks: dict[int, Subspace]) -> dict[tuple[int, int], 
 
 def _keys(params: ChannelParams, slots, picks: dict[int, Subspace], disclosures) -> KeyShare:
     """Key symbols, one (ell - n_a)-symbol block per extracted basis vector,
-    B @ (the stacked messages M_t), a whole pick's one part by M_t at a
-    time, and each member terminal's copy; no final key yet."""
-    m_stack = vstack([rec.message for rec in slots])
+    B @ (the stacked messages M_t), slot by slot: a whole pick's one part by
+    M_t at a time, a partial pick's column blocks by _slot_products; and
+    each member terminal's copy.  No final key yet."""
+    messages = [rec.message for rec in slots]
     subset_keys = {
-        mask: mat_mul(pick.basis, m_stack)
+        mask: _slot_products(pick.basis, messages)
         if pick.parts is None
-        else vstack([mat_mul(p.basis, rec.message) for p, rec in zip(pick.parts, slots)])
+        else vstack([mat_mul(p.basis, message) for p, message in zip(pick.parts, messages)])
         for mask, pick in picks.items()
     }
     return KeyShare(subset_keys, _terminal_subset_keys(params, slots, disclosures))
@@ -933,6 +952,8 @@ def _multicast(picks: dict[int, Subspace], keys: KeyShare, final: MatrixFq | Non
     kept, which must then reproduce all its ciphers.  At m <= 2 every row is
     a unit vector, so decoding is a selection; otherwise each terminal
     solves for the key through the row span of its kept rows, transposed.
+    The ciphers and the checks multiply through the code's nonzeros
+    (_code_product), so at m <= 2 they are gathers and take no product.
     The code does not bear on secrecy: the pads are certified uniform and
     independent of the eavesdropper's view (_audit), so the ciphers are
     independent of the final key for any code.
@@ -953,16 +974,27 @@ def _multicast(picks: dict[int, Subspace], keys: KeyShare, final: MatrixFq | Non
         pads_r = vstack([keys.terminal_subset_keys[(mask, r)] for mask in picks if mask >> r & 1])
         sent = _wrap((ciphers.arr[rows] - pads_r.arr) % ctx.q, ctx)
         key = rec.decode(code, sent, rows)
-        if mat_mul(_wrap(code.arr[rows], ctx), key) != sent:
+        if _code_product(code.arr[rows], key) != sent:
             raise _Degenerate((f"terminal {r} could not decode the combination code",))
         decoded.append(key)
     return code, ciphers, replace(keys, final_key=final, terminal_final=tuple(decoded))
 
 
+def _code_product(code: np.ndarray, x: MatrixFq) -> MatrixFq:
+    """code @ x through the code's nonzeros, at most m per row
+    (_combination_code): row i is the sum of code[i, j] x[j] over its
+    nonzero columns j, mod q.  At m <= 2 every row is a unit vector, so
+    this is a gather of x's rows."""
+    q, (rows, cols) = x.ctx.q, np.nonzero(code)
+    out = np.zeros((len(code), x.cols), dtype=np.int64)
+    np.add.at(out, rows, code[rows, cols, None] * x.arr[cols] % q)
+    return _wrap(out % q, x.ctx)
+
+
 def _ciphers(code: MatrixFq, final: MatrixFq, pads: MatrixFq) -> MatrixFq:
-    """code @ final + pads, the pads being the subset keys stacked in mask
-    order."""
-    return _wrap((mat_mul(code, final).arr + pads.arr) % final.ctx.q, final.ctx)
+    """code @ final + pads (_code_product), the pads being the subset keys
+    stacked in mask order."""
+    return _wrap((_code_product(code.arr, final).arr + pads.arr) % final.ctx.q, final.ctx)
 
 
 def _agreement(keys: KeyShare) -> tuple[bool, bool]:

@@ -11,6 +11,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -379,8 +380,16 @@ def main(argv=None) -> int:
     if cfg["out"]:
         with open(cfg["out"], "w", newline="\n") as fh:
             emit(doc, cfg, fh)
-    else:
+        return 0
+    try:
         emit(doc, cfg, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe early (say, `| head -1`).  Standard output
+        # is pointed at devnull, so that the interpreter's flush at exit does
+        # not raise again (the SIGPIPE note of the Python docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

@@ -1117,21 +1117,34 @@ def test_combination_code_in_runs_equals_the_row_by_row_builder(m, q, runs, seed
 
 
 def test_paper_session_takes_no_session_width_products(monkeypatch):
-    # a paper-shape N=8 session (q=101, seed 1): the partial picks multiply
-    # their coefficients slot part by slot part, and extraction accepts its
-    # picks slot by slot, so neither the 60 x 120 by 120 x 480 pick products
-    # nor the 120 x 240 by 240 x 240 quotient of the session-width _cap runs
-    shapes = []
-    original = fieldmath._mul_mod
+    # paper-shape N=8 sessions (seed 1) at q=101 and q=2^31-1: no product is
+    # wider than one slot, inner dimension at most max(n_a, n_r) = 60.  The
+    # partial picks' keys and the terminals' copies multiply slot block by
+    # slot block, extraction accepts its picks slot by slot, and the
+    # multicast's code products are gathers, with no product at m = 2.  Summed
+    # over the session, these would be 480, 360 and 300 wide
+    shapes, multicast_shapes = [], []
+    original, multicast = fieldmath._mul_mod, agreement._multicast
     spy = lambda x, y, q: shapes.append((x.shape, y.shape)) or original(x, y, q)
+
+    def multicast_spy(*args):
+        before = len(shapes)
+        out = multicast(*args)
+        multicast_shapes.append(shapes[before:])
+        return out
+
     monkeypatch.setattr(fieldmath, "_mul_mod", spy)
     monkeypatch.setattr(subspaces, "_mul_mod", spy)
-    p = P(101, 70, 60, [45, 45], 15)
-    alloc, _ = solve_allocation_lp_planned(plan_dimensions(p))
-    res = run_session(p, 8, alloc, np.random.default_rng(1))
-    assert not res.audit.degenerate and res.audit.key_blocks == 300
-    assert ((60, 15), (15, 60)) in shapes
-    assert ((120, 240), (240, 240)) not in shapes and ((60, 120), (120, 480)) not in shapes
+    monkeypatch.setattr(agreement, "_multicast", multicast_spy)
+    for q in (101, 2**31 - 1):
+        shapes.clear()
+        p = P(q, 70, 60, [45, 45], 15)
+        alloc, _ = solve_allocation_lp_planned(plan_dimensions(p))
+        res = run_session(p, 8, alloc, np.random.default_rng(1))
+        assert not res.audit.degenerate and res.audit.key_blocks == 300
+        assert ((60, 15), (15, 60)) in shapes
+        assert max(x[-1] for x, _ in shapes) == 60
+    assert multicast_shapes == [[], []]
 
 
 @pytest.mark.parametrize("q", [2, 2**31 - 1])

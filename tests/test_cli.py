@@ -1,9 +1,14 @@
+import fcntl
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import nckey
 from nckey.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -248,6 +253,25 @@ def test_unswept_invalid_parameters_name_no_sweep_point(capsys):
         main(["bounds", "--ell", "3", "--na", "2", "--n", "1", "--sweep", "ne:-1:0"])
     assert exc.value.code == 2
     assert "invalid parameters at ne=-1:" in capsys.readouterr().err
+
+
+def test_reader_that_closes_the_pipe_gets_no_traceback():
+    # as `nckey bounds ... | head -1`: the reader takes the first line and
+    # closes the pipe.  The pipe holds one 4 kB page, and the sweep is 8 kB,
+    # so the writer meets the closed pipe; it exits 1 with stderr empty
+    read_end, write_end = os.pipe()
+    fcntl.fcntl(read_end, fcntl.F_SETPIPE_SZ, 4096)
+    argv = ["bounds", "--q", "101", "--ell", "70", "--na", "60", "--n", "15", "15", "--sweep", "ne:0:60"]
+    env = {**os.environ, "PYTHONPATH": str(Path(nckey.__file__).resolve().parents[1])}
+    proc = subprocess.Popen([sys.executable, "-m", "nckey.cli", *argv], stdout=write_end, stderr=subprocess.PIPE, env=env)
+    os.close(write_end)
+    first = b""
+    while not first.endswith(b"\n") and (byte := os.read(read_end, 1)):
+        first += byte
+    os.close(read_end)
+    _, err = proc.communicate(timeout=120)
+    assert first.startswith(b"# schema=1 command=bounds ")
+    assert err == b"" and proc.returncode == 1
 
 
 def test_q_sweep_past_the_field_limit_is_a_usage_error(capsys):
