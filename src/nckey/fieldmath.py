@@ -31,6 +31,12 @@ alone:
   in int32 when q < 2**15, where two or more pending updates stay below
   2**31 (``_update_format``), and in int64 otherwise.  Each format is
   reduced before pending updates pass its bound.
+* Every reduction of a block goes through ``_mod``, x - q floor(x / q) in
+  slabs of at most ``_PANEL`` rows: numpy's ``floor_divide`` by a scalar
+  runs through libdivide, while its ``mod`` divides entry by entry.  Only
+  the pivot column and pivot row, a few hundred entries, keep ``np.mod``.
+  A stacked pivot scales its members' pivot rows with one modular inverse
+  for the whole stack (``_inverses``).
 
 Every format gives the same pivots and the same bytes.  All randomness flows
 through caller-supplied ``numpy.random.Generator`` instances; nothing touches
@@ -241,11 +247,40 @@ def random_matrix(rows: int, cols: int, ctx: FieldCtx, rng: np.random.Generator)
 _PANEL = 64
 
 
-def _residue(x: np.ndarray, q: int) -> np.ndarray:
-    """x mod q as a new int64 array; exact on float64 arrays of integers
-    below 2^53 in size, which are cast in the ufunc's buffers (faster than
-    float mod, and with no full-size temporary)."""
-    return np.mod(x, q, dtype=np.int64, casting="unsafe")
+def _mod(x: np.ndarray, q: int, out: np.ndarray | None = None) -> np.ndarray:
+    """x mod q for an integer block x (two or more axes), into ``out`` (a
+    new array of x's dtype when None), as x - q floor(x / q): numpy divides
+    by a scalar through libdivide in ``floor_divide`` but not in ``mod``.
+    Equal to ``np.mod`` at every value of x's dtype: where q floor(x / q)
+    wraps around, the subtraction wraps back, and the result lies in [0, q),
+    which ``out``'s dtype holds.  The quotient is taken in ``out`` itself
+    when ``out`` has x's dtype and does not overlap x; otherwise (in place,
+    or into a narrower dtype) in a temporary of at most ``_PANEL`` rows, a
+    slab at a time."""
+    if out is None:
+        out = np.empty_like(x)
+    direct = out.dtype == x.dtype and not np.may_share_memory(x, out)
+    for i in range(0, x.shape[-2], _PANEL):
+        slab, dst = x[..., i : i + _PANEL, :], out[..., i : i + _PANEL, :]
+        t = np.floor_divide(slab, q, out=dst if direct else None)
+        t *= q
+        np.subtract(slab, t, out=dst, casting="unsafe")
+    return out
+
+
+def _inverses(xs: list[int], q: int) -> list[int]:
+    """[pow(x, -1, q) for x in xs], nonzero residues xs, with one ``pow``
+    (Montgomery's simultaneous inversion): the prefix products, the inverse
+    of the last, and a backward pass that peels one factor per step."""
+    prefix, acc = [], 1
+    for x in xs:
+        acc = acc * x % q
+        prefix.append(acc)
+    inv, out = pow(acc, -1, q), [0] * len(xs)
+    for i in range(len(xs) - 1, 0, -1):
+        out[i], inv = inv * prefix[i - 1] % q, inv * xs[i] % q
+    out[0] = inv
+    return out
 
 
 def _limbs(k: int, largest: int, q: int) -> tuple[int, int]:
@@ -267,8 +302,11 @@ def _mul_mod(x: np.ndarray, y: np.ndarray, q: int) -> np.ndarray:
     product (at every q when x is a 0/1 combination code).  Otherwise x is
     split into b-bit limbs (``_limbs``; two 16-bit limbs at k = 64 and
     q = 2^31 - 1), stacked into one operand so that each product is still
-    one BLAS call.  The limb blocks of the result are reduced and recombined
-    Horner-style, acc = (acc << b) + p mod q, which stays below 2^63.  k is
+    one BLAS call.  The float64 product's exact integers are cast to int64
+    and reduced by ``_mod``, a slab of ``_PANEL`` rows at a time, in the
+    product's own buffer.  The limb blocks are recombined Horner-style,
+    acc = (acc << b) + p mod q, which stays below 2^63, each step reduced
+    into the limb block it has just absorbed.  k is
     taken in chunks of at most 2^16 - 1 terms, which keeps b at 6 bits or
     more for every q < 2^31.
 
@@ -288,19 +326,19 @@ def _mul_mod(x: np.ndarray, y: np.ndarray, q: int) -> np.ndarray:
         if limbs > 1:
             part = np.concatenate([(part >> (b * s)) & (2**b - 1) for s in reversed(range(limbs))], axis=-2)
         prod = part.astype(np.float64) @ rhs
-        # Reduced in place, a panel of rows at a time, so that no temporary
-        # is as large as the product.
+        # Cast and reduced in place, a panel of rows at a time, so that no
+        # temporary is as large as the product.
         res = prod.view(np.int64)
         for i in range(0, prod.shape[-2], _PANEL):
-            res[..., i : i + _PANEL, :] = _residue(prod[..., i : i + _PANEL, :], q)
+            _mod(prod[..., i : i + _PANEL, :].astype(np.int64), q, out=res[..., i : i + _PANEL, :])
         acc = res[..., :rows, :]
         for s in range(1, limbs):
             acc <<= b
             acc += res[..., s * rows : (s + 1) * rows, :]
-            np.mod(acc, q, out=acc)
+            acc = _mod(acc, q, out=res[..., s * rows : (s + 1) * rows, :])
         if j:
             acc += out
-            np.mod(acc, q, out=acc)
+            _mod(acc, q, out=acc)
         out = acc
     return out
 
@@ -344,11 +382,15 @@ def _echelon(a: np.ndarray, q: int, full: bool = False) -> list[list[int]]:
     room for two (``_update_format``: 214,748 at q = 101, 2 at q = 32749),
     and on the int64 stack itself otherwise (2 at q = 2^31 - 1), or on an
     int64 copy when it is read-only, which is not written back.  The pivot
-    column and pivot row are reduced before use, a panel's copy when it is
-    taken and written back, A12 before its product, and the whole group on
-    its return, when it is written back to a writable ``a``.  The trailing
-    columns only gain reduced products, so they stay below q times the
-    panel count plus one until a panel reads them.
+    column and pivot row are reduced before use (``np.mod``, as they are
+    short), and every block by ``_mod``: the live block's rows when
+    ``room`` updates are pending, a panel's copy when it is taken and
+    written back, A12 and the tracking columns before their product, and
+    the whole group on its return, when it is written back to a writable
+    ``a``.  The trailing columns only gain reduced products, so they stay
+    below q times the panel count plus one until a panel reads them.  The
+    members' pivot rows are scaled by their heads' inverses, all taken with
+    one ``pow`` (``_inverses``).
     """
     batch, rows, width = a.shape
     word, room = _update_format(q)
@@ -367,7 +409,7 @@ def _echelon(a: np.ndarray, q: int, full: bool = False) -> list[list[int]]:
                 if width - c > 2 * _PANEL:
                     c1 = c + _PANEL
                     blk = np.zeros((len(idx), rows - top, _PANEL + min(_PANEL, rows - r)), word)
-                    np.mod(g[:, top:, c0:c1], q, out=blk[..., :_PANEL])
+                    _mod(g[:, top:, c0:c1], q, out=blk[..., :_PANEL])
                     lazy = 0
                 # The block the pivot loop works on, and its offsets in g.
                 b, dr, dc = (g, 0, 0) if blk is None else (blk, top, c0)
@@ -413,7 +455,7 @@ def _echelon(a: np.ndarray, q: int, full: bool = False) -> list[list[int]]:
             if v.ndim == 2:
                 row *= pow(int(heads), -1, q)
             else:
-                row *= np.array([pow(x, -1, q) for x in heads.tolist()], dtype=word)[:, None]
+                row *= np.array(_inverses(heads.tolist(), q), dtype=word)[:, None]
             np.mod(row, q, out=row)
             # The multipliers: col less the pivot row's entry.
             if full:
@@ -423,7 +465,10 @@ def _echelon(a: np.ndarray, q: int, full: bool = False) -> list[list[int]]:
             if np.count_nonzero(col):
                 live = v[..., lo:, j:end]
                 if lazy == room:
-                    np.mod(live, q, out=live)
+                    # Whole rows, one contiguous run per member rather than a
+                    # short run per row; their columns left of j are done and
+                    # are only read reduced.
+                    _mod(v[..., lo:, :], q, out=v[..., lo:, :])
                     lazy = 0
                 live -= col[..., :, None] * row[..., None, :]
                 lazy += 1
@@ -432,7 +477,7 @@ def _echelon(a: np.ndarray, q: int, full: bool = False) -> list[list[int]]:
         if blk is not None:
             _trail(g, blk, q, r0, r, c0, c1)
         if keep:
-            np.mod(g, q, out=g)
+            _mod(g, q, out=g)
             if g is not a:
                 a[idx] = g
         for i in idx:
@@ -447,11 +492,11 @@ def _trail(g: np.ndarray, blk: np.ndarray, q: int, r0: int, r: int, c0: int, c1:
     the panel, to those rows' trailing columns, in one product
     (``_mul_mod``); the pivot rows take the product alone."""
     top = g.shape[1] - blk.shape[1]
-    np.mod(blk[..., : c1 - c0], q, out=g[:, top:, c0:c1])
+    _mod(blk[..., : c1 - c0], q, out=g[:, top:, c0:c1])
     if r > r0:
-        a12 = _residue(g[:, r0:r, c1:], q)
+        a12 = _mod(g[:, r0:r, c1:], q)
         g[:, r0:r, c1:] = 0
-        g[:, top:, c1:] += _mul_mod(_residue(blk[..., c1 - c0 : c1 - c0 + r - r0], q), a12, q)
+        g[:, top:, c1:] += _mul_mod(_mod(blk[..., c1 - c0 : c1 - c0 + r - r0], q), a12, q)
 
 
 def _update_format(q: int) -> tuple[type, int]:
@@ -586,5 +631,5 @@ def right_kernel(m: MatrixFq) -> MatrixFq:
     free = [c for c in range(m.cols) if c not in pivots]
     out = np.zeros((len(free), m.cols), dtype=np.int64)
     out[np.arange(len(free)), free] = 1
-    out[:, pivots] = np.mod(-red.arr[:r, free].T, m.ctx.q)
+    out[:, pivots] = _mod(-red.arr[:r, free].T, m.ctx.q)
     return _wrap(out[::-1, ::-1].copy(), m.ctx)

@@ -32,6 +32,7 @@ import numpy as np
 from .fieldmath import (
     FieldCtx,
     MatrixFq,
+    _mod,
     _mul_mod,
     _wrap,
     block_diag,
@@ -179,7 +180,7 @@ def quotient(rows: MatrixFq, sub: Subspace) -> MatrixFq:
     free[pivots] = False
     out = rows.arr[:, free]
     out -= _mul_mod(rows.arr[:, pivots], basis[:, free], q)
-    np.mod(out, q, out=out)
+    _mod(out, q, out=out)
     return _wrap(out, sub.ctx)
 
 

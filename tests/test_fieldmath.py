@@ -506,6 +506,41 @@ def test_rank_at_large_modulus_reduces_before_int64_overflows():
     assert rref(low) == reference_rref(low)
 
 
+@pytest.mark.parametrize(
+    "dtype, q",
+    [(np.int32, 2), (np.int32, 3), (np.int32, 101), (np.int32, 32749), (np.int64, 32771), (np.int64, 2**31 - 1)],
+)
+def test_mod_equals_np_mod_at_the_ends_of_its_dtype(dtype, q):
+    # _mod takes x - q floor(x / q), whose product wraps around near the
+    # dtype's ends and whose subtraction wraps back; 130 rows take three
+    # slabs of _PANEL rows.  It reduces into a new array, in place, and into
+    # an int32 slice from an int64 block
+    info = np.iinfo(dtype)
+    edges = [info.min, -(2 ** (info.bits - 1) - q), info.max, -q, -1, 0, q - 1, q]
+    rest = np.random.default_rng(q).integers(info.min, info.max, size=390 - len(edges), dtype=dtype, endpoint=True)
+    x = np.concatenate([np.array(edges, dtype=dtype), rest]).reshape(130, 3)
+    want = np.mod(x, q)
+    got = fieldmath._mod(x, q)
+    assert got.dtype == dtype and np.array_equal(got, want)
+    stack = np.stack([x, x[::-1]])
+    assert np.array_equal(fieldmath._mod(stack, q), np.mod(stack, q))
+    same = x.copy()
+    assert fieldmath._mod(same, q, out=same) is same and np.array_equal(same, want)
+    wide, panel = x.astype(np.int64), np.full((130, 5), -1, dtype=np.int32)
+    fieldmath._mod(wide, q, out=panel[:, 1:4])
+    assert np.array_equal(panel[:, 1:4], np.mod(wide, q)) and (panel[:, [0, 4]] == -1).all()
+
+
+def test_inverses_equal_one_pow_per_residue():
+    for q in (2, 3, 5, 101):
+        xs = list(range(1, q))
+        assert fieldmath._inverses(xs, q) == [pow(x, -1, q) for x in xs]
+    q = 2**31 - 1
+    xs = np.random.default_rng(5).integers(1, q, size=1000).tolist()
+    assert fieldmath._inverses(xs, q) == [pow(x, -1, q) for x in xs]
+    assert fieldmath._inverses([q - 2], q) == [pow(q - 2, -1, q)]
+
+
 def test_rank_subadditive_with_equality_iff_trivial_intersection():
     rng = np.random.default_rng(23)
     ctx = FieldCtx(5)
