@@ -12,7 +12,8 @@ The protocol, per session of N slots; run_session calls one stage per step:
    intersections run slot by slot, one elimination each.  Then for each
    nonempty subset J the source picks, uniformly inside the common
    subspace, an "exclusive" subspace of the planned dimension.  All slots'
-   picks are one list (random_picks): their draws are reduced together, and
+   picks are one list (random_picks): their draws are ranked (whole picks)
+   or reduced (partial ones) together, and
    a rank-deficient draw replays the generator from just after it, so every
    pick is the one that drawing slot by slot gives.  The omniscient
    construction by complement subtraction, which needs the eavesdropper's
@@ -37,7 +38,8 @@ The protocol, per session of N slots; run_session calls one stage per step:
    picks' joint rank is their own feasibility certificate, for any m; each
    attempt's picks are one random_picks list, whose products run slot part
    by slot part).  When the glued subspaces themselves are independent
-   (_cap, slot by slot: one stacked rank of at most n_a rows per slot), the
+   (_cap, slot by slot: against the zero subspace, each slot's parts
+   modulo its widest part, one stacked rank of at most n_a rows), the
    picks need no joint rank.  A whole pick is its glued subspace, so it
    keeps its parts too.
    _disclosures: coefficients published over the public channel, one
@@ -190,10 +192,14 @@ def _cap(subs, base: Subspace) -> int:
     is dense.  A sum of direct sums is the direct sum of its slot sums, so
     local subspaces are ranked slot by slot.  With local subspaces only,
     each slot's parts modulo base's part (quotient) are ranked, all slots'
-    in one ``rank_stack``.  With dense ones too, each slot's sum, base's part
-    plus the local parts, comes from one ``spans_of`` (a slot with nothing
-    more keeps base's part), and the dense bases add their rank modulo the
-    direct sum of those sums.
+    in one ``rank_stack``.  Over a zero base part the slot's widest part
+    (the first of the widest) is the base instead: it adds its own
+    dimension, and the other parts add their rank modulo it, which is
+    exact for any number of parts, as every part is an RREF basis; a slot
+    with no other part adds its widest part's dimension alone.  With dense
+    ones too, each slot's sum, base's part plus the local parts, comes from
+    one ``spans_of`` (a slot with nothing more keeps base's part), and the
+    dense bases add their rank modulo the direct sum of those sums.
     """
     subs, extra = list(subs), 0
     widths = lambda s: s.parts and tuple(p.ambient_dim for p in s.parts)
@@ -205,7 +211,15 @@ def _cap(subs, base: Subspace) -> int:
         slots, bases = list(zip(*(s.parts for s in local))), list(base.parts)
         live = [t for t, parts in enumerate(slots) if any(p.dim for p in parts)]
         if not dense:
-            return sum(rank_stack(quotient(vstack([p.basis for p in slots[t]]), bases[t]) for t in live))
+            rest = []
+            for t in live:
+                parts, own = list(slots[t]), bases[t]
+                if not own.dim:
+                    own = parts.pop(max(range(len(parts)), key=lambda k: parts[k].dim))
+                    extra += own.dim
+                if any(p.dim for p in parts):
+                    rest.append(quotient(vstack([p.basis for p in parts]), own))
+            return extra + sum(rank_stack(rest))
         for t, grown in zip(live, spans_of(vstack([bases[t].basis, *(p.basis for p in slots[t])]) for t in live)):
             extra += grown.dim - bases[t].dim
             bases[t] = grown
@@ -420,9 +434,11 @@ def extract_secure_subspaces(
     independence only; independence from the eavesdropper then holds with
     probability 1 - O(1/q) and is checked by the session audit.  The
     members with a positive count take the test first (slot by slot for a
-    session's glued subspaces): if they pass, any picks inside them do, so
-    the first picks are accepted as the test would accept them, with the
-    same draws.
+    session's glued subspaces, where against the zero subspace each slot's
+    other parts are ranked modulo its widest: at the paper shape an
+    N x 30 x 30 stack of quotients, not N x 60 x 60): if they pass, any
+    picks inside them do, so the first picks are accepted as the test would
+    accept them, with the same draws.
 
     A member counted whole is its only pick of that dimension, taken with no
     draw; each attempt picks inside the other members in one random_picks

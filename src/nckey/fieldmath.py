@@ -4,7 +4,8 @@ All matrices at play are small and dense (packet counts and packet lengths at
 desk scale).  One elimination, ``_echelon``, serves them all, over a stack of
 equal-shape matrices (a 2-D matrix is a stack of one): ``rank`` and
 ``rank_stack`` count the pivots of its forward pass, which works on one
-copy of a read-only matrix, ``rref`` and ``rref_stack`` take the reduced
+copy of a read-only matrix or stack and neither reduces nor writes back the
+forms it throws away, ``rref`` and ``rref_stack`` take the reduced
 form, ``right_kernel`` reads the null space's RREF basis off the rref of
 the matrix with its columns reversed, and ``solve_in_rowspan`` reads every
 basic solution off the rref of ``[basis | J]`` (``RowReduced``, or
@@ -19,17 +20,23 @@ alone:
   k-term product is one BLAS call when k (q-1)**2 < 2**53; above that one
   factor is split into b-bit limbs, b the widest with
   k (2**b - 1)(q - 1) < 2**53 (two 16-bit limbs at k = 64 and q = 2**31 - 1),
-  stacked into one operand, and the limb blocks are recombined in int64.
-  The split falls on the thinner factor: a tall left factor times a thin
-  right one is taken transposed.
+  stacked into one operand, and the limb blocks are recombined in int64
+  with one reduction per limb: (acc mod q) 2**b plus the next limb
+  product stays below 2**54.  The split falls on the thinner factor: a
+  tall left factor times a thin right one is taken transposed.
 * ``_echelon`` takes one Gauss-Jordan pass over a stack at every width:
   its rank-1 update per pivot clears the pivot column below and, for a
   reduced form, above, in every member whose pivot columns agree so far.
   While more than two ``_PANEL`` panels of columns are left, the pivots
   update one panel of columns at a time, and one product per panel
   carries its row operations to the columns right of it.  The updates run
-  in int32 when q < 2**15, where two or more pending updates stay below
-  2**31 (``_update_format``), and in int64 otherwise.  Each format is
+  in int32 while a scaled pivot row fits it, (q - 1)**2 < 2**31 (q up to
+  46337), and in int64 otherwise.  Where fewer than a panel's worth of
+  updates would fit between reductions, the pivot row and the multipliers
+  are centered in [-(q - 1)/2, (q - 1)/2] (the balanced representation
+  of FFLAS-FFPACK), which quadruples that room: 8 updates at q = 32749
+  and at q = 2**31 - 1 instead of 2 (``_update_format``, from q alone;
+  q = 101 keeps uncentered updates, 214,748 of them).  Each format is
   reduced before pending updates pass its bound.
 * Every reduction of a block goes through ``_mod``, x - q floor(x / q) in
   slabs of at most ``_PANEL`` rows: numpy's ``floor_divide`` by a scalar
@@ -299,46 +306,52 @@ def _mul_mod(x: np.ndarray, y: np.ndarray, q: int) -> np.ndarray:
 
     A dot product of k terms of at most a (q-1) each, a being x's largest
     entry, is exact in float64 while k a (q-1) < 2^53, and is then one
-    product (at every q when x is a 0/1 combination code).  Otherwise x is
-    split into b-bit limbs (``_limbs``; two 16-bit limbs at k = 64 and
-    q = 2^31 - 1), stacked into one operand so that each product is still
-    one BLAS call.  The float64 product's exact integers are cast to int64
-    and reduced by ``_mod``, a slab of ``_PANEL`` rows at a time, in the
-    product's own buffer.  The limb blocks are recombined Horner-style,
-    acc = (acc << b) + p mod q, which stays below 2^63, each step reduced
-    into the limb block it has just absorbed.  k is
-    taken in chunks of at most 2^16 - 1 terms, which keeps b at 6 bits or
-    more for every q < 2^31.
+    product (at every q when x is a 0/1 combination code; where
+    k (q-1)^2 < 2^53, q alone settles it and x's largest entry is not
+    read).  Otherwise x is split into b-bit limbs (``_limbs``; two 16-bit
+    limbs at k = 64 and q = 2^31 - 1), stacked into one operand so that
+    each product is still one BLAS call.  The limb products p_s are
+    recombined Horner-style, a slab of ``_PANEL`` rows at a time: each
+    slab is cast to int64 once, and acc = (acc mod q) 2^b + p_s stays
+    below 2^54, so no limb product needs a reduction of its own and L limbs
+    take L reductions (``_mod``), the last into the product's own buffer.
+    k is taken in chunks of at most 2^16 - 1 terms, which keeps b at 6
+    bits or more for every q < 2^31; a product of one chunk has no other
+    output.
 
     When x takes limbs and y^T would stack fewer limb rows (limbs times y's
     columns against limbs times x's rows), the product is (y^T x^T)^T, so
     that the limb split and the residue passes run on the thinner factor.
     """
     rows, (inner, cols) = x.shape[-2], y.shape[-2:]
-    k, largest = min(inner, 2**16 - 1), int(x.max(initial=0))
-    split = _limbs(k, largest, q)[0] if inner else 1
+    if not inner:
+        return np.zeros((*x.shape[:-2], rows, cols), dtype=np.int64)
+    k = min(inner, 2**16 - 1)
+    largest = q - 1 if k * (q - 1) ** 2 < 2**53 else int(x.max(initial=0))
+    split = _limbs(k, largest, q)[0]
     if split > 1 and _limbs(k, int(y.max(initial=0)), q)[0] * cols < split * rows:
         return np.ascontiguousarray(_mul_mod(y.swapaxes(-1, -2), x.swapaxes(-1, -2), q).swapaxes(-1, -2))
-    out = np.zeros((*x.shape[:-2], rows, cols), dtype=np.int64)
+    out = None
     for j in range(0, inner, 2**16 - 1):
         part, rhs = x[..., j : j + 2**16 - 1], y[..., j : j + 2**16 - 1, :].astype(np.float64)
         limbs, b = _limbs(part.shape[-1], largest, q)
         if limbs > 1:
             part = np.concatenate([(part >> (b * s)) & (2**b - 1) for s in reversed(range(limbs))], axis=-2)
         prod = part.astype(np.float64) @ rhs
-        # Cast and reduced in place, a panel of rows at a time, so that no
-        # temporary is as large as the product.
-        res = prod.view(np.int64)
-        for i in range(0, prod.shape[-2], _PANEL):
-            _mod(prod[..., i : i + _PANEL, :].astype(np.int64), q, out=res[..., i : i + _PANEL, :])
-        acc = res[..., :rows, :]
-        for s in range(1, limbs):
-            acc <<= b
-            acc += res[..., s * rows : (s + 1) * rows, :]
-            acc = _mod(acc, q, out=res[..., s * rows : (s + 1) * rows, :])
-        if j:
-            acc += out
-            _mod(acc, q, out=acc)
+        acc = prod.view(np.int64)[..., :rows, :]
+        for i in range(0, rows, _PANEL):
+            # The slab's rows of the first limb block, read before dst
+            # overwrites them; the other blocks are only read.
+            end = min(i + _PANEL, rows)
+            dst, t = acc[..., i:end, :], prod[..., i:end, :].astype(np.int64)
+            for s in range(1, limbs):
+                _mod(t, q, out=dst)
+                np.copyto(t, prod[..., s * rows + i : s * rows + end, :], casting="unsafe")
+                dst <<= b
+                t += dst
+            if out is not None:
+                t += out[..., i:end, :]
+            _mod(t, q, out=dst)
         out = acc
     return out
 
@@ -375,26 +388,53 @@ def _echelon(a: np.ndarray, q: int, full: bool = False) -> list[list[int]]:
     first and starts a new one.  The last one or two panels' worth of
     columns, and so every stack at most two panels wide, are one panel
     worked on in the stack itself, with no tracking columns and no product.
+    There each update spans the panel's rows from its first column, one
+    contiguous run per member when that is column 0: the pivot row, zero
+    mod q left of the pivot column, is exactly zero there once reduced, so
+    those columns do not move.  A panel copy updates from the pivot column.
 
-    Updates are reduced lazily: an update subtracts a product of two
-    reduced scalars, at most (q-1)^2, so ``room`` of them fit between
-    reductions.  They run on an int32 copy of the stack when that leaves
-    room for two (``_update_format``: 214,748 at q = 101, 2 at q = 32749),
-    and on the int64 stack itself otherwise (2 at q = 2^31 - 1), or on an
-    int64 copy when it is read-only, which is not written back.  The pivot
-    column and pivot row are reduced before use (``np.mod``, as they are
-    short), and every block by ``_mod``: the live block's rows when
-    ``room`` updates are pending, a panel's copy when it is taken and
-    written back, A12 and the tracking columns before their product, and
-    the whole group on its return, when it is written back to a writable
-    ``a``.  The trailing columns only gain reduced products, so they stay
-    below q times the panel count plus one until a panel reads them.  The
+    Updates are reduced lazily, ``room`` of them between reductions
+    (``_update_format``, from q alone).  They run on an int32 copy of the
+    stack while a scaled pivot row fits int32 (q up to 46337), and on the
+    int64 stack itself otherwise, or on an int64 copy when it is read-only,
+    which is not written back.  Where an uncentered update, a product of
+    two residues of up to (q-1)^2, leaves room for fewer than a panel's
+    worth, the pivot row and the multipliers are centered in [-h, h],
+    h = (q-1)/2, and an update moves an entry by at most h^2 either way:
+    room 214,748 uncentered at q = 101, 8 centered at q = 32749 and at
+    q = 2^31 - 1, 4 at q = 46337.  The pivot column is read reduced
+    (``np.mod``, centered as x + h mod q - h), and the pivot row is reduced,
+    scaled and reduced again in a contiguous copy, as they are short; every
+    block is reduced by ``_mod``: the live block's rows, the pivot row
+    among them, before the pivot row is taken when ``room`` updates are
+    pending, a panel's copy when it is taken and written back, A12 and the
+    tracking columns before their product, and the whole group on its
+    return, when it is written back to a writable ``a``.  Every read
+    reduces, so entries stored negative or above q change no value.  The
+    trailing columns only gain reduced products, so they stay below q times
+    the panel count plus one until a panel reads them (below 2^31 for any
+    stack of fewer than 46,000 rows at q = 46337); a centered group whose
+    trailing columns have gained a product reduces its rows before its
+    next update, as the room counts from entries below q.  The
     members' pivot rows are scaled by their heads' inverses, all taken with
     one ``pow`` (``_inverses``).
     """
     batch, rows, width = a.shape
-    word, room = _update_format(q)
+    word, room, center = _update_format(q)
+    # The lazy count of a group whose trailing columns have just gained a
+    # panel's product: centered updates would add to entries above q.
+    fresh, h = (room if center else 0), (q - 1) // 2
     keep = a.flags.writeable
+
+    def residues(x: np.ndarray) -> np.ndarray:
+        """x mod q as a new array, centered in [-h, h] when ``center``."""
+        if not center:
+            return np.mod(x, q)
+        t = x + h
+        np.mod(t, q, out=t)
+        t -= h
+        return t
+
     out: list[list[int]] = [[] for _ in range(batch)]
     todo = [(np.arange(batch), a if word is np.int64 and keep else a.astype(word), [], 0, 0)]
     while todo:
@@ -404,6 +444,7 @@ def _echelon(a: np.ndarray, q: int, full: bool = False) -> list[list[int]]:
             if c == c1:
                 if blk is not None:
                     _trail(g, blk, q, r0, r, c0, c1)
+                    lazy = fresh
                 c0, r0, top = c, r, 0 if full else r
                 c1, blk, end = width, None, None
                 if width - c > 2 * _PANEL:
@@ -416,7 +457,7 @@ def _echelon(a: np.ndarray, q: int, full: bool = False) -> list[list[int]]:
                 v = b[0] if len(idx) == 1 else b
             i, j = r - dr, c - dc
             lo = 0 if full else i
-            col = np.mod(v[..., lo:, j], q)
+            col = residues(v[..., lo:, j])
             if np.count_nonzero(col[..., i - lo]) < len(idx):
                 has = np.logical_or.reduce(col[..., i - lo :], axis=-1)
                 found = np.count_nonzero(has)
@@ -427,7 +468,7 @@ def _echelon(a: np.ndarray, q: int, full: bool = False) -> list[list[int]]:
                     rest = g[~has]
                     if blk is not None:
                         _trail(rest, blk[~has], q, r0, r, c0, c1)
-                    todo.append((idx[~has], rest, list(pivots), c + 1, 0 if blk is not None else lazy))
+                    todo.append((idx[~has], rest, list(pivots), c + 1, fresh if blk is not None else lazy))
                     idx, g, col = idx[has], g[has], col[has]
                     blk = None if blk is None else blk[has]
                     b = g if blk is None else blk
@@ -444,32 +485,43 @@ def _echelon(a: np.ndarray, q: int, full: bool = False) -> list[list[int]]:
                     v[k, p, j:], v[:, i, j:] = v[:, i, j:], v[k, p, j:]
                     if blk is not None:
                         g[k, p + dr, c1:], g[:, r, c1:] = g[:, r, c1:], g[k, p + dr, c1:]
-                col = np.mod(v[..., lo:, j], q)
+                col = residues(v[..., lo:, j])
             if blk is not None:
                 # The pivot row's own tracking entry; later ones are still zero.
                 end = _PANEL + r - r0 + 1
                 v[..., i, end - 1] = 1
             heads = col[..., i - lo]
-            row = v[..., i, j:end]
-            np.mod(row, q, out=row)
+            if lazy == room:
+                # Whole rows, one contiguous run per member rather than a
+                # short run per row; their columns left of j are done and
+                # are only read reduced.  The pivot row is reduced here too,
+                # before it is centered.
+                _mod(v[..., lo:, :], q, out=v[..., lo:, :])
+                lazy = 0
+            # In the stack itself the update spans the block from its first
+            # column, one contiguous run per member: the pivot row is zero
+            # mod q left of j, and exactly zero once reduced.  The row is
+            # scaled in a contiguous copy, which the update reads.
+            first = j if blk is not None else c0
+            row = np.mod(v[..., i, first:end], q)
             if v.ndim == 2:
                 row *= pow(int(heads), -1, q)
             else:
                 row *= np.array(_inverses(heads.tolist(), q), dtype=word)[:, None]
-            np.mod(row, q, out=row)
+            if center:
+                row += h
+                np.mod(row, q, out=row)
+                row -= h
+            else:
+                np.mod(row, q, out=row)
+            v[..., i, first:end] = row
             # The multipliers: col less the pivot row's entry.
             if full:
                 col[..., i] = 0
             else:
                 col, lo = col[..., 1:], i + 1
             if np.count_nonzero(col):
-                live = v[..., lo:, j:end]
-                if lazy == room:
-                    # Whole rows, one contiguous run per member rather than a
-                    # short run per row; their columns left of j are done and
-                    # are only read reduced.
-                    _mod(v[..., lo:, :], q, out=v[..., lo:, :])
-                    lazy = 0
+                live = v[..., lo:, first:end]
                 live -= col[..., :, None] * row[..., None, :]
                 lazy += 1
             pivots.append(c)
@@ -499,12 +551,29 @@ def _trail(g: np.ndarray, blk: np.ndarray, q: int, r0: int, r: int, c0: int, c1:
         g[:, top:, c1:] += _mul_mod(_mod(blk[..., c1 - c0 : c1 - c0 + r - r0], q), a12, q)
 
 
-def _update_format(q: int) -> tuple[type, int]:
-    """(word, room): the integer format of ``_echelon``'s updates and how
-    many rank-1 updates, each less than (q-1)^2, fit between reductions.
-    int32 while that leaves room for two (prime q < 2^15), int64 otherwise."""
-    room = (2**31 - q) // ((q - 1) * (q - 1))
-    return (np.int32, room) if room >= 2 else (np.int64, (2**63 - q) // ((q - 1) * (q - 1)))
+def _update_format(q: int) -> tuple[type, int, bool]:
+    """(word, room, center): the integer format of ``_echelon``'s updates,
+    how many rank-1 updates fit between reductions, and whether the pivot
+    row and the multipliers are centered, all from q alone.
+
+    int32 while a scaled pivot row, up to (q-1)^2, fits it (prime q up to
+    46337), int64 otherwise.  Uncentered, an update subtracts a product of
+    two residues, at most (q-1)^2, from entries that start in [0, q).
+    Where that leaves room for fewer than a default panel's worth of
+    updates (prime q from 5801 in int32 and from 379,625,083 in int64), the
+    pivot row and the multipliers are taken in [-h, h], h = (q-1)/2, the
+    balanced representation of FFLAS-FFPACK (Dumas, Giorgi and Pernet, ACM
+    TOMS 35(3), 2008).  An update then moves an entry by at most h^2 either
+    way, from [-h, q) after a reduction, and a column read adds h, so room
+    updates fit while q + h + room h^2 <= 2^31 (or 2^63): 8 at q = 32749
+    and at q = 2^31 - 1, 4 at q = 46337, where the uncentered room is 2, 1
+    and 2."""
+    word, top = (np.int32, 2**31) if (q - 1) ** 2 < 2**31 else (np.int64, 2**63)
+    room = (top - q) // ((q - 1) * (q - 1))
+    if room >= 64:  # the default _PANEL: centering would not pay
+        return word, room, False
+    h = (q - 1) // 2
+    return word, (top - q - h) // (h * h), True
 
 
 def _by_shape(mats: list[MatrixFq], q: int, full: bool) -> list[tuple[np.ndarray, list[int]]]:
@@ -516,6 +585,8 @@ def _by_shape(mats: list[MatrixFq], q: int, full: bool) -> list[tuple[np.ndarray
         shapes.setdefault(m.shape, []).append(i)
     for idx in shapes.values():
         a = np.stack([mats[i].arr for i in idx])
+        # A forward form is thrown away: its stack need not be kept.
+        a.flags.writeable = full
         for i, red, pivots in zip(idx, a, _echelon(a, q, full)):
             out[i] = (red, pivots)
     return out
@@ -556,7 +627,8 @@ def rank(m: MatrixFq) -> int:
 
 def rank_stack(mats) -> list[int]:
     """``rank`` of every matrix in ``mats``, over one field: the matrices of
-    each shape take one forward elimination, as one stack."""
+    each shape take one forward elimination, as one read-only stack, whose
+    forms are neither reduced nor written back."""
     mats = list(mats)
     return [len(pivots) for _, pivots in _by_shape(mats, _check_same_ctx(*mats).q, False)] if mats else []
 

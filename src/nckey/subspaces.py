@@ -39,6 +39,7 @@ from .fieldmath import (
     hstack,
     mat_mul,
     random_matrix,
+    rank_stack,
     right_kernel,
     rref,
     rref_stack,
@@ -208,11 +209,13 @@ def random_picks(requests, rng: np.random.Generator) -> list[Subspace]:
     (see spanning_matrix_count).  A pick of dimension 0 draws nothing.  A
     full-rank draw reduces to R in RREF, and R @ basis is already in RREF:
     in the basis's pivot columns it equals R, and each row leads there.  A
-    pick of all of ``sub`` can only be ``sub``, and returns it.
+    pick of all of ``sub`` can only be ``sub``, and returns it: its draws
+    are only ranked, for the rejection rule.
 
     The picks are those of drawing and reducing one request after another,
     to the last byte and the generator's final state, but the pending
-    requests draw in rounds, and one ``rref_stack`` reduces a round's draws.
+    requests draw in rounds: one ``rank_stack`` ranks a round's draws for
+    whole picks, and one ``rref_stack`` reduces its draws for partial ones.
     The requests before the first rank-deficient draw are accepted; the
     generator goes back to its state just after that draw, and the next
     round starts from the rejected request.  A round draws while the chance
@@ -242,8 +245,13 @@ def random_picks(requests, rng: np.random.Generator) -> list[Subspace]:
                 after.append(rng.bit_generator.state)
             draws.append(random_matrix(dim, sub.dim, sub.ctx, rng))
             chance *= _full_rank_chance(dim, sub.dim, sub.ctx.q)
-        for k, (i, (red, r, _)) in enumerate(zip(pending, rref_stack(draws))):
+        # A whole pick needs only its draw's rank, a partial one its RREF.
+        whole = [requests[i][1] == requests[i][0].dim for i in pending[: len(draws)]]
+        ranks = iter(rank_stack([d for d, w in zip(draws, whole) if w]))
+        reduced = iter(rref_stack([d for d, w in zip(draws, whole) if not w]))
+        for k, i in enumerate(pending[: len(draws)]):
             sub, dim = requests[i]
+            red, r = (None, next(ranks)) if whole[k] else next(reduced)[:2]
             if r < dim:
                 misses[i] += 1
                 if misses[i] == MAX_DRAWS:
@@ -252,7 +260,7 @@ def random_picks(requests, rng: np.random.Generator) -> list[Subspace]:
                     rng.bit_generator.state = after[k]
                 pending = pending[k:]
                 break
-            out[i] = sub if dim == sub.dim else Subspace(_combination(red, sub), sub.ambient_dim)
+            out[i] = sub if whole[k] else Subspace(_combination(red, sub), sub.ambient_dim)
         else:
             pending = pending[len(draws) :]
     return out

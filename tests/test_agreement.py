@@ -787,6 +787,35 @@ def test_slot_local_certificate_stacks_the_slot_sums_and_fails_on_one_deficient_
         assert agreement._cap(glued(good[:t] + [bad] + good[t + 1 :]), eve) < 5
 
 
+@pytest.mark.parametrize("q", FIELD_EXTREMES)
+def test_cap_over_a_zero_base_ranks_each_slot_modulo_its_widest_part(q, monkeypatch):
+    # six slots of F_q^4 against the zero subspace, parts of dimension:
+    # (2, 2) tied widths, (3, 1), (1, 3) widest second, (0, 0) a zero-dim
+    # widest part (no rank), (2, 0) one part with a dimension (no rank), and
+    # (2, 2) twice the same subspace.  Each slot's widest part (the first of
+    # a tie) adds its dimension and the other parts their rank modulo it,
+    # one stack per quotient shape; a third member, and one-part slots
+    # (which need no elimination), give the dense Gauss-Jordan rank too
+    ctx, rng = FieldCtx(q), np.random.default_rng(q)
+    dims = [(2, 2), (3, 1), (1, 3), (0, 0), (2, 0), (2, 2)]
+    parts = [[random_subspace(4, d, ctx, rng) for d in pair] for pair in dims]
+    parts[5][1] = parts[5][0]
+    first, second = (direct_sum(*(p[k] for p in parts)) for k in (0, 1))
+    third = direct_sum(*(random_subspace(4, 1, ctx, rng) for _ in dims))
+    zero = direct_sum(*(zero_subspace(4, ctx) for _ in dims))
+    calls = []
+    original = fieldmath._echelon
+    monkeypatch.setattr(fieldmath, "_echelon", lambda *a, **kw: calls.append(a[0].shape) or original(*a, **kw))
+    assert agreement._cap([first, second], zero) == reference_added([first, second], zero)
+    assert calls == [(2, 2, 2), (2, 1, 1)]
+    calls.clear()
+    for subs in ([first], [second], [third]):
+        assert agreement._cap(subs, zero) == sum(s.dim for s in subs)
+    assert calls == []
+    subs = [first, second, third]
+    assert agreement._cap(subs, zero) == reference_added(subs, zero)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     st.sampled_from(FIELD_EXTREMES),

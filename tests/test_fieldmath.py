@@ -232,12 +232,13 @@ FIRST_LIMB_Q = next_prime(largest_float_q(64))
 def kernel_cases(draw, panels=(1, 2, 3, 64)):
     """A panel width from ``panels``: 1-3 columns, so that small matrices
     span several panels, or the default 64, so that they span none; a field
-    on each side of every format bound: 32749, the largest prime whose
-    updates run in int32 (two of them between reductions), 32771, the
-    smallest above it, and largest_float_q(panel), the largest whose panel
-    products are one float64 product.  Over it a stack of 1-6 matrices of
-    one shape: L @ U, full rank, whose multipliers and pivot rows are all
-    q - 1, so that every update is as large as it gets; 0-3 thin products;
+    on each side of every format bound: 32749, whose centered int32 updates
+    take eight between reductions, 46337, the largest prime whose updates
+    run in int32 (four of them), 46349, the smallest above it, and
+    largest_float_q(panel), the largest whose panel products are one
+    float64 product.  Over it a stack of 1-6 matrices of one shape: L @ U,
+    full rank, whose multipliers and pivot rows are all q - 1, so that every
+    uncentered update is as large as it gets; 0-3 thin products;
     possibly a zero matrix; and possibly a copy of a member with one column
     zeroed, whose pivots diverge from that member's there.  All get 0-2
     leading zero rows (which force row swaps) and up to 3 zero columns, and
@@ -247,7 +248,7 @@ def kernel_cases(draw, panels=(1, 2, 3, 64)):
     and the shape are drawn by hypothesis; the rest comes from a seeded
     generator, which keeps each example cheap to draw."""
     panel = draw(st.sampled_from(panels))
-    ctx = FieldCtx(draw(st.sampled_from([2, 3, 101, 32749, 32771, largest_float_q(panel), 2**31 - 1])))
+    ctx = FieldCtx(draw(st.sampled_from([2, 3, 101, 32749, 46337, 46349, largest_float_q(panel), 2**31 - 1])))
     rows, cols = draw(st.integers(0, 9)), draw(st.integers(0, 9))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     lower = np.tril(np.full((rows, rows), ctx.q - 1), -1) + np.eye(rows, dtype=np.int64)
@@ -380,11 +381,17 @@ def test_block_diagonal_solve_is_the_hstack_of_block_solves(case):
 @given(kernel_cases(panels=(64,)))
 def test_stacked_gauss_jordan_matches_the_reference_member_by_member(case):
     # one Gauss-Jordan pass for the whole stack (at most 12 columns, so no
-    # panels): members whose pivot columns differ split off and go on alone;
-    # 32749, the largest prime whose updates run in int32, reduces after
-    # every second update, and 32771, the smallest above it, runs in int64
-    assert fieldmath._update_format(32749) == (np.int32, 2)
-    assert fieldmath._update_format(32771)[0] is np.int64
+    # panels): members whose pivot columns differ split off and go on alone.
+    # 46337, the largest prime whose scaled pivot rows fit int32, takes
+    # centered updates and reduces after every fourth, 32749 after every
+    # eighth; 46349, the smallest prime above it, runs in int64, uncentered;
+    # q = 101 keeps uncentered int32 updates, and q = 2^31 - 1 centered int64
+    # ones, eight between reductions
+    assert fieldmath._update_format(101) == (np.int32, 214748, False)
+    assert fieldmath._update_format(32749) == (np.int32, 8, True)
+    assert fieldmath._update_format(46337) == (np.int32, 4, True)
+    assert fieldmath._update_format(46349)[::2] == (np.int64, False)
+    assert fieldmath._update_format(2**31 - 1) == (np.int64, 8, True)
     check_stack(case[1])
 
 
@@ -395,10 +402,64 @@ def test_wide_stacks_take_panels_member_by_member(case):
     # lockstep through panels with tracking columns, one trailing product
     # per panel for the whole group, and split where their members' pivot
     # columns differ; at 32749 the tracking columns are int32 with room for
-    # two updates
+    # eight centered updates
     panel, mats, _, _ = case
     with panel_width(panel):
         check_stack(mats)
+
+
+@pytest.mark.parametrize("q", [46337, 46349, 2**31 - 1])
+def test_wide_stacks_at_the_format_extremes(q):
+    # 20 x 40 stacks in one panel, where every update is pending until
+    # ``room`` of them are, and in 2-column panels.  L @ U with L and U unit
+    # triangular, U's entries right of the diagonal h and L's below it h or
+    # h + 1 (-h centered), h = (q - 1) / 2: every forward multiplier and
+    # pivot-row entry is as large as a centered one gets, and every update
+    # of one member moves its entries the same way.  In a third L @ U the
+    # pivot rows taken just after a reduction (every room-th) are q - 1
+    # right of the diagonal, -1 centered, where an uncentered entry would
+    # double that update.  With them, a random member, a rank-deficient one
+    # and a copy of the first with a column zeroed, whose pivots diverge
+    ctx, h, rng = FieldCtx(q), (q - 1) // 2, np.random.default_rng(q)
+    rows, cols, room = 20, 40, fieldmath._update_format(q)[1]
+    upper = np.triu(np.full((rows, cols), h), 1) + np.eye(rows, cols, dtype=np.int64)
+    after = upper.copy()
+    after[::room] = np.triu(np.full((rows, cols), q - 1), 1)[::room] + np.eye(rows, cols, dtype=np.int64)[::room]
+    mats = [
+        MatrixFq(np.tril(np.full((rows, rows), fill), -1) + np.eye(rows, dtype=np.int64), ctx) @ MatrixFq(u, ctx)
+        for fill, u in ((h, upper), (h + 1, upper), (h + 1, after))
+    ]
+    mats += [random_matrix(rows, cols, ctx, rng), random_matrix(rows, 7, ctx, rng) @ random_matrix(7, cols, ctx, rng)]
+    arr = mats[0].arr.copy()
+    arr[:, 5] = 0
+    mats.append(MatrixFq(arr, ctx))
+    for panel in (64, 2):
+        with panel_width(panel):
+            check_stack(mats)
+            assert rank_stack(mats) == [reference_rref(m)[1] for m in mats] == [20, 20, 20, 20, 7, 20]
+            for m in mats:
+                assert rref(m) == reference_rref(m)
+    # Loaded trailing columns: 3-column panels, twenty of them with one
+    # pivot each, then one with none, then the last six columns in the stack
+    # itself.  Each of the last five rows is 1 in every earlier pivot column,
+    # and each earlier pivot row 1 in the last six columns, so every panel
+    # adds q - 1 to the last rows' last columns, which enter the stack's own
+    # panel near 20 q.  There they are L @ U as above, 5 x 6, so the updates
+    # push them up by h^2 each: a group must reduce them before its first
+    # update, or the last column of the RREF goes wrong
+    loaders, last = 20, 5
+    width = 3 * loaders + 3 + last + 1
+    arr = np.zeros((loaders + last, width), dtype=np.int64)
+    arr[np.arange(loaders), 3 * np.arange(loaders)] = 1
+    arr[:loaders, -last - 1 :] = 1
+    arr[loaders:, 3 * np.arange(loaders)] = 1
+    lower = np.tril(np.full((last, last), h + 1), -1) + np.eye(last, dtype=np.int64)
+    upper = np.triu(np.full((last, last + 1), h), 1) + np.eye(last, last + 1, dtype=np.int64)
+    arr[loaders:, -last - 1 :] = ((MatrixFq(lower, ctx) @ MatrixFq(upper, ctx)).arr + loaders) % q
+    loaded = MatrixFq(arr, ctx)
+    with panel_width(3):
+        check_stack([loaded, loaded])
+        assert rank(loaded) == loaders + last
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -464,8 +525,8 @@ def test_float_panels_at_the_largest_float_modulus():
     # in one float64 product at the largest float modulus, which a spy on
     # _mul_mod checks.  L @ U runs past that bound too, where the product
     # takes two 12-bit limbs at the next prime and two 16-bit ones at
-    # 2^31 - 1, and where the rank-1 updates inside a panel reduce every
-    # other pivot
+    # 2^31 - 1, and where the centered rank-1 updates inside a panel reduce
+    # every eighth pivot
     w = fieldmath._PANEL
     ctx = FieldCtx(largest_float_q(w))
     top = MatrixFq(np.full((40, 3 * w), ctx.q - 1), ctx)
@@ -493,9 +554,9 @@ def test_float_panels_at_the_largest_float_modulus():
 
 
 def test_rank_at_large_modulus_reduces_before_int64_overflows():
-    # at q = 2^31 - 1 only two lazy trailing updates fit in int64 between full
-    # reductions, so a 40 x 40 elimination reduces the trailing block often;
-    # the Gauss-Jordan reference reduces after every update
+    # at q = 2^31 - 1 only eight lazy centered updates fit in int64 between
+    # full reductions, so a 40 x 40 elimination reduces the trailing block
+    # often; the Gauss-Jordan reference reduces after every update
     ctx = FieldCtx(2**31 - 1)
     rng = np.random.default_rng(17)
     m = random_matrix(40, 40, ctx, rng)
@@ -636,6 +697,28 @@ def test_mat_mul_sizes_limbs_by_the_largest_left_entry(k):
         lhs[:, -1] = largest - 1 + largest % 2
         want = (lhs.astype(object) @ rhs.astype(object)) % q
         assert mat_mul(MatrixFq(lhs, ctx), MatrixFq(rhs, ctx)).tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("k", [1, 64, 65, 2**16 - 1, 2**16])
+def test_mul_mod_equals_python_integers_at_every_limb_count(k):
+    # _mul_mod itself, on a stack of two.  At q = 2^31 - 1 a left factor
+    # with an entry q - 1 takes two limbs up to 64 terms, three from 65 and
+    # six at 2^16 - 1, and 2^16 terms take two chunks; a 0/1 left factor
+    # takes one product at every k.  Up to 65 terms, 70 rows take two slabs
+    # of _PANEL rows
+    q = 2**31 - 1
+    rng = np.random.default_rng(k)
+    rows, cols = (70, 80) if k <= 65 else (2, 3)
+    x = rng.integers(0, q, size=(2, rows, k))
+    x[..., -1] = q - 1
+    y = rng.integers(0, q, size=(2, k, cols))
+    y[..., -1, :] = q - 1
+    code = rng.integers(0, 2, size=(2, rows, k))
+    for left, limbs in ((x, {1: 2, 64: 2, 65: 3}.get(k, 6)), (code, 1)):
+        assert fieldmath._limbs(min(k, 2**16 - 1), int(left.max()), q)[0] == limbs
+        want = (left.astype(object) @ y.astype(object)) % q
+        got = fieldmath._mul_mod(left, y, q)
+        assert got.dtype == np.int64 and got.tolist() == want.tolist()
 
 
 def test_mat_mul_splits_the_thinner_factor_into_limbs(monkeypatch):

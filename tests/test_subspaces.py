@@ -309,13 +309,14 @@ def test_pick_lists_replay_the_one_at_a_time_draws(q):
 
 def test_rejection_draws_are_bounded(monkeypatch):
     # a rank that never reports full rank must end the rejection loop of
-    # random_picks (partial and full-dimension picks read the rank off
-    # rref_stack); a random complement has no loop to bound
+    # random_picks (partial picks read the rank off rref_stack, whole ones
+    # off rank_stack); a random complement has no loop to bound
     from nckey import subspaces
 
     rng = np.random.default_rng(4)
     a = random_subspace(4, 2, F5, rng)
     monkeypatch.setattr(subspaces, "rref_stack", lambda mats: [(m, -1, []) for m in mats])
+    monkeypatch.setattr(subspaces, "rank_stack", lambda mats: [-1 for m in mats])
     with pytest.raises(RuntimeError, match="tries"):
         random_subspace(4, 2, F5, rng)
     with pytest.raises(RuntimeError, match="tries"):
