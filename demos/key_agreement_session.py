@@ -3,9 +3,11 @@
 Run:  python3 demos/key_agreement_session.py
 """
 
+import json
+
 import numpy as np
 
-from nckey.agreement import plan_dimensions, run_session, solve_allocation_lp_planned
+from nckey.agreement import SessionResult, plan_dimensions, run_session, solve_allocation_lp_planned
 from nckey.channel import ChannelParams
 from nckey.fieldmath import FieldCtx
 
@@ -43,3 +45,10 @@ doc = result.to_json_dict()
 print("\ntranscript slots:", len(doc["slots"]),
       " public disclosures:", len(doc["public_messages"]["disclosures"]),
       " schema:", doc["schema_version"])
+
+# Loading replays the session from the document's inputs (messages,
+# transfers, disclosures and ciphers) through its own last stages: keys,
+# multicast and audit, the leakage certificate included.  A document loads
+# only when it equals that replay.
+reloaded = SessionResult.from_json_dict(json.loads(json.dumps(doc)))
+print("reloaded transcript equals the session:", reloaded == result)

@@ -65,7 +65,12 @@ The protocol, per session of N slots; run_session calls one stage per step:
    counts feasible.  Whole picks, direct sums too, are ranked slot by slot,
    so only the partial picks' rows are ranked at session width.  The
    eavesdropper's slot spans, and then the per-slot sums E_t + L_t, are
-   each one stacked elimination over all slots (spans_of).
+   each one stacked elimination over all slots (spans_of).  A failed
+   certificate withholds the keys.  Everything from the keys on is one
+   function (_settle), which also replays a saved transcript: the loader
+   (SessionResult.from_json_dict) takes the picks from the disclosures and
+   the final key from terminal 0's decoding of the ciphers, and a document
+   loads exactly when it equals that replay.
 
 A degenerate session (a generic-position event failed, probability O(1/q),
 or a step found no solution) has its keys withheld: the stage raises
@@ -77,7 +82,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -564,29 +569,34 @@ class SessionResult:
                 "final_key": _mat(self.keys.final_key),
                 "terminal_final": [_mat(k) for k in self.keys.terminal_final],
             },
-            "audit": {
-                **asdict(audit),
-                "reasons": list(audit.reasons),
-                "achieved_per_slot": str(audit.achieved_per_slot),
-            },
+            "audit": _audit_doc(audit),
         }
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SessionResult":
-        """Load a schema-3 document, rebuilding each slot's source and received
-        packets; ValueError on another schema, non-int params, a count, shape,
-        entry, subset or terminal out of range, a subset key mask not written
-        as its decimal int, a repeated disclosure or a disclosed subset short
-        of a member, or an audit off its keys: a non-degenerate one must
-        carry a true certificate, the disclosures of exactly the subsets that
-        ship keys, and the agreement of the rebuilt terminal copies with the
-        subset and final keys; a code and ciphers not both null or not of one
-        row per disclosed key row, or, with a final key, ciphers other than
-        code @ final key + the subset keys stacked in mask order; a code other
-        than the combination code that the disclosed subsets' row counts
-        rebuild (_combination_code, with k = min_r sum_{J containing r}
-        rows_J); and a missing field, or one of the wrong JSON type, anywhere
-        else."""
+        """Load a schema-3 document: the session that its inputs replay,
+        provided that the document equals it.
+
+        The inputs are the params, each slot's message and transfers (the
+        source and received packets are rebuilt through channel.observe),
+        the disclosures and the ciphers.  The replay runs the session's own
+        last stages (_settle) on the picks that the disclosures give
+        (_replayed_picks) and the final key that terminal 0 decodes from the
+        ciphers.  Only a session that ended before its disclosures is not
+        replayed: a document with slots, no disclosures and reasons gives
+        those reasons, and an empty one none.
+
+        Raises:
+            ValueError: on another schema; params that are not plain ints; a
+                count, shape, entry, subset or terminal out of range; a
+                repeated disclosure, or a disclosed subset short of a member
+                or whose members' disclosures differ in rows; reasons that
+                are not a list of strings; a missing field, or one of the
+                wrong JSON type; and on the first field, in document order,
+                that differs from the replay's, which it names.  Matrices
+                are compared after the type-strict parse (_unmat) and audit
+                fields as canonical JSON, so true is not 1 and 5.0 is not 5.
+        """
         try:
             if doc.get("schema_version") != SCHEMA_VERSION:
                 raise ValueError(f"unsupported transcript schema {doc.get('schema_version')}")
@@ -605,10 +615,13 @@ class SessionResult:
                 message = _unmat(s["message"], ctx)
                 source = make_source_matrix(message, params)
                 slots.append(SlotRecord(message, source, observe(source, fs[:-1], fs[-1])))
-            pub = doc["public_messages"]
+            slots = tuple(slots)
+            pub, kd, ad = doc["public_messages"], doc["keys"], doc["audit"]
             disclosures = {
                 (d["subset"], d["terminal"]): _unmat(d["coeffs"], ctx) for d in pub["disclosures"]
             }
+            if type(doc["slots"]) is not list or type(pub["disclosures"]) is not list:
+                raise ValueError("the slots and the disclosures must be JSON lists")
             if not all(
                 _is_mask(mask, params.m) and type(r) is int and r in mask_members(mask) for mask, r in disclosures
             ):
@@ -617,63 +630,43 @@ class SessionResult:
                 (mask, r) for mask, _ in disclosures for r in mask_members(mask)
             }:
                 raise ValueError("a disclosure is repeated, or a disclosed subset lacks a member's")
-            if any(w.cols != len(slots) * params.n[r] for (_, r), w in disclosures.items()):
-                raise ValueError("a disclosure's width does not match its terminal's received rows")
-            code, ciphers = (_unmat(pub[name], ctx) for name in ("multicast_code", "ciphers"))
-            transcript = SessionTranscript(params, tuple(slots), disclosures, code, ciphers)
-            kd = doc["keys"]
-            if not set(kd["subset_keys"]) <= {str(mask) for mask in subset_masks(params.m)}:
-                raise ValueError(f"subset key masks {sorted(kd['subset_keys'])} out of range or not canonical")
-            if len(kd["terminal_final"]) != params.m:
-                raise ValueError(f"need {params.m} terminal final keys, got {len(kd['terminal_final'])}")
-            ad = {f.name: doc["audit"][f.name] for f in fields(AuditReport)}
-            keys = KeyShare(
-                {int(mask): _unmat(k, ctx) for mask, k in kd["subset_keys"].items()},
-                {} if ad["degenerate"] else _terminal_subset_keys(params, slots, disclosures),
-                _unmat(kd["final_key"], ctx),
-                tuple(_unmat(k, ctx) for k in kd["terminal_final"]),
-            )
-            key_blocks = 0 if keys.final_key is None else keys.final_key.rows
-            flags = [ad["subset_agreement"], ad["final_agreement"], ad["leakage_certificate"]]
-            # A non-degenerate audit ran on the keys it ships with (none for an
-            # empty session): its agreement flags must be theirs, it passed the
-            # certificate, since a failed one withholds the keys, and it disclosed
-            # exactly the subsets whose keys it ships.
-            audited = [*_agreement(keys), True]
-            shipped = {mask for mask, _ in disclosures} == set(keys.subset_keys)
-            if not (
-                all(flag is None or type(flag) is bool for flag in flags)
-                and (ad["degenerate"] or shipped and flags == (audited if slots else [None] * 3))
-                and isinstance(ad["reasons"], list) and all(type(r) is str for r in ad["reasons"])
-                and ad["degenerate"] is bool(ad["reasons"])
-                and (not ad["degenerate"] or keys == KeyShare(terminal_final=(None,) * params.m))
-                and type(ad["key_blocks"]) is int and ad["key_blocks"] == key_blocks
-                and ad["achieved_per_slot"] == str(Fraction(key_blocks, len(slots)) if slots else 0)
+            if any(
+                w.shape != (disclosures[(mask, mask_members(mask)[0])].rows, len(slots) * params.n[r])
+                for (mask, r), w in disclosures.items()
             ):
-                raise ValueError(f"audit block {doc['audit']} disagrees with the keys it ships with")
-            # The code has one row per disclosed key row, and the ciphers are
-            # the final key through the code padded with the subset keys.
-            rows = {mask: w.rows for (mask, _), w in disclosures.items()}
-            disclosed = sum(rows.values())
-            if (code is None) != (ciphers is None) or code is not None and not code.rows == ciphers.rows == disclosed:
-                raise ValueError(f"the code and the ciphers need one row per disclosed key row ({disclosed}) or none")
-            final = keys.final_key
-            if final is not None:
-                pads = vstack(keys.subset_keys[mask] for mask in sorted(keys.subset_keys)) if keys.subset_keys else None
-                if not (
-                    code is not None and code.cols == final.rows and pads is not None
-                    and pads.shape == ciphers.shape == (code.rows, final.cols)
-                    and _ciphers(code, final, pads) == ciphers
-                ):
-                    raise ValueError("the ciphers are not the code times the final key padded with the subset keys")
-            # The code is a function of the disclosed subsets' row counts.
-            if code is not None:
-                labels = [mask for mask in sorted(rows) for _ in range(rows[mask])]
-                k = min(sum(n for mask, n in rows.items() if mask >> r & 1) for r in range(params.m))
-                if not k or not np.array_equal(code.arr, _combination_code(labels, k, params.m, ctx.q)[0]):
-                    raise ValueError("the code is not the combination code of the disclosed subsets' rows")
-            ad.update(reasons=tuple(ad["reasons"]), achieved_per_slot=Fraction(ad["achieved_per_slot"]))
-            return cls(transcript, keys, AuditReport(**ad))
+                raise ValueError("a disclosure's shape does not match its subset's rows and its terminal's received rows")
+            if not isinstance(ad["reasons"], list) or not all(type(r) is str for r in ad["reasons"]):
+                raise ValueError(f"audit.reasons must be a list of strings, got {ad['reasons']!r}")
+            ciphers = _unmat(pub["ciphers"], ctx)
+            if slots and (disclosures or not ad["reasons"]):
+                picks = _replayed_picks(params, slots, disclosures)
+                # Ciphers of another shape than the replay's differ from them
+                # whatever terminal 0 decodes, so zeros stand in for them.
+                shape = (sum(pick.dim for pick in picks.values()), params.ell - params.n_a)
+                sent = ciphers if ciphers is not None and ciphers.shape == shape else _wrap(np.zeros(shape, np.int64), ctx)
+                try:
+                    replay = _settle(params, slots, picks, disclosures, lambda decode: decode(sent))
+                except _Degenerate as exc:
+                    replay = _ended(params, slots, exc.args)
+            else:
+                replay = _ended(params, slots, tuple(ad["reasons"]) if slots else ())
+            tr, keys = replay.transcript, replay.keys
+            compared = {
+                "public_messages.disclosures": (disclosures, tr.disclosures),
+                "public_messages.multicast_code": (_unmat(pub["multicast_code"], ctx), tr.multicast_code),
+                "public_messages.ciphers": (ciphers, tr.ciphers),
+                "keys.subset_keys": (
+                    {mask: _unmat(k, ctx) for mask, k in kd["subset_keys"].items()},
+                    {str(mask): k for mask, k in keys.subset_keys.items()},
+                ),
+                "keys.final_key": (_unmat(kd["final_key"], ctx), keys.final_key),
+                "keys.terminal_final": ([_unmat(k, ctx) for k in kd["terminal_final"]], list(keys.terminal_final)),
+                **{f"audit.{name}": (json.dumps(ad[name]), json.dumps(v)) for name, v in _audit_doc(replay.audit).items()},
+            }
+            for name, (stored, replayed) in compared.items():
+                if stored != replayed:
+                    raise ValueError(f"{name} is not the session's replay")
+            return replay
         except (AttributeError, KeyError, TypeError) as exc:
             raise ValueError(f"malformed transcript: {type(exc).__name__} {exc}") from exc
 
@@ -691,32 +684,17 @@ def _slot_products(x: MatrixFq, ys: list[MatrixFq]) -> MatrixFq:
     return _wrap(out, x.ctx)
 
 
-def _terminal_subset_keys(
-    params: ChannelParams, slots, disclosures: dict[tuple[int, int], MatrixFq]
-) -> dict[tuple[int, int], MatrixFq]:
-    """Terminal r's copy of a subset key is sum_t w_t F_{r,t} M_t: its
-    disclosure's slot blocks times the message columns of its received
-    packets, slot by slot (_slot_products)."""
-    m_parts = {
-        r: [_wrap(rec.obs.received[r].arr[:, params.n_a :], params.ctx) for rec in slots]
-        for r in sorted({r for _, r in disclosures})
-    }
-    return {(mask, r): _slot_products(w, m_parts[r]) for (mask, r), w in disclosures.items()}
-
-
-def _unaudited(reasons: tuple[str, ...] = ()) -> AuditReport:
-    """Report of a session that ended before its audit: an empty session, or
-    a degenerate one with its reasons."""
-    return AuditReport(bool(reasons), reasons, None, None, None, Fraction(0), 0)
+def _ended(params: ChannelParams, slots, reasons: tuple[str, ...] = ()) -> SessionResult:
+    """A session that ended before its disclosures, an empty one or a
+    degenerate one with its reasons: its slots, no keys, and a report that
+    holds only the reasons."""
+    audit = AuditReport(bool(reasons), reasons, None, None, None, Fraction(0), 0)
+    return SessionResult(SessionTranscript(params, slots), KeyShare(terminal_final=(None,) * params.m), audit)
 
 
 class _Degenerate(Exception):
-    """Raised by a session stage to end the session degenerate and without
-    keys; ``audit`` is its report (by default one holding only the reasons)."""
-
-    def __init__(self, reasons: tuple[str, ...], audit: AuditReport | None = None):
-        super().__init__(*reasons)
-        self.audit = audit or _unaudited(reasons)
+    """Raised by a session stage, with its reasons as arguments, to end the
+    session degenerate and without keys."""
 
 
 def _check_replay(name: str, value: MatrixFq, shape: tuple[int, int], ctx: FieldCtx):
@@ -753,7 +731,7 @@ def _exclusive_picks(received, plan: DimensionPlan, rng) -> list[dict[int, Subsp
         ]
         commons.append(common)
     if reasons:
-        raise _Degenerate(tuple(reasons))
+        raise _Degenerate(*reasons)
     requests = [(common[mask], plan.exclusive_dims[mask]) for common in commons for mask in masks]
     picks = iter(random_picks(requests, rng))
     return [{mask: next(picks) for mask in masks} for _ in commons]
@@ -767,7 +745,7 @@ def _extract(exclusive, counts: dict[int, int], m: int, rng) -> dict[int, Subspa
     try:
         picks = extract_secure_subspaces(SubspaceFamily(m, glued), counts, None, rng)
     except (InfeasibleAllocationError, RuntimeError) as exc:
-        raise _Degenerate((f"extraction failed: {exc}",)) from exc
+        raise _Degenerate(f"extraction failed: {exc}") from exc
     return {mask: pick for mask, pick in picks.items() if pick.dim}
 
 
@@ -799,17 +777,44 @@ def _disclosures(received, picks: dict[int, Subspace]) -> dict[tuple[int, int], 
             for (rows, b), slot, part in zip(blocks, received, np.split(w, len(received), axis=1)):
                 c = solve_in_rowspan(b, slot[r])
                 if c is None:
-                    raise _Degenerate((f"subset {mask} basis not in terminal {r} span",))
+                    raise _Degenerate(f"subset {mask} basis not in terminal {r} span")
                 part[rows] = c.arr
             out[(mask, r)] = _wrap(w, pick.ctx)
     return out
+
+
+def _replayed_picks(params: ChannelParams, slots, disclosures) -> dict[int, Subspace]:
+    """The picks that a transcript's disclosures give, in mask order: a
+    subset's basis is its first member r's disclosure C times r's
+    transfers, C @ block_diag(F_{r,t}) (_disclosures), whose slot block t
+    is C_t @ F_{r,t} over C_t's nonzero rows.  A pick of N times its
+    planned exclusive dimension whose rows each lie in their own slot block
+    is whole: the direct sum of its slot parts, as extraction keeps it, so
+    that the audit ranks it slot by slot.  Each part is the span of its
+    block, which a session's part, an RREF basis, equals.  Any other pick
+    is dense."""
+    ctx, n, n_a = params.ctx, len(slots), params.n_a
+    exclusive, picks = plan_dimensions(params).exclusive_dims, {}
+    for mask in sorted({mask for mask, _ in disclosures}):
+        r, d = mask_members(mask)[0], exclusive[mask]
+        w = disclosures[(mask, r)].arr
+        basis = np.zeros((len(w), n * n_a), dtype=np.int64)
+        for t, (c, rec) in enumerate(zip(np.split(w, n, axis=1), slots)):
+            rows = np.flatnonzero(c.any(axis=1))
+            basis[rows, t * n_a : (t + 1) * n_a] = mat_mul(_wrap(c[rows], ctx), rec.obs.transfers[r]).arr
+        parts = [basis[t * d : (t + 1) * d, t * n_a : (t + 1) * n_a] for t in range(n)]
+        whole = d and len(w) == n * d and np.count_nonzero(basis) == sum(map(np.count_nonzero, parts))
+        picks[mask] = direct_sum(*spans_of(_wrap(p, ctx) for p in parts)) if whole else Subspace(_wrap(basis, ctx), n * n_a)
+    return picks
 
 
 def _keys(params: ChannelParams, slots, picks: dict[int, Subspace], disclosures) -> KeyShare:
     """Key symbols, one (ell - n_a)-symbol block per extracted basis vector,
     B @ (the stacked messages M_t), slot by slot: a whole pick's one part by
     M_t at a time, a partial pick's column blocks by _slot_products; and
-    each member terminal's copy.  No final key yet."""
+    each member terminal's copy, sum_t w_t F_{r,t} M_t: its disclosure's
+    slot blocks times the message columns of its received packets, slot by
+    slot (_slot_products).  No final key yet."""
     messages = [rec.message for rec in slots]
     subset_keys = {
         mask: _slot_products(pick.basis, messages)
@@ -817,7 +822,11 @@ def _keys(params: ChannelParams, slots, picks: dict[int, Subspace], disclosures)
         else vstack([mat_mul(p.basis, message) for p, message in zip(pick.parts, messages)])
         for mask, pick in picks.items()
     }
-    return KeyShare(subset_keys, _terminal_subset_keys(params, slots, disclosures))
+    m_parts = {
+        r: [_wrap(rec.obs.received[r].arr[:, params.n_a :], params.ctx) for rec in slots]
+        for r in sorted({r for _, r in disclosures})
+    }
+    return KeyShare(subset_keys, {(mask, r): _slot_products(w, m_parts[r]) for (mask, r), w in disclosures.items()})
 
 
 class _Receiver:
@@ -957,10 +966,11 @@ def _combination_code(labels: list[int], k: int, m: int, q: int):
     return code, receivers
 
 
-def _multicast(picks: dict[int, Subspace], keys: KeyShare, final: MatrixFq | None, m: int):
+def _multicast(picks: dict[int, Subspace], keys: KeyShare, final, m: int):
     """Step 5: one-time-pad a linear combination code over the subset key
-    blocks so every terminal decodes ``final``, of min_r sum_{J containing r}
-    counts[J] blocks (None when that is zero).  Returns the code, the ciphers
+    blocks so every terminal decodes a final key of min_r sum_{J containing
+    r} dim(pick J) blocks (no key when that is zero).  ``final`` gives the
+    key from terminal 0's decoder (_settle).  Returns the code, the ciphers
     and ``keys`` with the final key and each terminal's decoding.
 
     The code is deterministic (_combination_code): each terminal's rows have
@@ -974,26 +984,31 @@ def _multicast(picks: dict[int, Subspace], keys: KeyShare, final: MatrixFq | Non
     independent of the eavesdropper's view (_audit), so the ciphers are
     independent of the final key for any code.
     """
-    if final is None:
-        return None, None, replace(keys, terminal_final=(None,) * m)
-    ctx, key_blocks = final.ctx, final.rows
     # Pad row i is a key block of subset labels[i] (subset keys in mask order).
     labels = [mask for mask, pick in picks.items() for _ in range(pick.dim)]
+    key_blocks = min(sum(mask >> r & 1 for mask in labels) for r in range(m))
+    if not key_blocks:
+        return None, None, replace(keys, terminal_final=(None,) * m)
+    ctx = next(iter(picks.values())).ctx
     code, receivers = _combination_code(labels, key_blocks, m, ctx.q)
     if any(len(rec.pivots) < key_blocks for rec in receivers):
-        raise _Degenerate(("no decodable combination code found",))
+        raise _Degenerate("no decodable combination code found")
     code = _wrap(code, ctx)
-    ciphers = _ciphers(code, final, vstack(list(keys.subset_keys.values())))
+    # Terminal r's code rows, its pads on them, and its ciphers less its pads.
+    own = [[i for i, mask in enumerate(labels) if mask >> r & 1] for r in range(m)]
+    pads = [vstack([keys.terminal_subset_keys[(mask, r)] for mask in picks if mask >> r & 1]) for r in range(m)]
+    sent = lambda r, ciphers: _wrap((ciphers.arr[own[r]] - pads[r].arr) % ctx.q, ctx)
+    final_key = final(lambda ciphers: receivers[0].decode(code, sent(0, ciphers), own[0]))
+    stacked = vstack(list(keys.subset_keys.values()))
+    ciphers = _wrap((_code_product(code.arr, final_key).arr + stacked.arr) % ctx.q, ctx)
     decoded = []
     for r, rec in enumerate(receivers):
-        rows = [i for i, mask in enumerate(labels) if mask >> r & 1]
-        pads_r = vstack([keys.terminal_subset_keys[(mask, r)] for mask in picks if mask >> r & 1])
-        sent = _wrap((ciphers.arr[rows] - pads_r.arr) % ctx.q, ctx)
-        key = rec.decode(code, sent, rows)
-        if _code_product(code.arr[rows], key) != sent:
-            raise _Degenerate((f"terminal {r} could not decode the combination code",))
+        got = sent(r, ciphers)
+        key = rec.decode(code, got, own[r])
+        if _code_product(code.arr[own[r]], key) != got:
+            raise _Degenerate(f"terminal {r} could not decode the combination code")
         decoded.append(key)
-    return code, ciphers, replace(keys, final_key=final, terminal_final=tuple(decoded))
+    return code, ciphers, replace(keys, final_key=final_key, terminal_final=tuple(decoded))
 
 
 def _code_product(code: np.ndarray, x: MatrixFq) -> MatrixFq:
@@ -1007,50 +1022,52 @@ def _code_product(code: np.ndarray, x: MatrixFq) -> MatrixFq:
     return _wrap(out % q, x.ctx)
 
 
-def _ciphers(code: MatrixFq, final: MatrixFq, pads: MatrixFq) -> MatrixFq:
-    """code @ final + pads (_code_product), the pads being the subset keys
-    stacked in mask order."""
-    return _wrap((_code_product(code.arr, final).arr + pads.arr) % final.ctx.q, final.ctx)
-
-
-def _agreement(keys: KeyShare) -> tuple[bool, bool]:
-    """Subset agreement (every terminal's copy equals its subset key) and final
-    agreement (every terminal's decoding equals the final key)."""
-    return (
-        all(k == keys.subset_keys.get(mask) for (mask, _), k in keys.terminal_subset_keys.items()),
-        all(k == keys.final_key for k in keys.terminal_final),
-    )
-
-
 def _audit(slots, picks: dict[int, Subspace], keys: KeyShare) -> AuditReport:
-    """Audit (harness-side omniscience): subset and final agreement, and the
-    zero-leakage certificate: the picks add their whole dimension to the
-    direct sum E of the eavesdropper's slot subspaces (_cap).  That holds
-    exactly when the key rows K have full row rank and meet span E only in
-    zero: rank [K; block_diag(E_t)] = rows(K) + dim E.  A failed one
-    withholds the keys and raises its report.  A passing one proves
-    feasibility: each pick lies in its glued exclusive subspace and K keeps
-    full rank modulo E, so sum_S counts = rank(K_S mod E) <=
-    dim(sum_S glued_J + E) - dim E.
+    """Audit (harness-side omniscience): subset agreement (every terminal's
+    copy equals its subset key), final agreement (every terminal's decoding
+    equals the final key), and the zero-leakage certificate: the picks add
+    their whole dimension to the direct sum E of the eavesdropper's slot
+    subspaces (_cap).  That holds exactly when the key rows K have full row
+    rank and meet span E only in zero: rank [K; block_diag(E_t)] = rows(K)
+    + dim E.  A failed one reports the session degenerate, and _settle
+    withholds its keys.  A passing one proves feasibility: each pick lies
+    in its glued exclusive subspace and K keeps full rank modulo E, so
+    sum_S counts = rank(K_S mod E) <= dim(sum_S glued_J + E) - dim E.
     """
     eves = spans_of(rec.obs.eve_transfer for rec in slots)
     # Certified in coefficient space: the packets are these coefficients times
     # block_diag([I | M_t]), which has full row rank and so keeps every rank.
     cert = _cap(picks.values(), direct_sum(*eves)) == sum(pick.dim for pick in picks.values())
     key_blocks = 0 if keys.final_key is None or not cert else keys.final_key.rows
-    subset_agreement, final_agreement = _agreement(keys)
-    audit = AuditReport(
+    return AuditReport(
         degenerate=not cert,
         reasons=() if cert else ("leakage certificate failed, keys withheld",),
-        subset_agreement=subset_agreement,
-        final_agreement=final_agreement,
+        subset_agreement=all(k == keys.subset_keys.get(mask) for (mask, _), k in keys.terminal_subset_keys.items()),
+        final_agreement=all(k == keys.final_key for k in keys.terminal_final),
         leakage_certificate=cert,
         achieved_per_slot=Fraction(key_blocks, len(slots)),
         key_blocks=key_blocks,
     )
-    if not cert:
-        raise _Degenerate(audit.reasons, audit)
-    return audit
+
+
+def _settle(params: ChannelParams, slots, picks: dict[int, Subspace], disclosures, final) -> SessionResult:
+    """A session from its disclosures on, for run_session and for a saved
+    transcript's replay (SessionResult.from_json_dict): the keys, the
+    multicast of the final key and the audit; a failed certificate
+    withholds the keys.  ``final`` takes terminal 0's decoder (ciphers to
+    the final key they carry) and gives the final key: a session's drawn
+    key, or a replay's stored ciphers decoded.
+
+    Raises:
+        _Degenerate: if the multicast finds no code that every terminal
+            decodes.
+    """
+    keys = _keys(params, slots, picks, disclosures)
+    code, ciphers, keys = _multicast(picks, keys, final, params.m)
+    audit = _audit(slots, picks, keys)
+    if audit.degenerate:
+        keys = KeyShare(terminal_final=(None,) * params.m)
+    return SessionResult(SessionTranscript(params, slots, disclosures, code, ciphers), keys, audit)
 
 
 def run_session(
@@ -1101,26 +1118,19 @@ def run_session(
     if messages is None:
         messages = [random_matrix(params.n_a, width, ctx, msg_rng) for _ in range(n_slots)]
     slots = _broadcast(params, messages, chan_rng)
-    transcript = SessionTranscript(params, slots)
-    withheld = KeyShare(terminal_final=(None,) * m)
     if n_slots == 0:
-        return SessionResult(transcript, withheld, _unaudited())
+        return _ended(params, slots)
     try:
         reduced = RowReduced.stack(f for rec in slots for f in rec.obs.transfers)
         received = [reduced[t * m : (t + 1) * m] for t in range(n_slots)]
         exclusive = _exclusive_picks(received, plan, proto_rng)
         picks = _extract(exclusive, counts, m, proto_rng)
         disclosures = _disclosures(received, picks)
-        keys = _keys(params, slots, picks, disclosures)
         if key_blocks and final_key is None:
             final_key = random_matrix(key_blocks, width, ctx, msg_rng)
-        final = final_key if key_blocks else None
-        code, ciphers, keys = _multicast(picks, keys, final, m)
-        transcript = SessionTranscript(params, slots, disclosures, code, ciphers)
-        audit = _audit(slots, picks, keys)
+        return _settle(params, slots, picks, disclosures, lambda decode: final_key)
     except _Degenerate as exc:
-        return SessionResult(transcript, withheld, exc.audit)
-    return SessionResult(transcript, keys, audit)
+        return _ended(params, slots, exc.args)
 
 
 # --------------------------------------------------------------------------
@@ -1134,24 +1144,37 @@ def _mat(m: MatrixFq | None):
     return None if m is None else {"rows": m.rows, "cols": m.cols, "entries": m.tolist()}
 
 
+def _audit_doc(audit: AuditReport) -> dict:
+    return {**asdict(audit), "reasons": list(audit.reasons), "achieved_per_slot": str(audit.achieved_per_slot)}
+
+
 def _unmat(doc, ctx: FieldCtx) -> MatrixFq | None:
     """ValueError unless ``doc`` is a {rows, cols, entries} object whose
     entries are nested lists of exactly the declared shape holding ints (not
-    bools) in [0, q)."""
+    bools) in [0, q).  Past the per-row shape check the entries take one
+    pass for their types and one conversion, which refuses an int outside
+    int64; numpy then checks the range."""
     if doc is None:
         return None
     if not isinstance(doc, dict):
         raise ValueError(f"a matrix must be a {{rows, cols, entries}} object, got {type(doc).__name__}")
     rows, cols, entries = (doc.get(key) for key in ("rows", "cols", "entries"))
+    refused = ValueError(f"matrix entries are not {rows} x {cols} ints in [0, {ctx.q})")
     if not (
         all(type(n) is int and n >= 0 for n in (rows, cols))
         and isinstance(entries, list)
         and len(entries) == rows
         and all(isinstance(row, list) and len(row) == cols for row in entries)
-        and all(type(x) is int and 0 <= x < ctx.q for row in entries for x in row)
+        and set(map(type, itertools.chain.from_iterable(entries))) <= {int}
     ):
-        raise ValueError(f"matrix entries are not {rows} x {cols} ints in [0, {ctx.q})")
-    return MatrixFq(np.array(entries, dtype=np.int64).reshape(rows, cols), ctx)
+        raise refused
+    try:
+        arr = np.array(entries, dtype=np.int64).reshape(rows, cols)
+    except OverflowError:
+        raise refused from None
+    if arr.size and not (arr.min() >= 0 and arr.max() < ctx.q):
+        raise refused
+    return _wrap(arr, ctx)
 
 
 def _is_mask(mask, m: int) -> bool:

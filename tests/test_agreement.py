@@ -1069,7 +1069,7 @@ def test_multicast_code_has_full_rank_rows_for_every_terminal(m, q, monkeypatch)
         picks, keys = _multicast_inputs(dims, ctx, rng)
         final = random_matrix(k, 2, ctx, rng)
         calls.clear()
-        code, ciphers, out = agreement._multicast(picks, keys, final, m)
+        code, ciphers, out = agreement._multicast(picks, keys, lambda _: final, m)
         assert out.terminal_final == (final,) * m
         if m <= 2:
             assert all(_is_unit(row) for row in code.arr) and not calls
@@ -1091,7 +1091,7 @@ def test_multicast_triangle_takes_combination_rows_and_names_failures():
         ctx, rng = FieldCtx(q), np.random.default_rng(q)
         picks, keys = _multicast_inputs({3: 2, 5: 2, 6: 3}, ctx, rng)
         final = random_matrix(4, 2, ctx, rng)
-        code, _, out = agreement._multicast(picks, keys, final, 3)
+        code, _, out = agreement._multicast(picks, keys, lambda _: final, 3)
         assert [np.flatnonzero(row).tolist() for row in code.arr[:4]] == [[0], [1], [2], [3]]
         assert not any(_is_unit(row) for row in code.arr[4:6])
         assert code.arr[6].tolist() == [1, 0, 0, 0]
@@ -1102,11 +1102,15 @@ def test_multicast_triangle_takes_combination_rows_and_names_failures():
     bumped[0, 0] += 1
     wrong = {**keys.terminal_subset_keys, (6, 2): MatrixFq(bumped, ctx)}
     with pytest.raises(agreement._Degenerate) as exc:
-        agreement._multicast(picks, replace(keys, terminal_subset_keys=wrong), final, 3)
+        agreement._multicast(picks, replace(keys, terminal_subset_keys=wrong), lambda _: final, 3)
     assert exc.value.args == ("terminal 2 could not decode the combination code",)
-    # five key blocks, but every terminal holds four pad rows
+    # at q = 2 a combination row may find no lambda that keeps it outside
+    # every short member's span: here terminals 2 and 3 end one rank short of
+    # the six key blocks, and the code fails before any final key is asked for
+    ctx, rng = FieldCtx(2), np.random.default_rng(0)
+    picks, keys = _multicast_inputs({1: 2, 3: 2, 4: 1, 7: 2, 9: 3, 14: 3}, ctx, rng)
     with pytest.raises(agreement._Degenerate) as exc:
-        agreement._multicast(picks, keys, random_matrix(5, 2, ctx, rng), 3)
+        agreement._multicast(picks, keys, lambda _: pytest.fail("a final key was asked for"), 4)
     assert exc.value.args == ("no decodable combination code found",)
 
 
@@ -1194,7 +1198,7 @@ def test_wide_multicast_decode_runs_panels_and_equals_the_reference(q, monkeypat
     ctx, rng = FieldCtx(q), np.random.default_rng(q)
     picks, keys = _multicast_inputs({3: 70, 5: 70, 6: 75}, ctx, rng, ambient=75)
     final = random_matrix(140, 2, ctx, rng)
-    _, _, out = agreement._multicast(picks, keys, final, 3)
+    _, _, out = agreement._multicast(picks, keys, lambda _: final, 3)
     assert out.terminal_final == (final,) * 3
     assert [basis.shape for _, basis, _ in solved] == [(140, 140)] * 2 and 140 > 2 * fieldmath._PANEL
     for target, basis, got in solved:
@@ -1435,16 +1439,14 @@ def test_session_transcript_load_refuses_schema_1_and_malformed_documents():
         with pytest.raises(ValueError, match=f"unsupported transcript schema {version}"):
             load(broken(lambda d: d.update(schema_version=version)))
 
-    def audit(**fields):
-        return lambda d: d["audit"].update(fields)
-
     def withhold(d):
         d["keys"].update(subset_keys={}, final_key=None, terminal_final=[None, None])
         d["audit"].update(degenerate=True, reasons=["slot 0: event"], key_blocks=0, achieved_per_slot="0")
 
-    # a degenerate audit with every key withheld loads
-    withheld = load(broken(withhold))
-    assert withheld.audit.degenerate and withheld.keys.final_key is None
+    # a degenerate audit with every key withheld is not the replay of the
+    # disclosures it still publishes, which give the keys
+    with pytest.raises(ValueError, match="keys.subset_keys is not the session's replay"):
+        load(broken(withhold))
     cases = {
         "transfer shapes": [
             lambda d: d["slots"][0]["transfers"].pop(),
@@ -1481,18 +1483,27 @@ def test_session_transcript_load_refuses_schema_1_and_malformed_documents():
             lambda d: d["slots"][1]["message"]["entries"][2].__setitem__(1, True),
             lambda d: d["slots"][1]["message"]["entries"][2].__setitem__(1, -1),
             lambda d: d["slots"][1]["message"]["entries"][2].__setitem__(1, 1.0),
+            # past int64, where the conversion itself overflows
+            lambda d: d["slots"][1]["message"]["entries"][2].__setitem__(1, 2**70),
             lambda d: d["slots"][0]["eve_transfer"].__setitem__("entries", []),
             lambda d: d["slots"][0].__setitem__("eve_transfer", {"rows": 0, "cols": 4, "entries": [[1] * 4]}),
             lambda d: d["public_messages"]["disclosures"][0]["coeffs"]["entries"].append([0] * 6),
         ],
-        "subset key masks": [
+        # subset key masks out of range, or not written as their decimal int
+        "keys.subset_keys": [
             lambda d: d["keys"]["subset_keys"].__setitem__("9", d["keys"]["subset_keys"]["1"]),
             lambda d: d["keys"]["subset_keys"].__setitem__("0", d["keys"]["subset_keys"]["1"]),
             # mask 1 not written as str(1), and under two spellings
             lambda d: d["keys"]["subset_keys"].__setitem__(" 01", d["keys"]["subset_keys"].pop("1")),
             lambda d: d["keys"]["subset_keys"].update(dict.fromkeys(["01", " 01"], d["keys"]["subset_keys"].pop("1"))),
         ],
-        "terminal final keys": [lambda d: d["keys"]["terminal_final"].pop()],
+        "keys.terminal_final": [lambda d: d["keys"]["terminal_final"].pop()],
+        # empty, but not lists: the slots of an empty session, and the
+        # disclosures of one that ended before them
+        "must be JSON lists": [
+            lambda d: d.update(slots={}),
+            lambda d: (withhold(d), d["public_messages"].update(disclosures={}, multicast_code=None, ciphers=None)),
+        ],
         "params must be plain ints": [
             lambda d: d["params"].update(ell="8"),
             lambda d: d["params"].update(q=101.0),
@@ -1503,36 +1514,15 @@ def test_session_transcript_load_refuses_schema_1_and_malformed_documents():
             lambda d: d["params"].update(n="33"),
             lambda d: d["params"].update(n=3),
         ],
-        "audit block": [
-            audit(key_blocks=999),
-            audit(key_blocks=5.0),
-            audit(key_blocks=0, achieved_per_slot="0"),
-            audit(reasons="abc"),
-            audit(reasons=[1], degenerate=True),
-            audit(achieved_per_slot="7/3"),
-            audit(achieved_per_slot="10/4"),
-            audit(achieved_per_slot=2.5),
-            audit(leakage_certificate="no"),
-            audit(subset_agreement=1),
-            audit(final_agreement=[]),
-            audit(degenerate=True),
-            audit(degenerate=None),
-            audit(reasons=["slot 0: event"]),
-            audit(reasons=["slot 0: event"], degenerate=True),
-            lambda d: (withhold(d), audit(key_blocks=5, achieved_per_slot="5/2")(d)),
-            lambda d: (withhold(d), audit(degenerate=False)(d)),
-            lambda d: (withhold(d), d["keys"]["subset_keys"].update({"1": doc["keys"]["subset_keys"]["1"]})),
-            lambda d: (withhold(d), d["keys"]["terminal_final"].__setitem__(1, doc["keys"]["terminal_final"][1])),
-            # subset 1 ships its key, but none of its disclosures
-            lambda d: d["public_messages"]["disclosures"].pop(0),
-        ],
         # a field missing, or of the wrong JSON type, outside a matrix
         "malformed transcript: TypeError": [
             lambda d: d["public_messages"]["disclosures"].__setitem__(0, 5),
             lambda d: d.update(slots=3),
             lambda d: d["slots"][0].update(transfers=7),
-            lambda d: d["keys"].update(subset_keys=list(d["keys"]["subset_keys"].values())),
             lambda d: d["keys"].update(terminal_final=3),
+        ],
+        "malformed transcript: AttributeError": [
+            lambda d: d["keys"].update(subset_keys=list(d["keys"]["subset_keys"].values())),
         ],
         "malformed transcript: KeyError": [
             lambda d: d["public_messages"]["disclosures"][0].pop("coeffs"),
@@ -1547,11 +1537,136 @@ def test_session_transcript_load_refuses_schema_1_and_malformed_documents():
                 load(broken(edit))
 
 
+def _session_doc(p, slots, seed, **hooks):
+    alloc, _ = solve_allocation_lp_planned(plan_dimensions(p))
+    return run_session(p, slots, alloc, np.random.default_rng(seed), **hooks).to_json_dict()
+
+
+def test_session_transcript_load_refuses_every_output_off_its_replay():
+    # load replays the session from the document's inputs and names the first
+    # field that differs.  In turn, one entry of every stored output matrix
+    # and every audit field is edited, in three documents: an m = 2 session,
+    # an m = 3 one whose code has combination rows, and a q = 2 one whose
+    # certificate failed, which publishes its code and ciphers but withholds
+    # every key
+    load = agreement.SessionResult.from_json_dict
+    shapes = [(P(101, 8, 4, [3, 3], 1), 3, 5), (P(101, 9, 6, [4, 4, 4], 2), 3, 0), (P(2, 6, 4, [3, 3], 1), 2, 15)]
+    for p, slots, seed in shapes:
+        doc, ctx = _session_doc(p, slots, seed), p.ctx
+        pub, keys, report = doc["public_messages"], doc["keys"], doc["audit"]
+        code = MatrixFq(np.array(pub["multicast_code"]["entries"]), ctx)
+        matrices = [("public_messages.multicast_code", pub["multicast_code"]), ("public_messages.ciphers", pub["ciphers"])]
+        matrices += [("keys.subset_keys", k) for k in keys["subset_keys"].values()]
+        matrices += [("keys.final_key", keys["final_key"])] * (keys["final_key"] is not None)
+        matrices += [("keys.terminal_final", k) for k in keys["terminal_final"] if k is not None]
+        for name, mat in matrices:
+            for i, j in itertools.product(range(mat["rows"]), range(mat["cols"])):
+                mat["entries"][i][j] = (mat["entries"][i][j] + 1) % ctx.q
+                # A cipher edit in the code's column space is the cipher of
+                # another final key, which terminal 0 decodes: the shipped
+                # final key then differs, and a withheld one is any key, so
+                # the document is the session run with that key
+                moved = name == "public_messages.ciphers" and rank(
+                    MatrixFq(np.hstack([code.arr, np.eye(code.rows, dtype=np.int64)[:, [i]]]), ctx)
+                ) == rank(code)
+                if moved and keys["final_key"] is None:
+                    zero = _session_doc(p, slots, seed, final_key=zeros(code.cols, p.ell - p.n_a, ctx))
+                    sent = (np.array(pub["ciphers"]["entries"]) - zero["public_messages"]["ciphers"]["entries"]) % ctx.q
+                    final = solve_in_rowspan(MatrixFq(sent.T, ctx), code.transpose()).transpose()
+                    assert _session_doc(p, slots, seed, final_key=final) == load(doc).to_json_dict() == doc
+                else:
+                    field = "keys.final_key" if moved else name
+                    with pytest.raises(ValueError, match=f"{field} is not the session's replay"):
+                        load(doc)
+                mat["entries"][i][j] = (mat["entries"][i][j] - 1) % ctx.q
+        edited = {bool: lambda v: not v, list: lambda v: [*v, "edited"], int: lambda v: v + 1}
+        for name, value in list(report.items()):
+            report[name] = edited.get(type(value), lambda v: str(Fraction(v) + 1))(value)
+            with pytest.raises(ValueError, match=f"audit.{name} is not the session's replay"):
+                load(doc)
+            report[name] = value
+        assert load(doc).to_json_dict() == doc
+
+    # edits of a type, or of more than one field, on the m = 2 document
+    p, slots, seed = shapes[0]
+    doc = _session_doc(p, slots, seed)
+    assert doc["audit"]["key_blocks"] == 7 and doc["audit"]["achieved_per_slot"] == "7/3"
+
+    def broken(*edits):
+        bad = copy.deepcopy(doc)
+        for edit in edits:
+            edit(bad)
+        return bad
+
+    def audit(**fields):
+        return lambda d: d["audit"].update(fields)
+
+    def ended(d):
+        """The document of a session that ended before its disclosures."""
+        d["public_messages"].update(disclosures=[], multicast_code=None, ciphers=None)
+        d["keys"].update(subset_keys={}, final_key=None, terminal_final=[None, None])
+        d["audit"].update(
+            degenerate=True, reasons=["slot 0: event"], subset_agreement=None, final_agreement=None,
+            leakage_certificate=None, achieved_per_slot="0", key_blocks=0,
+        )
+
+    # its reasons cannot be replayed, so they are taken as given
+    assert load(broken(ended)).audit.reasons == ("slot 0: event",)
+    cases = {
+        # equal in Python, not in JSON: true is not 1, and 7.0 is not 7
+        "audit.key_blocks": [audit(key_blocks=7.0), audit(key_blocks=999)],
+        "audit.subset_agreement": [audit(subset_agreement=1)],
+        "audit.final_agreement": [audit(final_agreement=[])],
+        "audit.leakage_certificate": [audit(leakage_certificate="no"), audit(leakage_certificate=None)],
+        "audit.achieved_per_slot": [
+            audit(achieved_per_slot="14/6"),
+            audit(achieved_per_slot=7 / 3),
+            audit(key_blocks=0, achieved_per_slot="0"),
+        ],
+        "audit.reasons": [audit(reasons="abc"), audit(reasons=[1], degenerate=True), audit(reasons=["slot 0: event"])],
+        "audit.degenerate": [audit(degenerate=None), audit(reasons=["slot 0: event"], degenerate=True)],
+        "public_messages.ciphers": [lambda d: d["public_messages"].update(ciphers=None)],
+        # subset 1 ships its key, but none of its disclosures
+        "public_messages.multicast_code": [lambda d: d["public_messages"]["disclosures"].pop(0)],
+    }
+    for match, edits in cases.items():
+        for edit in edits:
+            with pytest.raises(ValueError, match=match):
+                load(broken(edit))
+    # a session that ended before its disclosures has no keys, flags or
+    # rate, and its degenerate flag is its reasons
+    ended_cases = {
+        "audit.achieved_per_slot": audit(key_blocks=5, achieved_per_slot="5/3"),
+        "audit.degenerate": audit(degenerate=False),
+        "audit.leakage_certificate": audit(leakage_certificate=True),
+        "keys.subset_keys": lambda d: d["keys"]["subset_keys"].update({"1": doc["keys"]["subset_keys"]["1"]}),
+        "keys.terminal_final": lambda d: d["keys"]["terminal_final"].__setitem__(1, doc["keys"]["terminal_final"][1]),
+    }
+    for match, edit in ended_cases.items():
+        with pytest.raises(ValueError, match=match):
+            load(broken(ended, edit))
+    # nor is the code a field of its own: a failed certificate at q = 2 with
+    # a code entry and its cipher entry flipped, and the m = 3 code with row 0
+    # moved and the ciphers recomputed to match
+    failed = _session_doc(*shapes[2])
+    for name in ("multicast_code", "ciphers"):
+        failed["public_messages"][name]["entries"][0][0] ^= 1
+    m3 = _session_doc(*shapes[1])
+    keys = m3["keys"]
+    code = np.array(m3["public_messages"]["multicast_code"]["entries"])
+    code[0] = (code[0] + 1) % 101
+    pads = np.vstack([keys["subset_keys"][mask]["entries"] for mask in sorted(keys["subset_keys"], key=int)])
+    m3["public_messages"]["multicast_code"]["entries"] = code.tolist()
+    m3["public_messages"]["ciphers"]["entries"] = ((code @ keys["final_key"]["entries"] + pads) % 101).tolist()
+    for bad in (failed, m3):
+        with pytest.raises(ValueError, match="public_messages.multicast_code is not the session's replay"):
+            load(bad)
+
+
 def test_session_transcript_load_checks_the_agreement_flags_and_the_certificate():
-    # the flags are not taken on trust: load compares the terminal copies it
-    # rebuilds from the disclosures with the shipped subset keys, and the
-    # terminals' final keys with the final key, and a non-degenerate audit
-    # must carry a passing certificate
+    # the flags and the certificate are not taken on trust: load recomputes
+    # the keys from the disclosures, the terminals' copies and decodings, and
+    # the certificate against the eavesdropper's transfers
     p = P(101, 8, 4, [3, 3], 1)
     alloc, _ = solve_allocation_lp_planned(plan_dimensions(p))
     res = run_session(p, 3, alloc, np.random.default_rng(5))
@@ -1563,68 +1678,34 @@ def test_session_transcript_load_checks_the_agreement_flags_and_the_certificate(
     def bump(mat):
         mat["entries"][0][0] = (mat["entries"][0][0] + 1) % 101
 
-    def broken(edit):
-        bad = copy.deepcopy(doc)
-        edit(bad)
-        return bad
-
-    tampered = {
-        "subset key": lambda d: bump(d["keys"]["subset_keys"]["1"]),
-        "terminal final key": lambda d: bump(d["keys"]["terminal_final"][1]),
-        "subset agreement": lambda d: d["audit"].update(subset_agreement=False),
-        "final agreement": lambda d: d["audit"].update(final_agreement=False),
-        "false certificate": lambda d: d["audit"].update(leakage_certificate=False),
-        "no certificate": lambda d: d["audit"].update(leakage_certificate=None),
-    }
-    for name, edit in tampered.items():
-        with pytest.raises(ValueError, match="audit block"):
-            load(broken(edit))
-    # nor are the public code and ciphers: the ciphers must be the code times
-    # the final key, padded with the subset keys stacked in mask order, and a
-    # code comes with its ciphers
-    tampered_public = {
-        "a cipher entry": lambda d: bump(d["public_messages"]["ciphers"]),
-        "a code entry": lambda d: bump(d["public_messages"]["multicast_code"]),
-        "null ciphers": lambda d: d["public_messages"].update(ciphers=None),
-    }
-    for name, edit in tampered_public.items():
-        with pytest.raises(ValueError, match="ciphers"):
-            load(broken(edit))
-    # nor is the code: load rebuilds it from the disclosed subsets' row
-    # counts, also where no final key ships to check the ciphers against (a
-    # failed certificate at q = 2 with a code and a cipher entry flipped),
-    # and where the ciphers were recomputed to match (m = 3, code row 0 moved)
-    def session_doc(p, slots, seed):
-        alloc, _ = solve_allocation_lp_planned(plan_dimensions(p))
-        return run_session(p, slots, alloc, np.random.default_rng(seed)).to_json_dict()
-
-    failed = session_doc(P(2, 6, 4, [3, 3], 1), 2, 15)
-    assert failed["audit"]["reasons"] == ["leakage certificate failed, keys withheld"]
-    for name in ("multicast_code", "ciphers"):
-        failed["public_messages"][name]["entries"][0][0] ^= 1
-    m3 = session_doc(P(101, 9, 6, [4, 4, 4], 2), 3, 0)
-    keys = m3["keys"]
-    code = np.array(m3["public_messages"]["multicast_code"]["entries"])
-    code[0] = (code[0] + 1) % 101
-    pads = np.vstack([keys["subset_keys"][mask]["entries"] for mask in sorted(keys["subset_keys"], key=int)])
-    m3["public_messages"]["multicast_code"]["entries"] = code.tolist()
-    m3["public_messages"]["ciphers"]["entries"] = ((code @ keys["final_key"]["entries"] + pads) % 101).tolist()
-    for bad in (failed, m3):
-        with pytest.raises(ValueError, match="not the combination code"):
-            load(bad)
-    # flags that report the shipped keys' disagreement are consistent; the
-    # bumped subset key pads the first cipher row, which moves with it
-    flagged = load(
-        broken(
-            lambda d: (
-                bump(d["keys"]["subset_keys"]["1"]),
-                bump(d["public_messages"]["ciphers"]),
-                d["audit"].update(subset_agreement=False),
-            )
-        )
-    )
-    assert flagged.audit.subset_agreement is False
+    # a subset key re-padded: the bumped key pads the first cipher row, which
+    # moves with it, and the flags report the disagreement.  The replay pads
+    # with the key that the disclosures give, so terminal 0 decodes another
+    # first final-key block from that row, and the second row, which carries
+    # the same block to terminal 1, is then off the replay's ciphers
+    flagged = copy.deepcopy(doc)
+    bump(flagged["keys"]["subset_keys"]["1"])
+    bump(flagged["public_messages"]["ciphers"])
+    flagged["audit"].update(subset_agreement=False)
+    assert res.transcript.multicast_code.arr[:2].tolist() == [[1, 0, 0, 0, 0, 0, 0]] * 2
+    with pytest.raises(ValueError, match="public_messages.ciphers is not the session's replay"):
+        load(flagged)
+    # an eavesdropper who received a key row: slot 0's first eavesdropper
+    # transfer row replaced by a row of subset 3's key basis in that slot,
+    # C_0 @ F_{0,0} from terminal 0's disclosure, while the audit still says
+    # the certificate passed.  The replay's certificate fails and withholds
+    # the keys
+    readme = P(101, 10, 6, [4, 4], 2)
+    leaked = _session_doc(readme, 2, 3)
+    assert leaked["audit"]["leakage_certificate"] is True
+    coeffs = next(d["coeffs"] for d in leaked["public_messages"]["disclosures"] if (d["subset"], d["terminal"]) == (3, 0))
+    slot = leaked["slots"][0]
+    rows = np.array(coeffs["entries"])[:, : readme.n[0]] @ np.array(slot["transfers"][0]["entries"]) % 101
+    slot["eve_transfer"]["entries"][0] = next(row for row in rows if row.any()).tolist()
+    with pytest.raises(ValueError, match="keys.subset_keys is not the session's replay"):
+        load(leaked)
     # an empty session ran no audit, so it carries no flags
     empty = run_session(p, 0, alloc, np.random.default_rng(5)).to_json_dict()
-    with pytest.raises(ValueError, match="audit block"):
+    assert load(empty).audit.leakage_certificate is None
+    with pytest.raises(ValueError, match="audit.leakage_certificate is not the session's replay"):
         load({**empty, "audit": {**empty["audit"], "leakage_certificate": True}})
